@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -112,15 +114,21 @@ for _p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
 class FFElement:
     """Element of a GaloisField; immutable coefficient tuple against the power basis."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_residue")
 
     def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = coeffs
+        # residue encoding, little-endian base p; inverse of field.residue_element
+        v = 0
+        for c in reversed(coeffs):
+            v = v * field.p + c
+        self._residue = v
 
     def _co(self, other):
         if isinstance(other, FFElement):
-            assert other.field is self.field, "mixed fields"
+            if other.field is not self.field:
+                raise ValueError(f"mixed fields: {self.field!r} and {other.field!r}")
             return other
         if isinstance(other, int):
             return self.field.embed(other)
@@ -187,19 +195,13 @@ class FFElement:
         return any(self.coeffs)
 
     def __int__(self):
-        # residue encoding, little-endian base p; inverse of field.element_by_residue
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.p + c
-        return v
+        return self._residue
 
     def __repr__(self):
         return self.field.format_elem(self)
 
 
 class GaloisField:
-    is_field = True
-
     def __init__(self, p: int, k: int, modulus=None):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
@@ -224,8 +226,14 @@ class GaloisField:
         self.zero = self.elem((0,) * k)
         self.one = self.embed(1)
         self.gen = self.elem(tuple(1 if i == 1 else 0 for i in range(k))) if k > 1 else self.one
-        # residue i (little-endian base-p digits) -> interned element
-        self.element_by_residue = [self._from_residue(i) for i in range(self.q)] if self.q <= 4096 else None
+        # residue i (little-endian base-p digits) -> interned element, as an
+        # object array so that linalg can map residue matrices back by indexing
+        self.element_by_residue = None
+        if self.q <= 4096:
+            table = np.empty(self.q, dtype=object)
+            for i in range(self.q):
+                table[i] = self._from_residue(i)
+            self.element_by_residue = table
         self._frob_mat = None
 
     def _from_residue(self, i):
@@ -249,7 +257,8 @@ class GaloisField:
 
     def coerce(self, v) -> FFElement:
         if isinstance(v, FFElement):
-            assert v.field is self
+            if v.field is not self:
+                raise ValueError(f"mixed fields: {v.field!r} element in {self!r}")
             return v
         return self.embed(int(v))
 
@@ -257,12 +266,22 @@ class GaloisField:
         r = poly_mod([c % self.p for c in coeffs], list(self.modulus), self.p)
         return self.elem(tuple(r) + (0,) * (self.k - len(r)))
 
+    def residue_element(self, r: int) -> FFElement:
+        """The element with residue encoding r (see FFElement.__int__)."""
+        if self.element_by_residue is not None:
+            return self.element_by_residue[r]
+        return self._from_residue(r)
+
     def mul(self, a: FFElement, b: FFElement) -> FFElement:
+        if self.k == 1:
+            return self.residue_element(a.coeffs[0] * b.coeffs[0] % self.p)
         return self.from_poly(poly_mul(list(a.coeffs), list(b.coeffs), self.p))
 
     def inv(self, a: FFElement) -> FFElement:
         if not a:
             raise ZeroDivisionError("inverse of zero")
+        if self.k == 1:
+            return self.residue_element(pow(a.coeffs[0], self.p - 2, self.p))
         # extended Euclid in F_p[x]
         r0, r1 = list(self.modulus), _trim(a.coeffs)
         s0, s1 = [], [1]

@@ -10,17 +10,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import linalg as la
-from .fields import gf_make
+from .fields import gf_make, is_prime
 from .green import GreenFunctor, GreenModule, TwistedGroupRing, twisted_group_ring
 from .gsets import CyclicGroup
 from .linalg import ZZ
-from .mackey import MackeyFunctor, _coerce_mat
+from .mackey import MackeyFunctor
 from .modules import FPModule, direct_sum_modules, reduced_quotient
 from .rings import BasedRing, ring_is_field, unit_basis_index
-
-
-def _cz(A, base):
-    return A if base is ZZ else _coerce_mat(A, base)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +81,8 @@ def induce_mackey(M: MackeyFunctor, n: int) -> MackeyFunctor:
                 jt = j % cs1
                 R[j * ds:(j + 1) * ds, jt * ds:(jt + 1) * ds] = I
                 T[jt * ds:(jt + 1) * ds, j * ds:(j + 1) * ds] = I
-        res.append(_cz(R, base))
-        tr.append(_cz(T, base))
+        res.append(la.coerce(R, base))
+        tr.append(la.coerce(T, base))
 
     weyl = []
     for s in range(n + 1):
@@ -96,7 +92,7 @@ def induce_mackey(M: MackeyFunctor, n: int) -> MackeyFunctor:
         for j in range(c - 1):
             W[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = la.eye(d)
         W[0:d, (c - 1) * d:c * d] = wrap
-        weyl.append(_cz(W, base))
+        weyl.append(la.coerce(W, base))
 
     return MackeyFunctor(group, base, levels, res, tr, weyl,
                          name=f"ind^{n}({M.name})" if M.name else "")
@@ -125,7 +121,7 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
         ru = R.ring(u)
         d = ru.rank
         c = p ** (n - max(i, s))
-        resc = _cz(la.eye(R.ring(s).rank), base)
+        resc = la.coerce(la.eye(R.ring(s).rank), base)
         for t in range(s - 1, u - 1, -1):
             resc = la.mmul(M.res[t], resc, base)
         order = p ** (n - u)
@@ -145,7 +141,7 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
     gen = la.zeros(und.levels[i].gens, 1)
     gen[unit_basis_index(R.ring(i)), 0] = 1
     F.generator_level = i
-    F.generator = _cz(gen, base)
+    F.generator = la.coerce(gen, base)
     return F
 
 
@@ -179,9 +175,9 @@ def brutal_truncation(M: MackeyFunctor) -> MackeyFunctor:
     base = M.base
     g1 = M.levels[1].gens
     levels = [FPModule(base, 0)] + list(M.levels[1:])
-    res = [_cz(la.zeros(0, g1), base)] + list(M.res[1:])
-    tr = [_cz(la.zeros(g1, 0), base)] + list(M.tr[1:])
-    weyl = [_cz(la.eye(0), base)] + list(M.weyl[1:])
+    res = [la.coerce(la.zeros(0, g1), base)] + list(M.res[1:])
+    tr = [la.coerce(la.zeros(g1, 0), base)] + list(M.tr[1:])
+    weyl = [la.coerce(la.eye(0), base)] + list(M.weyl[1:])
     return MackeyFunctor(M.group, base, levels, res, tr, weyl,
                          name=f"trunc({M.name})" if M.name else "")
 
@@ -269,8 +265,7 @@ def _gfp_green(R: GreenFunctor) -> GreenFunctor:
         old = R.ring(s)
         proj, lift = projs[s - 1], lifts[s - 1]
         rank = N.levels[s - 1].gens
-        mult = la.zeros(rank * rank, rank)
-        mult = _cz(mult, base)
+        mult = la.coerce(la.zeros(rank * rank, rank), base)
         for i in range(rank):
             for j in range(rank):
                 prod = old.multiply(lift[:, i:i + 1], lift[:, j:j + 1])
@@ -314,26 +309,26 @@ def phi_ring(R: GreenFunctor, m: int) -> PhiLevel:
     base = R.base
     ring = R.ring(m)
     if m == 0:
-        I = _cz(la.eye(ring.rank), base)
+        I = la.coerce(la.eye(ring.rank), base)
         return PhiLevel(ring, I, I, [0] * ring.rank, "full level 0")
     assert 1 <= m <= R.n
     span = R.underlying.tr[m - 1]
     Q, proj, lift = reduced_quotient(base, ring.rank, span)
     if Q.gens == 0:
-        z = la.zeros(0, ring.rank) if base is ZZ else _cz(la.zeros(0, ring.rank), base)
+        z = la.coerce(la.zeros(0, ring.rank), base)
         return PhiLevel(None, z, z.T.copy(), [], "zero ring")
 
     def quotient_ring(out_base, reduce=None):
         rank = Q.gens
-        mult = _cz(la.zeros(rank * rank, rank), out_base)
+        mult = la.coerce(la.zeros(rank * rank, rank), out_base)
         for i in range(rank):
             for j in range(rank):
                 prod = ring.multiply(lift[:, i:i + 1], lift[:, j:j + 1])
-                row = la.mmul(proj, prod, ZZ if base is ZZ else base)
+                row = la.mmul(proj, prod, base)
                 if reduce is not None:
                     row = reduce(row)
                 mult[(i * rank + j):(i * rank + j + 1), :] = row.T
-        unit = la.mmul(proj, ring.unit, ZZ if base is ZZ else base)
+        unit = la.mmul(proj, ring.unit, base)
         if reduce is not None:
             unit = reduce(unit)
         return BasedRing(out_base, rank, mult, unit, commutative=ring.commutative)
@@ -349,31 +344,12 @@ def phi_ring(R: GreenFunctor, m: int) -> PhiLevel:
     torsion = [d for d in invf if d != 0]
     frees = [d for d in invf if d == 0]
     prm = torsion[0]
-    if not frees and all(d == prm for d in torsion) and _is_prime(prm):
+    if not frees and all(d == prm for d in torsion) and is_prime(prm):
         F = gf_make(prm, 1)
-
-        def red(row):
-            out = _cz(la.zeros(*row.shape), F)
-            for a in range(row.shape[0]):
-                for b in range(row.shape[1]):
-                    out[a, b] = F.embed(int(row[a, b]))
-            return out
-
-        return PhiLevel(quotient_ring(F, reduce=red), proj, lift,
+        return PhiLevel(quotient_ring(F, reduce=lambda row: la.coerce(row, F)), proj, lift,
                         invf, f"Z-quotient reduced mod {prm}")
     return PhiLevel(None, proj, lift, invf,
                     f"Z-module with invariant factors {invf}")
-
-
-def _is_prime(d: int) -> bool:
-    if d < 2:
-        return False
-    f = 2
-    while f * f <= d:
-        if d % f == 0:
-            return False
-        f += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +412,7 @@ def _transfers_all_surjective(M: MackeyFunctor) -> bool:
 def _theta_on_phi(R: GreenFunctor, t: int, ph: PhiLevel):
     W = R.underlying.weyl[t]
     if R.base is ZZ and ph.ring is not None and ph.ring.base is not ZZ:
-        raw = la.mmul_chain(ph.proj, W, ph.lift, base=ZZ)
-        F = ph.ring.base
-        out = _cz(la.zeros(*raw.shape), F)
-        for a in range(raw.shape[0]):
-            for b in range(raw.shape[1]):
-                out[a, b] = F.embed(int(raw[a, b]))
-        return out
+        return la.coerce(la.mmul_chain(ph.proj, W, ph.lift, base=ZZ), ph.ring.base)
     return la.mmul_chain(ph.proj, W, ph.lift, base=R.base)
 
 
@@ -461,9 +431,7 @@ def _term_for(R: GreenFunctor, t: int, ph: PhiLevel) -> E1Term:
         q0 = ph.ring.base.p ** ph.ring.base.k
         side = tw.theta_power_order()
         inner = order // side
-        delta = la.mmul(theta, _cz(la.eye(ph.ring.rank), ph.ring.base), ph.ring.base)
-        for a in range(ph.ring.rank):
-            delta[a, a] = delta[a, a] - ph.ring.base.embed(1)
+        delta = la.sub(theta, la.eye(ph.ring.rank), ph.ring.base)
         fixed_dim = ph.ring.rank - la.rank(delta, ph.ring.base)
         fixed = q0 ** fixed_dim
         core = f"F{fixed}" if inner == 1 else f"F{fixed}[C{inner}]"
@@ -499,17 +467,14 @@ def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
         K = la.nullspace(ph.proj, base)
     k = K.shape[1]
 
-    def same(A, B):
-        return la.mat_eq(A, B) if base is ZZ else _feq(A, B)
-
     def is_section(sigma):
-        if not same(la.mmul(sigma, ph.ring.unit, base), r1.unit):
+        if not la.mat_eq(la.mmul(sigma, ph.ring.unit, base), r1.unit):
             return False
         for i in range(qr):
             for j in range(qr):
                 lhs = r1.multiply(sigma[:, i:i + 1], sigma[:, j:j + 1])
                 rhs = la.mmul(sigma, ph.ring.product_of_basis(i, j), base)
-                if not same(lhs, rhs):
+                if not la.mat_eq(lhs, rhs):
                     return False
         return True
 
@@ -524,9 +489,7 @@ def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
     if len(coeffs) ** (k * qr) > cap:
         return None
     for picks in itertools.product(coeffs, repeat=k * qr):
-        X = la.zeros(k, qr)
-        if base is not ZZ:
-            X = _cz(X, base)
+        X = la.coerce(la.zeros(k, qr), base)
         for a in range(k):
             for b in range(qr):
                 X[a, b] = picks[a * qr + b]
@@ -534,13 +497,6 @@ def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
         if is_section(sigma):
             return sigma
     return None
-
-
-def _feq(A, B):
-    if A.shape != B.shape:
-        return False
-    return all(A[i, j] == B[i, j]
-               for i in range(A.shape[0]) for j in range(A.shape[1]))
 
 
 def e1_page(R: GreenFunctor) -> E1Page:

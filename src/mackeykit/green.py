@@ -15,16 +15,12 @@ from . import linalg as la
 from .fields import gf_make
 from .gsets import CyclicGroup
 from .linalg import ZZ
-from .mackey import (MackeyFunctor, MackeyMorphism, _coerce_mat, _eq,
+from .mackey import (MackeyFunctor, MackeyMorphism, _eq,
                      burnside_mackey, check_axioms, constant_mackey,
                      direct_sum, fixed_point_mackey, hom_basis)
 from .modules import FPModule, reduced_quotient
 from .report import CheckReport
 from .rings import BasedRing, based_ring_check, ring_is_field
-
-
-def _cz(A, base):
-    return A if base is ZZ else _coerce_mat(A, base)
 
 
 def tensor_modules(A: FPModule, B: FPModule) -> FPModule:
@@ -210,13 +206,11 @@ class GreenModule:
     def action_matrix(self, s: int, rvec):
         """Matrix of the ring element with coefficient column rvec on level s."""
         g = self.underlying.levels[s].gens
-        out = la.zeros(g, g)
+        out = la.coerce(la.zeros(g, g), self.base)
         for u in range(self.ring.ring(s).rank):
-            c = rvec[u, 0]
-            if c == 0:
-                continue
-            out = out + la.scalar_mul(c, self.action[s][u])
-        return _cz(out, self.base)
+            if rvec[u, 0]:
+                out = la.add_scaled(out, self.action[s][u], rvec[u, 0], self.base)
+        return out
 
     def level_dims(self) -> tuple:
         return self.underlying.level_dims()
@@ -242,7 +236,7 @@ def check_green_module(M: GreenModule) -> CheckReport:
                 if not lev.annihilates(la.mmul(M.action[s][u], lev.relations)):
                     rep.add("action", f"level {s}: e{u}",
                             "action does not preserve the relations")
-        ident = _cz(la.eye(lev.gens), base)
+        ident = la.coerce(la.eye(lev.gens), base)
         if not _eq(lev, M.action_matrix(s, ring.unit), ident, base):
             rep.add("unit", f"level {s}", "unit does not act as the identity")
         for u in range(ring.rank):
@@ -287,7 +281,7 @@ def module_from_green(R: GreenFunctor, name: str = "") -> GreenModule:
     action = []
     for s in range(R.n + 1):
         ring = R.ring(s)
-        action.append([_cz(ring.left_mult_matrix(ring.basis_vector(u)), R.base)
+        action.append([la.coerce(ring.left_mult_matrix(ring.basis_vector(u)), R.base)
                        for u in range(ring.rank)])
     return GreenModule(R, R.underlying, action, name=name or R.name)
 
@@ -390,7 +384,7 @@ def burnside_green(group, name: str = "") -> GreenFunctor:
 def constant_green(group, base, name: str = "") -> GreenFunctor:
     """Constant green functor: every level is the base ring itself."""
     und = constant_mackey(group, base, 1, name=name)
-    one = _cz(la.mat([[1]]), base)
+    one = la.coerce(la.mat([[1]]), base)
     rings = [BasedRing(base, 1, one.copy(), one.copy(), ["1"])
              for _ in range(group.n + 1)]
     return GreenFunctor(und, rings, name=name or und.name)
@@ -410,7 +404,7 @@ def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> Gree
         o //= group.p
     assert o == 1 and order <= group.p ** group.n, \
         "frobenius power must generate a subquotient of the acting group"
-    rho = _coerce_mat(field.frobenius_matrix(j), base)
+    rho = la.coerce(field.frobenius_matrix(j), base)
     M = fixed_point_mackey(group, base, rho,
                            name=name or f"fixed points of GF({field.p}^{field.k})")
     k = field.k
@@ -425,16 +419,16 @@ def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> Gree
                 col = la.zeros(k, 1)
                 for i, c in enumerate(prod.coeffs):
                     col[i, 0] = c
-                coords = la.solve(B, _coerce_mat(col, base), base)
+                coords = la.solve(B, la.coerce(col, base), base)
                 assert coords is not None  # subfields are multiplicatively closed
                 for t in range(d):
                     mult[u * d + v, t] = coords[t, 0]
         one = la.zeros(k, 1)
         one[0, 0] = 1
-        unit = la.solve(B, _coerce_mat(one, base), base)
+        unit = la.solve(B, la.coerce(one, base), base)
         assert unit is not None
         labels = [field.format_elem(e) for e in elems]
-        rings.append(BasedRing(base, d, _coerce_mat(mult, base), unit, labels))
+        rings.append(BasedRing(base, d, la.coerce(mult, base), unit, labels))
     G = GreenFunctor(M, rings, name=M.name)
     G.field = field
     G.frob_power = j
@@ -446,15 +440,15 @@ def char_example_green(p: int, name: str = "") -> GreenFunctor:
     F = gf_make(p, 1)
     group = CyclicGroup(p, 1)
     levels = [FPModule(F, 1), FPModule(F, 2)]
-    res = [_coerce_mat(la.mat([[1, 0]]), F)]
-    tr = [_coerce_mat(la.mat([[0], [1]]), F)]
-    weyl = [_coerce_mat(la.eye(1), F), _coerce_mat(la.eye(2), F)]
+    res = [la.coerce(la.mat([[1, 0]]), F)]
+    tr = [la.coerce(la.mat([[0], [1]]), F)]
+    weyl = [la.coerce(la.eye(1), F), la.coerce(la.eye(2), F)]
     und = MackeyFunctor(group, F, levels, res, tr, weyl,
                         name=name or f"square-zero transfer over GF({p})")
-    one = _coerce_mat(la.mat([[1]]), F)
+    one = la.coerce(la.mat([[1]]), F)
     r0 = BasedRing(F, 1, one.copy(), one.copy(), ["1"])
     m1 = la.mat([[1, 0], [0, 1], [0, 1], [0, 0]])  # rows: 1*1, 1*t, t*1, t*t
-    r1 = BasedRing(F, 2, _coerce_mat(m1, F), _coerce_mat(la.mat([[1], [0]]), F), ["1", "t"])
+    r1 = BasedRing(F, 2, la.coerce(m1, F), la.coerce(la.mat([[1], [0]]), F), ["1", "t"])
     return GreenFunctor(und, [r0, r1], name=und.name)
 
 
@@ -480,7 +474,7 @@ class TwistedGroupRing:
     def theta_power_order(self) -> int:
         """Smallest c >= 1 with theta^c = id (divides the group order)."""
         base = self.coefficient.base
-        idm = _cz(la.eye(self.coefficient.rank), base)
+        idm = la.coerce(la.eye(self.coefficient.rank), base)
         acc = self.theta
         c = 1
         while not la.mat_eq(acc, idm):
@@ -502,7 +496,7 @@ def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
     """
     base, r, m = R.base, R.rank, order
     assert m >= 1 and theta.shape == (r, r)
-    idm = _cz(la.eye(r), base)
+    idm = la.coerce(la.eye(r), base)
     if not la.mat_eq(la.mmul(theta, R.unit, base), R.unit):
         raise ValueError("theta must fix the unit")
     for i in range(r):
@@ -538,7 +532,7 @@ def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
         for i in range(r):
             labels.append(R.labels[i] if a == 0 else f"{R.labels[i]}.w{a}")
     trivial = la.mat_eq(theta, idm)
-    ring = BasedRing(base, rank, _cz(mult, base), _cz(unit, base), labels,
+    ring = BasedRing(base, rank, la.coerce(mult, base), la.coerce(unit, base), labels,
                      commutative=R.commutative and (trivial or m == 1))
     return TwistedGroupRing(R, m, theta, ring)
 
@@ -586,8 +580,8 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     k = L.rank
     assert k % m == 0
     d = k // m
-    idm = _cz(la.eye(k), base)
-    fixed = la.nullspace(T.theta - idm, base)
+    idm = la.coerce(la.eye(k), base)
+    fixed = la.nullspace(la.sub(T.theta, idm, base), base)
     assert fixed.shape[1] == d
     # greedy basis of L over the fixed subfield
     V, S = [], la.zeros(k, 0)
@@ -612,19 +606,19 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
             cols.append(mat.transpose().reshape(k * k, 1))
     phi = la.hstack(cols)
     rep = CheckReport("matrix units")
-    idd = _cz(la.eye(d), base)
+    idd = la.coerce(la.eye(d), base)
     units = {}
     for a in range(m):
         for b in range(m):
             P = la.zeros(m, m)
             P[a, b] = 1
-            E = la.mmul_chain(B, la.kron(_cz(P, base), idd), Binv, base=base)
+            E = la.mmul_chain(B, la.kron(P, idd, base), Binv, base=base)
             x = la.solve(phi, E.transpose().reshape(k * k, 1), base)
             if x is None:
                 rep.add("matrix-units", f"E[{a},{b}]", "target map not in the image")
                 continue
             units[(a, b)] = x
-    zero = _cz(la.zeros(k * m, 1), base)
+    zero = la.coerce(la.zeros(k * m, 1), base)
     for (a, b), u in units.items():
         for (c, e), v in units.items():
             prod = T.ring.multiply(u, v)
@@ -635,7 +629,7 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     for a in range(m):
         if (a, a) in units:
             total = total + units[(a, a)]
-    if not la.mat_eq(_cz(total, base), T.ring.unit):
+    if not la.mat_eq(la.coerce(total, base), T.ring.unit):
         rep.add("matrix-units", "sum of diagonals", "idempotents do not sum to 1")
     return MoritaWitness(units, d, rep)
 
@@ -663,7 +657,7 @@ def box_product_general(M: MackeyFunctor, N: MackeyFunctor) -> MackeyFunctor:
     gM = [lev.gens for lev in M.levels]
     gN = [lev.gens for lev in N.levels]
     g = [gM[t] * gN[t] for t in range(n + 1)]
-    D = [_cz(la.kron(M.weyl[t], N.weyl[t]), base) for t in range(n + 1)]
+    D = [la.kron(M.weyl[t], N.weyl[t], base) for t in range(n + 1)]
     offs = [sum(g[:t]) for t in range(n + 2)]
 
     levels, projs, lifts = [], [], []
@@ -679,16 +673,16 @@ def box_product_general(M: MackeyFunctor, N: MackeyFunctor) -> MackeyFunctor:
                     rels.append(_place_rows(total, offs[t],
                                             la.kron(la.eye(gM[t]), N.levels[t].relations)))
         for t in range(s):
-            C = la.mpow(D[t], p ** (n - s), base) - la.eye(g[t])
+            C = la.sub(la.mpow(D[t], p ** (n - s), base), la.eye(g[t]), base)
             rels.append(_place_rows(total, offs[t], C))
         for t in range(1, s + 1):
-            a1 = _place_rows(total, offs[t], la.kron(M.tr[t - 1], la.eye(gN[t])))
-            b1 = _place_rows(total, offs[t - 1], la.kron(la.eye(gM[t - 1]), N.res[t - 1]))
-            rels.append(a1 - b1)
-            a2 = _place_rows(total, offs[t], la.kron(la.eye(gM[t]), N.tr[t - 1]))
-            b2 = _place_rows(total, offs[t - 1], la.kron(M.res[t - 1], la.eye(gN[t - 1])))
-            rels.append(a2 - b2)
-        Q, proj, lift = reduced_quotient(base, total, _cz(la.hstack(rels), base))
+            a1 = _place_rows(total, offs[t], la.kron(M.tr[t - 1], la.eye(gN[t]), base))
+            b1 = _place_rows(total, offs[t - 1], la.kron(la.eye(gM[t - 1]), N.res[t - 1], base))
+            rels.append(la.sub(a1, b1, base))
+            a2 = _place_rows(total, offs[t], la.kron(la.eye(gM[t]), N.tr[t - 1], base))
+            b2 = _place_rows(total, offs[t - 1], la.kron(M.res[t - 1], la.eye(gN[t - 1]), base))
+            rels.append(la.sub(a2, b2, base))
+        Q, proj, lift = reduced_quotient(base, total, la.hstack(rels))
         levels.append(Q)
         projs.append(proj)
         lifts.append(lift)
@@ -704,14 +698,14 @@ def box_product_general(M: MackeyFunctor, N: MackeyFunctor) -> MackeyFunctor:
                 sm = sm + acc
                 acc = la.mmul(acc, step, base)
             raw[offs[t]:offs[t] + g[t], offs[t]:offs[t] + g[t]] = sm
-        top = la.kron(M.res[s], N.res[s])
+        top = la.kron(M.res[s], N.res[s], base)
         raw[offs[s]:offs[s] + g[s], offs[s + 1]:offs[s + 1] + g[s + 1]] = top
-        res.append(la.mmul_chain(projs[s], _cz(raw, base), lifts[s + 1], base=base))
+        res.append(la.mmul_chain(projs[s], la.coerce(raw, base), lifts[s + 1], base=base))
         rawt = la.zeros(offs[s + 2], offs[s + 1])
         for t in range(s + 1):
             for i in range(g[t]):
                 rawt[offs[t] + i, offs[t] + i] = 1
-        tr.append(la.mmul_chain(projs[s + 1], _cz(rawt, base), lifts[s], base=base))
+        tr.append(la.mmul_chain(projs[s + 1], la.coerce(rawt, base), lifts[s], base=base))
     weyl = []
     for s in range(n + 1):
         rawd = la.block_diag([D[t] for t in range(s + 1)])
@@ -756,8 +750,8 @@ def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
         out = []
         for lam in range(len(act_mats)):
             lmul = lring.left_mult_matrix(fcomp[:, lam:lam + 1].copy())
-            block = (la.kron(act_mats[lam], la.eye(lring.rank))
-                     - la.kron(la.eye(mg), lmul))
+            block = la.sub(la.kron(act_mats[lam], la.eye(lring.rank), base),
+                           la.kron(la.eye(mg), lmul, base), base)
             out.append(_place_rows(total, offset, block))
         return out
 
@@ -767,22 +761,22 @@ def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
     rels0 += relative_rels(t0, 0, M.action[0], f0, l0, m0)
     if base is ZZ and M.underlying.levels[0].relations.shape[1]:
         rels0.append(la.kron(M.underlying.levels[0].relations, la.eye(r0g)))
-    Q0, proj0, lift0 = reduced_quotient(base, t0, _cz(la.hstack(rels0), base))
+    Q0, proj0, lift0 = reduced_quotient(base, t0, la.hstack(rels0))
 
     # level 1: block 1 = M_1 (x) L_1, block 0 = M_0 (x) L_0
     b1, b0 = m1 * r1g, m0 * r0g
     total = b1 + b0
-    W0 = _cz(la.kron(M.underlying.weyl[0], L.underlying.weyl[0]), base)
+    W0 = la.kron(M.underlying.weyl[0], L.underlying.weyl[0], base)
     rels1 = [la.zeros(total, 0)]
     rels1 += relative_rels(total, 0, M.action[1], f1, l1, m1)
     rels1 += relative_rels(total, b1, M.action[0], f0, l0, m0)
-    rels1.append(_place_rows(total, b1, W0 - la.eye(b0)))
+    rels1.append(_place_rows(total, b1, la.sub(W0, la.eye(b0), base)))
     trM, resM = M.underlying.tr[0], M.underlying.res[0]
     trL, resL = L.underlying.tr[0], L.underlying.res[0]
-    rels1.append(_place_rows(total, 0, la.kron(trM, la.eye(r1g)))
-                 - _place_rows(total, b1, la.kron(la.eye(m0), resL)))
-    rels1.append(_place_rows(total, 0, la.kron(la.eye(m1), trL))
-                 - _place_rows(total, b1, la.kron(resM, la.eye(r0g))))
+    rels1.append(la.sub(_place_rows(total, 0, la.kron(trM, la.eye(r1g), base)),
+                        _place_rows(total, b1, la.kron(la.eye(m0), resL, base)), base))
+    rels1.append(la.sub(_place_rows(total, 0, la.kron(la.eye(m1), trL, base)),
+                        _place_rows(total, b1, la.kron(resM, la.eye(r0g), base)), base))
     if base is ZZ:
         if M.underlying.levels[1].relations.shape[1]:
             rels1.append(_place_rows(total, 0,
@@ -790,29 +784,29 @@ def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
         if M.underlying.levels[0].relations.shape[1]:
             rels1.append(_place_rows(total, b1,
                                      la.kron(M.underlying.levels[0].relations, la.eye(r0g))))
-    Q1, proj1, lift1 = reduced_quotient(base, total, _cz(la.hstack(rels1), base))
+    Q1, proj1, lift1 = reduced_quotient(base, total, la.hstack(rels1))
 
     acc, sm = la.eye(b0), la.zeros(b0, b0)
     for _ in range(p):
         sm = sm + acc
         acc = la.mmul(acc, W0, base)
-    res_raw = la.hstack([la.kron(resM, resL), sm])
-    res = la.mmul_chain(proj0, _cz(res_raw, base), lift1, base=base)
+    res_raw = la.hstack([la.kron(resM, resL, base), sm])
+    res = la.mmul_chain(proj0, la.coerce(res_raw, base), lift1, base=base)
     tr_raw = la.vstack([la.zeros(b1, b0), la.eye(b0)])
-    tr = la.mmul_chain(proj1, _cz(tr_raw, base), lift0, base=base)
+    tr = la.mmul_chain(proj1, la.coerce(tr_raw, base), lift0, base=base)
     weyl0 = la.mmul_chain(proj0, W0, lift0, base=base)
-    W1 = _cz(la.kron(M.underlying.weyl[1], L.underlying.weyl[1]), base)
+    W1 = la.kron(M.underlying.weyl[1], L.underlying.weyl[1], base)
     weyl1 = la.mmul_chain(proj1, la.block_diag([W1, W0]), lift1, base=base)
     und = MackeyFunctor(R.group, base, [Q0, Q1], [res], [tr], [weyl0, weyl1],
                         name=f"{M.name or 'M'} along {L.name or 'L'}")
 
-    act0 = [la.mmul_chain(proj0, _cz(la.kron(la.eye(m0), l0.left_mult_matrix(l0.basis_vector(c))), base),
+    act0 = [la.mmul_chain(proj0, la.kron(la.eye(m0), l0.left_mult_matrix(l0.basis_vector(c)), base),
                           lift0, base=base) for c in range(r0g)]
     act1 = []
     for c in range(r1g):
-        top = la.kron(la.eye(m1), l1.left_mult_matrix(l1.basis_vector(c)))
-        down = la.kron(la.eye(m0), l0.left_mult_matrix(resL[:, c:c + 1].copy()))
-        act1.append(la.mmul_chain(proj1, _cz(la.block_diag([top, down]), base), lift1, base=base))
+        top = la.kron(la.eye(m1), l1.left_mult_matrix(l1.basis_vector(c)), base)
+        down = la.kron(la.eye(m0), l0.left_mult_matrix(resL[:, c:c + 1].copy()), base)
+        act1.append(la.mmul_chain(proj1, la.coerce(la.block_diag([top, down]), base), lift1, base=base))
     out = GreenModule(L, und, [act0, act1], name=und.name)
     out.projections = [proj0, proj1]
     out.lifts = [lift0, lift1]
@@ -830,10 +824,10 @@ def base_change_map_cp(f: GreenMorphism, g: GreenModuleMorphism,
     l0, l1 = f.target.ring(0), f.target.ring(1)
     g0, g1 = g.components
     c0 = la.mmul_chain(target_changed.projections[0],
-                       _cz(la.kron(g0, la.eye(l0.rank)), base),
+                       la.kron(g0, la.eye(l0.rank), base),
                        source_changed.lifts[0], base=base)
-    raw1 = la.block_diag([la.kron(g1, la.eye(l1.rank)), la.kron(g0, la.eye(l0.rank))])
-    c1 = la.mmul_chain(target_changed.projections[1], _cz(raw1, base),
+    raw1 = la.block_diag([la.kron(g1, la.eye(l1.rank), base), la.kron(g0, la.eye(l0.rank), base)])
+    c1 = la.mmul_chain(target_changed.projections[1], la.coerce(raw1, base),
                        source_changed.lifts[1], base=base)
     return GreenModuleMorphism(source_changed, target_changed, [c0, c1])
 

@@ -19,13 +19,9 @@ from .green import (GreenFunctor, GreenModule, GreenModuleMorphism,
                     green_module_hom_basis)
 from .gsets import CyclicGroup, burnside_quotient, burnside_ring
 from .linalg import ZZ
-from .mackey import MackeyFunctor, MackeyMorphism, _coerce_mat, _resolve_seed
+from .mackey import MackeyFunctor, MackeyMorphism, _resolve_seed
 from .modules import FPModule
 from .report import CheckReport
-
-
-def _cz(A, base):
-    return A if base is ZZ else _coerce_mat(A, base)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +37,7 @@ def meadow_stabilizer(k: GreenFunctor) -> int:
     p, n = k.p, k.n
     base = k.base
     W = k.underlying.weyl[0]
-    I = _cz(la.eye(W.shape[0]), base)
+    I = la.coerce(la.eye(W.shape[0]), base)
     cur = W
     order = 1
     while not la.mat_eq(cur, I):
@@ -189,7 +185,7 @@ def classify_free(p: int, n: int, r: int, mults, char_is_p: bool = True) -> Cano
 def _res_chain(M: MackeyFunctor, src: int, dst: int):
     """Composite restriction from level src down to dst."""
     base = M.base
-    out = _cz(la.eye(M.levels[src].gens), base)
+    out = la.coerce(la.eye(M.levels[src].gens), base)
     for t in range(src - 1, dst - 1, -1):
         out = la.mmul(M.res[t], out, base)
     return out
@@ -198,7 +194,7 @@ def _res_chain(M: MackeyFunctor, src: int, dst: int):
 def _tr_chain(M: MackeyFunctor, src: int, dst: int):
     """Composite transfer from level src up to dst."""
     base = M.base
-    out = _cz(la.eye(M.levels[src].gens), base)
+    out = la.coerce(la.eye(M.levels[src].gens), base)
     for t in range(src, dst):
         out = la.mmul(M.tr[t], out, base)
     return out
@@ -231,7 +227,7 @@ def map_from_generator(P: GreenModule, i: int, x):
             cols.extend(cur)
             cur = [la.mmul(und.weyl[s], v, base) for v in cur]
         comps.append(la.hstack(cols) if cols else
-                     _cz(la.zeros(und.levels[s].gens, 0), base))
+                     la.coerce(la.zeros(und.levels[s].gens, 0), base))
     return comps
 
 
@@ -239,7 +235,7 @@ def _zero_green_module(k: GreenFunctor) -> GreenModule:
     base, n = k.base, k.n
     group = k.group
     levels = [FPModule(base, 0) for _ in range(n + 1)]
-    z = _cz(la.zeros(0, 0), base)
+    z = la.coerce(la.zeros(0, 0), base)
     und = MackeyFunctor(group, base, levels, [z] * n, [z] * n, [z] * (n + 1))
     action = [[z for _ in range(k.ring(s).rank)] for s in range(n + 1)]
     return GreenModule(k, und, action, name="0")
@@ -274,7 +270,7 @@ def freeness_decompose(k: GreenFunctor, F: GreenModule, idem,
     if isinstance(idem, GreenModuleMorphism):
         comps = idem.components
     else:
-        comps = [_cz(c, base) for c in idem]
+        comps = [la.coerce(c, base) for c in idem]
     e = GreenModuleMorphism(F, F, comps)
     rep = e.check()
     if not rep.ok:
@@ -309,23 +305,23 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
     if not summands:
         zero = _zero_green_module(k)
         wit = GreenModuleMorphism(zero, P,
-                                  [_cz(la.zeros(d, 0), base) for d in P.level_dims()])
+                                  [la.coerce(la.zeros(d, 0), base) for d in P.level_dims()])
         return FreenessWitness(canon, P, inclusion, zero, wit, wit.check())
 
     rng = random.Random(_resolve_seed(seed))
     elements = list(base.elements())
     n = k.n
-    stacked = [_cz(la.zeros(d, 0), base) for d in P.level_dims()]
+    stacked = [la.coerce(la.zeros(d, 0), base) for d in P.level_dims()]
     for i in summands:
         gdim = P.underlying.levels[i].gens
         found = False
         for trial in range(attempts):
             if trial < gdim:
-                x = _cz(la.zeros(gdim, 1), base)
+                x = la.zeros(gdim, 1)
                 x[trial, 0] = 1
-                x = _cz(x, base)
+                x = la.coerce(x, base)
             else:
-                x = _cz(la.zeros(gdim, 1), base)
+                x = la.coerce(la.zeros(gdim, 1), base)
                 for a in range(gdim):
                     x[a, 0] = rng.choice(elements)
             block = map_from_generator(P, i, x)
@@ -365,13 +361,10 @@ def random_green_automorphism(M: GreenModule, seed=None, attempts: int = 80):
     elements = list(base.elements())
     rng = random.Random(_resolve_seed(seed))
     for _ in range(attempts):
-        comps = None
+        comps = [la.coerce(la.zeros(d, d), base) for d in M.level_dims()]
         for h in basis:
             coeff = rng.choice(elements)
-            scaled = [la.scalar_mul(coeff, c) for c in h.components]
-            comps = scaled if comps is None else \
-                [a + b for a, b in zip(comps, scaled)]
-        comps = [_cz(c, base) for c in comps]
+            comps = [la.add_scaled(a, c, coeff, base) for a, c in zip(comps, h.components)]
         g = GreenModuleMorphism(M, M, comps)
         if g.is_level_iso():
             return g

@@ -1,29 +1,35 @@
 """Exact dense linear algebra over Z and over finite fields.
 
-Matrices are 2-d numpy arrays with dtype=object.  Integer matrices hold
-Python ints (arbitrary precision); matrices over a finite field hold
-field elements (see fields.FFElement), with plain ints 0/1 tolerated as
-universal zero/one.  Everything here is deterministic: no implicit
-randomness, fixed pivot rules.
+At the API, matrices are 2-d numpy arrays with dtype=object.  Integer
+matrices hold Python ints (arbitrary precision); matrices over a finite
+field hold interned field elements (see fields.FFElement), with plain ints
+tolerated as their residues (0/1 as universal zero/one).
+
+Inside, every prime-field kernel (mmul, kron, coerce/neg/sub/add_scaled and
+row reduction) converts to int64 residue arrays, works there, and maps the
+result back through the field's table of interned elements, so no FFElement
+arithmetic runs in a kernel.  It does so only while (p - 1)^2, and for mmul
+n * (p - 1)^2, fits in int64; beyond that, and over Z and GF(p^k) with
+k > 1, the exact object-array paths are used.  Only `coerce` scans its
+entries for elements of another field (ValueError); the other F_p kernels
+take every entry as a residue and trust their callers to pass matrices over
+one base.  Everything here is deterministic: no implicit randomness, fixed
+pivot rules.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .fields import FFElement
+
 
 class IntegerRing:
     """The ring Z, used as the `base` tag for integer matrices."""
 
-    is_field = False
     name = "Z"
     zero = 0
     one = 1
-
-    def coerce(self, v):
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        raise TypeError(f"not an integer: {v!r}")
 
     def __repr__(self):
         return "Z"
@@ -109,14 +115,13 @@ def block_diag(mats):
 
 
 def mmul(A, B, base=ZZ):
-    """Exact matrix product.  Dispatches to a fast int64 path for prime fields."""
+    """Exact matrix product."""
     assert A.shape[1] == B.shape[0], (A.shape, B.shape)
     if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
         return zeros(A.shape[0], B.shape[1])
-    if base is not ZZ and base.is_field and base.k == 1:
-        p = base.p
-        C = (_residues(A, p) @ _residues(B, p)) % p
-        return _from_residues(C, base)
+    p = _int64_prime(base, A.shape[1])
+    if p:
+        return from_residues(to_residues(A, p) @ to_residues(B, p) % p, base)
     return np.dot(A, B)
 
 
@@ -128,17 +133,27 @@ def mmul_chain(*mats, base=ZZ):
 
 
 def mpow(A, k, base=ZZ):
+    """A^k by square-and-multiply: at most 2 * ceil(log2 k) + 1 products."""
     assert A.shape[0] == A.shape[1]
     out = eye(A.shape[0])
-    for _ in range(k):
-        out = mmul(out, A, base)
+    while k:
+        if k & 1:
+            out = mmul(out, A, base)
+        k >>= 1
+        if k:
+            A = mmul(A, A, base)
     return out
 
 
-def kron(A, B):
+def kron(A, B, base=ZZ):
     if A.size == 0 or B.size == 0:
         return zeros(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
-    return np.kron(A, B)
+    if base is ZZ:
+        return np.kron(A, B)
+    p = _int64_prime(base)
+    if p:
+        return from_residues(np.kron(to_residues(A, p), to_residues(B, p)) % p, base)
+    return coerce(np.kron(A, B), base)
 
 
 def scalar_mul(c, A):
@@ -148,24 +163,85 @@ def scalar_mul(c, A):
 
 
 # ---------------------------------------------------------------------------
-# prime-field residue conversion
+# entrywise operations over a base ring
 
-def _residues(A, p):
-    out = np.empty(A.shape, dtype=np.int64)
-    flat_in = A.ravel()
-    flat_out = out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = int(v) % p
+def coerce(A, base):
+    """A with every entry an element of base (A itself over Z).
+
+    Raises ValueError on an element of another field."""
+    if base is ZZ:
+        return A
+    p = _int64_prime(base)
+    if p:
+        for v in A.flat:
+            if isinstance(v, FFElement) and v.field is not base:
+                raise ValueError(f"mixed fields: {v.field!r} element in a {base!r} matrix")
+        return from_residues(to_residues(A, p), base)
+    out = np.empty(A.shape, dtype=object)
+    out.reshape(-1)[:] = [base.coerce(v) for v in A.flat]
     return out
 
 
-def _from_residues(M, field):
-    elems = field.element_by_residue
+def neg(A, base):
+    if base is ZZ:
+        return -A
+    p = _int64_prime(base)
+    if p:
+        return from_residues(-to_residues(A, p) % p, base)
+    return coerce(-A, base)
+
+
+def sub(A, B, base):
+    assert A.shape == B.shape, (A.shape, B.shape)
+    if base is ZZ:
+        return A - B
+    p = _int64_prime(base)
+    if p:
+        return from_residues((to_residues(A, p) - to_residues(B, p)) % p, base)
+    return coerce(A - B, base)
+
+
+def add_scaled(F, A, c, base):
+    """F + c * A."""
+    assert F.shape == A.shape, (F.shape, A.shape)
+    if base is ZZ:
+        return F + A * c
+    p = _int64_prime(base)
+    if p:
+        return from_residues((to_residues(A, p) * int(base.coerce(c)) % p + to_residues(F, p)) % p, base)
+    return coerce(F + A * c, base)
+
+
+# ---------------------------------------------------------------------------
+# prime-field residue conversion
+
+_INT64_LIMIT = 2 ** 63
+
+
+def _int64_prime(base, terms=1):
+    """p when base is F_p and a sum of `terms` products of two residues fits
+    in int64, else None (the caller then takes the exact object path)."""
+    if getattr(base, "k", 0) != 1:
+        return None
+    p = base.p
+    return p if terms * (p - 1) ** 2 < _INT64_LIMIT else None
+
+
+def to_residues(A, p):
+    """int64 array of the entries of A reduced mod p (entries as residues)."""
+    try:
+        return A.astype(np.int64) % p
+    except OverflowError:              # Python ints beyond int64
+        return np.array([int(v) % p for v in A.flat], dtype=np.int64).reshape(A.shape)
+
+
+def from_residues(M, field):
+    """Object array of the interned elements of a prime field with residues M."""
+    table = field.element_by_residue
+    if table is not None:
+        return table[M]
     out = np.empty(M.shape, dtype=object)
-    flat_in = M.ravel()
-    flat_out = out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = elems[int(v)]
+    out.reshape(-1)[:] = [field.residue_element(int(v)) for v in M.flat]
     return out
 
 
@@ -173,49 +249,41 @@ def _from_residues(M, field):
 # elimination over a field
 
 def _rref_mod_p(M, p):
-    """Row-reduce int64 matrix mod p in place; returns (M, pivots, T) with T@orig=M."""
+    """Row-reduce an int64 residue matrix mod p in place; returns (R, pivots).
+    Needs (p - 1)^2 < 2^63.
+
+    Each pivot step clears only the rows that are nonzero in the pivot
+    column, and only the columns from the pivot on, with one outer-product
+    update.
+    """
     m, n = M.shape
-    T = np.eye(m, dtype=np.int64)
     pivots = []
     row = 0
     for col in range(n):
         if row >= m:
             break
-        piv = -1
-        for i in range(row, m):
-            if M[i, col] % p:
-                piv = i
-                break
-        if piv < 0:
+        nz = np.flatnonzero(M[row:, col])
+        if nz.size == 0:
             continue
+        piv = row + int(nz[0])
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
-            T[[row, piv]] = T[[piv, row]]
-        inv = pow(int(M[row, col]), p - 2, p)
-        M[row] = (M[row] * inv) % p
-        T[row] = (T[row] * inv) % p
-        for i in range(m):
-            if i != row and M[i, col]:
-                f = int(M[i, col])
-                M[i] = (M[i] - f * M[row]) % p
-                T[i] = (T[i] - f * T[row]) % p
+        M[row, col:] = M[row, col:] * pow(int(M[row, col]), p - 2, p) % p
+        others = np.flatnonzero(M[:, col])
+        others = others[others != row]
+        if others.size:
+            M[others, col:] = (M[others, col:]
+                               - np.outer(M[others, col], M[row, col:])) % p
         pivots.append(col)
         row += 1
-    return M, pivots, T
+    return M, pivots
 
 
 def _rref_generic(A, field):
-    """Gauss-Jordan on object entries; used for non-prime fields."""
+    """Gauss-Jordan on FFElement entries; used for GF(p^k), k > 1, and for
+    prime fields too large for int64 residues."""
     m, n = A.shape
-    M = A.copy()
-    for idx in range(M.size):
-        v = M.ravel()[idx]
-        if isinstance(v, (int, np.integer)):
-            M.ravel()[idx] = field.embed(int(v))
-    T = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            T[i, j] = field.one if i == j else field.zero
+    M = coerce(A, field)
     pivots = []
     row = 0
     for col in range(n):
@@ -230,36 +298,31 @@ def _rref_generic(A, field):
             continue
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
-            T[[row, piv]] = T[[piv, row]]
-        inv = M[row, col].inv()
-        M[row] = M[row] * inv
-        T[row] = T[row] * inv
+        M[row] = M[row] * M[row, col].inv()
         for i in range(m):
             if i != row and M[i, col] != field.zero:
-                f = M[i, col]
-                M[i] = M[i] - f * M[row]
-                T[i] = T[i] - f * T[row]
+                M[i] = M[i] - M[i, col] * M[row]
         pivots.append(col)
         row += 1
-    return M, pivots, T
+    return M, pivots
 
 
 def rref(A, field):
-    """Reduced row echelon form.  Returns (R, pivots, T) with T unimodular, T@A = R."""
-    if field.k == 1:
-        M, pivots, T = _rref_mod_p(_residues(A, field.p), field.p)
-        return _from_residues(M, field), pivots, _from_residues(T, field)
+    """Reduced row echelon form (R, pivots)."""
+    p = _int64_prime(field)
+    if p:
+        M, pivots = _rref_mod_p(to_residues(A, p), p)
+        return from_residues(M, field), pivots
     return _rref_generic(A, field)
 
 
 def rank(A, field) -> int:
     if A.size == 0:
         return 0
-    if field.k == 1:
-        _, pivots, _ = _rref_mod_p(_residues(A, field.p), field.p)
-        return len(pivots)
-    _, pivots, _ = _rref_generic(A, field)
-    return len(pivots)
+    p = _int64_prime(field)
+    if p:
+        return len(_rref_mod_p(to_residues(A, p), p)[1])
+    return len(_rref_generic(A, field)[1])
 
 
 def solve(A, B, field):
@@ -270,17 +333,12 @@ def solve(A, B, field):
         if B.size and rank(B, field) > 0:
             return None
         return zeros(0, B.shape[1])
-    R, pivots, _ = rref(hstack([A, B]), field)
-    for col in pivots:
-        if col >= n:
-            return None
-    X = zeros(n, B.shape[1])
-    if field.k > 1:
-        for idx in range(X.size):
-            X.ravel()[idx] = field.zero
-    for r, col in enumerate(pivots):
-        for j in range(B.shape[1]):
-            X[col, j] = R[r, n + j]
+    R, pivots = rref(hstack([A, B]), field)
+    if pivots and pivots[-1] >= n:
+        return None
+    X = _field_zeros(n, B.shape[1], field)
+    if pivots:
+        X[pivots, :] = R[:len(pivots), n:]
     return X
 
 
@@ -291,42 +349,40 @@ def nullspace(A, field):
         return zeros(0, 0)
     if m == 0:
         return _field_eye(n, field)
-    R, pivots, _ = rref(A, field)
-    free = [j for j in range(n) if j not in pivots]
-    K = zeros(n, len(free))
-    if field.k > 1:
-        for idx in range(K.size):
-            K.ravel()[idx] = field.zero
-    one = field.one
-    for c, j in enumerate(free):
-        K[j, c] = one
-        for r, col in enumerate(pivots):
-            K[col, c] = -R[r, j]
+    R, pivots = rref(A, field)
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    K = _field_zeros(n, len(free), field)
+    K[free, range(len(free))] = field.one
+    if pivots and free:
+        K[pivots, :] = neg(R[:len(pivots), free], field)
     return K
 
 
+def _field_zeros(r, c, field):
+    out = np.empty((r, c), dtype=object)
+    out[...] = field.zero
+    return out
+
+
 def _field_eye(n, field):
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = field.one if i == j else field.zero
+    out = _field_zeros(n, n, field)
+    out[range(n), range(n)] = field.one
     return out
 
 
 def inv_field(A, field):
+    """Inverse of a square matrix over the field, or None when singular."""
     n = A.shape[0]
     assert A.shape[1] == n
-    X = solve(A, eye(n), field)
-    if X is None or rank(A, field) < n:
-        return None
-    return X
+    return solve(A, eye(n), field)
 
 
 def column_space_basis(A, field):
     """Columns of A forming a basis of the column space (pivot columns)."""
     if A.shape[1] == 0:
         return A.copy()
-    _, pivots, _ = rref(A, field)
+    _, pivots = rref(A, field)
     return A[:, pivots].copy() if pivots else zeros(A.shape[0], 0)
 
 

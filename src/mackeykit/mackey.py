@@ -119,8 +119,7 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
         for _ in range(p):
             rhs = rhs + acc
             acc = la.mmul(acc, step, base)
-        if base is not ZZ:
-            rhs = _coerce_mat(rhs, base)
+        rhs = la.coerce(rhs, base)
         if not _eq(M.levels[s], lhs, rhs, base):
             rep.add("double-coset", f"level {s}",
                     "res . tr != sum of relative Weyl translates")
@@ -138,20 +137,11 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
             for _ in range(p):
                 rhs = rhs + la.mmul(acc, down_t, base)
                 acc = la.mmul(acc, step, base)
-            if base is not ZZ:
-                rhs = _coerce_mat(rhs, base)
+            rhs = la.coerce(rhs, base)
             if not _eq(M.levels[s], lhs, rhs, base):
                 rep.add("double-coset", f"levels {s}<{t}",
                         "non-adjacent res . tr != sum of Weyl-translated res")
     return rep
-
-
-def _coerce_mat(A, base):
-    out = la.zeros(*A.shape)
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            out[i, j] = base.coerce(A[i, j])
-    return out
 
 
 def check_cohomological(M: MackeyFunctor) -> CheckReport:
@@ -160,9 +150,7 @@ def check_cohomological(M: MackeyFunctor) -> CheckReport:
     for s in range(M.n):
         comp = la.mmul(M.tr[s], M.res[s], M.base)
         g = M.levels[s + 1].gens
-        pid = la.scalar_mul(M.p, la.eye(g))
-        if M.base is not ZZ:
-            pid = _coerce_mat(pid, M.base)
+        pid = la.coerce(la.scalar_mul(M.p, la.eye(g)), M.base)
         if not _eq(M.levels[s + 1], comp, pid, M.base):
             rep.add("cohomological", f"level {s + 1}", "tr . res != p * id")
     return rep
@@ -175,12 +163,8 @@ def constant_mackey(group, base, rank: int = 1, name: str = "") -> MackeyFunctor
     """Constant Mackey functor: res = id, tr = multiplication by p."""
     n = group.n
     levels = [FPModule(base, rank) for _ in range(n + 1)]
-    ident = la.eye(rank)
-    if base is not ZZ:
-        ident = _coerce_mat(ident, base)
-    ptimes = la.scalar_mul(group.p, la.eye(rank))
-    if base is not ZZ:
-        ptimes = _coerce_mat(ptimes, base)
+    ident = la.coerce(la.eye(rank), base)
+    ptimes = la.coerce(la.scalar_mul(group.p, la.eye(rank)), base)
     res = [ident.copy() for _ in range(n)]
     tr = [ptimes.copy() for _ in range(n)]
     weyl = [ident.copy() for _ in range(n + 1)]
@@ -198,13 +182,13 @@ def fixed_point_mackey(group, field, rho, name: str = "") -> MackeyFunctor:
     p, n = group.p, group.n
     d = rho.shape[0]
     assert rho.shape == (d, d)
-    idm = _coerce_mat(la.eye(d), field)
+    idm = la.coerce(la.eye(d), field)
     assert la.mat_eq(la.mpow(rho, p ** n, field), idm), "generator order must divide p^n"
 
     bases = []
     for s in range(n + 1):
         pw = la.mpow(rho, p ** (n - s), field)
-        bases.append(la.nullspace(pw - idm, field))
+        bases.append(la.nullspace(la.sub(pw, idm, field), field))
     levels = [FPModule(field, B.shape[1]) for B in bases]
 
     res, tr, weyl = [], [], []
@@ -331,8 +315,7 @@ class MackeyMorphism:
 
     @staticmethod
     def identity(M: MackeyFunctor) -> "MackeyMorphism":
-        comps = [la.eye(m.gens) if M.base is ZZ else _coerce_mat(la.eye(m.gens), M.base)
-                 for m in M.levels]
+        comps = [la.coerce(la.eye(m.gens), M.base) for m in M.levels]
         return MackeyMorphism(M, M, comps)
 
     def is_level_iso(self) -> bool:
@@ -394,19 +377,15 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
     def block_row(pairs, nrows):
         """pairs: list of (level, coefficient matrix applied to vec(f_level))."""
         row = la.zeros(nrows, total)
-        if base is not ZZ:
-            row = _coerce_mat(row, base)
         for s, C in pairs:
             row[:, offsets[s]:offsets[s + 1]] = C
         blocks.append(row)
 
     def veccol_left(A, rows):      # vec(F A) = (A^T kron I) vec(F)
-        I = la.eye(rows) if base is ZZ else _coerce_mat(la.eye(rows), base)
-        return la.kron(A.T.copy(), I)
+        return la.kron(A.T.copy(), la.eye(rows), base)
 
     def veccol_right(B, cols):     # vec(B F) = (I kron B) vec(F)
-        I = la.eye(cols) if base is ZZ else _coerce_mat(la.eye(cols), base)
-        return la.kron(I, B)
+        return la.kron(la.eye(cols), B, base)
 
     for s in range(n):
         # f_s res^M_s = res^N_s f_{s+1}
@@ -414,13 +393,13 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         if rows:
             L = veccol_left(M.res[s], N.levels[s].gens)
             R = veccol_right(N.res[s], M.levels[s + 1].gens)
-            block_row([(s, L), (s + 1, la.scalar_mul(-1, R) if base is ZZ else _negate(R, base))], rows)
+            block_row([(s, L), (s + 1, la.neg(R, base))], rows)
         # f_{s+1} tr^M_s = tr^N_s f_s
         rows = N.levels[s + 1].gens * M.levels[s].gens
         if rows:
             L = veccol_left(M.tr[s], N.levels[s + 1].gens)
             R = veccol_right(N.tr[s], M.levels[s].gens)
-            block_row([(s + 1, L), (s, la.scalar_mul(-1, R) if base is ZZ else _negate(R, base))], rows)
+            block_row([(s + 1, L), (s, la.neg(R, base))], rows)
     for s in range(n + 1):
         rows = N.levels[s].gens * M.levels[s].gens
         if not rows:
@@ -431,13 +410,13 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         for P, Q in pairs:
             L = veccol_left(P, N.levels[s].gens)
             R = veccol_right(Q, M.levels[s].gens)
-            block_row([(s, L - R if base is ZZ else _sub(L, R, base))], rows)
+            block_row([(s, la.sub(L, R, base))], rows)
 
     if blocks:
         big = la.vstack(blocks)
         ker = la.nullspace_int(big) if base is ZZ else la.nullspace(big, base)
     else:
-        ker = la.eye(total) if base is ZZ else _coerce_mat(la.eye(total), base)
+        ker = la.coerce(la.eye(total), base)
 
     out = []
     for c in range(ker.shape[1]):
@@ -445,30 +424,8 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         for s in range(n + 1):
             r, k = N.levels[s].gens, M.levels[s].gens
             seg = ker[offsets[s]:offsets[s + 1], c]
-            F = la.zeros(r, k)
-            if base is not ZZ:
-                F = _coerce_mat(F, base)
-            for j in range(k):
-                for i in range(r):
-                    F[i, j] = seg[j * r + i]
-            comps.append(F)
+            comps.append(seg.reshape(k, r).T.copy())     # undo the column-major vec
         out.append(MackeyMorphism(M, N, comps))
-    return out
-
-
-def _negate(A, base):
-    out = la.zeros(*A.shape)
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            out[i, j] = base.coerce(0) - A[i, j]
-    return out
-
-
-def _sub(A, B, base):
-    out = la.zeros(*A.shape)
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            out[i, j] = A[i, j] - B[i, j]
     return out
 
 
@@ -594,23 +551,12 @@ def _combine(homs, coeffs, base):
     comps = []
     for s in range(n1):
         r, k = homs[0].components[s].shape
-        F = la.zeros(r, k)
-        if base is not ZZ:
-            F = _coerce_mat(F, base)
+        F = la.coerce(la.zeros(r, k), base)
         for h, c in zip(homs, coeffs):
-            if base is ZZ and c == 0:
-                continue
-            F = F + h.components[s] * c if base is ZZ else _add_scaled(F, h.components[s], c)
+            if c:
+                F = la.add_scaled(F, h.components[s], c, base)
         comps.append(F)
     return MackeyMorphism(homs[0].source, homs[0].target, comps)
-
-
-def _add_scaled(F, A, c):
-    out = F.copy()
-    for i in range(F.shape[0]):
-        for j in range(F.shape[1]):
-            out[i, j] = F[i, j] + A[i, j] * c
-    return out
 
 
 def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,

@@ -27,7 +27,8 @@ from mackeykit.kzero import (classify_free, constant_Z_resolution_check,
                              invert_module_iso, k0_free_fixed_point,
                              meadow_stabilizer, random_green_automorphism)
 from mackeykit.linalg import ZZ
-from mackeykit.mackey import (_coerce_mat, burnside_mackey, check_axioms,
+from mackeykit.linalg import coerce as _coerce_mat
+from mackeykit.mackey import (burnside_mackey, check_axioms,
                               constant_mackey, is_isomorphic,
                               twisted_burnside_c5)
 from mackeykit.rings import render_presentation

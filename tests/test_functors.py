@@ -13,9 +13,9 @@ from mackeykit.green import (GreenModule, GreenModuleMorphism, burnside_green,
                              module_from_green)
 from mackeykit.gsets import CyclicGroup
 from mackeykit.linalg import ZZ
+from mackeykit.linalg import coerce as _coerce_mat
 from mackeykit.mackey import (burnside_mackey, check_axioms, constant_mackey,
-                              direct_sum, fixed_point_mackey, is_isomorphic,
-                              _coerce_mat)
+                              direct_sum, fixed_point_mackey, is_isomorphic)
 from mackeykit.rings import based_ring_check
 
 

@@ -4,7 +4,8 @@ from mackeykit import linalg as la
 from mackeykit.fields import gf_make
 from mackeykit.gsets import CyclicGroup, FiniteGSet, gset_product
 from mackeykit.linalg import ZZ
-from mackeykit.mackey import (MackeyFunctor, _coerce_mat, burnside_mackey,
+from mackeykit.linalg import coerce as _coerce_mat
+from mackeykit.mackey import (MackeyFunctor, burnside_mackey,
                               check_axioms, constant_mackey, is_isomorphic,
                               twisted_burnside_c5)
 from mackeykit.green import (GreenFunctor, GreenModule, GreenModuleMorphism,

@@ -15,7 +15,7 @@ from mackeykit.kzero import (CanonicalFreeClass, classify_free,
                              map_from_generator, meadow_stabilizer,
                              random_green_automorphism, simples_count)
 from mackeykit.linalg import ZZ
-from mackeykit.mackey import _coerce_mat
+from mackeykit.linalg import coerce as _coerce_mat
 from mackeykit.rings import render_presentation
 
 
