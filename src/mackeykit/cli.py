@@ -327,8 +327,14 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = None     # built by the first main() call, reused by later ones
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
+    args = _parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
         return args.func(args)

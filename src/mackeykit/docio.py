@@ -15,7 +15,7 @@ Blank lines and lines starting with ``#`` are ignored.  Parse failures raise
 from __future__ import annotations
 
 from . import linalg as la
-from .fields import FFElement, gf_make
+from .fields import DEFAULT_MODULI, FFElement, gf_make
 from .green import GreenFunctor, GreenModule
 from .linalg import ZZ
 from .mackey import MackeyFunctor
@@ -44,12 +44,17 @@ def _fmt_entry(x, base) -> str:
 
 
 def _parse_entry(tok: str, base, lineno: int):
+    """Integer over Z; over GF(p^k), exactly k colon-joined coordinates in 0..p-1."""
     try:
         if base is ZZ:
             return int(tok)
-        return base.from_poly([int(c) for c in tok.split(":")])
+        coords = [int(c) for c in tok.split(":")]
     except ValueError:
         raise ParseError(f"bad coefficient {tok!r}", lineno) from None
+    if len(coords) != base.k or not all(0 <= c < base.p for c in coords):
+        raise ParseError(f"coefficient {tok!r} is not {base.k} coordinate(s) "
+                         f"in 0..{base.p - 1}", lineno)
+    return base.elem(coords)
 
 
 # -- cursor over meaningful lines -------------------------------------------
@@ -89,13 +94,11 @@ class _Cursor:
         return lineno, toks[1:]
 
     def intline(self, expected: str) -> int:
+        """The non-negative integer value of a one-value directive."""
         lineno, rest = self.directive(expected)
         if len(rest) != 1:
             raise ParseError(f"{expected} takes one value", lineno)
-        try:
-            return int(rest[0])
-        except ValueError:
-            raise ParseError(f"{expected} must be an integer", lineno) from None
+        return _take_count(rest, 0, expected, lineno)
 
 
 def _take_int(toks: list[str], idx: int, what: str, lineno: int) -> int:
@@ -103,6 +106,13 @@ def _take_int(toks: list[str], idx: int, what: str, lineno: int) -> int:
         return int(toks[idx])
     except (IndexError, ValueError):
         raise ParseError(f"expected integer {what}", lineno) from None
+
+
+def _take_count(toks: list[str], idx: int, what: str, lineno: int) -> int:
+    n = _take_int(toks, idx, what, lineno)
+    if n < 0:
+        raise ParseError(f"{what} must not be negative, found {n}", lineno)
+    return n
 
 
 # -- matrix blocks -----------------------------------------------------------
@@ -157,10 +167,14 @@ def _parse_base(cur: _Cursor):
             mod = tuple(int(c) for c in toks[3].split(":"))
         except ValueError:
             raise ParseError("bad modulus coefficients", lineno) from None
-        default = gf_make(p, k)
-        if tuple(default.modulus) == mod:
-            return default  # keep the interned instance so elements compare
-        return gf_make(p, k, list(mod))
+        if not all(0 <= c < p for c in mod):
+            raise ParseError(f"modulus coefficients must lie in 0..{p - 1}", lineno)
+        try:
+            if DEFAULT_MODULI.get((p, k)) == mod:
+                return gf_make(p, k)  # keep the interned instance so elements compare
+            return gf_make(p, k, list(mod))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     raise ParseError("base must be 'Z' or 'GF p k m0:m1:...'", lineno)
 
 
@@ -202,8 +216,8 @@ def _parse_mackey_body(cur: _Cursor, group: CyclicGroup, base, prefix: str = "")
             raise ParseError("level line must read 'level s gens G relations C'", lineno)
         if _take_int(toks, 0, "level index", lineno) != s:
             raise ParseError(f"levels must appear in order; expected level {s}", lineno)
-        gens = _take_int(toks, 2, "generator count", lineno)
-        relc = _take_int(toks, 4, "relation count", lineno)
+        gens = _take_count(toks, 2, "generator count", lineno)
+        relc = _take_count(toks, 4, "relation count", lineno)
         if base is not ZZ and relc:
             raise ParseError("levels over a field cannot carry relations", lineno)
         rel = la.zeros(gens, relc)
@@ -252,7 +266,7 @@ def _parse_rings(cur: _Cursor, und: MackeyFunctor, prefix: str = ""):
                 "ring line must read 'ring s rank R commutative B labels L'", lineno)
         if _take_int(toks, 0, "ring level", lineno) != s:
             raise ParseError(f"rings must appear in order; expected ring {s}", lineno)
-        rank = _take_int(toks, 2, "rank", lineno)
+        rank = _take_count(toks, 2, "rank", lineno)
         if rank != und.levels[s].gens:
             raise ParseError(f"ring rank {rank} does not match level size "
                              f"{und.levels[s].gens}", lineno)
@@ -311,13 +325,14 @@ def parse_document(text: str):
     if toks not in (["mackey"], ["green"], ["module"]):
         raise ParseError("kind must be mackey, green or module", lineno)
     kind = toks[0]
+    prime_line = cur.lineno
     p = cur.intline("prime")
     n = cur.intline("stages")
     try:
         group = CyclicGroup(p, n)
     except (AssertionError, ValueError):
         raise ParseError(f"no cyclic group with prime {p}, stages {n}",
-                         cur.lineno) from None
+                         prime_line) from None
     base = _parse_base(cur)
 
     if kind == "mackey":

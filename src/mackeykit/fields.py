@@ -3,7 +3,9 @@
 A field is described by (p, k, modulus) with a monic irreducible modulus
 of degree k over F_p; elements are coefficient vectors against the power
 basis 1, x, ..., x^(k-1).  Arithmetic is exact; Frobenius and relative
-traces are first-class.
+traces are first-class.  Prime fields compute on residues mod p; extension
+fields of at most TABLE_LIMIT elements look products up in log/antilog
+tables and sums in a Zech-logarithm table; larger ones multiply polynomials.
 """
 
 from __future__ import annotations
@@ -138,20 +140,18 @@ class FFElement:
         o = self._co(other)
         if o is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        return self.field.elem(tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+        return self.field.add(self, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return self.field.elem(tuple((-a) % p for a in self.coeffs))
+        return self.field.neg(self)
 
     def __sub__(self, other):
         o = self._co(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return self.field.add(self, self.field.neg(o))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -183,22 +183,28 @@ class FFElement:
 
     def __eq__(self, other):
         if isinstance(other, FFElement):
-            return self.field is other.field and self.coeffs == other.coeffs
+            return self.field is other.field and self._residue == other._residue
         if isinstance(other, int):
-            return self.coeffs == self.field.embed(other).coeffs
+            # n embeds as the constant n mod p, whose residue is n mod p
+            return self._residue == other % self.field.p
         return NotImplemented
 
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self._residue != 0
 
     def __int__(self):
         return self._residue
 
     def __repr__(self):
         return self.field.format_elem(self)
+
+
+# fields of at most this many elements intern every element in a residue
+# table and do scalar arithmetic by table lookup
+TABLE_LIMIT = 4096
 
 
 class GaloisField:
@@ -223,17 +229,25 @@ class GaloisField:
         self.q = p ** k
         self.modulus = modulus
         self._cache: dict[tuple, FFElement] = {}
-        self.zero = self.elem((0,) * k)
-        self.one = self.embed(1)
-        self.gen = self.elem(tuple(1 if i == 1 else 0 for i in range(k))) if k > 1 else self.one
         # residue i (little-endian base-p digits) -> interned element, as an
         # object array so that linalg can map residue matrices back by indexing
         self.element_by_residue = None
-        if self.q <= 4096:
-            table = np.empty(self.q, dtype=object)
-            for i in range(self.q):
-                table[i] = self._from_residue(i)
-            self.element_by_residue = table
+        if self.q <= TABLE_LIMIT:
+            elems = [self._from_residue(i) for i in range(self.q)]
+            self.element_by_residue = np.empty(self.q, dtype=object)
+            self.element_by_residue[:] = elems
+            # the instance attributes below shadow the polynomial methods
+            self.residue_element = elems.__getitem__
+            if k > 1:
+                self._build_log_tables(elems)
+                self.add, self.neg = self._add_zech, self._neg_log
+                self.mul, self.inv = self._mul_log, self._inv_log
+        if k == 1:
+            self.add, self.neg = self._add_mod_p, self._neg_mod_p
+            self.mul, self.inv = self._mul_mod_p, self._inv_mod_p
+        self.zero = self.residue_element(0)
+        self.one = self.residue_element(1)
+        self.gen = self.elem(tuple(1 if i == 1 else 0 for i in range(k))) if k > 1 else self.one
         self._frob_mat = None
 
     def _from_residue(self, i):
@@ -242,6 +256,48 @@ class GaloisField:
             digits.append(i % self.p)
             i //= self.p
         return self.elem(tuple(digits))
+
+    def _build_log_tables(self, elems):
+        """Log, antilog and Zech tables against a primitive element gamma.
+
+        _exp[n] = gamma^n for 0 <= n < 2(q-1), so that a sum of two logs
+        indexes it without reduction; _log[r] is the log of the element with
+        residue r, and -1 for zero; _zech[n] = log(1 + gamma^n), -1 when
+        1 + gamma^n = 0 (Lidl & Niederreiter, Finite Fields, section 2.5).
+        """
+        p, k, q = self.p, self.k, self.q
+        mod = list(self.modulus)
+
+        def power(g, e):
+            out = [1]
+            while e:
+                if e & 1:
+                    out = poly_mod(poly_mul(out, g, p), mod, p)
+                g = poly_mod(poly_mul(g, g, p), mod, p)
+                e >>= 1
+            return out
+
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        # the modulus need not be primitive, so search for gamma
+        gamma = next(list(e.coeffs) for e in elems[2:]
+                     if all(power(list(e.coeffs), (q - 1) // r) != [1] for r in primes))
+        # times_gamma[r] = residue of gamma * (element r), from the matrix of
+        # multiplication by gamma applied to the digits of every residue
+        cols = [poly_mod(poly_mul(gamma, [0] * j + [1], p), mod, p) for j in range(k)]
+        mat = np.array([c + [0] * (k - len(c)) for c in cols], dtype=np.int64)
+        digits = np.array([e.coeffs for e in elems], dtype=np.int64)
+        times_gamma = ((digits @ mat % p) @ (p ** np.arange(k))).tolist()
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(times_gamma[exp[-1]])
+        log = [-1] * q
+        for n, r in enumerate(exp):
+            log[r] = n
+        # 1 + (element r) adds one to the lowest digit of r
+        self._zech = [log[r + 1 if r % p != p - 1 else r + 1 - p] for r in exp]
+        self._log = log
+        self._exp = [elems[r] for r in exp] * 2
+        self._log_minus_one = log[p - 1]
 
     def elem(self, coeffs) -> FFElement:
         coeffs = tuple(int(c) % self.p for c in coeffs)
@@ -253,7 +309,7 @@ class GaloisField:
         return e
 
     def embed(self, n: int) -> FFElement:
-        return self.elem((n % self.p,) + (0,) * (self.k - 1))
+        return self.residue_element(n % self.p)
 
     def coerce(self, v) -> FFElement:
         if isinstance(v, FFElement):
@@ -268,20 +324,27 @@ class GaloisField:
 
     def residue_element(self, r: int) -> FFElement:
         """The element with residue encoding r (see FFElement.__int__)."""
-        if self.element_by_residue is not None:
-            return self.element_by_residue[r]
         return self._from_residue(r)
 
+    # Scalar arithmetic.  __init__ picks one of three implementations:
+    # residues mod p when k = 1, log/Zech tables when k > 1 and
+    # q <= TABLE_LIMIT, and polynomial arithmetic (the methods named
+    # add/neg/mul/inv) otherwise.
+
+    def add(self, a: FFElement, b: FFElement) -> FFElement:
+        p = self.p
+        return self.elem(tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
+
+    def neg(self, a: FFElement) -> FFElement:
+        p = self.p
+        return self.elem(tuple((-x) % p for x in a.coeffs))
+
     def mul(self, a: FFElement, b: FFElement) -> FFElement:
-        if self.k == 1:
-            return self.residue_element(a.coeffs[0] * b.coeffs[0] % self.p)
         return self.from_poly(poly_mul(list(a.coeffs), list(b.coeffs), self.p))
 
     def inv(self, a: FFElement) -> FFElement:
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        if self.k == 1:
-            return self.residue_element(pow(a.coeffs[0], self.p - 2, self.p))
         # extended Euclid in F_p[x]
         r0, r1 = list(self.modulus), _trim(a.coeffs)
         s0, s1 = [], [1]
@@ -293,6 +356,45 @@ class GaloisField:
         lead_inv = pow(r0[-1], self.p - 2, self.p)
         s0 = [(c * lead_inv) % self.p for c in s0]
         return self.from_poly(s0)
+
+    def _add_mod_p(self, a, b):
+        return self.residue_element((a._residue + b._residue) % self.p)
+
+    def _neg_mod_p(self, a):
+        return self.residue_element(-a._residue % self.p)
+
+    def _mul_mod_p(self, a, b):
+        return self.residue_element(a._residue * b._residue % self.p)
+
+    def _inv_mod_p(self, a):
+        if not a._residue:
+            raise ZeroDivisionError("inverse of zero")
+        return self.residue_element(pow(a._residue, self.p - 2, self.p))
+
+    def _add_zech(self, a, b):
+        # gamma^i + gamma^j = gamma^(i + Z[j - i])
+        if not a._residue:
+            return b
+        if not b._residue:
+            return a
+        i = self._log[a._residue]
+        z = self._zech[(self._log[b._residue] - i) % (self.q - 1)]
+        return self.zero if z < 0 else self._exp[i + z]
+
+    def _neg_log(self, a):
+        if not a._residue:
+            return a
+        return self._exp[self._log[a._residue] + self._log_minus_one]
+
+    def _mul_log(self, a, b):
+        if not (a._residue and b._residue):
+            return self.zero
+        return self._exp[self._log[a._residue] + self._log[b._residue]]
+
+    def _inv_log(self, a):
+        if not a._residue:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self.q - 1 - self._log[a._residue]]
 
     def frobenius(self, a: FFElement, times: int = 1) -> FFElement:
         out = a

@@ -35,13 +35,12 @@ class BasedRing:
 
     def left_mult_matrix(self, v):
         """Matrix of x -> v*x in the basis; v a coefficient column."""
-        out = la.zeros(self.rank, self.rank)
-        for i in range(self.rank):
-            if v[i, 0] == 0:
-                continue
-            for j in range(self.rank):
-                col = self.product_of_basis(i, j)
-                out[:, j:j + 1] = out[:, j:j + 1] + v[i, 0] * col
+        r = self.rank
+        out = la.zeros(r, r)
+        for i in range(r):
+            if v[i, 0] != 0:
+                # column j of the block's transpose is e_i * e_j
+                out = la.add_scaled(out, self.mult[i * r:(i + 1) * r, :].T, v[i, 0], self.base)
         return out
 
     def multiply(self, v, w):

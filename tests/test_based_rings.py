@@ -92,3 +92,45 @@ def test_zero_ring():
     Z0 = BasedRing(la.ZZ, 0, la.zeros(0, 0), la.zeros(0, 1), [])
     assert Z0.is_zero_ring
     assert based_ring_check(Z0).ok
+
+
+def _upper_triangular(base):
+    # 2x2 upper triangular matrices on {e11, e12, e22}: not commutative
+    one = base.one if base is not la.ZZ else 1
+    mult = la.zeros(9, 3)
+    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}.items():
+        mult[i * 3 + j, k] = one
+    unit = la.zeros(3, 1)
+    unit[0, 0] = unit[2, 0] = one
+    return BasedRing(base, 3, mult, unit, ["e11", "e12", "e22"], commutative=False)
+
+
+def _left_mult_reference(R, v):
+    out = la.zeros(R.rank, R.rank)
+    for i in range(R.rank):
+        for j in range(R.rank):
+            for a in range(R.rank):
+                out[a, j] = out[a, j] + v[i, 0] * R.mult[i * R.rank + j, a]
+    return out
+
+
+@pytest.mark.parametrize("ring", [
+    lambda: burnside_ring(CyclicGroup(3, 2)),
+    lambda: _group_ring_c2_f2(),
+    lambda: _upper_triangular(la.ZZ),
+    lambda: _upper_triangular(gf_make(3, 1)),
+    lambda: _upper_triangular(gf_make(2, 2)),
+], ids=["burnside-C9", "F2[C2]", "upper-Z", "upper-F3", "upper-F4"])
+def test_left_mult_matrix_matches_entrywise_reference(ring):
+    import random
+    R = ring()
+    assert based_ring_check(R).ok
+    rng = random.Random(5)
+    scalars = list(R.base.elements()) if R.base is not la.ZZ else [-3, -1, 0, 1, 2, 7]
+    for _ in range(20):
+        v = la.zeros(R.rank, 1)
+        for i in range(R.rank):
+            v[i, 0] = rng.choice(scalars)
+        assert la.mat_eq(R.left_mult_matrix(v), _left_mult_reference(R, v))
+        w = R.basis_vector(rng.randrange(R.rank))
+        assert la.mat_eq(R.multiply(v, w), la.mmul(_left_mult_reference(R, v), w, R.base))

@@ -224,3 +224,28 @@ def test_seed_env_variable_is_honoured(capsys, tmp_path, monkeypatch):
     _, a, _ = run(capsys, "decompose", str(path))
     _, b, _ = run(capsys, "decompose", str(path), "--seed", "23")
     assert a == b
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.make_parser
+
+    def counting():
+        built.append(1)
+        return real()
+    monkeypatch.setattr(cli, "make_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    for _ in range(3):
+        rc, _, _ = run(capsys, "check", "burnside", "--p", "2", "--n", "1")
+        assert rc == 0
+    run(capsys, "k0free", "--p", "2", "--n", "1", "--stab", "1")
+    assert len(built) == 1
+
+
+def test_reused_parser_does_not_carry_flags_over(capsys):
+    rc, out, _ = run(capsys, "iso", "burnside", "burnside", "--p", "3", "--witness")
+    assert rc == 0 and "witness level 0" in out
+    rc, out, _ = run(capsys, "iso", "burnside", "burnside")
+    assert rc == 0 and out == "isomorphic\n"
+    rc, out, _ = run(capsys, "example", "burnside")
+    assert rc == 0 and parse_document(out).group.p == 2

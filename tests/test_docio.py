@@ -1,7 +1,8 @@
 import pytest
 
+from mackeykit import cli
 from mackeykit import linalg as la
-from mackeykit.docio import (ParseError, load_document, parse_document,
+from mackeykit.docio import (MAGIC, ParseError, load_document, parse_document,
                              print_document, save_document)
 from mackeykit.fields import gf_make
 from mackeykit.functors import free_module, geometric_fixed_points
@@ -206,3 +207,88 @@ def test_comments_and_blank_lines_are_ignored():
     noisy = "# leading comment\n\n" + text.replace(
         "kind mackey", "kind mackey\n# interlude\n")
     _same_mackey(parse_document(text), parse_document(noisy))
+
+
+# -- rejections carry the line number through the CLI (exit 2) ----------------
+
+def _field_doc(k):
+    return print_document(constant_green(CyclicGroup(2, 1), gf_make(2, k)))
+
+
+def _replace_line(text, line, new, offset=0):
+    """Replace the line `offset` below the first line equal to `line`;
+    return the new text and the 1-based number of the replaced line."""
+    lines = text.splitlines()
+    idx = lines.index(line) + offset
+    lines[idx] = new
+    return "\n".join(lines) + "\n", idx + 1
+
+
+_REJECTIONS = [
+    # base line: field construction errors
+    (2, "base GF 2 2 1:1:1", 0, "base GF 2 2 1:0:1", "reducible"),
+    (2, "base GF 2 2 1:1:1", 0, "base GF 4 1 0:1", "not prime"),
+    (2, "base GF 2 2 1:1:1", 0, "base GF 2 2 1:1", "monic of degree"),
+    (2, "base GF 2 2 1:1:1", 0, "base GF 2 2 3:1:1", "modulus coefficients"),
+    (2, "prime 2", 0, "prime 4", "no cyclic group"),
+    # negative counts
+    (1, "stages 1", 0, "stages -1", "stages must not be negative"),
+    (1, "level 0 gens 1 relations 0", 0, "level 0 gens -1 relations 0",
+     "generator count must not be negative"),
+    (1, "level 0 gens 1 relations 0", 0, "level 0 gens 1 relations -1",
+     "relation count must not be negative"),
+    (1, "ring 0 rank 1 commutative 1 labels 1", 0,
+     "ring 0 rank -1 commutative 1 labels 1", "rank must not be negative"),
+    # field coefficients: exactly k coordinates in 0..p-1
+    (1, "res 0 rows 1 cols 1", 1, "3", "not 1 coordinate"),
+    (1, "res 0 rows 1 cols 1", 1, "-1", "not 1 coordinate"),
+    (1, "res 0 rows 1 cols 1", 1, "1:0", "not 1 coordinate"),
+    (2, "res 0 rows 1 cols 1", 1, "1:0:0", "not 2 coordinate"),
+    (2, "res 0 rows 1 cols 1", 1, "1", "not 2 coordinate"),
+    (2, "res 0 rows 1 cols 1", 1, "2:0", "not 2 coordinate"),
+    (2, "res 0 rows 1 cols 1", 1, "-1:0", "not 2 coordinate"),
+    (2, "res 0 rows 1 cols 1", 1, "1:x", "bad coefficient"),
+]
+
+
+@pytest.mark.parametrize("k,line,offset,new,match", _REJECTIONS,
+                         ids=[f"GF(2^{c[0]}) {c[3]}" for c in _REJECTIONS])
+def test_rejections_carry_line_numbers(k, line, offset, new, match,
+                                       tmp_path, capsys):
+    text, lineno = _replace_line(_field_doc(k), line, new, offset)
+    with pytest.raises(ParseError, match=match) as info:
+        parse_document(text)
+    assert info.value.lineno == lineno
+    path = tmp_path / "bad.doc"
+    path.write_text(text)
+    rc = cli.main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"parse error: line {lineno}: " in captured.err
+
+
+def test_explicit_modulus_without_default_round_trips():
+    # GF(2^7) has no default modulus; x^7 + x + 1 is irreducible
+    F = gf_make(2, 7, [1, 1, 0, 0, 0, 0, 0, 1])
+    M = free_module(constant_green(CyclicGroup(2, 1), F), 0)
+    text = print_document(M)
+    assert "base GF 2 7 1:1:0:0:0:0:0:1" in text
+    back = parse_document(text)
+    assert back.ring.base is F
+    assert print_document(back) == text
+    _same_module(M, back)
+    assert check_green_module(back).ok
+    # coordinates beyond the prime subfield come back as they were written
+    text = "\n".join([MAGIC, "kind mackey", "prime 2", "stages 0",
+                      "base GF 2 7 1:1:0:0:0:0:0:1", "level 0 gens 2 relations 0",
+                      "weyl 0 rows 2 cols 2", "0:1:1:0:0:0:1 1:0:0:0:0:0:0",
+                      "1:1:1:1:1:1:1 0:0:0:0:0:0:0"]) + "\n"
+    back = parse_document(text)
+    assert back.weyl[0][0, 0] == F.gen + F.gen ** 2 + F.gen ** 6
+    assert print_document(back) == text
+
+
+def test_explicit_default_modulus_keeps_the_interned_field():
+    text = _field_doc(2)
+    assert "base GF 2 2 1:1:1" in text
+    assert parse_document(text).base is gf_make(2, 2)

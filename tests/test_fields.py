@@ -2,10 +2,13 @@ import pytest
 
 from mackeykit.fields import (
     DEFAULT_MODULI,
+    GaloisField,
     gf_make,
     galois_trace,
     irreducible_witness,
     is_prime,
+    poly_mod,
+    poly_mul,
 )
 
 
@@ -121,3 +124,85 @@ def test_format_elem():
     F = gf_make(2, 2)
     assert F.format_elem(F.gen) == "0:1"
     assert F.format_elem(F.one + F.gen) == "1:1"
+
+
+# -- table arithmetic against the polynomial reference -------------------------
+
+def _reference_tables(F):
+    """Residue-indexed sum, negation and product tables computed coordinatewise
+    and with poly_mul/poly_mod, independently of the field's own arithmetic."""
+    p, k, q = F.p, F.k, F.q
+    digits = [F.residue_element(r).coeffs for r in range(q)]
+    index = {d: r for r, d in enumerate(digits)}
+
+    def res(coeffs):
+        coeffs = list(coeffs)
+        return index[tuple(coeffs + [0] * (k - len(coeffs)))]
+
+    add = [[res((x + y) % p for x, y in zip(a, b)) for b in digits] for a in digits]
+    neg = [res((-x) % p for x in a) for a in digits]
+    mul = [[res(poly_mod(poly_mul(list(a), list(b), p), list(F.modulus), p))
+            for b in digits] for a in digits]
+    return add, neg, mul
+
+
+_TABLE_FIELDS = [(p, k, None) for (p, k) in sorted(DEFAULT_MODULI) if p ** k <= 256]
+# x^4 + x^3 + x^2 + x + 1 is irreducible but not primitive: x has order 5
+_TABLE_FIELDS.append((2, 4, (1, 1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("p,k,modulus", _TABLE_FIELDS,
+                         ids=[f"GF({p}^{k}){'-' + ''.join(map(str, m)) if m else ''}"
+                              for p, k, m in _TABLE_FIELDS])
+def test_table_arithmetic_matches_polynomial_reference(p, k, modulus):
+    F = gf_make(p, k, modulus)
+    q = F.q
+    add, neg, mul = _reference_tables(F)
+    el = [F.residue_element(r) for r in range(q)]
+    assert [int(a) for a in el] == list(range(q))
+    inv = {}
+    for a in range(q):
+        assert int(-el[a]) == neg[a]
+        # the polynomial methods, which fields without tables use
+        assert int(GaloisField.neg(F, el[a])) == neg[a]
+        for b in range(q):
+            assert int(el[a] + el[b]) == add[a][b]
+            assert int(el[a] - el[b]) == add[a][neg[b]]
+            assert int(el[a] * el[b]) == mul[a][b]
+            if mul[a][b] == 1:
+                inv[a] = b
+        for b in range(0, q, max(1, q // 16)):
+            assert int(GaloisField.add(F, el[a], el[b])) == add[a][b]
+            assert int(GaloisField.mul(F, el[a], el[b])) == mul[a][b]
+    assert sorted(inv) == list(range(1, q))
+    for a in range(1, q):
+        assert int(el[a].inv()) == inv[a]
+        assert int(GaloisField.inv(F, el[a])) == inv[a]      # extended Euclid
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inv()
+    for a in range(q):
+        power = 1
+        for e in range(q + 1):
+            assert int(el[a] ** e) == power
+            power = mul[power][a]
+        if a:
+            assert int(el[a] ** -1) == inv[a]
+            assert int(el[a] ** -2) == mul[inv[a]][inv[a]]
+    # ints embed as constants on both sides of every operator
+    for n in (-3, -1, 0, 1, 2, p, 7):
+        c = F.embed(n)
+        assert int(c) == n % p
+        assert el[-1] == el[-1] and (c == n) and not (c == n + 1)
+        assert el[-1] + n == n + el[-1] == el[-1] + c
+        assert el[-1] - n == el[-1] - c and n - el[-1] == c - el[-1]
+        assert el[-1] * n == n * el[-1] == el[-1] * c
+
+
+def test_non_primitive_modulus_gets_a_primitive_generator():
+    F = gf_make(2, 4, (1, 1, 1, 1, 1))
+    assert F.gen ** 5 == F.one              # x itself has order 5
+    orders = set()
+    for a in F.elements():
+        if a:
+            orders.add(next(e for e in range(1, 16) if a ** e == F.one))
+    assert orders == {1, 3, 5, 15}
