@@ -71,23 +71,77 @@ def poly_mod(a, m, p):
     return poly_divmod(a, m, p)[1]
 
 
-def _monic_polys(deg, p):
-    for tail in itertools.product(range(p), repeat=deg):
-        yield list(tail) + [1]
+def _poly_gcd(a, b, p):
+    """Monic gcd of two polynomials over F_p, not both zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, poly_mod(a, b, p)
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _poly_pow_mod(a, e, m, p):
+    out = [1]
+    while e:
+        if e & 1:
+            out = poly_mod(poly_mul(out, a, p), m, p)
+        a = poly_mod(poly_mul(a, a, p), m, p)
+        e >>= 1
+    return out
+
+
+def _proper_factor(m, f, p):
+    """f as a tuple, after checking by division that it is a proper monic factor of m."""
+    f = _trim(f)
+    if not 0 < len(f) - 1 < len(m) - 1 or f[-1] != 1 or poly_divmod(m, f, p)[1]:
+        raise ArithmeticError(f"{f} is not a proper factor of {m} over F_{p}")
+    return tuple(f)
 
 
 def irreducible_witness(modulus, p):
-    """None if the monic modulus is irreducible over F_p, else a proper monic factor."""
+    """None if the monic modulus is irreducible over F_p, else a proper monic factor.
+
+    Berlekamp's algorithm; for a fixed p its work is polynomial in the
+    degree k.  A repeated factor shows in gcd(m, m'), or m' = 0 and m is a
+    p-th power.  For squarefree m the nullity of Q - I, with Q the matrix
+    of v -> v^p on F_p[x]/(m), counts the irreducible factors of m; a
+    non-constant v with v^p = v splits m as gcd(m, v - c) for some c in
+    F_p, or (p odd) as gcd(m, (v - c)^((p-1)/2) - 1), which usually
+    succeeds at a small c.  Every factor returned is checked by division.
+    """
+    from . import linalg as la
     m = _trim(modulus)
     k = len(m) - 1
     if k <= 1:
         return None
-    for d in range(1, k // 2 + 1):
-        for f in _monic_polys(d, p):
-            _, r = poly_divmod(m, f, p)
-            if not r:
-                return tuple(f)
-    return None
+    dm = _trim([i * c % p for i, c in enumerate(m)][1:])
+    if not dm:                                  # m(x) = g(x^p) = g(x)^p
+        return _proper_factor(m, m[::p], p)
+    d = _poly_gcd(m, dm, p)
+    if len(d) > 1:
+        return _proper_factor(m, d, p)
+    # column i of Q - I: x^(ip) mod m, minus x^i
+    xp = _poly_pow_mod([0, 1], p, m, p)
+    Q, col = la.zeros(k, k), [1]
+    for i in range(k):
+        Q[:len(col), i] = col
+        Q[i, i] -= 1
+        col = poly_mod(poly_mul(col, xp, p), m, p)
+    ker = la.nullspace(Q, gf_make(p, 1, (0, 1)))    # explicit modulus: any prime p
+    if ker.shape[1] == 1:
+        return None
+    v = next([int(x) for x in u] for u in ker.T if any(u[1:]))
+    for c in range(p):
+        vc = [(v[0] - c) % p] + v[1:]
+        cands = [vc]
+        if p > 2:
+            w = _poly_pow_mod(vc, (p - 1) // 2, m, p) or [0]
+            cands.append([(w[0] - 1) % p] + w[1:])
+        for h in cands:
+            f = _poly_gcd(m, h, p)
+            if 1 < len(f) <= k:
+                return _proper_factor(m, f, p)
+    raise ArithmeticError(f"Berlekamp found no factor of {m} over F_{p}")
 
 
 # Conway-style default moduli for small p^k.  Degree-1 entries use x itself.

@@ -4,7 +4,7 @@ Restrictions and the Weyl action are ring maps, transfers satisfy the
 projection formula tr(x . res y) = tr(x) . y.  Modules over a green
 functor carry a levelwise action subject to the same compatibilities.
 This module also provides twisted group algebras of the level rings,
-box products, and base change of modules along a ring map at height one.
+box products, and base change of modules along a ring map at any height.
 """
 
 from __future__ import annotations
@@ -634,7 +634,7 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     return MoritaWitness(units, d, rep)
 
 
-# --- box products ---------------------------------------------------------------
+# --- box products and base change: one block presentation ----------------------
 
 
 def _place_rows(total_rows: int, offset: int, block):
@@ -643,16 +643,17 @@ def _place_rows(total_rows: int, offset: int, block):
     return out
 
 
-def box_product_general(M: MackeyFunctor, N: MackeyFunctor) -> MackeyFunctor:
-    """Box product of Mackey functors over the same C_{p^n}.
+def _block_presentation(M: MackeyFunctor, N: MackeyFunctor, extra, name: str) -> MackeyFunctor:
+    """Box-product block presentation of M and N over C_{p^n}, at any height.
 
     Level s is assembled from blocks M_t (x) N_t for t <= s (transfers of
-    tensors from lower levels), modulo relative-Weyl coinvariance on each
-    lower block and the identifications tr(m) (x) y = tr(m (x) res y),
-    m (x) tr(y) = tr(res m (x) y) between adjacent blocks.
+    tensors from lower levels), modulo the relation blocks extra[t] (each
+    with |M_t|.|N_t| rows) on block t of every level s >= t, relative-Weyl
+    coinvariance on each lower block and the identifications
+    tr(m) (x) y = tr(m (x) res y), m (x) tr(y) = tr(res m (x) y) between
+    adjacent blocks.  The result carries, per level, the projection from
+    and the lift to the block coordinates.
     """
-    assert M.group == N.group
-    assert M.base == N.base or M.base is N.base
     base, p, n = M.base, M.p, M.n
     gM = [lev.gens for lev in M.levels]
     gN = [lev.gens for lev in N.levels]
@@ -664,14 +665,8 @@ def box_product_general(M: MackeyFunctor, N: MackeyFunctor) -> MackeyFunctor:
     for s in range(n + 1):
         total = offs[s + 1]
         rels = [la.zeros(total, 0)]
-        if base is ZZ:
-            for t in range(s + 1):
-                if M.levels[t].relations.shape[1]:
-                    rels.append(_place_rows(total, offs[t],
-                                            la.kron(M.levels[t].relations, la.eye(gN[t]))))
-                if N.levels[t].relations.shape[1]:
-                    rels.append(_place_rows(total, offs[t],
-                                            la.kron(la.eye(gM[t]), N.levels[t].relations)))
+        for t in range(s + 1):
+            rels += [_place_rows(total, offs[t], X) for X in extra[t]]
         for t in range(s):
             C = la.sub(la.mpow(D[t], p ** (n - s), base), la.eye(g[t]), base)
             rels.append(_place_rows(total, offs[t], C))
@@ -695,141 +690,97 @@ def box_product_general(M: MackeyFunctor, N: MackeyFunctor) -> MackeyFunctor:
             step = la.mpow(D[t], p ** (n - s - 1), base)
             sm = la.zeros(g[t], g[t])
             for _ in range(p):
-                sm = sm + acc
+                sm = la.add_scaled(sm, acc, 1, base)
                 acc = la.mmul(acc, step, base)
             raw[offs[t]:offs[t] + g[t], offs[t]:offs[t] + g[t]] = sm
         top = la.kron(M.res[s], N.res[s], base)
         raw[offs[s]:offs[s] + g[s], offs[s + 1]:offs[s + 1] + g[s + 1]] = top
         res.append(la.mmul_chain(projs[s], la.coerce(raw, base), lifts[s + 1], base=base))
-        rawt = la.zeros(offs[s + 2], offs[s + 1])
-        for t in range(s + 1):
-            for i in range(g[t]):
-                rawt[offs[t] + i, offs[t] + i] = 1
+        # tr includes blocks 0..s of level s as the lower blocks of level s + 1
+        rawt = la.vstack([la.eye(offs[s + 1]), la.zeros(g[s + 1], offs[s + 1])])
         tr.append(la.mmul_chain(projs[s + 1], la.coerce(rawt, base), lifts[s], base=base))
-    weyl = []
-    for s in range(n + 1):
-        rawd = la.block_diag([D[t] for t in range(s + 1)])
-        weyl.append(la.mmul_chain(projs[s], rawd, lifts[s], base=base))
+    weyl = [la.mmul_chain(projs[s], la.block_diag(D[:s + 1]), lifts[s], base=base)
+            for s in range(n + 1)]
 
-    out = MackeyFunctor(M.group, base, levels, res, tr, weyl,
-                        name=f"box({M.name or 'M'}, {N.name or 'N'})")
+    out = MackeyFunctor(M.group, base, levels, res, tr, weyl, name=name)
     out.projections = projs
     out.lifts = lifts
     return out
 
 
-def box_product_cp(M: MackeyFunctor, N: MackeyFunctor) -> MackeyFunctor:
-    """Box product at the prime: two blocks, coinvariance and the Frobenius
-    identifications at the single adjacent pair.  Delegates to the general
-    block construction, which reduces to exactly that at height one."""
-    return box_product_general(M, N)
+def box_product_general(M: MackeyFunctor, N: MackeyFunctor) -> MackeyFunctor:
+    """Box product of Mackey functors over the same C_{p^n}, at any height:
+    the block presentation whose only extra relations are those of M and N."""
+    if M.group != N.group:
+        raise ValueError(f"box product of functors over {M.group} and {N.group}")
+    if not (M.base == N.base or M.base is N.base):
+        raise ValueError(f"box product of functors over {M.base!r} and {N.base!r}")
+    extra = [[tensor_modules(M.levels[t], N.levels[t]).relations] for t in range(M.n + 1)]
+    return _block_presentation(M, N, extra, f"box({M.name or 'M'}, {N.name or 'N'})")
 
 
-# --- base change of modules at height one ---------------------------------------
+# --- base change of modules -----------------------------------------------------
 
 
 def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
-    """Base change of a module along a ring map at height one.
+    """Base change of a module along a ring map, at any height.
 
-    For f: R -> L and an R-module M this is the levelwise relative tensor
-    with the same block presentation as the box product: level 1 is built
-    from M_1 (x)_{R_1} L_1 and the coinvariants of M_0 (x)_{R_0} L_0, glued
-    by the Frobenius identifications.  Returns an L-module.
+    For f: R -> L and an R-module M this is the relative box product
+    M box_R L: the block presentation of M box L modulo
+    m.r (x) l = m (x) f(r).l on every block.  The ring L_s acts on block t
+    of level s through res_{s->t}.  Returns an L-module that carries the
+    projections and lifts of its presentation.
     """
     R, L = f.source, f.target
-    assert M.ring is R, "module must live over the source of the ring map"
-    assert R.n == 1, "base change is implemented at height one"
-    base, p = R.base, R.p
-    f0, f1 = f.components
-    l0, l1 = L.ring(0), L.ring(1)
-    m0 = M.underlying.levels[0].gens
-    m1 = M.underlying.levels[1].gens
-    r0g, r1g = l0.rank, l1.rank
+    if M.ring is not R:
+        raise ValueError("module must live over the source of the ring map")
+    base, n = R.base, R.n
+    und, Lund = M.underlying, L.underlying
+    extra = []
+    for t in range(n + 1):
+        lt, mt = L.ring(t), und.levels[t].gens
+        rels = [tensor_modules(und.levels[t], Lund.levels[t]).relations]
+        for lam, act in enumerate(M.action[t]):
+            lmul = lt.left_mult_matrix(f.components[t][:, lam:lam + 1].copy())
+            rels.append(la.sub(la.kron(act, la.eye(lt.rank), base),
+                               la.kron(la.eye(mt), lmul, base), base))
+        extra.append(rels)
+    B = _block_presentation(und, Lund, extra, f"{M.name or 'M'} along {L.name or 'L'}")
 
-    def relative_rels(total, offset, act_mats, fcomp, lring, mg):
-        out = []
-        for lam in range(len(act_mats)):
-            lmul = lring.left_mult_matrix(fcomp[:, lam:lam + 1].copy())
-            block = la.sub(la.kron(act_mats[lam], la.eye(lring.rank), base),
-                           la.kron(la.eye(mg), lmul, base), base)
-            out.append(_place_rows(total, offset, block))
-        return out
-
-    # level 0
-    t0 = m0 * r0g
-    rels0 = [la.zeros(t0, 0)]
-    rels0 += relative_rels(t0, 0, M.action[0], f0, l0, m0)
-    if base is ZZ and M.underlying.levels[0].relations.shape[1]:
-        rels0.append(la.kron(M.underlying.levels[0].relations, la.eye(r0g)))
-    Q0, proj0, lift0 = reduced_quotient(base, t0, la.hstack(rels0))
-
-    # level 1: block 1 = M_1 (x) L_1, block 0 = M_0 (x) L_0
-    b1, b0 = m1 * r1g, m0 * r0g
-    total = b1 + b0
-    W0 = la.kron(M.underlying.weyl[0], L.underlying.weyl[0], base)
-    rels1 = [la.zeros(total, 0)]
-    rels1 += relative_rels(total, 0, M.action[1], f1, l1, m1)
-    rels1 += relative_rels(total, b1, M.action[0], f0, l0, m0)
-    rels1.append(_place_rows(total, b1, la.sub(W0, la.eye(b0), base)))
-    trM, resM = M.underlying.tr[0], M.underlying.res[0]
-    trL, resL = L.underlying.tr[0], L.underlying.res[0]
-    rels1.append(la.sub(_place_rows(total, 0, la.kron(trM, la.eye(r1g), base)),
-                        _place_rows(total, b1, la.kron(la.eye(m0), resL, base)), base))
-    rels1.append(la.sub(_place_rows(total, 0, la.kron(la.eye(m1), trL, base)),
-                        _place_rows(total, b1, la.kron(resM, la.eye(r0g), base)), base))
-    if base is ZZ:
-        if M.underlying.levels[1].relations.shape[1]:
-            rels1.append(_place_rows(total, 0,
-                                     la.kron(M.underlying.levels[1].relations, la.eye(r1g))))
-        if M.underlying.levels[0].relations.shape[1]:
-            rels1.append(_place_rows(total, b1,
-                                     la.kron(M.underlying.levels[0].relations, la.eye(r0g))))
-    Q1, proj1, lift1 = reduced_quotient(base, total, la.hstack(rels1))
-
-    acc, sm = la.eye(b0), la.zeros(b0, b0)
-    for _ in range(p):
-        sm = sm + acc
-        acc = la.mmul(acc, W0, base)
-    res_raw = la.hstack([la.kron(resM, resL, base), sm])
-    res = la.mmul_chain(proj0, la.coerce(res_raw, base), lift1, base=base)
-    tr_raw = la.vstack([la.zeros(b1, b0), la.eye(b0)])
-    tr = la.mmul_chain(proj1, la.coerce(tr_raw, base), lift0, base=base)
-    weyl0 = la.mmul_chain(proj0, W0, lift0, base=base)
-    W1 = la.kron(M.underlying.weyl[1], L.underlying.weyl[1], base)
-    weyl1 = la.mmul_chain(proj1, la.block_diag([W1, W0]), lift1, base=base)
-    und = MackeyFunctor(R.group, base, [Q0, Q1], [res], [tr], [weyl0, weyl1],
-                        name=f"{M.name or 'M'} along {L.name or 'L'}")
-
-    act0 = [la.mmul_chain(proj0, la.kron(la.eye(m0), l0.left_mult_matrix(l0.basis_vector(c)), base),
-                          lift0, base=base) for c in range(r0g)]
-    act1 = []
-    for c in range(r1g):
-        top = la.kron(la.eye(m1), l1.left_mult_matrix(l1.basis_vector(c)), base)
-        down = la.kron(la.eye(m0), l0.left_mult_matrix(resL[:, c:c + 1].copy()), base)
-        act1.append(la.mmul_chain(proj1, la.coerce(la.block_diag([top, down]), base), lift1, base=base))
-    out = GreenModule(L, und, [act0, act1], name=und.name)
-    out.projections = [proj0, proj1]
-    out.lifts = [lift0, lift1]
+    action = []
+    for s in range(n + 1):
+        down = [la.mmul_chain(*Lund.res[t:s], la.eye(L.ring(s).rank), base=base)
+                for t in range(s + 1)]                     # res_{s->t}
+        action.append([])
+        for c in range(L.ring(s).rank):
+            raw = la.block_diag([la.kron(la.eye(und.levels[t].gens), L.ring(t).left_mult_matrix(
+                down[t][:, c:c + 1].copy()), base) for t in range(s + 1)])
+            action[s].append(la.mmul_chain(B.projections[s], la.coerce(raw, base),
+                                           B.lifts[s], base=base))
+    out = GreenModule(L, B, action, name=B.name)
+    out.projections = B.projections
+    out.lifts = B.lifts
     return out
 
 
 def base_change_map_cp(f: GreenMorphism, g: GreenModuleMorphism,
                        source_changed: GreenModule, target_changed: GreenModule) -> GreenModuleMorphism:
-    """The induced map between base-changed modules (height one).
+    """The induced map between base-changed modules, at any height.
 
     source_changed and target_changed must be base_change_cp(f, g.source)
     and base_change_cp(f, g.target).
     """
+    L = f.target
+    if source_changed.ring is not L or target_changed.ring is not L:
+        raise ValueError("base-changed modules must live over the target of the ring map")
     base = f.source.base
-    l0, l1 = f.target.ring(0), f.target.ring(1)
-    g0, g1 = g.components
-    c0 = la.mmul_chain(target_changed.projections[0],
-                       la.kron(g0, la.eye(l0.rank), base),
-                       source_changed.lifts[0], base=base)
-    raw1 = la.block_diag([la.kron(g1, la.eye(l1.rank), base), la.kron(g0, la.eye(l0.rank), base)])
-    c1 = la.mmul_chain(target_changed.projections[1], la.coerce(raw1, base),
-                       source_changed.lifts[1], base=base)
-    return GreenModuleMorphism(source_changed, target_changed, [c0, c1])
+    comps = []
+    for s in range(L.n + 1):
+        raw = la.block_diag([la.kron(g.components[t], la.eye(L.ring(t).rank), base)
+                             for t in range(s + 1)])
+        comps.append(la.mmul_chain(target_changed.projections[s], la.coerce(raw, base),
+                                   source_changed.lifts[s], base=base))
+    return GreenModuleMorphism(source_changed, target_changed, comps)
 
 
 def green_module_hom_basis(M: GreenModule, N: GreenModule):

@@ -143,19 +143,9 @@ def orbit_product(G: CyclicGroup, i: int, j: int) -> FiniteGSet:
 
 
 def gset_product(X: FiniteGSet, Y: FiniteGSet) -> FiniteGSet:
-    assert X.group == Y.group
-    n = X.group.n
-    out = [0] * (n + 1)
-    for i, a in enumerate(X.mult):
-        if not a:
-            continue
-        for j, b in enumerate(Y.mult):
-            if not b:
-                continue
-            prod = orbit_product(X.group, i, j)
-            for s, m in enumerate(prod.mult):
-                out[s] += a * b * m
-    return FiniteGSet(X.group, tuple(out))
+    """Cartesian product of G-sets, multiplied as Burnside-ring elements."""
+    prod = BurnsideElement.of_gset(X) * BurnsideElement.of_gset(Y)
+    return FiniteGSet(X.group, prod.coeffs)
 
 
 def restrict_gset(X: FiniteGSet, m: int) -> FiniteGSet:

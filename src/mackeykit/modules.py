@@ -106,24 +106,17 @@ def reduced_quotient(base, gens: int, rel_cols):
     torsion stays in Q.relations.
     """
     if base is not ZZ:
-        # field case: complement of the column space
-        cols = la.column_space_basis(rel_cols, base)
-        r = cols.shape[1]
+        # field case: complement of the column space.  The pivots of
+        # [rel_cols | I] are a basis of the span, then the standard vectors
+        # that complete it, chosen greedily.
+        c = rel_cols.shape[1]
+        _, pivots = la.rref(la.hstack([rel_cols, la.eye(gens)]), base)
+        span = [j for j in pivots if j < c]
+        r = len(span)
         if r == 0:
             Q = FPModule(base, gens)
             return Q, la.eye(gens), la.eye(gens)
-        # complete cols to a basis with standard vectors
-        C = cols
-        chosen = []
-        for j in range(gens):
-            e = la.zeros(gens, 1)
-            e[j, 0] = 1
-            trial = la.hstack([C, e])
-            if la.rank(trial, base) > C.shape[1]:
-                C = trial
-                chosen.append(j)
-            if C.shape[1] == gens:
-                break
+        C = la.hstack([rel_cols[:, span], la.eye(gens)[:, [j - c for j in pivots[r:]]]])
         Cinv = la.inv_field(C, base)
         proj = Cinv[r:, :].copy()
         lift = C[:, r:].copy()

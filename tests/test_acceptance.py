@@ -14,7 +14,7 @@ from mackeykit.functors import (e1_page, free_module, geometric_fixed_points,
                                 tau_geq_1)
 from mackeykit.green import (GreenModule, GreenModuleMorphism, GreenMorphism,
                              base_change_cp, base_change_map_cp,
-                             box_product_cp, box_product_general,
+                             box_product_general,
                              burnside_green, char_example_green, check_green,
                              check_green_module, constant_green,
                              direct_sum_green_modules, fixed_point_green,
@@ -184,7 +184,7 @@ def test_criterion_07_twisted_burnside_square_and_non_iso():
         G = CyclicGroup(5, 1)
         A = burnside_mackey(G)
         At = twisted_burnside_c5()
-        box = box_product_cp(At, At)
+        box = box_product_general(At, At)
         res = is_isomorphic(A, box)
         assert res.verdict == "isomorphic"
         assert res.witness is not None and res.witness.check().ok
@@ -203,7 +203,7 @@ def test_criterion_08_axiom_suites_across_example_matrix():
             assert check_green(R).ok, R.name
         At = twisted_burnside_c5()
         assert check_axioms(At).ok
-        assert check_axioms(box_product_cp(At, At)).ok
+        assert check_axioms(box_product_general(At, At)).ok
         G4 = CyclicGroup(2, 2)
         assert check_axioms(box_product_general(
             burnside_mackey(G4), constant_mackey(G4, ZZ))).ok

@@ -292,3 +292,17 @@ def test_explicit_default_modulus_keeps_the_interned_field():
     text = _field_doc(2)
     assert "base GF 2 2 1:1:1" in text
     assert parse_document(text).base is gf_make(2, 2)
+
+
+def test_high_degree_field_header_parses_quickly():
+    import time
+    # x^61 + x^5 + x^2 + x + 1 is irreducible over F_2 (sympy agrees)
+    modulus = [1, 1, 1, 0, 0, 1] + [0] * 55 + [1]
+    text = "\n".join([MAGIC, "kind mackey", "prime 2", "stages 0",
+                      "base GF 2 61 " + ":".join(map(str, modulus)),
+                      "level 0 gens 0 relations 0", "weyl 0 rows 0 cols 0"]) + "\n"
+    start = time.process_time()
+    M = parse_document(text)
+    assert time.process_time() - start < 1.0
+    assert (M.base.p, M.base.k, list(M.base.modulus)) == (2, 61, modulus)
+    assert print_document(M) == text

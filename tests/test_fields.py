@@ -206,3 +206,30 @@ def test_non_primitive_modulus_gets_a_primitive_generator():
         if a:
             orders.add(next(e for e in range(1, 16) if a ** e == F.one))
     assert orders == {1, 3, 5, 15}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_irreducible_witness_matches_sympy(p):
+    import random
+
+    from sympy import Poly, symbols
+
+    from mackeykit.fields import poly_divmod
+    x = symbols("x")
+    rng = random.Random(p)
+    irreducible = 0
+    for trial in range(150):
+        k = rng.randrange(1, 11)
+        if trial % 5 == 0:                   # a repeated factor g^2 (x + c)
+            g = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+            m = poly_mul(poly_mul(g, g, p), [rng.randrange(p), 1], p)
+        else:
+            m = [rng.randrange(p) for _ in range(k)] + [1]
+        w = irreducible_witness(m, p)
+        expect = Poly(list(reversed(m)), x, modulus=p).is_irreducible
+        assert (w is None) == expect, (m, w)
+        if w is not None:
+            assert 1 <= len(w) - 1 < len(m) - 1 and w[-1] == 1
+            assert not poly_divmod(m, list(w), p)[1]
+        irreducible += expect
+    assert 10 < irreducible < 140

@@ -10,7 +10,7 @@ from mackeykit.mackey import (MackeyFunctor, burnside_mackey,
                               twisted_burnside_c5)
 from mackeykit.green import (GreenFunctor, GreenModule, GreenModuleMorphism,
                              GreenMorphism, base_change_cp, base_change_map_cp,
-                             box_product_cp, box_product_general,
+                             box_product_general,
                              burnside_green, char_example_green, check_green,
                              check_green_module, constant_green,
                              direct_sum_green_modules, fixed_point_green,
@@ -219,7 +219,7 @@ def test_box_unit_law_integers(p, n):
 def test_box_unit_law_twisted_side():
     A = burnside_mackey(CyclicGroup(5, 1))
     T = twisted_burnside_c5()
-    B = box_product_cp(A, T)
+    B = box_product_general(A, T)
     assert is_isomorphic(B, T).verdict == "isomorphic"
 
 
@@ -229,7 +229,7 @@ def test_box_unit_law_field():
     AF = _mod_p(burnside_mackey(G), F)
     for M in [constant_mackey(G, F, 1),
               fixed_point_green(G, gf_make(2, 2)).underlying]:
-        B = box_product_cp(AF, M)
+        B = box_product_general(AF, M)
         assert check_axioms(B).ok
         assert is_isomorphic(B, M).verdict == "isomorphic"
 
@@ -242,14 +242,14 @@ def test_box_commutes():
     pairs.append((constant_mackey(G, F, 2),
                   fixed_point_green(G, gf_make(2, 2)).underlying))
     for M, N in pairs:
-        assert is_isomorphic(box_product_cp(M, N),
-                             box_product_cp(N, M)).verdict == "isomorphic"
+        assert is_isomorphic(box_product_general(M, N),
+                             box_product_general(N, M)).verdict == "isomorphic"
 
 
 def test_box_square_of_twisted_functor_is_burnside():
     T = twisted_burnside_c5()
     A = burnside_mackey(CyclicGroup(5, 1))
-    TT = box_product_cp(T, T)
+    TT = box_product_general(T, T)
     assert check_axioms(TT).ok
     assert is_isomorphic(TT, A).verdict == "isomorphic"
     r = is_isomorphic(T, A)
@@ -289,7 +289,7 @@ def test_box_of_induced_functors_collapses(p):
     frees = [free_module(R, i).underlying for i in range(2)]
     for i in range(2):
         for j in range(2):
-            B = box_product_cp(frees[i], frees[j])
+            B = box_product_general(frees[i], frees[j])
             copies = p ** (1 - max(i, j))
             model = direct_sum([frees[min(i, j)]] * copies)
             assert is_isomorphic(B, model).verdict == "isomorphic", (i, j)
@@ -351,3 +351,67 @@ def test_base_change_preserves_inclusion():
     assert all(lv.gens > 0 for lv in BS.underlying.levels)
     for s, comp in enumerate(g.components):
         assert la.rank(comp, F) == BS.underlying.levels[s].gens  # still injective
+
+
+@pytest.mark.parametrize("p,n,degree", [(2, 2, None), (3, 2, None), (2, 3, None), (2, 2, 4)],
+                         ids=["A/C4", "A/C9", "A/C8", "FP(GF16)/C4"])
+def test_base_change_identity_at_higher_heights(p, n, degree):
+    from mackeykit.functors import free_module
+    G = CyclicGroup(p, n)
+    R = burnside_green(G) if degree is None else fixed_point_green(G, gf_make(p, degree))
+    for level in (0, n):
+        M = free_module(R, level)
+        B = base_change_cp(_identity_green(R), M)
+        assert check_green_module(B).ok
+        assert is_isomorphic(B.underlying, M.underlying).verdict == "isomorphic"
+
+
+def _unit_map(n, k):
+    """Constant F2 -> fixed points of GF(2^k) under C_{2^n}, the unit on every level."""
+    G = CyclicGroup(2, n)
+    K = constant_green(G, gf_make(2, 1))
+    L = fixed_point_green(G, gf_make(2, k))
+    f = GreenMorphism(K, L, [L.ring(s).unit for s in range(n + 1)])
+    assert f.check().ok
+    return K, L, f
+
+
+@pytest.mark.parametrize("n,k", [(2, 4), (3, 8)])
+def test_base_change_field_extension_at_higher_heights(n, k):
+    K, L, f = _unit_map(n, k)
+    F = K.base
+    B = base_change_cp(f, module_from_green(K))
+    assert B.level_dims() == L.level_dims()
+    assert check_green_module(B).ok
+    assert is_isomorphic(B.underlying, L.underlying).verdict == "isomorphic"
+    # the diagonal copy of K inside K + K stays a submodule after base change
+    M = direct_sum_green_modules([module_from_green(K), module_from_green(K)])
+    sub, incl = green_module_from_invariant_span(
+        M, [_coerce_mat(la.mat([[1], [1]]), F) for _ in range(n + 1)])
+    BS, BM = base_change_cp(f, sub), base_change_cp(f, M)
+    g = base_change_map_cp(f, incl, BS, BM)
+    assert g.check().ok
+    assert BS.level_dims() == L.level_dims()
+    for s, comp in enumerate(g.components):
+        assert la.rank(comp, F) == BS.underlying.levels[s].gens
+
+
+def test_box_product_rejects_mismatched_functors():
+    C2, C4 = CyclicGroup(2, 1), CyclicGroup(2, 2)
+    with pytest.raises(ValueError, match="box product"):
+        box_product_general(burnside_mackey(C2), burnside_mackey(C4))
+    with pytest.raises(ValueError, match="box product"):
+        box_product_general(constant_mackey(C2, ZZ), constant_mackey(C2, gf_make(2, 1)))
+
+
+def test_base_change_rejects_modules_over_other_rings():
+    K, L, f = _unit_map(2, 4)
+    with pytest.raises(ValueError, match="source of the ring map"):
+        base_change_cp(f, module_from_green(L))
+    M = module_from_green(K)
+    B = base_change_cp(f, M)
+    ident = GreenModuleMorphism(M, M, [_eye(d, K.base) for d in M.level_dims()])
+    with pytest.raises(ValueError, match="target of the ring map"):
+        base_change_map_cp(f, ident, M, B)
+    with pytest.raises(ValueError, match="target of the ring map"):
+        base_change_map_cp(f, ident, B, M)
