@@ -15,7 +15,7 @@ Blank lines and lines starting with ``#`` are ignored.  Parse failures raise
 from __future__ import annotations
 
 from . import linalg as la
-from .fields import DEFAULT_MODULI, FFElement, gf_make
+from .fields import FFElement, gf_make
 from .green import GreenFunctor, GreenModule
 from .linalg import ZZ
 from .mackey import MackeyFunctor
@@ -170,9 +170,7 @@ def _parse_base(cur: _Cursor):
         if not all(0 <= c < p for c in mod):
             raise ParseError(f"modulus coefficients must lie in 0..{p - 1}", lineno)
         try:
-            if DEFAULT_MODULI.get((p, k)) == mod:
-                return gf_make(p, k)  # keep the interned instance so elements compare
-            return gf_make(p, k, list(mod))
+            return gf_make(p, k, mod)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
     raise ParseError("base must be 'Z' or 'GF p k m0:m1:...'", lineno)

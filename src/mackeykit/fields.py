@@ -10,11 +10,13 @@ tables and sums in a Zech-logarithm table; larger ones multiply polynomials.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=256)       # gf_make checks p on every call
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -127,7 +129,7 @@ def irreducible_witness(modulus, p):
         Q[:len(col), i] = col
         Q[i, i] -= 1
         col = poly_mod(poly_mul(col, xp, p), m, p)
-    ker = la.nullspace(Q, gf_make(p, 1, (0, 1)))    # explicit modulus: any prime p
+    ker = la.nullspace(Q, gf_make(p, 1))
     if ker.shape[1] == 1:
         return None
     v = next([int(x) for x in u] for u in ker.T if any(u[1:]))
@@ -144,7 +146,8 @@ def irreducible_witness(modulus, p):
     raise ArithmeticError(f"Berlekamp found no factor of {m} over F_{p}")
 
 
-# Conway-style default moduli for small p^k.  Degree-1 entries use x itself.
+# Conway-style default moduli for small p^k.  Every prime field takes x as its
+# modulus (see `_normal_modulus`); the degree-1 entries only list small ones.
 DEFAULT_MODULI = {
     (2, 1): (0, 1),
     (2, 2): (1, 1, 1),
@@ -165,6 +168,20 @@ DEFAULT_MODULI = {
 }
 for _p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
     DEFAULT_MODULI[(_p, 1)] = (0, 1)
+
+
+def _normal_modulus(p: int, k: int, modulus=None) -> tuple:
+    """The modulus as a tuple of residues mod p: by default x when k = 1 and
+    the DEFAULT_MODULI entry otherwise.  Rejects non-prime p and k < 1."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if modulus is None:
+        modulus = (0, 1) if k == 1 else DEFAULT_MODULI.get((p, k))
+        if modulus is None:
+            raise ValueError(f"no default modulus for GF({p}^{k}); pass one explicitly")
+    return tuple(int(c) % p for c in modulus)
 
 
 class FFElement:
@@ -263,16 +280,7 @@ TABLE_LIMIT = 4096
 
 class GaloisField:
     def __init__(self, p: int, k: int, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if modulus is None:
-            try:
-                modulus = DEFAULT_MODULI[(p, k)]
-            except KeyError:
-                raise ValueError(f"no default modulus for GF({p}^{k}); pass one explicitly")
-        modulus = tuple(int(c) % p for c in modulus)
+        modulus = _normal_modulus(p, k, modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
         wit = irreducible_witness(modulus, p)
@@ -501,12 +509,13 @@ _FIELD_CACHE: dict[tuple, GaloisField] = {}
 
 
 def gf_make(p: int, k: int, modulus=None) -> GaloisField:
-    """Interned GaloisField constructor; rejects non-prime p and reducible moduli."""
-    key = (p, k, tuple(modulus) if modulus is not None else None)
+    """Interned GaloisField constructor; rejects non-prime p and reducible moduli.
+
+    The default and the given form of one modulus give the same instance."""
+    key = (p, k, _normal_modulus(p, k, modulus))
     f = _FIELD_CACHE.get(key)
     if f is None:
-        f = GaloisField(p, k, modulus)
-        _FIELD_CACHE[key] = f
+        f = _FIELD_CACHE[key] = GaloisField(p, k, key[2])
     return f
 
 

@@ -186,20 +186,6 @@ def brutal_truncation(M: MackeyFunctor) -> MackeyFunctor:
 # geometric fixed points
 
 
-def _span_basis(base, cols):
-    if cols.shape[1] == 0:
-        return cols
-    if base is ZZ:
-        return la.column_lattice_basis(cols)
-    return la.column_space_basis(cols, base)
-
-
-def _span_grew(base, old, new):
-    if base is ZZ:
-        return not la.lattice_equal(old, new)
-    return old.shape[1] != new.shape[1]
-
-
 def geometric_fixed_points(X):
     """Quotient of tau>=1 by the subfunctor the bottom level transfers up.
 
@@ -216,9 +202,9 @@ def _gfp_mackey(M: MackeyFunctor):
     assert M.n >= 1
     base, n = M.base, M.n
     spans = [None] * (n + 1)
-    spans[1] = _span_basis(base, M.tr[0])
+    spans[1] = la.column_space_basis(M.tr[0], base)
     for s in range(1, n):
-        spans[s + 1] = _span_basis(base, la.mmul(M.tr[s], spans[s], base))
+        spans[s + 1] = la.column_space_basis(la.mmul(M.tr[s], spans[s], base), base)
     # close under all structure maps (usually already stable)
     changed = True
     while changed:
@@ -229,8 +215,8 @@ def _gfp_mackey(M: MackeyFunctor):
                 cand.append(la.mmul(M.res[s], spans[s + 1], base))
             if s >= 2:
                 cand.append(la.mmul(M.tr[s - 1], spans[s - 1], base))
-            new = _span_basis(base, la.hstack(cand))
-            if _span_grew(base, spans[s], new):
+            new = la.column_space_basis(la.hstack(cand), base)
+            if la.solve(spans[s], new, base) is None:      # the span grew
                 spans[s] = new
                 changed = True
 
@@ -461,10 +447,7 @@ def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
         return None
     r1 = R.ring(1)
     qr = ph.ring.rank
-    if base is ZZ:
-        K = la.nullspace_int(ph.proj)
-    else:
-        K = la.nullspace(ph.proj, base)
+    K = la.nullspace(ph.proj, base)
     k = K.shape[1]
 
     def is_section(sigma):

@@ -15,8 +15,8 @@ from . import linalg as la
 from .fields import gf_make
 from .gsets import CyclicGroup
 from .linalg import ZZ
-from .mackey import (MackeyFunctor, MackeyMorphism, _eq,
-                     burnside_mackey, check_axioms, constant_mackey,
+from .mackey import (MackeyFunctor, MackeyMorphism, burnside_mackey,
+                     check_axioms, constant_mackey,
                      direct_sum, fixed_point_mackey, hom_basis)
 from .modules import FPModule, reduced_quotient
 from .report import CheckReport
@@ -26,16 +26,9 @@ from .rings import BasedRing, based_ring_check, ring_is_field
 def tensor_modules(A: FPModule, B: FPModule) -> FPModule:
     """Tensor product of presented modules; generator (i, j) is i*B.gens + j."""
     assert A.base == B.base or A.base is B.base
-    gens = A.gens * B.gens
-    if A.base is not ZZ:
-        return FPModule(A.base, gens)
-    parts = []
-    if A.relations.shape[1]:
-        parts.append(la.kron(A.relations, la.eye(B.gens)))
-    if B.relations.shape[1]:
-        parts.append(la.kron(la.eye(A.gens), B.relations))
-    rel = la.hstack(parts) if parts else la.zeros(gens, 0)
-    return FPModule(ZZ, gens, rel)
+    rel = la.hstack([la.kron(A.relations, la.eye(B.gens)),
+                     la.kron(la.eye(A.gens), B.relations)])
+    return FPModule(A.base, A.gens * B.gens, rel)
 
 
 class GreenFunctor:
@@ -88,14 +81,14 @@ class GreenFunctor:
 
 
 def _ring_map_into(rep, kind, where, A, src: BasedRing, dst: BasedRing, target_level, base):
-    if not _eq(target_level, la.mmul(A, src.unit, base), dst.unit, base):
+    if not target_level.maps_equal(la.mmul(A, src.unit, base), dst.unit):
         rep.add(kind, where, "does not preserve the unit")
     for i in range(src.rank):
         ai = A[:, i:i + 1].copy()
         for j in range(src.rank):
             lhs = la.mmul(A, src.product_of_basis(i, j), base)
             rhs = dst.multiply(ai, A[:, j:j + 1].copy())
-            if not _eq(target_level, lhs, rhs, base):
+            if not target_level.maps_equal(lhs, rhs):
                 rep.add(kind, f"{where}: e{i}*e{j}", "not multiplicative")
 
 
@@ -131,7 +124,7 @@ def check_green(R: GreenFunctor) -> CheckReport:
                     lhs = Rt.multiply(tx, Rt.basis_vector(y))
                     rhs = la.mmul(trc, Rs.multiply(Rs.basis_vector(x),
                                                    resc[:, y:y + 1].copy()), base)
-                    if not _eq(M.levels[t], lhs, rhs, base):
+                    if not M.levels[t].maps_equal(lhs, rhs):
                         rep.add("frobenius", f"levels {s}->{t}",
                                 f"tr(e{x} . res(e{y})) != tr(e{x}) . e{y}")
     return rep
@@ -231,19 +224,19 @@ def check_green_module(M: GreenModule) -> CheckReport:
     rep = CheckReport(M.name or "green module").merged(check_axioms(und))
     for s in range(n + 1):
         ring, lev = R.ring(s), und.levels[s]
-        if base is ZZ and lev.relations.shape[1]:
+        if lev.relations.shape[1]:
             for u in range(ring.rank):
                 if not lev.annihilates(la.mmul(M.action[s][u], lev.relations)):
                     rep.add("action", f"level {s}: e{u}",
                             "action does not preserve the relations")
         ident = la.coerce(la.eye(lev.gens), base)
-        if not _eq(lev, M.action_matrix(s, ring.unit), ident, base):
+        if not lev.maps_equal(M.action_matrix(s, ring.unit), ident):
             rep.add("unit", f"level {s}", "unit does not act as the identity")
         for u in range(ring.rank):
             for v in range(ring.rank):
                 lhs = la.mmul(M.action[s][u], M.action[s][v], base)
                 rhs = M.action_matrix(s, ring.product_of_basis(u, v))
-                if not _eq(lev, lhs, rhs, base):
+                if not lev.maps_equal(lhs, rhs):
                     rep.add("action", f"level {s}: e{u}*e{v}", "action not multiplicative")
     for s in range(n):
         res, tr = und.res[s], und.tr[s]
@@ -252,18 +245,18 @@ def check_green_module(M: GreenModule) -> CheckReport:
         for u in range(rt.rank):
             lhs = la.mmul(res, M.action[s + 1][u], base)
             rhs = la.mmul(M.action_matrix(s, Rres[:, u:u + 1].copy()), res, base)
-            if not _eq(und.levels[s], lhs, rhs, base):
+            if not und.levels[s].maps_equal(lhs, rhs):
                 rep.add("res-linearity", f"level {s + 1}: e{u}",
                         "res(r.m) != res(r).res(m)")
             lhs = la.mmul(M.action[s + 1][u], tr, base)
             rhs = la.mmul(tr, M.action_matrix(s, Rres[:, u:u + 1].copy()), base)
-            if not _eq(und.levels[s + 1], lhs, rhs, base):
+            if not und.levels[s + 1].maps_equal(lhs, rhs):
                 rep.add("frobenius", f"levels {s}->{s + 1}: e{u}.tr",
                         "r.tr(m) != tr(res(r).m)")
         for x in range(rs.rank):
             lhs = M.action_matrix(s + 1, Rtr[:, x:x + 1].copy())
             rhs = la.mmul_chain(tr, M.action[s][x], res, base=base)
-            if not _eq(und.levels[s + 1], lhs, rhs, base):
+            if not und.levels[s + 1].maps_equal(lhs, rhs):
                 rep.add("frobenius", f"levels {s}->{s + 1}: tr(e{x})",
                         "tr(x).m != tr(x.res(m))")
     for s in range(n + 1):
@@ -271,7 +264,7 @@ def check_green_module(M: GreenModule) -> CheckReport:
         for u in range(R.ring(s).rank):
             lhs = la.mmul(w, M.action[s][u], base)
             rhs = la.mmul(M.action_matrix(s, Rw[:, u:u + 1].copy()), w, base)
-            if not _eq(und.levels[s], lhs, rhs, base):
+            if not und.levels[s].maps_equal(lhs, rhs):
                 rep.add("weyl", f"level {s}: e{u}", "weyl action not semilinear")
     return rep
 
@@ -320,7 +313,7 @@ class GreenModuleMorphism:
             for u in range(self.source.ring.ring(s).rank):
                 lhs = la.mmul(f, self.source.action[s][u], base)
                 rhs = la.mmul(self.target.action[s][u], f, base)
-                if not _eq(self.target.underlying.levels[s], lhs, rhs, base):
+                if not self.target.underlying.levels[s].maps_equal(lhs, rhs):
                     rep.add("linearity", f"level {s}: e{u}", "not module-linear")
         return rep
 
@@ -345,7 +338,8 @@ def green_module_from_invariant_span(M: GreenModule, spans):
     is not closed.
     """
     base = M.base
-    assert base is not ZZ, "invariant spans are only supported over a field"
+    if base is ZZ:
+        raise ValueError("invariant spans are only supported over a field")
     n = M.n
     incl = [la.column_space_basis(spans[s], base) for s in range(n + 1)]
 
@@ -402,8 +396,8 @@ def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> Gree
     o = order
     while o > 1 and o % group.p == 0:
         o //= group.p
-    assert o == 1 and order <= group.p ** group.n, \
-        "frobenius power must generate a subquotient of the acting group"
+    if o != 1 or order > group.p ** group.n:
+        raise ValueError("frobenius power must generate a subquotient of the acting group")
     rho = la.coerce(field.frobenius_matrix(j), base)
     M = fixed_point_mackey(group, base, rho,
                            name=name or f"fixed points of GF({field.p}^{field.k})")
@@ -572,7 +566,8 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     subfield, and pulling back the usual matrix units gives the witness.
     """
     L, m, base = T.coefficient, T.order, T.coefficient.base
-    assert base is not ZZ, "needs a finite base field"
+    if base is ZZ:
+        raise ValueError("needs a finite base field")
     if not ring_is_field(L):
         raise ValueError("coefficient ring is not a field")
     if T.theta_power_order() != m:

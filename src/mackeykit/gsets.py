@@ -241,7 +241,8 @@ def burnside_quotient(R: BasedRing, gens) -> QuotientRingResult:
     Errors out when the additive quotient has torsion (no based
     presentation in that case).
     """
-    assert R.base is ZZ and R.commutative
+    if R.base is not ZZ or not R.commutative:
+        raise ValueError("burnside quotients need a commutative ring over Z")
     from .modules import reduced_quotient
     lattice = ideal_lattice(R, gens)
     Q, proj, lift = reduced_quotient(ZZ, R.rank, lattice)

@@ -266,7 +266,8 @@ def freeness_decompose(k: GreenFunctor, F: GreenModule, idem,
     witness has been checked as a module isomorphism.
     """
     base = k.base
-    assert base is not ZZ, "freeness decompositions run over field coefficients"
+    if base is ZZ:
+        raise ValueError("freeness decompositions run over field coefficients")
     if isinstance(idem, GreenModuleMorphism):
         comps = idem.components
     else:
@@ -294,7 +295,8 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
     injective, then the square map is checked as a module isomorphism.
     """
     base = k.base
-    assert base is not ZZ, "freeness decompositions run over field coefficients"
+    if base is ZZ:
+        raise ValueError("freeness decompositions run over field coefficients")
     dm = dim_matrix(k)
     mults = dm.solve(tuple(P.level_dims()))
     if mults is None:
@@ -356,7 +358,8 @@ def _level_iso_failure(f: GreenModuleMorphism) -> CheckReport:
 def random_green_automorphism(M: GreenModule, seed=None, attempts: int = 80):
     """Seeded random module automorphism of M (field coefficients)."""
     base = M.ring.base
-    assert base is not ZZ
+    if base is ZZ:
+        raise ValueError("random automorphisms need field coefficients")
     basis = green_module_hom_basis(M, M)
     elements = list(base.elements())
     rng = random.Random(_resolve_seed(seed))

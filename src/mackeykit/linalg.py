@@ -1,5 +1,9 @@
 """Exact dense linear algebra over Z and over finite fields.
 
+`solve`, `nullspace` and `column_space_basis` take either base: given ZZ
+they run the Smith-form functions `solve_int`, `nullspace_int` and
+`column_lattice_basis`, so callers pass their base and never choose.
+
 At the API, matrices are 2-d numpy arrays with dtype=object.  Integer
 matrices hold Python ints (arbitrary precision); matrices over a finite
 field hold interned field elements (see fields.FFElement), with plain ints
@@ -326,7 +330,11 @@ def rank(A, field) -> int:
 
 
 def solve(A, B, field):
-    """One solution X of A @ X = B over the field, or None.  Free variables are set to 0."""
+    """One solution X of A @ X = B over the field or Z, or None.
+
+    Over a field free variables are set to 0; over Z this is `solve_int`."""
+    if field is ZZ:
+        return solve_int(A, B)
     m, n = A.shape
     assert B.shape[0] == m
     if n == 0:
@@ -343,7 +351,11 @@ def solve(A, B, field):
 
 
 def nullspace(A, field):
-    """Basis of the right kernel, as columns of the returned matrix."""
+    """Basis of the right kernel, as columns of the returned matrix.
+
+    Over Z this is `nullspace_int`, a basis of the saturated kernel lattice."""
+    if field is ZZ:
+        return nullspace_int(A)
     m, n = A.shape
     if n == 0:
         return zeros(0, 0)
@@ -379,7 +391,11 @@ def inv_field(A, field):
 
 
 def column_space_basis(A, field):
-    """Columns of A forming a basis of the column space (pivot columns)."""
+    """Columns of A forming a basis of the column space (pivot columns).
+
+    Over Z this is `column_lattice_basis`, a basis of the column lattice."""
+    if field is ZZ:
+        return column_lattice_basis(A)
     if A.shape[1] == 0:
         return A.copy()
     _, pivots = rref(A, field)

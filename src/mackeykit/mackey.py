@@ -68,21 +68,13 @@ class MackeyFunctor:
         return f"MackeyFunctor({self.describe()})"
 
 
-def _eq(target: FPModule, A, B, base) -> bool:
-    if A.shape != B.shape:
-        return False
-    if target.base is ZZ:
-        return target.maps_equal(A, B)
-    return la.mat_eq(A, B)
-
-
 def check_axioms(M: MackeyFunctor) -> CheckReport:
     """Well-definedness, Weyl order, equivariance, and the double coset rule."""
     rep = CheckReport(M.name or "mackey functor")
     p, n, base = M.p, M.n, M.base
 
     def welldef(A, src: FPModule, dst: FPModule, where):
-        if src.base is ZZ and src.relations.shape[1]:
+        if src.relations.shape[1]:
             img = la.mmul(A, src.relations)
             if not dst.annihilates(img):
                 rep.add("well-defined", where, "map does not preserve relations")
@@ -94,21 +86,21 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
         welldef(M.weyl[s], M.levels[s], M.levels[s], f"weyl_{s}")
 
     # weyl_n = id and weyl_s^(p^(n-s)) = id
-    if not _eq(M.levels[n], M.weyl[n], la.eye(M.levels[n].gens), base):
+    if not M.levels[n].maps_equal(M.weyl[n], la.eye(M.levels[n].gens)):
         rep.add("weyl", "level n", "top Weyl action is not the identity")
     for s in range(n + 1):
         pw = la.mpow(M.weyl[s], p ** (n - s), base)
-        if not _eq(M.levels[s], pw, la.eye(M.levels[s].gens), base):
+        if not M.levels[s].maps_equal(pw, la.eye(M.levels[s].gens)):
             rep.add("weyl", f"level {s}", f"weyl^{p ** (n - s)} != id")
 
     for s in range(n):
         lhs = la.mmul(M.weyl[s], M.res[s], base)
         rhs = la.mmul(M.res[s], M.weyl[s + 1], base)
-        if not _eq(M.levels[s], lhs, rhs, base):
+        if not M.levels[s].maps_equal(lhs, rhs):
             rep.add("equivariance", f"res_{s}", "weyl . res != res . weyl")
         lhs = la.mmul(M.tr[s], M.weyl[s], base)
         rhs = la.mmul(M.weyl[s + 1], M.tr[s], base)
-        if not _eq(M.levels[s + 1], lhs, rhs, base):
+        if not M.levels[s + 1].maps_equal(lhs, rhs):
             rep.add("equivariance", f"tr_{s}", "tr . weyl != weyl . tr")
 
     for s in range(n):
@@ -120,7 +112,7 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
             rhs = rhs + acc
             acc = la.mmul(acc, step, base)
         rhs = la.coerce(rhs, base)
-        if not _eq(M.levels[s], lhs, rhs, base):
+        if not M.levels[s].maps_equal(lhs, rhs):
             rep.add("double-coset", f"level {s}",
                     "res . tr != sum of relative Weyl translates")
 
@@ -138,7 +130,7 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
                 rhs = rhs + la.mmul(acc, down_t, base)
                 acc = la.mmul(acc, step, base)
             rhs = la.coerce(rhs, base)
-            if not _eq(M.levels[s], lhs, rhs, base):
+            if not M.levels[s].maps_equal(lhs, rhs):
                 rep.add("double-coset", f"levels {s}<{t}",
                         "non-adjacent res . tr != sum of Weyl-translated res")
     return rep
@@ -151,7 +143,7 @@ def check_cohomological(M: MackeyFunctor) -> CheckReport:
         comp = la.mmul(M.tr[s], M.res[s], M.base)
         g = M.levels[s + 1].gens
         pid = la.coerce(la.scalar_mul(M.p, la.eye(g)), M.base)
-        if not _eq(M.levels[s + 1], comp, pid, M.base):
+        if not M.levels[s + 1].maps_equal(comp, pid):
             rep.add("cohomological", f"level {s + 1}", "tr . res != p * id")
     return rep
 
@@ -183,7 +175,8 @@ def fixed_point_mackey(group, field, rho, name: str = "") -> MackeyFunctor:
     d = rho.shape[0]
     assert rho.shape == (d, d)
     idm = la.coerce(la.eye(d), field)
-    assert la.mat_eq(la.mpow(rho, p ** n, field), idm), "generator order must divide p^n"
+    if not la.mat_eq(la.mpow(rho, p ** n, field), idm):
+        raise ValueError("generator order must divide p^n")
 
     bases = []
     for s in range(n + 1):
@@ -288,21 +281,21 @@ class MackeyMorphism:
         M, N, f = self.source, self.target, self.components
         base = M.base
         for s in range(M.n + 1):
-            if base is ZZ and M.levels[s].relations.shape[1]:
+            if M.levels[s].relations.shape[1]:
                 if not N.levels[s].annihilates(la.mmul(f[s], M.levels[s].relations)):
                     rep.add("well-defined", f"level {s}", "relations not preserved")
             lhs = la.mmul(f[s], M.weyl[s], base)
             rhs = la.mmul(N.weyl[s], f[s], base)
-            if not _eq(N.levels[s], lhs, rhs, base):
+            if not N.levels[s].maps_equal(lhs, rhs):
                 rep.add("weyl", f"level {s}", "does not commute with the Weyl action")
         for s in range(M.n):
             lhs = la.mmul(f[s], M.res[s], base)
             rhs = la.mmul(N.res[s], f[s + 1], base)
-            if not _eq(N.levels[s], lhs, rhs, base):
+            if not N.levels[s].maps_equal(lhs, rhs):
                 rep.add("res", f"res_{s}", "does not commute with restriction")
             lhs = la.mmul(f[s + 1], M.tr[s], base)
             rhs = la.mmul(N.tr[s], f[s], base)
-            if not _eq(N.levels[s + 1], lhs, rhs, base):
+            if not N.levels[s + 1].maps_equal(lhs, rhs):
                 rep.add("tr", f"tr_{s}", "does not commute with transfer")
         return rep
 
@@ -340,14 +333,8 @@ class MackeyMorphism:
 
 
 def _require_free_levels(*Ms):
-    for M in Ms:
-        if M.base is ZZ:
-            for lv in M.levels:
-                if lv.relations.shape[1]:
-                    d = la.smith_normal_form(lv.relations).nonunit_invariants()
-                    if any(x != 0 for x in d):
-                        raise NotImplementedError(
-                            "hom computations over Z require levelwise-free functors")
+    if not all(lv.is_free for M in Ms for lv in M.levels):
+        raise NotImplementedError("hom computations over Z require levelwise-free functors")
 
 
 def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
@@ -414,7 +401,7 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
 
     if blocks:
         big = la.vstack(blocks)
-        ker = la.nullspace_int(big) if base is ZZ else la.nullspace(big, base)
+        ker = la.nullspace(big, base)
     else:
         ker = la.coerce(la.eye(total), base)
 
@@ -448,7 +435,7 @@ def direct_sum(Ms) -> MackeyFunctor:
 def _induced_map(A, src_basis, dst_basis, base):
     """Matrix of A between chosen bases of source/target subspaces."""
     img = la.mmul(A, src_basis, base)
-    sol = la.solve(dst_basis, img, base) if base is not ZZ else la.solve_int(dst_basis, img)
+    sol = la.solve(dst_basis, img, base)
     assert sol is not None, "map does not preserve the subspace"
     return sol
 
@@ -459,11 +446,7 @@ def kernel(f: MackeyMorphism):
     base = M.base
     _require_free_levels(M, N)
     n = M.n
-    bases = []
-    for s in range(n + 1):
-        A = f.components[s]
-        ker = la.nullspace_int(A) if base is ZZ else la.nullspace(A, base)
-        bases.append(ker)
+    bases = [la.nullspace(A, base) for A in f.components]
     levels = [free_module_over(base, B.shape[1]) for B in bases]
     res = [_induced_map(M.res[s], bases[s + 1], bases[s], base) for s in range(n)]
     tr = [_induced_map(M.tr[s], bases[s], bases[s + 1], base) for s in range(n)]
@@ -480,11 +463,7 @@ def image(f: MackeyMorphism):
     base = M.base
     _require_free_levels(M, N)
     n = M.n
-    bases = []
-    for s in range(n + 1):
-        A = f.components[s]
-        B = la.column_space_basis(A, base) if base is not ZZ else la.column_lattice_basis(A)
-        bases.append(B)
+    bases = [la.column_space_basis(A, base) for A in f.components]
     levels = [free_module_over(base, B.shape[1]) for B in bases]
     res = [_induced_map(N.res[s], bases[s + 1], bases[s], base) for s in range(n)]
     tr = [_induced_map(N.tr[s], bases[s], bases[s + 1], base) for s in range(n)]
@@ -501,9 +480,7 @@ def cokernel(f: MackeyMorphism):
     n = M.n
     levels, projs, lifts = [], [], []
     for s in range(n + 1):
-        span = f.components[s]
-        if base is ZZ:
-            span = la.hstack([span, N.levels[s].relations])
+        span = la.hstack([f.components[s], N.levels[s].relations])
         Q, proj, lift = reduced_quotient(base, N.levels[s].gens, span)
         levels.append(Q)
         projs.append(proj)

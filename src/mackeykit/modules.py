@@ -1,14 +1,13 @@
 """Finitely presented modules over Z or a finite field.
 
-A module is generators + integer relation columns (over a field the
-relations are empty and the module is just a vector space).  Quotients
-come with projection and lift matrices so maps can be pushed through
-presentations exactly.
+A module is generators + integer relation columns.  A field module has no
+relations, so it is just a vector space; the methods rely on this and decide
+by whether there are relations, not by the base.  Quotients come with
+projection and lift matrices so maps can be pushed through presentations
+exactly.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import linalg as la
 from .linalg import ZZ
@@ -20,13 +19,12 @@ class FPModule:
     def __init__(self, base, gens: int, relations=None):
         self.base = base
         self.gens = int(gens)
-        if base is not ZZ:
-            assert relations is None or relations.shape[1] == 0, \
-                "field modules carry no relations"
-            relations = None
         if relations is None:
             relations = la.zeros(self.gens, 0)
-        assert relations.shape[0] == self.gens
+        if base is not ZZ and relations.shape[1]:
+            raise ValueError("field modules carry no relations")
+        if relations.shape[0] != self.gens:
+            raise ValueError(f"{relations.shape[0]} relation rows for {self.gens} generators")
         self.relations = relations
 
     # -- structure ---------------------------------------------------------
@@ -36,7 +34,7 @@ class FPModule:
 
     def invariant_factors(self) -> list[int]:
         """Torsion coefficients d with 1 < d, plus 0 once per free rank."""
-        if self.base is not ZZ:
+        if not self.relations.shape[1]:
             return [0] * self.gens
         diag = self.smith().diagonal
         tors = [d for d in diag if d not in (0, 1)]
@@ -54,8 +52,6 @@ class FPModule:
 
     @property
     def is_zero(self) -> bool:
-        if self.base is not ZZ:
-            return self.gens == 0
         return not self.invariant_factors()
 
     @property
@@ -68,7 +64,7 @@ class FPModule:
         """Whether every column lies in the relation span (i.e. is 0 in the module)."""
         if cols.shape[1] == 0:
             return True
-        if self.base is not ZZ:
+        if not self.relations.shape[1]:
             return la.is_zero_mat(cols)
         return la.solve_int(self.relations, cols) is not None
 
@@ -76,7 +72,9 @@ class FPModule:
         """A == B as maps into this module (columns compared mod relations)."""
         if A.shape != B.shape:
             return False
-        return self.annihilates(A - B if A.size else A)
+        if not self.relations.shape[1]:
+            return la.mat_eq(A, B)
+        return self.annihilates(A - B)
 
     def describe(self) -> str:
         if self.base is not ZZ:
@@ -141,8 +139,7 @@ def reduced_quotient(base, gens: int, rel_cols):
 
 def quotient_by_submodule(M: FPModule, span):
     """(Q, proj, lift) for M / <span>, span given in M's generator coordinates."""
-    rel = la.hstack([M.relations, span]) if M.base is ZZ else span
-    return reduced_quotient(M.base, M.gens, rel)
+    return reduced_quotient(M.base, M.gens, la.hstack([M.relations, span]))
 
 
 def submodule(M: FPModule, span):
@@ -177,15 +174,10 @@ def module_subquotient(M: FPModule, span, inner=None):
         Q, proj, _ = quotient_by_submodule(M, span)
         return S, incl, Q, proj
     # express inner in sub's generators: incl @ x = inner (mod M.relations)
-    if M.base is not ZZ:
-        x = la.solve(incl, inner, M.base)
-        assert x is not None, "inner columns not inside the span"
-    else:
-        big = la.hstack([incl, M.relations])
-        sol = la.solve_int(big, inner)
-        assert sol is not None, "inner columns not inside the span"
-        x = sol[: S.gens, :]
-    Q, proj, _ = quotient_by_submodule(S, x)
+    sol = la.solve(la.hstack([incl, M.relations]), inner, M.base)
+    if sol is None:
+        raise ValueError("inner columns not inside the span")
+    Q, proj, _ = quotient_by_submodule(S, sol[:S.gens, :])
     return S, incl, Q, proj
 
 
@@ -193,8 +185,5 @@ def direct_sum_modules(mods: list[FPModule]) -> FPModule:
     assert mods, "empty direct sum needs an explicit base"
     base = mods[0].base
     assert all(m.base == base or m.base is base for m in mods)
-    gens = sum(m.gens for m in mods)
-    if base is not ZZ:
-        return FPModule(base, gens)
-    rel = la.block_diag([m.relations for m in mods]) if mods else la.zeros(0, 0)
-    return FPModule(ZZ, gens, rel)
+    return FPModule(base, sum(m.gens for m in mods),
+                    la.block_diag([m.relations for m in mods]))

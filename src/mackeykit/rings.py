@@ -66,7 +66,8 @@ class BasedRing:
 
     def elements(self):
         """All coefficient columns (field base only; exponential in rank)."""
-        assert self.base is not ZZ
+        if self.base is ZZ:
+            raise ValueError("elements are enumerable only over a finite base field")
         for tup in itertools.product(list(self.base.elements()), repeat=self.rank):
             v = la.zeros(self.rank, 1)
             for i, c in enumerate(tup):
@@ -112,7 +113,8 @@ def based_ring_check(R: BasedRing) -> CheckReport:
 
 def ring_is_field(R: BasedRing, limit: int = 4096) -> bool:
     """Exhaustive invertibility test over a finite base field."""
-    assert R.base is not ZZ, "field test only over finite base fields"
+    if R.base is ZZ:
+        raise ValueError("field test only over finite base fields")
     if R.rank == 0:
         return False
     if R.base.q ** R.rank > limit:
@@ -210,9 +212,11 @@ def render_presentation(R: BasedRing, ideal_lattice=None) -> str:
     linear relation carries coefficient +-1 on it; surviving quadratic
     product rules and linear relations are printed.
     """
-    assert R.base is ZZ and R.commutative
+    if R.base is not ZZ or not R.commutative:
+        raise ValueError("presentations are rendered for commutative rings over Z")
     u = unit_basis_index(R)
-    assert u is not None, "presentation rendering needs a basis unit"
+    if u is None:
+        raise ValueError("presentation rendering needs a basis unit")
     gens = [i for i in range(R.rank) if i != u]
     # letters from the top (last basis index) down
     names = {}

@@ -3,7 +3,7 @@ import io
 import pytest
 
 from mackeykit import cli
-from mackeykit.docio import parse_document
+from mackeykit.docio import parse_document, print_document
 from mackeykit.functors import geometric_fixed_points
 from mackeykit.green import GreenFunctor, check_green
 from mackeykit.mackey import MackeyFunctor, check_axioms
@@ -24,6 +24,7 @@ EXAMPLES = [
     ("fp-galois", ["--p", "2", "--n", "1", "--degree", "2"]),
     ("twisted-burnside-c5", []),
     ("char-example", ["--p", "2"]),
+    ("constant-Fp", ["--p", "101", "--n", "1"]),     # a prime beyond DEFAULT_MODULI
 ]
 
 
@@ -32,6 +33,7 @@ def test_examples_emit_valid_documents(capsys, name, flags):
     rc, out, _ = run(capsys, "example", name, *flags)
     assert rc == 0
     obj = parse_document(out)
+    assert print_document(obj) == out
     if isinstance(obj, GreenFunctor):
         assert check_green(obj).ok
     else:

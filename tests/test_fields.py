@@ -24,6 +24,17 @@ def test_default_moduli_all_irreducible():
         assert F.p == p and F.k == k
 
 
+def test_default_and_explicit_moduli_intern_one_field():
+    assert gf_make(7, 1) is gf_make(7, 1, (0, 1)) is gf_make(7, 1, [7, 8])
+    assert gf_make(2, 2) is gf_make(2, 2, (1, 1, 1))
+    assert gf_make(7, 1).one + gf_make(7, 1, (0, 1)).one == 2
+    # every prime field has a default modulus, x
+    for p in (67, 101, 65537):
+        assert gf_make(p, 1).modulus == (0, 1)
+    with pytest.raises(ValueError, match="no default modulus"):
+        gf_make(11, 2)
+
+
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x+1)^2 over F_2
     with pytest.raises(ValueError, match="reducible"):

@@ -5,7 +5,7 @@ from mackeykit.fields import gf_make
 from mackeykit.gsets import CyclicGroup, FiniteGSet, gset_product
 from mackeykit.linalg import ZZ
 from mackeykit.linalg import coerce as _coerce_mat
-from mackeykit.mackey import (MackeyFunctor, burnside_mackey,
+from mackeykit.mackey import (MackeyFunctor, burnside_mackey, fixed_point_mackey,
                               check_axioms, constant_mackey, is_isomorphic,
                               twisted_burnside_c5)
 from mackeykit.green import (GreenFunctor, GreenModule, GreenModuleMorphism,
@@ -70,7 +70,7 @@ def test_fixed_point_green_dims():
 
 
 def test_fixed_point_green_rejects_wrong_order():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="frobenius power"):
         fixed_point_green(CyclicGroup(2, 1), gf_make(2, 4))  # order-4 action on C_2
 
 
@@ -415,3 +415,33 @@ def test_base_change_rejects_modules_over_other_rings():
         base_change_map_cp(f, ident, M, B)
     with pytest.raises(ValueError, match="target of the ring map"):
         base_change_map_cp(f, ident, B, M)
+
+
+def test_preconditions_raise_value_error():
+    from mackeykit.gsets import burnside_quotient, burnside_ring
+    from mackeykit.kzero import (decompose_module, freeness_decompose,
+                                 random_green_automorphism)
+    from mackeykit.rings import render_presentation
+
+    G = CyclicGroup(2, 1)
+    A = burnside_ring(G)
+    B = burnside_green(G)
+    BM = module_from_green(B)
+    F2 = constant_green(G, gf_make(2, 1)).ring(0)
+    four_cycle = la.mat([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    calls = [
+        ("order must divide", lambda: fixed_point_mackey(
+            G, gf_make(3, 1), _coerce_mat(four_cycle, gf_make(3, 1)))),
+        ("finite base field", lambda: ring_is_field(A)),
+        ("finite base field", lambda: list(A.elements())),
+        ("over Z", lambda: render_presentation(F2)),
+        ("over Z", lambda: burnside_quotient(F2, [])),
+        ("over a field", lambda: green_module_from_invariant_span(BM, [la.eye(2), la.eye(2)])),
+        ("finite base field", lambda: morita_matrix_units(twisted_group_ring(A, 1, la.eye(2)))),
+        ("field coefficients", lambda: freeness_decompose(B, BM, [la.eye(1), la.eye(2)])),
+        ("field coefficients", lambda: decompose_module(B, BM)),
+        ("field coefficients", lambda: random_green_automorphism(BM)),
+    ]
+    for match, call in calls:
+        with pytest.raises(ValueError, match=match):
+            call()

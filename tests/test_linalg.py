@@ -93,12 +93,14 @@ def test_solve_int_roundtrip():
         X2 = la.solve_int(A, B)
         assert X2 is not None
         assert la.mat_eq(la.mmul(A, X2), B)
+        assert la.mat_eq(la.solve(A, B, la.ZZ), X2)
 
 
 def test_solve_int_unsolvable():
     A = la.mat([[2]])
     B = la.mat([[1]])
     assert la.solve_int(A, B) is None
+    assert la.solve(A, B, la.ZZ) is None
 
 
 def test_nullspace_int():
@@ -107,6 +109,7 @@ def test_nullspace_int():
         m, n = int(rng.integers(1, 5)), int(rng.integers(2, 6))
         A = rand_int_matrix(rng, m, n, -3, 3)
         N = la.nullspace_int(A)
+        assert la.mat_eq(la.nullspace(A, la.ZZ), N)
         if N.shape[1]:
             assert la.is_zero_mat(la.mmul(A, N))
         # rank-nullity over Q
@@ -118,6 +121,8 @@ def test_lattice_ops():
     rng = np.random.default_rng(11)
     A = rand_int_matrix(rng, 4, 6, -5, 5)
     L = la.column_lattice_basis(A)
+    assert la.mat_eq(la.column_space_basis(A, la.ZZ), L)
+    assert la.column_space_basis(la.zeros(4, 0), la.ZZ).shape == (4, 0)
     # mutual containment
     assert la.lattice_contains(L, A)
     assert la.lattice_contains(A, L)

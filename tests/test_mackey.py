@@ -10,6 +10,7 @@ from mackeykit.mackey import (MackeyFunctor, MackeyMorphism, burnside_mackey,
                               constant_mackey, direct_sum, evaluate_at_gset,
                               fixed_point_mackey, hom_basis, image,
                               is_isomorphic, kernel, twisted_burnside_c5)
+from mackeykit.modules import FPModule
 
 
 GROUPS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
@@ -182,3 +183,76 @@ def test_morphism_compose_identity():
     ident = MackeyMorphism.identity(A)
     assert ident.compose(ident).check().ok
     assert ident.is_level_iso()
+
+
+def _regular_fixed_points_map(F):
+    """The one hom from the fixed points of the regular C4-representation
+    over F, level dimensions (4, 2, 1), to the constant functor on F."""
+    G = CyclicGroup(2, 2)
+    rho = la.zeros(4, 4)
+    for i in range(4):
+        rho[(i + 1) % 4, i] = 1
+    M = fixed_point_mackey(G, F, la.coerce(rho, F))
+    (f,) = hom_basis(M, constant_mackey(G, F))
+    return f
+
+
+KERNEL_CASES = [
+    ("Z", _cardinality_map),
+    ("F3", lambda: _regular_fixed_points_map(gf_make(3, 1))),
+    ("GF4", lambda: _regular_fixed_points_map(gf_make(2, 2))),
+]
+
+
+def _rank(A, base):
+    return la.int_rank(A) if base is ZZ else la.rank(A, base)
+
+
+def _is_zero_morphism(f):
+    return all(lv.annihilates(c) for lv, c in zip(f.target.levels, f.components))
+
+
+@pytest.mark.parametrize("build", [c[1] for c in KERNEL_CASES], ids=[c[0] for c in KERNEL_CASES])
+def test_kernel_image_cokernel_ranks(build):
+    f = build()
+    M, N, base = f.source, f.target, f.source.base
+    ranks = [_rank(c, base) for c in f.components]
+    K, incl = kernel(f)
+    assert K.level_dims() == tuple(g - r for g, r in zip(M.level_dims(), ranks))
+    assert check_axioms(K).ok and incl.check().ok
+    assert _is_zero_morphism(f.compose(incl))
+    I, emb = image(f)
+    assert I.level_dims() == tuple(ranks)
+    assert check_axioms(I).ok and emb.check().ok
+    C, proj = cokernel(f)
+    assert [lv.free_rank for lv in C.levels] == [g - r for g, r in zip(N.level_dims(), ranks)]
+    assert check_axioms(C).ok and proj.check().ok
+    assert _is_zero_morphism(proj.compose(f))
+
+
+def test_field_map_vanishes_above_the_bottom_in_characteristic_two():
+    # over GF(4) the map is zero on levels 1 and 2, so the cokernel is not
+    f = _regular_fixed_points_map(gf_make(2, 2))
+    assert cokernel(f)[0].level_dims() == (0, 1, 1)
+    assert kernel(f)[0].level_dims() == (3, 2, 1)
+
+
+def _constant_with_level(module):
+    """C2-functor with the given level twice, res = id, tr = 2, weyl = id."""
+    g = module.gens
+    return MackeyFunctor(CyclicGroup(2, 1), ZZ, [module, module], [la.eye(g)],
+                         [la.scalar_mul(2, la.eye(g))], [la.eye(g), la.eye(g)])
+
+
+def test_hom_and_kernel_refuse_torsion_levels_over_z():
+    T = _constant_with_level(FPModule(ZZ, 1, la.mat([[2]])))     # Z/2 on each level
+    assert check_axioms(T).ok
+    with pytest.raises(NotImplementedError):
+        hom_basis(T, T)
+    with pytest.raises(NotImplementedError):
+        kernel(MackeyMorphism.identity(T))
+    # Z^2 / (1, 0) is free: its relation has invariant factor 1
+    U = _constant_with_level(FPModule(ZZ, 2, la.mat([[1], [0]])))
+    assert check_axioms(U).ok
+    assert hom_basis(U, U)
+    kernel(MackeyMorphism.identity(U))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import mackeykit.linalg as la
 from mackeykit.fields import gf_make
@@ -106,3 +107,47 @@ def test_direct_sum():
     S = direct_sum_modules([A, B])
     assert S.gens == 3
     assert S.invariant_factors() == [6, 0]   # Z/2 + Z/3 + Z in canonical form
+
+
+FIELDS = [gf_make(5, 1), gf_make(2, 2)]
+
+
+def _field_cols(F, rows):
+    return la.coerce(la.mat(rows), F)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_field_quotient_by_submodule(F):
+    M = free_module_over(F, 3)
+    span = _field_cols(F, [[1, 0], [1, 1], [0, 1]])
+    Q, proj, lift = quotient_by_submodule(M, span)
+    assert Q.dim == 1 and Q.relations.shape == (1, 0)
+    assert la.mat_eq(la.mmul(proj, lift, F), la.eye(1))
+    assert la.is_zero_mat(la.mmul(proj, span, F))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_field_module_subquotient(F):
+    M = free_module_over(F, 3)
+    outer = _field_cols(F, [[1, 0], [0, 1], [0, 0]])
+    inner = _field_cols(F, [[1], [1], [0]])
+    sub, incl, quot, proj = module_subquotient(M, outer, inner)
+    assert (sub.dim, quot.dim) == (2, 1)
+    # proj kills inner, written in sub's generators
+    assert la.is_zero_mat(la.mmul(proj, la.solve(incl, inner, F), F))
+    with pytest.raises(ValueError, match="inside the span"):
+        module_subquotient(M, outer, _field_cols(F, [[0], [0], [1]]))
+    # inner = None: the quotient of M by the span
+    _, _, Q, _ = module_subquotient(M, outer)
+    assert Q.dim == 1
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=repr)
+def test_field_direct_sum_and_relations(F):
+    S = direct_sum_modules([free_module_over(F, 1), free_module_over(F, 2)])
+    assert S.dim == 3 and S.relations.shape == (3, 0) and S.is_free
+    assert S.invariant_factors() == [0, 0, 0] and not S.is_zero
+    A = _field_cols(F, [[1], [0], [1]])
+    assert S.maps_equal(A, la.coerce(A, F)) and not S.maps_equal(A, la.zeros(3, 1))
+    with pytest.raises(ValueError, match="no relations"):
+        FPModule(F, 1, la.mat([[1]]))
