@@ -10,13 +10,11 @@ tables and sums in a Zech-logarithm table; larger ones multiply polynomials.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
 
 
-@functools.lru_cache(maxsize=256)       # gf_make checks p on every call
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -146,42 +144,27 @@ def irreducible_witness(modulus, p):
     raise ArithmeticError(f"Berlekamp found no factor of {m} over F_{p}")
 
 
-# Conway-style default moduli for small p^k.  Every prime field takes x as its
-# modulus (see `_normal_modulus`); the degree-1 entries only list small ones.
+# Conway-style default moduli for small p^k with k > 1; every prime field
+# takes x (see `_default_modulus`).
 DEFAULT_MODULI = {
-    (2, 1): (0, 1),
     (2, 2): (1, 1, 1),
     (2, 3): (1, 1, 0, 1),
     (2, 4): (1, 1, 0, 0, 1),
     (2, 5): (1, 0, 1, 0, 0, 1),
     (2, 6): (1, 1, 0, 1, 1, 0, 1),
     (2, 8): (1, 1, 1, 0, 0, 0, 0, 1, 1),
-    (3, 1): (0, 1),
     (3, 2): (2, 2, 1),
     (3, 3): (1, 2, 0, 1),
     (3, 9): (1, 0, 0, 0, 2, 0, 0, 0, 0, 1),
-    (5, 1): (0, 1),
     (5, 2): (2, 4, 1),
     (5, 5): (1, 4, 0, 0, 0, 1),
-    (7, 1): (0, 1),
     (7, 2): (3, 6, 1),
 }
-for _p in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
-    DEFAULT_MODULI[(_p, 1)] = (0, 1)
 
 
-def _normal_modulus(p: int, k: int, modulus=None) -> tuple:
-    """The modulus as a tuple of residues mod p: by default x when k = 1 and
-    the DEFAULT_MODULI entry otherwise.  Rejects non-prime p and k < 1."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if modulus is None:
-        modulus = (0, 1) if k == 1 else DEFAULT_MODULI.get((p, k))
-        if modulus is None:
-            raise ValueError(f"no default modulus for GF({p}^{k}); pass one explicitly")
-    return tuple(int(c) % p for c in modulus)
+def _default_modulus(p: int, k: int):
+    """x for a prime field, else the DEFAULT_MODULI entry or None."""
+    return (0, 1) if k == 1 else DEFAULT_MODULI.get((p, k))
 
 
 class FFElement:
@@ -280,7 +263,15 @@ TABLE_LIMIT = 4096
 
 class GaloisField:
     def __init__(self, p: int, k: int, modulus=None):
-        modulus = _normal_modulus(p, k, modulus)
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if modulus is None:
+            modulus = _default_modulus(p, k)
+            if modulus is None:
+                raise ValueError(f"no default modulus for GF({p}^{k}); pass one explicitly")
+        modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
         wit = irreducible_witness(modulus, p)
@@ -512,10 +503,13 @@ def gf_make(p: int, k: int, modulus=None) -> GaloisField:
     """Interned GaloisField constructor; rejects non-prime p and reducible moduli.
 
     The default and the given form of one modulus give the same instance."""
-    key = (p, k, _normal_modulus(p, k, modulus))
+    if modulus is None:
+        modulus = _default_modulus(p, k)
+    # a key that names no field misses, and GaloisField raises the reason
+    key = (p, k, None if modulus is None or p < 2 else tuple(int(c) % p for c in modulus))
     f = _FIELD_CACHE.get(key)
     if f is None:
-        f = _FIELD_CACHE[key] = GaloisField(p, k, key[2])
+        f = _FIELD_CACHE[key] = GaloisField(p, k, modulus)
     return f
 
 

@@ -332,9 +332,39 @@ class MackeyMorphism:
         return f"MackeyMorphism({dims})"
 
 
-def _require_free_levels(*Ms):
-    if not all(lv.is_free for M in Ms for lv in M.levels):
+def _pushed(M, quots, name=""):
+    """The functor on the levels Q_s of the (Q_s, proj_s, lift_s) in quots,
+    with M's maps conjugated by proj_s . - . lift_t."""
+    base, n = M.base, M.n
+    projs, lifts = [q[1] for q in quots], [q[2] for q in quots]
+    res = [la.mmul_chain(projs[s], M.res[s], lifts[s + 1], base=base) for s in range(n)]
+    tr = [la.mmul_chain(projs[s + 1], M.tr[s], lifts[s], base=base) for s in range(n)]
+    weyl = [la.mmul_chain(projs[s], M.weyl[s], lifts[s], base=base) for s in range(n + 1)]
+    return MackeyFunctor(M.group, base, [q[0] for q in quots], res, tr, weyl, name=name)
+
+
+def _free_presentation(M):
+    """(F, projs, lifts): M presented without relations, or (M, None, None)
+    when it has none.  proj_s maps M_s's generators onto F_s's, lift_s back.
+
+    A Z level whose relations have only unit invariant factors is free on
+    fewer generators; a level with torsion raises NotImplementedError.
+    """
+    if not any(lv.relations.shape[1] for lv in M.levels):
+        return M, None, None
+    if not all(lv.is_free for lv in M.levels):
         raise NotImplementedError("hom computations over Z require levelwise-free functors")
+    quots = [reduced_quotient(M.base, lv.gens, lv.relations) for lv in M.levels]
+    return _pushed(M, quots, M.name), [q[1] for q in quots], [q[2] for q in quots]
+
+
+def _conj(left, A, right, s, base):
+    """left[s] . A . right[s], a missing list standing for identities."""
+    if left is not None:
+        A = la.mmul(left[s], A, base)
+    if right is not None:
+        A = la.mmul(A, right[s], base)
+    return A
 
 
 def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
@@ -349,7 +379,12 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
     """
     assert M.group == N.group and M.base == N.base
     base = M.base
-    _require_free_levels(M, N)
+    M0, N0 = M, N
+    M, m_proj, m_lift = _free_presentation(M)
+    N, n_proj, n_lift = _free_presentation(N)
+    if level_intertwiners is not None:
+        level_intertwiners = [[(_conj(m_proj, P, m_lift, s, base), _conj(n_proj, Q, n_lift, s, base))
+                               for P, Q in pairs] for s, pairs in enumerate(level_intertwiners)]
     n = M.n
     sizes = [N.levels[s].gens * M.levels[s].gens for s in range(n + 1)]
     offsets = [0]
@@ -411,8 +446,9 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         for s in range(n + 1):
             r, k = N.levels[s].gens, M.levels[s].gens
             seg = ker[offsets[s]:offsets[s + 1], c]
-            comps.append(seg.reshape(k, r).T.copy())     # undo the column-major vec
-        out.append(MackeyMorphism(M, N, comps))
+            f = seg.reshape(k, r).T.copy()              # undo the column-major vec
+            comps.append(_conj(n_lift, f, m_proj, s, base))
+        out.append(MackeyMorphism(M0, N0, comps))
     return out
 
 
@@ -440,57 +476,47 @@ def _induced_map(A, src_basis, dst_basis, base):
     return sol
 
 
+def _spanned(F, bases, name):
+    """The subfunctor of F (no relations) with level s spanned by bases[s]."""
+    base, n = F.base, F.n
+    res = [_induced_map(F.res[s], bases[s + 1], bases[s], base) for s in range(n)]
+    tr = [_induced_map(F.tr[s], bases[s], bases[s + 1], base) for s in range(n)]
+    weyl = [_induced_map(F.weyl[s], bases[s], bases[s], base) for s in range(n + 1)]
+    levels = [free_module_over(base, B.shape[1]) for B in bases]
+    return MackeyFunctor(F.group, base, levels, res, tr, weyl, name=name)
+
+
 def kernel(f: MackeyMorphism):
     """(K, incl) with K_s = ker f_s.  Levels must be free (always true over a field)."""
     M, N = f.source, f.target
     base = M.base
-    _require_free_levels(M, N)
-    n = M.n
-    bases = [la.nullspace(A, base) for A in f.components]
-    levels = [free_module_over(base, B.shape[1]) for B in bases]
-    res = [_induced_map(M.res[s], bases[s + 1], bases[s], base) for s in range(n)]
-    tr = [_induced_map(M.tr[s], bases[s], bases[s + 1], base) for s in range(n)]
-    weyl = [_induced_map(M.weyl[s], bases[s], bases[s], base) for s in range(n + 1)]
-    K = MackeyFunctor(M.group, base, levels, res, tr, weyl,
-                      name=f"ker({M.name or '?'} -> {N.name or '?'})")
-    incl = MackeyMorphism(K, M, bases)
+    F, m_proj, m_lift = _free_presentation(M)
+    n_proj = _free_presentation(N)[1]
+    bases = [la.nullspace(_conj(n_proj, A, m_lift, s, base), base)
+             for s, A in enumerate(f.components)]
+    K = _spanned(F, bases, f"ker({M.name or '?'} -> {N.name or '?'})")
+    incl = MackeyMorphism(K, M, [_conj(m_lift, B, None, s, base) for s, B in enumerate(bases)])
     return K, incl
 
 
 def image(f: MackeyMorphism):
     """(I, incl) with I_s spanned by the columns of f_s inside N_s."""
-    M, N = f.source, f.target
-    base = M.base
-    _require_free_levels(M, N)
-    n = M.n
-    bases = [la.column_space_basis(A, base) for A in f.components]
-    levels = [free_module_over(base, B.shape[1]) for B in bases]
-    res = [_induced_map(N.res[s], bases[s + 1], bases[s], base) for s in range(n)]
-    tr = [_induced_map(N.tr[s], bases[s], bases[s + 1], base) for s in range(n)]
-    weyl = [_induced_map(N.weyl[s], bases[s], bases[s], base) for s in range(n + 1)]
-    I = MackeyFunctor(N.group, base, levels, res, tr, weyl, name="image")
-    incl = MackeyMorphism(I, N, bases)
+    N, base = f.target, f.target.base
+    F, n_proj, n_lift = _free_presentation(N)
+    bases = [la.column_space_basis(_conj(n_proj, A, None, s, base), base)
+             for s, A in enumerate(f.components)]
+    I = _spanned(F, bases, "image")
+    incl = MackeyMorphism(I, N, [_conj(n_lift, B, None, s, base) for s, B in enumerate(bases)])
     return I, incl
 
 
 def cokernel(f: MackeyMorphism):
     """(C, proj) with C_s = N_s / im f_s (torsion allowed over Z)."""
-    M, N = f.source, f.target
-    base = M.base
-    n = M.n
-    levels, projs, lifts = [], [], []
-    for s in range(n + 1):
-        span = la.hstack([f.components[s], N.levels[s].relations])
-        Q, proj, lift = reduced_quotient(base, N.levels[s].gens, span)
-        levels.append(Q)
-        projs.append(proj)
-        lifts.append(lift)
-    res = [la.mmul_chain(projs[s], N.res[s], lifts[s + 1], base=base) for s in range(n)]
-    tr = [la.mmul_chain(projs[s + 1], N.tr[s], lifts[s], base=base) for s in range(n)]
-    weyl = [la.mmul_chain(projs[s], N.weyl[s], lifts[s], base=base) for s in range(n + 1)]
-    C = MackeyFunctor(N.group, base, levels, res, tr, weyl, name="cokernel")
-    proj = MackeyMorphism(N, C, projs)
-    return C, proj
+    N = f.target
+    quots = [reduced_quotient(N.base, lv.gens, la.hstack([A, lv.relations]))
+             for A, lv in zip(f.components, N.levels)]
+    C = _pushed(N, quots, "cokernel")
+    return C, MackeyMorphism(N, C, [q[1] for q in quots])
 
 
 # --- isomorphism testing --------------------------------------------------------

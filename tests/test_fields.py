@@ -11,6 +11,11 @@ from mackeykit.fields import (
     poly_mul,
 )
 
+# the default moduli, with the small prime fields, whose default modulus is x
+DEFAULTS = {**{(p, 1): (0, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                                         43, 47, 53, 59, 61)},
+            **DEFAULT_MODULI}
+
 
 def test_is_prime():
     assert [x for x in range(2, 30) if is_prime(x)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -18,7 +23,7 @@ def test_is_prime():
 
 
 def test_default_moduli_all_irreducible():
-    for (p, k), mod in DEFAULT_MODULI.items():
+    for (p, k), mod in DEFAULTS.items():
         assert irreducible_witness(list(mod), p) is None
         F = gf_make(p, k)
         assert F.p == p and F.k == k
@@ -157,7 +162,7 @@ def _reference_tables(F):
     return add, neg, mul
 
 
-_TABLE_FIELDS = [(p, k, None) for (p, k) in sorted(DEFAULT_MODULI) if p ** k <= 256]
+_TABLE_FIELDS = [(p, k, None) for (p, k) in sorted(DEFAULTS) if p ** k <= 256]
 # x^4 + x^3 + x^2 + x + 1 is irreducible but not primitive: x has order 5
 _TABLE_FIELDS.append((2, 4, (1, 1, 1, 1, 1)))
 

@@ -14,7 +14,7 @@ from mackeykit.green import (GreenFunctor, GreenModule, GreenModuleMorphism,
                              burnside_green, char_example_green, check_green,
                              check_green_module, constant_green,
                              direct_sum_green_modules, fixed_point_green,
-                             green_module_from_invariant_span,
+                             green_module_from_invariant_span, green_module_hom_basis,
                              level_twisted_ring, module_from_green,
                              morita_matrix_units, tensor_modules,
                              twisted_group_ring)
@@ -445,3 +445,15 @@ def test_preconditions_raise_value_error():
     for match, call in calls:
         with pytest.raises(ValueError, match=match):
             call()
+
+
+def test_module_hom_basis_accepts_levels_with_unit_relations():
+    # the constant Z module over constant Z, each level presented as Z^2 / (1, 0)
+    G = CyclicGroup(2, 1)
+    lv = FPModule(ZZ, 2, la.mat([[1], [0]]))
+    U = MackeyFunctor(G, ZZ, [lv, lv], [la.eye(2)], [la.scalar_mul(2, la.eye(2))],
+                      [la.eye(2), la.eye(2)])
+    M = GreenModule(constant_green(G, ZZ), U, [[la.eye(2)], [la.eye(2)]])
+    assert check_green_module(M).ok
+    homs = green_module_hom_basis(M, M)
+    assert len(homs) == 1 and homs[0].check().ok

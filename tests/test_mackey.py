@@ -198,14 +198,9 @@ def _regular_fixed_points_map(F):
 
 
 KERNEL_CASES = [
-    ("Z", _cardinality_map),
     ("F3", lambda: _regular_fixed_points_map(gf_make(3, 1))),
     ("GF4", lambda: _regular_fixed_points_map(gf_make(2, 2))),
 ]
-
-
-def _rank(A, base):
-    return la.int_rank(A) if base is ZZ else la.rank(A, base)
 
 
 def _is_zero_morphism(f):
@@ -216,7 +211,7 @@ def _is_zero_morphism(f):
 def test_kernel_image_cokernel_ranks(build):
     f = build()
     M, N, base = f.source, f.target, f.source.base
-    ranks = [_rank(c, base) for c in f.components]
+    ranks = [la.rank(c, base) for c in f.components]
     K, incl = kernel(f)
     assert K.level_dims() == tuple(g - r for g, r in zip(M.level_dims(), ranks))
     assert check_axioms(K).ok and incl.check().ok
@@ -251,8 +246,26 @@ def test_hom_and_kernel_refuse_torsion_levels_over_z():
         hom_basis(T, T)
     with pytest.raises(NotImplementedError):
         kernel(MackeyMorphism.identity(T))
-    # Z^2 / (1, 0) is free: its relation has invariant factor 1
+
+
+def test_hom_kernel_image_accept_levels_with_unit_relations():
+    # Z^2 / (1, 0) is free of rank 1: its relation has invariant factor 1,
+    # so U is the constant functor Z in a redundant presentation
     U = _constant_with_level(FPModule(ZZ, 2, la.mat([[1], [0]])))
+    Z = constant_mackey(CyclicGroup(2, 1), ZZ)
     assert check_axioms(U).ok
-    assert hom_basis(U, U)
-    kernel(MackeyMorphism.identity(U))
+    for A, B in [(U, U), (U, Z), (Z, U)]:
+        homs = hom_basis(A, B)
+        assert len(homs) == 1 and all(f.check().ok for f in homs)
+    (f,) = hom_basis(U, U)
+    sign = 1 if U.levels[0].maps_equal(f.components[0], la.eye(2)) else -1
+    assert all(lv.maps_equal(c, la.scalar_mul(sign, la.eye(2)))
+               for lv, c in zip(U.levels, f.components))
+    ident = MackeyMorphism.identity(U)
+    zero = MackeyMorphism(U, U, [la.zeros(2, 2), la.zeros(2, 2)])
+    for g, kernel_dims, image_dims in [(ident, (0, 0), (1, 1)), (zero, (1, 1), (0, 0))]:
+        K, incl = kernel(g)
+        assert K.level_dims() == kernel_dims and check_axioms(K).ok and incl.check().ok
+        assert _is_zero_morphism(g.compose(incl))
+        I, emb = image(g)
+        assert I.level_dims() == image_dims and check_axioms(I).ok and emb.check().ok
