@@ -328,7 +328,7 @@ def parse_document(text: str):
     n = cur.intline("stages")
     try:
         group = CyclicGroup(p, n)
-    except (AssertionError, ValueError):
+    except ValueError:
         raise ParseError(f"no cyclic group with prime {p}, stages {n}",
                          prime_line) from None
     base = _parse_base(cur)
@@ -340,14 +340,14 @@ def parse_document(text: str):
         rings = _parse_rings(cur, und)
         try:
             obj = GreenFunctor(und, rings, name=und.name)
-        except AssertionError as exc:
+        except ValueError as exc:
             raise ParseError(str(exc) or "invalid ring data", cur.lineno) from None
     else:
         rund = _parse_mackey_body(cur, group, base, prefix="ring.")
         rings = _parse_rings(cur, rund, prefix="ring.")
         try:
             ring = GreenFunctor(rund, rings, name=rund.name)
-        except AssertionError as exc:
+        except ValueError as exc:
             raise ParseError(str(exc) or "invalid ring data", cur.lineno) from None
         und = _parse_mackey_body(cur, group, base)
         action = []

@@ -81,8 +81,8 @@ def induce_mackey(M: MackeyFunctor, n: int) -> MackeyFunctor:
                 jt = j % cs1
                 R[j * ds:(j + 1) * ds, jt * ds:(jt + 1) * ds] = I
                 T[jt * ds:(jt + 1) * ds, j * ds:(j + 1) * ds] = I
-        res.append(la.coerce(R, base))
-        tr.append(la.coerce(T, base))
+        res.append(R)
+        tr.append(T)
 
     weyl = []
     for s in range(n + 1):
@@ -92,7 +92,7 @@ def induce_mackey(M: MackeyFunctor, n: int) -> MackeyFunctor:
         for j in range(c - 1):
             W[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = la.eye(d)
         W[0:d, (c - 1) * d:c * d] = wrap
-        weyl.append(la.coerce(W, base))
+        weyl.append(W)
 
     return MackeyFunctor(group, base, levels, res, tr, weyl,
                          name=f"ind^{n}({M.name})" if M.name else "")
@@ -163,7 +163,8 @@ def tau_geq_1(X):
     if isinstance(X, GreenFunctor):
         return GreenFunctor(tau_geq_1(X.underlying), X.level_rings[1:],
                             name=f"tau>=1 {X.name}" if X.name else "")
-    assert X.n >= 1, "nothing below the bottom level"
+    if X.n < 1:
+        raise ValueError("nothing below the bottom level")
     group = CyclicGroup(X.p, X.n - 1)
     return MackeyFunctor(group, X.base, X.levels[1:], X.res[1:], X.tr[1:],
                          X.weyl[1:], name=f"tau>=1 {X.name}" if X.name else "")
@@ -175,9 +176,9 @@ def brutal_truncation(M: MackeyFunctor) -> MackeyFunctor:
     base = M.base
     g1 = M.levels[1].gens
     levels = [FPModule(base, 0)] + list(M.levels[1:])
-    res = [la.coerce(la.zeros(0, g1), base)] + list(M.res[1:])
-    tr = [la.coerce(la.zeros(g1, 0), base)] + list(M.tr[1:])
-    weyl = [la.coerce(la.eye(0), base)] + list(M.weyl[1:])
+    res = [la.zeros(0, g1)] + list(M.res[1:])
+    tr = [la.zeros(g1, 0)] + list(M.tr[1:])
+    weyl = [la.eye(0)] + list(M.weyl[1:])
     return MackeyFunctor(M.group, base, levels, res, tr, weyl,
                          name=f"trunc({M.name})" if M.name else "")
 
@@ -402,10 +403,6 @@ def _theta_on_phi(R: GreenFunctor, t: int, ph: PhiLevel):
     return la.mmul_chain(ph.proj, W, ph.lift, base=R.base)
 
 
-def _field_order(ring: BasedRing) -> int:
-    return (ring.base.p ** ring.base.k) ** ring.rank
-
-
 def _term_for(R: GreenFunctor, t: int, ph: PhiLevel) -> E1Term:
     p, n = R.p, R.n
     order = p ** (n - t)
@@ -476,7 +473,7 @@ def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
         for a in range(k):
             for b in range(qr):
                 X[a, b] = picks[a * qr + b]
-        sigma = ph.lift + la.mmul(K, X, base)
+        sigma = la.coerce(ph.lift + la.mmul(K, X, base), base)
         if is_section(sigma):
             return sigma
     return None

@@ -35,11 +35,13 @@ class GreenFunctor:
     """A Mackey functor together with a based ring on each level."""
 
     def __init__(self, underlying: MackeyFunctor, level_rings, name: str = ""):
-        assert len(level_rings) == underlying.n + 1
+        if len(level_rings) != underlying.n + 1:
+            raise ValueError(f"{len(level_rings)} level rings for {underlying.n + 1} levels")
         for s, ring in enumerate(level_rings):
-            assert ring.rank == underlying.levels[s].gens, f"ring rank at level {s}"
-            assert underlying.levels[s].is_free, "levels of a green functor must be free"
-            assert ring.base == underlying.base or ring.base is underlying.base
+            if ring.rank != underlying.levels[s].gens or ring.base != underlying.base:
+                raise ValueError(f"ring rank or base at level {s}")
+            if not underlying.levels[s].is_free:
+                raise ValueError("levels of a green functor must be free")
         self.underlying = underlying
         self.level_rings = list(level_rings)
         self.name = name or underlying.name
@@ -136,9 +138,9 @@ class GreenMorphism:
     def __init__(self, source: GreenFunctor, target: GreenFunctor, components):
         self.source = source
         self.target = target
-        self.components = list(components)
-        # shape checks via the underlying morphism
-        self._mackey = MackeyMorphism(source.underlying, target.underlying, self.components)
+        # shape checks and coercion via the underlying morphism
+        self._mackey = MackeyMorphism(source.underlying, target.underlying, components)
+        self.components = self._mackey.components
 
     def mackey_morphism(self) -> MackeyMorphism:
         return self._mackey
@@ -167,18 +169,18 @@ class GreenModule:
     """
 
     def __init__(self, ring: GreenFunctor, underlying: MackeyFunctor, action, name: str = ""):
-        assert underlying.group == ring.group
-        assert underlying.base == ring.base or underlying.base is ring.base
-        assert len(action) == underlying.n + 1
+        if underlying.group != ring.group or underlying.base != ring.base:
+            raise ValueError("module and ring over different groups or bases")
+        if len(action) != underlying.n + 1:
+            raise ValueError(f"actions on {len(action)} levels, expected {underlying.n + 1}")
+        for s, mats in enumerate(action):
+            g = underlying.levels[s].gens
+            if len(mats) != ring.ring(s).rank or any(A.shape != (g, g) for A in mats):
+                raise ValueError(f"action rank or shape at level {s}")
         self.ring = ring
         self.underlying = underlying
         self.action = [list(mats) for mats in action]
         self.name = name
-        for s in range(underlying.n + 1):
-            assert len(self.action[s]) == ring.ring(s).rank, f"action rank at level {s}"
-            g = underlying.levels[s].gens
-            for A in self.action[s]:
-                assert A.shape == (g, g)
 
     @property
     def group(self):
@@ -299,8 +301,8 @@ class GreenModuleMorphism:
         assert source.ring is target.ring or source.ring.describe() == target.ring.describe()
         self.source = source
         self.target = target
-        self.components = list(components)
-        self._mackey = MackeyMorphism(source.underlying, target.underlying, self.components)
+        self._mackey = MackeyMorphism(source.underlying, target.underlying, components)
+        self.components = self._mackey.components
 
     def mackey_morphism(self) -> MackeyMorphism:
         return self._mackey
@@ -434,9 +436,9 @@ def char_example_green(p: int, name: str = "") -> GreenFunctor:
     F = gf_make(p, 1)
     group = CyclicGroup(p, 1)
     levels = [FPModule(F, 1), FPModule(F, 2)]
-    res = [la.coerce(la.mat([[1, 0]]), F)]
-    tr = [la.coerce(la.mat([[0], [1]]), F)]
-    weyl = [la.coerce(la.eye(1), F), la.coerce(la.eye(2), F)]
+    res = [la.mat([[1, 0]])]
+    tr = [la.mat([[0], [1]])]
+    weyl = [la.eye(1), la.eye(2)]
     und = MackeyFunctor(group, F, levels, res, tr, weyl,
                         name=name or f"square-zero transfer over GF({p})")
     one = la.coerce(la.mat([[1]]), F)
@@ -461,9 +463,6 @@ class TwistedGroupRing:
         self.order = order
         self.theta = theta
         self.ring = ring
-
-    def basis_index(self, i: int, a: int) -> int:
-        return a * self.coefficient.rank + i
 
     def theta_power_order(self) -> int:
         """Smallest c >= 1 with theta^c = id (divides the group order)."""
@@ -690,10 +689,10 @@ def _block_presentation(M: MackeyFunctor, N: MackeyFunctor, extra, name: str) ->
             raw[offs[t]:offs[t] + g[t], offs[t]:offs[t] + g[t]] = sm
         top = la.kron(M.res[s], N.res[s], base)
         raw[offs[s]:offs[s] + g[s], offs[s + 1]:offs[s + 1] + g[s + 1]] = top
-        res.append(la.mmul_chain(projs[s], la.coerce(raw, base), lifts[s + 1], base=base))
+        res.append(la.mmul_chain(projs[s], raw, lifts[s + 1], base=base))
         # tr includes blocks 0..s of level s as the lower blocks of level s + 1
         rawt = la.vstack([la.eye(offs[s + 1]), la.zeros(g[s + 1], offs[s + 1])])
-        tr.append(la.mmul_chain(projs[s + 1], la.coerce(rawt, base), lifts[s], base=base))
+        tr.append(la.mmul_chain(projs[s + 1], rawt, lifts[s], base=base))
     weyl = [la.mmul_chain(projs[s], la.block_diag(D[:s + 1]), lifts[s], base=base)
             for s in range(n + 1)]
 
@@ -750,8 +749,7 @@ def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
         for c in range(L.ring(s).rank):
             raw = la.block_diag([la.kron(la.eye(und.levels[t].gens), L.ring(t).left_mult_matrix(
                 down[t][:, c:c + 1].copy()), base) for t in range(s + 1)])
-            action[s].append(la.mmul_chain(B.projections[s], la.coerce(raw, base),
-                                           B.lifts[s], base=base))
+            action[s].append(la.mmul_chain(B.projections[s], raw, B.lifts[s], base=base))
     out = GreenModule(L, B, action, name=B.name)
     out.projections = B.projections
     out.lifts = B.lifts
@@ -773,7 +771,7 @@ def base_change_map_cp(f: GreenMorphism, g: GreenModuleMorphism,
     for s in range(L.n + 1):
         raw = la.block_diag([la.kron(g.components[t], la.eye(L.ring(t).rank), base)
                              for t in range(s + 1)])
-        comps.append(la.mmul_chain(target_changed.projections[s], la.coerce(raw, base),
+        comps.append(la.mmul_chain(target_changed.projections[s], raw,
                                    source_changed.lifts[s], base=base))
     return GreenModuleMorphism(source_changed, target_changed, comps)
 

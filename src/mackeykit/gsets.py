@@ -34,9 +34,6 @@ class CyclicGroup:
     def order(self) -> int:
         return self.p ** self.n
 
-    def subgroup_order(self, s: int) -> int:
-        return self.p ** s
-
     def subquotient(self, m: int) -> "CyclicGroup":
         assert 0 <= m <= self.n
         return CyclicGroup(self.p, m)
@@ -69,10 +66,6 @@ class FiniteGSet:
     def size(self) -> int:
         p, n = self.group.p, self.group.n
         return sum(m * p ** (n - s) for s, m in enumerate(self.mult))
-
-    def disjoint_union(self, other: "FiniteGSet") -> "FiniteGSet":
-        assert other.group == self.group
-        return FiniteGSet(self.group, tuple(a + b for a, b in zip(self.mult, other.mult)))
 
     def __repr__(self):
         parts = [f"{m}*{self.group.orbit_label(s)}" for s, m in enumerate(self.mult) if m]

@@ -147,9 +147,6 @@ class CanonicalFreeClass:
             parts.append(f"F{i}" + (f"^{m}" if m > 1 else ""))
         return " + ".join(parts)
 
-    def total_generators(self) -> int:
-        return sum(self.mults.values())
-
 
 def classify_free(p: int, n: int, r: int, mults, char_is_p: bool = True) -> CanonicalFreeClass:
     """Fold a multiset of free summands {i: m_i} into canonical form.
@@ -235,7 +232,7 @@ def _zero_green_module(k: GreenFunctor) -> GreenModule:
     base, n = k.base, k.n
     group = k.group
     levels = [FPModule(base, 0) for _ in range(n + 1)]
-    z = la.coerce(la.zeros(0, 0), base)
+    z = la.zeros(0, 0)
     und = MackeyFunctor(group, base, levels, [z] * n, [z] * n, [z] * (n + 1))
     action = [[z for _ in range(k.ring(s).rank)] for s in range(n + 1)]
     return GreenModule(k, und, action, name="0")
@@ -268,11 +265,9 @@ def freeness_decompose(k: GreenFunctor, F: GreenModule, idem,
     base = k.base
     if base is ZZ:
         raise ValueError("freeness decompositions run over field coefficients")
-    if isinstance(idem, GreenModuleMorphism):
-        comps = idem.components
-    else:
-        comps = [la.coerce(c, base) for c in idem]
-    e = GreenModuleMorphism(F, F, comps)
+    e = GreenModuleMorphism(F, F, idem.components if isinstance(idem, GreenModuleMorphism)
+                            else idem)
+    comps = e.components
     rep = e.check()
     if not rep.ok:
         raise ValueError("endomorphism does not respect the module structure")
@@ -307,7 +302,7 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
     if not summands:
         zero = _zero_green_module(k)
         wit = GreenModuleMorphism(zero, P,
-                                  [la.coerce(la.zeros(d, 0), base) for d in P.level_dims()])
+                                  [la.zeros(d, 0) for d in P.level_dims()])
         return FreenessWitness(canon, P, inclusion, zero, wit, wit.check())
 
     rng = random.Random(_resolve_seed(seed))
@@ -364,7 +359,7 @@ def random_green_automorphism(M: GreenModule, seed=None, attempts: int = 80):
     elements = list(base.elements())
     rng = random.Random(_resolve_seed(seed))
     for _ in range(attempts):
-        comps = [la.coerce(la.zeros(d, d), base) for d in M.level_dims()]
+        comps = [la.zeros(d, d) for d in M.level_dims()]
         for h in basis:
             coeff = rng.choice(elements)
             comps = [la.add_scaled(a, c, coeff, base) for a, c in zip(comps, h.components)]

@@ -4,21 +4,24 @@
 they run the Smith-form functions `solve_int`, `nullspace_int` and
 `column_lattice_basis`, so callers pass their base and never choose.
 
-At the API, matrices are 2-d numpy arrays with dtype=object.  Integer
-matrices hold Python ints (arbitrary precision); matrices over a finite
-field hold interned field elements (see fields.FFElement), with plain ints
-tolerated as their residues (0/1 as universal zero/one).
+Matrices are 2-d numpy arrays, and each base keeps them one way at rest:
 
-Inside, every prime-field kernel (mmul, kron, coerce/neg/sub/add_scaled and
-row reduction) converts to int64 residue arrays, works there, and maps the
-result back through the field's table of interned elements, so no FFElement
-arithmetic runs in a kernel.  It does so only while (p - 1)^2, and for mmul
-n * (p - 1)^2, fits in int64; beyond that, and over Z and GF(p^k) with
-k > 1, the exact object-array paths are used.  Only `coerce` scans its
-entries for elements of another field (ValueError); the other F_p kernels
-take every entry as a residue and trust their callers to pass matrices over
-one base.  Everything here is deterministic: no implicit randomness, fixed
-pivot rules.
+- over Z, dtype=object holding Python ints (arbitrary precision, never int64);
+- over F_p with (p - 1)^2 < 2^63, dtype=int64 holding residues in [0, p);
+- over GF(p^k), k > 1, and larger primes, dtype=object holding interned
+  field elements (see fields.FFElement).
+
+Every kernel takes its base and returns matrices in that form, so F_p
+matrices stay int64 residues from call to call and no FFElement arithmetic
+runs in a kernel.  Kernels also accept object arrays of FFElements or plain
+ints (0/1 as universal zero/one) and convert them on the way in; `coerce`
+is the one function that puts a matrix into the form of its base, and the
+only one that rejects elements of another field (ValueError).  The other
+kernels take int64 entries as residues in [0, p) without looking: after
+raw numpy arithmetic on residue arrays, reduce with `coerce`.  Assigning an
+FFElement into an int64 array converts it through `__int__`, unchecked, so
+callers keep to one base.  Everything here is deterministic: no implicit
+randomness, fixed pivot rules.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ def eye(n):
     return out
 
 
-def copy_mat(A):
-    return A.copy()
-
-
 def mat_eq(A, B) -> bool:
     if A.shape != B.shape:
         return False
@@ -109,7 +108,7 @@ def block_diag(mats):
     mats = list(mats)
     r = sum(m.shape[0] for m in mats)
     c = sum(m.shape[1] for m in mats)
-    out = zeros(r, c)
+    out = np.zeros((r, c), dtype=np.result_type(*mats)) if mats else zeros(0, 0)
     i = j = 0
     for m in mats:
         out[i:i + m.shape[0], j:j + m.shape[1]] = m
@@ -121,11 +120,13 @@ def block_diag(mats):
 def mmul(A, B, base=ZZ):
     """Exact matrix product."""
     assert A.shape[1] == B.shape[0], (A.shape, B.shape)
-    if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
-        return zeros(A.shape[0], B.shape[1])
-    p = _int64_prime(base, A.shape[1])
+    p = _int64_prime(base)
     if p:
-        return from_residues(to_residues(A, p) @ to_residues(B, p) % p, base)
+        A, B = to_residues(A, p), to_residues(B, p)
+        if _int64_prime(base, A.shape[1]):
+            return A @ B % p
+        # sums of products past int64: exact Python ints, then back
+        return (np.dot(A.astype(object), B.astype(object)) % p).astype(np.int64)
     return np.dot(A, B)
 
 
@@ -139,7 +140,7 @@ def mmul_chain(*mats, base=ZZ):
 def mpow(A, k, base=ZZ):
     """A^k by square-and-multiply: at most 2 * ceil(log2 k) + 1 products."""
     assert A.shape[0] == A.shape[1]
-    out = eye(A.shape[0])
+    out = _field_eye(A.shape[0], base)
     while k:
         if k & 1:
             out = mmul(out, A, base)
@@ -150,14 +151,13 @@ def mpow(A, k, base=ZZ):
 
 
 def kron(A, B, base=ZZ):
-    if A.size == 0 or B.size == 0:
-        return zeros(A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
-    if base is ZZ:
-        return np.kron(A, B)
+    """Kronecker product: entry (i*rB + k, j*cB + l) is A[i, j] * B[k, l]."""
     p = _int64_prime(base)
     if p:
-        return from_residues(np.kron(to_residues(A, p), to_residues(B, p)) % p, base)
-    return coerce(np.kron(A, B), base)
+        A, B = to_residues(A, p), to_residues(B, p)
+    K = (A[:, None, :, None] * B[None, :, None, :]).reshape(
+        A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
+    return K % p if p else coerce(K, base)
 
 
 def scalar_mul(c, A):
@@ -170,19 +170,26 @@ def scalar_mul(c, A):
 # entrywise operations over a base ring
 
 def coerce(A, base):
-    """A with every entry an element of base (A itself over Z).
+    """A in the form its base keeps at rest (see the module docstring).
 
     Raises ValueError on an element of another field."""
     if base is ZZ:
-        return A
+        return A if A.dtype == object else A.astype(object)
     p = _int64_prime(base)
-    if p:
-        for v in A.flat:
-            if isinstance(v, FFElement) and v.field is not base:
-                raise ValueError(f"mixed fields: {v.field!r} element in a {base!r} matrix")
-        return from_residues(to_residues(A, p), base)
+    if not p:
+        return _elements(A, base)
+    if A.dtype != object:
+        return A.astype(np.int64, copy=False) % p
+    for v in A.flat:
+        if isinstance(v, FFElement) and v.field is not base:
+            raise ValueError(f"mixed fields: {v.field!r} element in a {base!r} matrix")
+    return to_residues(A, p)
+
+
+def _elements(A, field):
+    """Object array of the interned field elements with the entries of A."""
     out = np.empty(A.shape, dtype=object)
-    out.reshape(-1)[:] = [base.coerce(v) for v in A.flat]
+    out.reshape(-1)[:] = [field.coerce(v) for v in A.flat]
     return out
 
 
@@ -191,7 +198,7 @@ def neg(A, base):
         return -A
     p = _int64_prime(base)
     if p:
-        return from_residues(-to_residues(A, p) % p, base)
+        return -to_residues(A, p) % p
     return coerce(-A, base)
 
 
@@ -201,7 +208,7 @@ def sub(A, B, base):
         return A - B
     p = _int64_prime(base)
     if p:
-        return from_residues((to_residues(A, p) - to_residues(B, p)) % p, base)
+        return (to_residues(A, p) - to_residues(B, p)) % p
     return coerce(A - B, base)
 
 
@@ -212,7 +219,7 @@ def add_scaled(F, A, c, base):
         return F + A * c
     p = _int64_prime(base)
     if p:
-        return from_residues((to_residues(A, p) * int(base.coerce(c)) % p + to_residues(F, p)) % p, base)
+        return (to_residues(A, p) * int(base.coerce(c)) % p + to_residues(F, p)) % p
     return coerce(F + A * c, base)
 
 
@@ -232,21 +239,14 @@ def _int64_prime(base, terms=1):
 
 
 def to_residues(A, p):
-    """int64 array of the entries of A reduced mod p (entries as residues)."""
+    """int64 array of the entries of A reduced mod p; int64 input is taken
+    to be residues already and returned as it is."""
+    if A.dtype == np.int64:
+        return A
     try:
         return A.astype(np.int64) % p
     except OverflowError:              # Python ints beyond int64
         return np.array([int(v) % p for v in A.flat], dtype=np.int64).reshape(A.shape)
-
-
-def from_residues(M, field):
-    """Object array of the interned elements of a prime field with residues M."""
-    table = field.element_by_residue
-    if table is not None:
-        return table[M]
-    out = np.empty(M.shape, dtype=object)
-    out.reshape(-1)[:] = [field.residue_element(int(v)) for v in M.flat]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +266,14 @@ def _rref_mod_p(M, p):
     for col in range(n):
         if row >= m:
             break
-        nz = np.flatnonzero(M[row:, col])
+        nz = M[row:, col].nonzero()[0]
         if nz.size == 0:
             continue
         piv = row + int(nz[0])
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
         M[row, col:] = M[row, col:] * pow(int(M[row, col]), p - 2, p) % p
-        others = np.flatnonzero(M[:, col])
+        others = M[:, col].nonzero()[0]
         others = others[others != row]
         if others.size:
             M[others, col:] = (M[others, col:]
@@ -287,7 +287,7 @@ def _rref_generic(A, field):
     """Gauss-Jordan on FFElement entries; used for GF(p^k), k > 1, and for
     prime fields too large for int64 residues."""
     m, n = A.shape
-    M = coerce(A, field)
+    M = _elements(A, field)
     pivots = []
     row = 0
     for col in range(n):
@@ -315,8 +315,7 @@ def rref(A, field):
     """Reduced row echelon form (R, pivots)."""
     p = _int64_prime(field)
     if p:
-        M, pivots = _rref_mod_p(to_residues(A, p), p)
-        return from_residues(M, field), pivots
+        return _rref_mod_p(to_residues(A, p).copy(), p)
     return _rref_generic(A, field)
 
 
@@ -325,7 +324,7 @@ def rank(A, field) -> int:
         return 0
     p = _int64_prime(field)
     if p:
-        return len(_rref_mod_p(to_residues(A, p), p)[1])
+        return len(_rref_mod_p(to_residues(A, p).copy(), p)[1])
     return len(_rref_generic(A, field)[1])
 
 
@@ -340,7 +339,7 @@ def solve(A, B, field):
     if n == 0:
         if B.size and rank(B, field) > 0:
             return None
-        return zeros(0, B.shape[1])
+        return _field_zeros(0, B.shape[1], field)
     R, pivots = rref(hstack([A, B]), field)
     if pivots and pivots[-1] >= n:
         return None
@@ -356,30 +355,27 @@ def nullspace(A, field):
     Over Z this is `nullspace_int`, a basis of the saturated kernel lattice."""
     if field is ZZ:
         return nullspace_int(A)
-    m, n = A.shape
-    if n == 0:
-        return zeros(0, 0)
-    if m == 0:
-        return _field_eye(n, field)
+    n = A.shape[1]
     R, pivots = rref(A, field)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    K = _field_zeros(n, len(free), field)
-    K[free, range(len(free))] = field.one
+    K = _field_eye(n, field)[:, free]
     if pivots and free:
         K[pivots, :] = neg(R[:len(pivots), free], field)
     return K
 
 
-def _field_zeros(r, c, field):
+def _field_zeros(r, c, base):
+    if _int64_prime(base):
+        return np.zeros((r, c), dtype=np.int64)
     out = np.empty((r, c), dtype=object)
-    out[...] = field.zero
+    out[...] = base.zero
     return out
 
 
-def _field_eye(n, field):
-    out = _field_zeros(n, n, field)
-    out[range(n), range(n)] = field.one
+def _field_eye(n, base):
+    out = _field_zeros(n, n, base)
+    out[range(n), range(n)] = base.one
     return out
 
 

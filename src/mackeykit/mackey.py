@@ -30,20 +30,21 @@ from .report import CheckReport
 class MackeyFunctor:
     def __init__(self, group, base, levels, res, tr, weyl, name=""):
         n = group.n
-        assert len(levels) == n + 1
-        assert len(res) == n and len(tr) == n and len(weyl) == n + 1
+        if not (len(levels) == len(weyl) == n + 1 and len(res) == len(tr) == n):
+            raise ValueError(f"{group} needs {n + 1} levels and Weyl maps, {n} res and tr")
+        g = [lv.gens for lv in levels]
+        for s in range(n + 1):
+            _check_shape(weyl[s], (g[s], g[s]), f"weyl_{s}")
+        for s in range(n):
+            _check_shape(res[s], (g[s], g[s + 1]), f"res_{s}")
+            _check_shape(tr[s], (g[s + 1], g[s]), f"tr_{s}")
         self.group = group
         self.base = base
         self.levels = list(levels)
-        self.res = list(res)
-        self.tr = list(tr)
-        self.weyl = list(weyl)
+        self.res = [la.coerce(A, base) for A in res]
+        self.tr = [la.coerce(A, base) for A in tr]
+        self.weyl = [la.coerce(A, base) for A in weyl]
         self.name = name
-        for s in range(n):
-            assert res[s].shape == (levels[s].gens, levels[s + 1].gens)
-            assert tr[s].shape == (levels[s + 1].gens, levels[s].gens)
-        for s in range(n + 1):
-            assert weyl[s].shape == (levels[s].gens, levels[s].gens)
 
     @property
     def n(self) -> int:
@@ -66,6 +67,16 @@ class MackeyFunctor:
 
     def __repr__(self):
         return f"MackeyFunctor({self.describe()})"
+
+
+def _check_shape(A, shape, what):
+    if A.shape != shape:
+        raise ValueError(f"{what} has shape {A.shape}, expected {shape}")
+
+
+def _check_same_base(M, N):
+    if M.group != N.group or M.base != N.base:
+        raise ValueError(f"functors over {M.group}, {M.base!r} and {N.group}, {N.base!r}")
 
 
 def check_axioms(M: MackeyFunctor) -> CheckReport:
@@ -268,13 +279,14 @@ class MackeyMorphism:
     """Levelwise matrices commuting with res, tr and weyl."""
 
     def __init__(self, source: MackeyFunctor, target: MackeyFunctor, components):
-        assert source.group == target.group and source.base == target.base
-        assert len(components) == source.n + 1
+        _check_same_base(source, target)
+        if len(components) != source.n + 1:
+            raise ValueError(f"{len(components)} components for {source.n + 1} levels")
         for s, f in enumerate(components):
-            assert f.shape == (target.levels[s].gens, source.levels[s].gens)
+            _check_shape(f, (target.levels[s].gens, source.levels[s].gens), f"component {s}")
         self.source = source
         self.target = target
-        self.components = list(components)
+        self.components = [la.coerce(f, source.base) for f in components]
 
     def check(self) -> CheckReport:
         rep = CheckReport("mackey morphism")
@@ -308,7 +320,7 @@ class MackeyMorphism:
 
     @staticmethod
     def identity(M: MackeyFunctor) -> "MackeyMorphism":
-        comps = [la.coerce(la.eye(m.gens), M.base) for m in M.levels]
+        comps = [la.eye(m.gens) for m in M.levels]
         return MackeyMorphism(M, M, comps)
 
     def is_level_iso(self) -> bool:
@@ -377,7 +389,7 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
     pairs adding the constraint f_s P = Q f_s; this cuts the hom space down
     to maps that also commute with extra operators (e.g. ring actions).
     """
-    assert M.group == N.group and M.base == N.base
+    _check_same_base(M, N)
     base = M.base
     M0, N0 = M, N
     M, m_proj, m_lift = _free_presentation(M)
@@ -398,7 +410,7 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
 
     def block_row(pairs, nrows):
         """pairs: list of (level, coefficient matrix applied to vec(f_level))."""
-        row = la.zeros(nrows, total)
+        row = np.zeros((nrows, total), dtype=pairs[0][1].dtype)
         for s, C in pairs:
             row[:, offsets[s]:offsets[s + 1]] = C
         blocks.append(row)
@@ -438,7 +450,7 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         big = la.vstack(blocks)
         ker = la.nullspace(big, base)
     else:
-        ker = la.coerce(la.eye(total), base)
+        ker = la.eye(total)
 
     out = []
     for c in range(ker.shape[1]):
@@ -456,9 +468,11 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
 
 
 def direct_sum(Ms) -> MackeyFunctor:
-    assert Ms
+    if not Ms:
+        raise ValueError("empty direct sum")
+    for M in Ms[1:]:
+        _check_same_base(Ms[0], M)
     g, base = Ms[0].group, Ms[0].base
-    assert all(M.group == g and M.base == base for M in Ms)
     n = g.n
     levels = [direct_sum_modules([M.levels[s] for M in Ms]) for s in range(n + 1)]
     res = [la.block_diag([M.res[s] for M in Ms]) for s in range(n)]
@@ -554,7 +568,7 @@ def _combine(homs, coeffs, base):
     comps = []
     for s in range(n1):
         r, k = homs[0].components[s].shape
-        F = la.coerce(la.zeros(r, k), base)
+        F = la.zeros(r, k)
         for h, c in zip(homs, coeffs):
             if c:
                 F = la.add_scaled(F, h.components[s], c, base)
@@ -572,7 +586,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     coefficients (levelwise free): bounded lattice search for a
     unimodular witness, then a mod-m certificate ruling every hom out.
     """
-    assert M.group == N.group and M.base == N.base
+    _check_same_base(M, N)
     base = M.base
     if M.level_dims() != N.level_dims():
         return IsoResult("not_isomorphic",

@@ -56,9 +56,6 @@ class BasedRing:
     def is_zero_ring(self) -> bool:
         return self.rank == 0
 
-    def zero_vector(self):
-        return la.zeros(self.rank, 1)
-
     def basis_vector(self, i: int):
         v = la.zeros(self.rank, 1)
         v[i, 0] = 1

@@ -267,6 +267,20 @@ def test_rejections_carry_line_numbers(k, line, offset, new, match,
     assert f"parse error: line {lineno}: " in captured.err
 
 
+def test_green_document_with_a_torsion_level_exits_2(tmp_path, capsys):
+    # the check is a ValueError, so it holds under python -O as well
+    text, _ = _replace_line(print_document(burnside_green(CyclicGroup(2, 1))),
+                            "level 0 gens 1 relations 0", "level 0 gens 1 relations 1\n2")
+    with pytest.raises(ParseError, match="levels of a green functor must be free"):
+        parse_document(text)
+    path = tmp_path / "torsion.doc"
+    path.write_text(text)
+    rc = cli.main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "levels of a green functor must be free" in captured.err
+
+
 def test_explicit_modulus_without_default_round_trips():
     # GF(2^7) has no default modulus; x^7 + x + 1 is irreducible
     F = gf_make(2, 7, [1, 1, 0, 0, 0, 0, 0, 1])

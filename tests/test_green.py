@@ -457,3 +457,17 @@ def test_module_hom_basis_accepts_levels_with_unit_relations():
     assert check_green_module(M).ok
     homs = green_module_hom_basis(M, M)
     assert len(homs) == 1 and homs[0].check().ok
+
+
+def test_green_constructors_reject_bad_input_with_value_error():
+    G = CyclicGroup(2, 1)
+    R2, R3 = constant_green(G, gf_make(2, 1)), constant_green(G, gf_make(3, 1))
+    with pytest.raises(ValueError, match="level rings"):
+        GreenFunctor(R2.underlying, R2.level_rings[:1])
+    with pytest.raises(ValueError, match="ring rank or base at level 0"):
+        GreenFunctor(R2.underlying, [R3.ring(0), R2.ring(1)])
+    M = module_from_green(R2)
+    with pytest.raises(ValueError, match="different groups or bases"):
+        GreenModule(R3, M.underlying, M.action)
+    with pytest.raises(ValueError, match="action rank or shape at level 1"):
+        GreenModule(R2, M.underlying, [M.action[0], [la.eye(2)]])

@@ -3,8 +3,9 @@
 Every kernel in linalg that runs on int64 residues for F_p is compared with
 the exact object-array computation it replaces: Gauss-Jordan on FFElement
 entries (_rref_generic), np.kron / np.dot on object arrays, and entrywise
-FFElement arithmetic.  The property tests are derandomized, so every run
-draws the same examples.
+FFElement arithmetic.  Their results must also be in the form F_p matrices
+keep at rest: dtype int64, every entry a residue in [0, p).  The property
+tests are derandomized, so every run draws the same examples.
 """
 
 import math
@@ -16,6 +17,11 @@ from hypothesis import strategies as st
 
 import mackeykit.linalg as la
 from mackeykit.fields import gf_make
+from mackeykit.functors import free_module
+from mackeykit.green import GreenModule, constant_green, direct_sum_green_modules
+from mackeykit.gsets import CyclicGroup
+from mackeykit.kzero import decompose_module
+from mackeykit.mackey import MackeyFunctor, MackeyMorphism, hom_basis, is_isomorphic
 
 PRIMES = (2, 3, 5, 7)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -54,8 +60,8 @@ def same(A, B):
     return A.shape == B.shape and all(a == b for a, b in zip(A.flat, B.flat))
 
 
-def all_interned(A, F):
-    return all(v is F.element_by_residue[int(v)] for v in A.flat)
+def all_residues(A, F):
+    return A.dtype == np.int64 and bool(((0 <= A) & (A < F.p)).all())
 
 
 # --- elimination -------------------------------------------------------------
@@ -69,7 +75,7 @@ def test_rref_matches_object_gauss_jordan(case):
     R_ref, piv_ref = la._rref_generic(A, F)
     assert piv == piv_ref
     assert same(R, R_ref)
-    assert all_interned(R, F)
+    assert all_residues(R, F)
     assert la.rank(A, F) == len(piv_ref)
 
 
@@ -79,7 +85,7 @@ def test_nullspace_matches_reference(case):
     F, A = case
     m, n = A.shape
     K = la.nullspace(A, F)
-    assert K.shape[0] == n
+    assert K.shape[0] == n and all_residues(K, F)
     if m and n:
         R, piv = la._rref_generic(A, F)
         free = [j for j in range(n) if j not in piv]
@@ -100,6 +106,7 @@ def test_solve_matches_reference(pair):
     (F, A), (_, B) = pair
     n = A.shape[1]
     X = la.solve(A, B, F)
+    assert X is None or all_residues(X, F)
     if n == 0:
         return
     R, piv = la._rref_generic(la.hstack([A, B]), F)
@@ -125,7 +132,7 @@ def test_kron_matches_object_kron(pair):
     assert K.shape == (A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
     if K.size:
         assert same(K, np.kron(obj_ref(A, F), obj_ref(B, F)))
-        assert all_interned(K, F)
+    assert all_residues(K, F)
 
 
 @SETTINGS
@@ -135,7 +142,7 @@ def test_kron_matches_object_kron(pair):
 def test_mmul_matches_object_dot(pair):
     (F, A), (_, B) = pair
     C = la.mmul(A, B, F)
-    assert C.shape == (A.shape[0], B.shape[1])
+    assert C.shape == (A.shape[0], B.shape[1]) and all_residues(C, F)
     if C.size and A.shape[1]:
         assert same(C, np.dot(obj_ref(A, F), obj_ref(B, F)))
 
@@ -156,8 +163,8 @@ def test_entrywise_ops_match_ffelement_arithmetic(case):
              (la.add_scaled(A, B, c, F), lambda i: Ao[i] + Bo[i] * c),
              (la.coerce(A, F), lambda i: Ao[i])]
     for got, want in cases:
-        assert got.shape == A.shape
-        assert all(got[i] is want(i) for i in np.ndindex(A.shape))
+        assert got.shape == A.shape and all_residues(got, F)
+        assert all(got[i] == want(i) for i in np.ndindex(A.shape))
 
 
 # --- mixed fields ------------------------------------------------------------
@@ -170,12 +177,72 @@ def test_mixed_fields_raise_value_error():
     with pytest.raises(ValueError, match="mixed fields"):
         F5.coerce(F3.one)
     for base, stray in [(F5, F3.one), (F4, F3.one), (F5, F4.gen)]:
-        A = la.coerce(la.eye(2), base)
+        A = la.eye(2)                  # object array: an int64 one would take int(stray)
         A[1, 0] = stray
         with pytest.raises(ValueError, match="mixed fields"):
             la.coerce(A, base)
         with pytest.raises(ValueError, match="mixed fields"):
             la.add_scaled(la.eye(2), la.eye(2), stray, base)
+
+
+def _with_stray(A, stray):
+    """A copy of A as an object array with entry (0, 0) replaced by stray."""
+    out = A.astype(object)
+    out[0, 0] = stray
+    return out
+
+
+@pytest.mark.parametrize("stray", [gf_make(5, 1).embed(2), gf_make(2, 2).gen],
+                         ids=["F5", "GF4"])
+def test_functors_and_morphisms_reject_elements_of_another_field(stray):
+    M = free_module(constant_green(CyclicGroup(3, 1), gf_make(3, 1)), 0).underlying
+    tr = [_with_stray(M.tr[0], stray)]
+    with pytest.raises(ValueError, match="mixed fields"):
+        MackeyFunctor(M.group, M.base, M.levels, M.res, tr, M.weyl)
+    comps = [_with_stray(c, stray) for c in MackeyMorphism.identity(M).components]
+    with pytest.raises(ValueError, match="mixed fields"):
+        MackeyMorphism(M, M, comps)
+
+
+# --- one functor from FFElements and from residues ----------------------------
+
+
+def _element_copy(P: GreenModule) -> GreenModule:
+    """P with every matrix of its underlying functor and of its action
+    handed in as FFElements; the ring is shared."""
+    M, F = P.underlying, P.base
+    und = MackeyFunctor(M.group, F, M.levels, [obj_ref(A, F) for A in M.res],
+                        [obj_ref(A, F) for A in M.tr],
+                        [obj_ref(A, F) for A in M.weyl], name=M.name)
+    action = [[obj_ref(A, F) for A in mats] for mats in P.action]
+    return GreenModule(P.ring, und, action, name=P.name)
+
+
+def _same_maps(fs, gs):
+    return len(fs) == len(gs) and all(
+        all(la.mat_eq(a, b) for a, b in zip(f.components, g.components))
+        for f, g in zip(fs, gs))
+
+
+@pytest.mark.parametrize("p,n,levels", [(2, 1, (0, 1)), (3, 1, (0, 1)), (5, 1, (1, 0)),
+                                        (2, 2, (1, 2)), (3, 2, (2, 1)), (5, 2, (2,))])
+def test_element_and_residue_functors_give_equal_results(p, n, levels):
+    k = constant_green(CyclicGroup(p, n), gf_make(p, 1))
+    P = direct_sum_green_modules([free_module(k, i) for i in levels])
+    Q = _element_copy(P)
+    assert all(A.dtype == object for A in Q.action[0])
+    for A, B in zip(P.underlying.res + P.underlying.tr, Q.underlying.res + Q.underlying.tr):
+        assert all_residues(B, k.base) and la.mat_eq(A, B)
+    M, N = P.underlying, Q.underlying
+    assert _same_maps(hom_basis(M, M), hom_basis(N, N))
+    assert _same_maps(hom_basis(M, N), hom_basis(N, M))
+    r1, r2 = is_isomorphic(M, M, seed=3), is_isomorphic(N, N, seed=3)
+    assert r1.verdict == r2.verdict == "isomorphic"
+    assert _same_maps([r1.witness], [r2.witness])
+    d1, d2 = decompose_module(k, P, seed=5), decompose_module(k, Q, seed=5)
+    assert d1.ok and d2.ok
+    assert d1.classification.mults == d2.classification.mults
+    assert _same_maps([d1.witness], [d2.witness])
 
 
 # --- large prime fields ------------------------------------------------------

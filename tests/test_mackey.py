@@ -269,3 +269,19 @@ def test_hom_kernel_image_accept_levels_with_unit_relations():
         assert _is_zero_morphism(g.compose(incl))
         I, emb = image(g)
         assert I.level_dims() == image_dims and check_axioms(I).ok and emb.check().ok
+
+
+def test_constructors_and_decisions_reject_bad_input_with_value_error():
+    G = CyclicGroup(2, 1)
+    M, N = constant_mackey(G, gf_make(2, 1)), constant_mackey(G, gf_make(3, 1))
+    with pytest.raises(ValueError, match="res_0"):
+        MackeyFunctor(G, M.base, M.levels, [la.zeros(1, 2)], M.tr, M.weyl)
+    with pytest.raises(ValueError, match="levels"):
+        MackeyFunctor(G, M.base, M.levels[:1], M.res, M.tr, M.weyl)
+    with pytest.raises(ValueError, match="component 1"):
+        MackeyMorphism(M, M, [la.eye(1), la.eye(2)])
+    for call in (lambda: MackeyMorphism(M, N, [la.eye(1), la.eye(1)]),
+                 lambda: hom_basis(M, N), lambda: is_isomorphic(M, N),
+                 lambda: direct_sum([M, N]), lambda: direct_sum([])):
+        with pytest.raises(ValueError):
+            call()
