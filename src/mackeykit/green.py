@@ -179,7 +179,7 @@ class GreenModule:
                 raise ValueError(f"action rank or shape at level {s}")
         self.ring = ring
         self.underlying = underlying
-        self.action = [list(mats) for mats in action]
+        self.action = [[la.coerce(A, underlying.base) for A in mats] for mats in action]
         self.name = name
 
     @property
@@ -276,15 +276,16 @@ def module_from_green(R: GreenFunctor, name: str = "") -> GreenModule:
     action = []
     for s in range(R.n + 1):
         ring = R.ring(s)
-        action.append([la.coerce(ring.left_mult_matrix(ring.basis_vector(u)), R.base)
-                       for u in range(ring.rank)])
+        action.append([ring.left_mult_matrix(ring.basis_vector(u)) for u in range(ring.rank)])
     return GreenModule(R, R.underlying, action, name=name or R.name)
 
 
 def direct_sum_green_modules(mods) -> GreenModule:
-    assert mods, "empty direct sum"
+    if not mods:
+        raise ValueError("empty direct sum")
     R = mods[0].ring
-    assert all(m.ring is R for m in mods[1:]), "summands over different rings"
+    if any(m.ring is not R for m in mods[1:]):
+        raise ValueError("summands over different rings")
     und = direct_sum([m.underlying for m in mods])
     action = []
     for s in range(R.n + 1):
@@ -424,7 +425,7 @@ def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> Gree
         unit = la.solve(B, la.coerce(one, base), base)
         assert unit is not None
         labels = [field.format_elem(e) for e in elems]
-        rings.append(BasedRing(base, d, la.coerce(mult, base), unit, labels))
+        rings.append(BasedRing(base, d, mult, unit, labels))
     G = GreenFunctor(M, rings, name=M.name)
     G.field = field
     G.frob_power = j
@@ -441,10 +442,9 @@ def char_example_green(p: int, name: str = "") -> GreenFunctor:
     weyl = [la.eye(1), la.eye(2)]
     und = MackeyFunctor(group, F, levels, res, tr, weyl,
                         name=name or f"square-zero transfer over GF({p})")
-    one = la.coerce(la.mat([[1]]), F)
-    r0 = BasedRing(F, 1, one.copy(), one.copy(), ["1"])
+    r0 = BasedRing(F, 1, la.mat([[1]]), la.mat([[1]]), ["1"])
     m1 = la.mat([[1, 0], [0, 1], [0, 1], [0, 0]])  # rows: 1*1, 1*t, t*1, t*t
-    r1 = BasedRing(F, 2, la.coerce(m1, F), la.coerce(la.mat([[1], [0]]), F), ["1", "t"])
+    r1 = BasedRing(F, 2, m1, la.mat([[1], [0]]), ["1", "t"])
     return GreenFunctor(und, [r0, r1], name=und.name)
 
 
@@ -525,7 +525,7 @@ def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
         for i in range(r):
             labels.append(R.labels[i] if a == 0 else f"{R.labels[i]}.w{a}")
     trivial = la.mat_eq(theta, idm)
-    ring = BasedRing(base, rank, la.coerce(mult, base), la.coerce(unit, base), labels,
+    ring = BasedRing(base, rank, mult, unit, labels,
                      commutative=R.commutative and (trivial or m == 1))
     return TwistedGroupRing(R, m, theta, ring)
 
@@ -778,7 +778,8 @@ def base_change_map_cp(f: GreenMorphism, g: GreenModuleMorphism,
 
 def green_module_hom_basis(M: GreenModule, N: GreenModule):
     """Basis of the module-linear homomorphisms M -> N over the same ring."""
-    assert M.ring is N.ring, "hom space needs modules over one ring"
+    if M.ring is not N.ring:
+        raise ValueError("hom space needs modules over one ring")
     R = M.ring
     inter = []
     for s in range(R.n + 1):

@@ -22,6 +22,15 @@ raw numpy arithmetic on residue arrays, reduce with `coerce`.  Assigning an
 FFElement into an int64 array converts it through `__int__`, unchecked, so
 callers keep to one base.  Everything here is deterministic: no implicit
 randomness, fixed pivot rules.
+
+`det_mod_p` is the batched kernel: the determinants mod p of a (C, n, n)
+stack of int64 residue matrices, by one fraction-free elimination over the
+whole stack.  Over Z it serves as a filter, never as the answer: a matrix
+whose determinant is not +-1 mod a prime is not unimodular, and one that
+passes is confirmed with the exact `bareiss_det`.  `full_rank_mask` decides
+invertibility of a stack over a field with it, and falls back to `rank`
+matrix by matrix where residues do not apply (GF(p^k), k > 1, and primes
+past the int64 bound).
 """
 
 from __future__ import annotations
@@ -508,6 +517,78 @@ def smith_normal_form(A) -> SmithForm:
 
 def int_rank(A) -> int:
     return sum(1 for d in smith_normal_form(A).diagonal if d != 0)
+
+
+def det_mod_p(A, p):
+    """Determinants mod p of a stack of square matrices: A is a (C, n, n)
+    int64 residue array, the result an int64 array of C residues.  Needs
+    (p - 1)^2 < 2^63.
+
+    Batched Gaussian elimination: one pass per pivot column over the whole
+    stack, not one per matrix.  It is fraction-free: the rows below a pivot
+    d are scaled by d before the pivot row is subtracted, which multiplies
+    the determinant by d^(rows below); the product of those factors is
+    divided out at the end with one inverse per matrix.
+    """
+    num, den = _eliminate(A, p)
+    if len(den) > 32:
+        inv = _pow_mod(den, p - 2, p)
+    else:                               # a few Python pows beat ~2 log2 p array passes
+        inv = np.array([pow(int(d), p - 2, p) for d in den], dtype=np.int64)
+    return num * inv % p
+
+
+def _eliminate(A, p):
+    """(num, den) with det = num / den mod p for each matrix of the stack A:
+    num is the signed product of the pivots, den the product of the row
+    scalings.  A singular matrix has num = 0."""
+    A = np.array(A, dtype=np.int64)
+    C, n = A.shape[0], A.shape[1]
+    num = np.ones(C, dtype=np.int64)
+    den = np.ones(C, dtype=np.int64)
+    negate = np.zeros(C, dtype=bool)
+    for j in range(n):
+        # the first row from j down with a nonzero entry in column j
+        piv = j + (A[:, j:, j] != 0).argmax(axis=1)
+        swap = np.flatnonzero(piv != j)
+        if swap.size:
+            rows = A[swap, j].copy()
+            A[swap, j] = A[swap, piv[swap]]
+            A[swap, piv[swap]] = rows
+            negate[swap] ^= True
+        if j:
+            den = den * num % p         # rows j.. were scaled by every pivot so far
+        d = A[:, j, j]
+        num = num * d % p
+        if j + 1 < n:
+            A[:, j + 1:, j + 1:] = (A[:, j + 1:, j + 1:] * d[:, None, None]
+                                    - A[:, j + 1:, j, None] * A[:, j, None, j + 1:]) % p
+    num[negate] = (p - num[negate]) % p
+    return num, den
+
+
+def _pow_mod(a, e, p):
+    """Entrywise a^e mod p of an int64 residue array, by squaring."""
+    out = np.ones_like(a)
+    while e:
+        if e & 1:
+            out = out * a % p
+        e >>= 1
+        if e:
+            a = a * a % p
+    return out
+
+
+def full_rank_mask(A, field):
+    """Boolean mask of the invertible matrices in a (C, n, n) stack over a
+    field: a nonzero determinant by `det_mod_p`'s elimination over F_p
+    within the int64 bound, else full `rank` matrix by matrix (GF(p^k),
+    k > 1, and larger primes)."""
+    p = _int64_prime(field)
+    if p:
+        return _eliminate(to_residues(A, p), p)[0] != 0
+    n = A.shape[1]
+    return np.array([rank(a, field) == n for a in A], dtype=bool)
 
 
 def bareiss_det(A) -> int:

@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from . import linalg as la
-from .fields import is_prime
+from .fields import gf_make, is_prime
 from .linalg import ZZ
 from .modules import FPModule, direct_sum_modules, free_module_over, reduced_quotient
 from .report import CheckReport
@@ -313,7 +313,9 @@ class MackeyMorphism:
 
     def compose(self, other: "MackeyMorphism") -> "MackeyMorphism":
         """self . other (apply other first)."""
-        assert other.target is self.source or other.target.level_dims() == self.source.level_dims()
+        if not (other.target is self.source
+                or other.target.level_dims() == self.source.level_dims()):
+            raise ValueError("compose: the inner map's target is not the outer map's source")
         comps = [la.mmul(f, g, self.source.base)
                  for f, g in zip(self.components, other.components)]
         return MackeyMorphism(other.source, self.target, comps)
@@ -536,20 +538,26 @@ def cokernel(f: MackeyMorphism):
 # --- isomorphism testing --------------------------------------------------------
 
 
+_VERDICTS = ("isomorphic", "not_isomorphic", "inconclusive")
+
+
 class IsoResult:
     """Outcome of an isomorphism test.
 
     verdict is one of "isomorphic", "not_isomorphic", "inconclusive";
     witness (when isomorphic) is a MackeyMorphism that is a levelwise
-    isomorphism; certificate (when not) names the obstruction.
+    isomorphism; certificate (when not) names the obstruction.  stats
+    records how the search went (see `is_isomorphic`).
     """
 
-    def __init__(self, verdict, witness=None, certificate=None, detail=""):
-        assert verdict in ("isomorphic", "not_isomorphic", "inconclusive")
+    def __init__(self, verdict, witness=None, certificate=None, detail="", stats=None):
+        if verdict not in _VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
         self.verdict = verdict
         self.witness = witness
         self.certificate = certificate
         self.detail = detail
+        self.stats = stats if stats is not None else {}
 
     @property
     def is_definitive(self) -> bool:
@@ -561,6 +569,12 @@ class IsoResult:
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+
+# Z candidates are filtered mod this prime before the exact determinant: a
+# unimodular matrix has det = +-1 mod every prime.  h * (P - 1)^2 < 2^63
+# keeps the stacked product of h hom-basis rows in int64.
+_FILTER_PRIME = 65521
+_BATCH_CAP = 1024
 
 
 def _combine(homs, coeffs, base):
@@ -576,6 +590,76 @@ def _combine(homs, coeffs, base):
     return MackeyMorphism(homs[0].source, homs[0].target, comps)
 
 
+def _batches(candidates):
+    """Lists of the candidates in order: 1, 2, 4, ... up to _BATCH_CAP at a time."""
+    size = 1
+    while batch := list(itertools.islice(candidates, size)):
+        yield batch
+        size = min(2 * size, _BATCH_CAP)
+
+
+class _LevelStack:
+    """The hom basis stacked for batched candidates over one field F.
+
+    Row i of `rows` holds the flattened components of homs[i] over F, so a
+    (C, h) coefficient matrix times it gives the level matrices of C
+    candidates.  `levels` pads each level matrix to the largest level rank
+    with an identity block, which keeps its determinant, so every level of
+    every candidate goes through one batched determinant."""
+
+    def __init__(self, homs, field):
+        self.field = field
+        dims = [f.shape[0] for f in homs[0].components]
+        self.rows = la.coerce(np.stack([np.concatenate([f.reshape(-1) for f in g.components])
+                                        for g in homs]), field)
+        n, total = max(dims), self.rows.shape[1]
+        # gather[s, i, j]: the column of [product | 0 | 1] with entry (i, j) of level s
+        self.gather = np.full((len(dims), n, n), total, dtype=np.int64)
+        at = 0
+        for s, r in enumerate(dims):
+            self.gather[s, :r, :r] = np.arange(at, at + r * r).reshape(r, r)
+            self.gather[s, range(r, n), range(r, n)] = total + 1
+            at += r * r
+        self.pad = la.coerce(la.mat([[0, 1]]), field)
+
+    def levels(self, coeffs):
+        """(C * levels, n, n): the padded level matrices of the coefficient
+        rows, candidate-major."""
+        prod = la.mmul(la.coerce(coeffs, self.field), self.rows, self.field)
+        ext = np.concatenate([prod, np.repeat(self.pad, len(prod), axis=0)], axis=1)
+        n = self.gather.shape[1]
+        return ext[:, self.gather].reshape(-1, n, n)
+
+
+def _unit_dets(stack, coeffs, p):
+    """(C, levels) mask: the level determinant is +-1 mod p."""
+    dets = la.det_mod_p(stack.levels(coeffs), p)
+    return ((dets == 1) | (dets == p - 1)).reshape(len(coeffs), -1)
+
+
+def _first_iso(homs, candidates, passing, coeff, phase, stats):
+    """The first candidate of the iterable that is a levelwise isomorphism,
+    or None.  passing(rows) is the batched filter, a necessary condition;
+    each row that passes is combined (coeff maps its entries to scalars)
+    and confirmed by is_level_iso, in order.  Counts the candidates up to
+    the answer, and those of them that passed the filter, into stats."""
+    base = homs[0].source.base
+    tried = passed = 0
+    for batch in _batches(candidates):
+        ok = passing(np.array(batch))
+        for i in np.flatnonzero(ok):
+            f = _combine(homs, [coeff(c) for c in batch[i]], base)
+            if f.is_level_iso():
+                stats["candidates"][phase] = tried + int(i) + 1
+                stats["passed_filter"][phase] = passed + int(ok[:i + 1].sum())
+                return f
+        tried += len(batch)
+        passed += int(ok.sum())
+    stats["candidates"][phase] = tried
+    stats["passed_filter"][phase] = passed
+    return None
+
+
 def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
                          exhaustive_cap=200_000, random_tries=10_000,
                          coeff_bound=5, modulus_cap=200_000) -> IsoResult:
@@ -585,103 +669,137 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     enough, else seeded random search (inconclusive on failure).  Integer
     coefficients (levelwise free): bounded lattice search for a
     unimodular witness, then a mod-m certificate ruling every hom out.
+
+    Candidates are tested in batches of 1, 2, 4, ... up to _BATCH_CAP: one
+    stacked product gives a batch's level matrices and `la.det_mod_p` their
+    determinants.  Over F_p a nonzero determinant decides; over Z a
+    determinant that is not +-1 mod _FILTER_PRIME rules a candidate out,
+    and the rest are confirmed with the exact `is_level_iso` in order, so
+    the first witness is the one a one-at-a-time search finds.
+
+    The result's stats: "hom_rank", "phase" (the phase that answered:
+    "ranks", "hom", "box", "random" or "modulus"; None when inconclusive),
+    "candidates" and "passed_filter" (per phase, counted up to the
+    answer), "moduli" (tried for a certificate) and "seed" (of the random
+    phase, None when it did not run).
     """
     _check_same_base(M, N)
     base = M.base
+    stats = {"hom_rank": None, "phase": "ranks", "candidates": {}, "passed_filter": {},
+             "moduli": [], "seed": None}
     if M.level_dims() != N.level_dims():
         return IsoResult("not_isomorphic",
                          certificate={"reason": "level ranks differ",
                                       "left": M.level_dims(), "right": N.level_dims()},
-                         detail="level ranks differ")
+                         detail="level ranks differ", stats=stats)
     if all(g == 0 for g in M.level_dims()):
         return IsoResult("isomorphic", witness=MackeyMorphism.identity(M),
-                         detail="both zero")
+                         detail="both zero", stats=stats)
 
     homs = hom_basis(M, N)
-    h = len(homs)
+    h = stats["hom_rank"] = len(homs)
+    stats["phase"] = "hom"
     if h == 0:
         return IsoResult("not_isomorphic", certificate={"reason": "no nonzero homs"},
-                         detail="hom group is zero")
+                         detail="hom group is zero", stats=stats)
+
+    def answer(phase, *args, **kw):
+        stats["phase"] = phase
+        return IsoResult(*args, **kw, stats=stats)
 
     if base is not ZZ:
         q = base.p ** base.k
         elems = list(base.elements())
+        stack = _LevelStack(homs, base)
+        scalars = np.empty(q, dtype=object)
+        scalars[:] = elems
+
+        def invertible(rows):       # rows index elems; over F_p they are the residues
+            levels = stack.levels(rows if base.k == 1 else scalars[rows])
+            return la.full_rank_mask(levels, base).reshape(len(rows), -1).all(axis=1)
+
         # exhaustive only for small hom spaces; beyond that the full
         # enumeration would be astronomically large over bigger fields
         if h <= 6 and q ** h <= exhaustive_cap:
-            for coeffs in itertools.product(elems, repeat=h):
-                f = _combine(homs, coeffs, base)
-                if f.is_level_iso():
-                    return IsoResult("isomorphic", witness=f, detail="exhaustive search")
-            return IsoResult("not_isomorphic",
-                             certificate={"reason": "no iso in the full hom space",
-                                          "hom_dim": h},
-                             detail="exhausted the hom space")
-        rng = np.random.default_rng(_resolve_seed(seed))
-        for _ in range(random_tries):
-            coeffs = [elems[int(rng.integers(0, q))] for _ in range(h)]
-            f = _combine(homs, coeffs, base)
-            if f.is_level_iso():
-                return IsoResult("isomorphic", witness=f, detail="random search")
-        return IsoResult("inconclusive", detail=f"no witness in {random_tries} samples")
+            f = _first_iso(homs, itertools.product(range(q), repeat=h), invertible,
+                           elems.__getitem__, "box", stats)
+            if f is not None:
+                return answer("box", "isomorphic", witness=f, detail="exhaustive search")
+            return answer("box", "not_isomorphic",
+                          certificate={"reason": "no iso in the full hom space",
+                                       "hom_dim": h},
+                          detail="exhausted the hom space")
+        stats["seed"] = _resolve_seed(seed)
+        rng = np.random.default_rng(stats["seed"])
+        draws = ([int(rng.integers(0, q)) for _ in range(h)] for _ in range(random_tries))
+        f = _first_iso(homs, draws, invertible, elems.__getitem__, "random", stats)
+        if f is not None:
+            return answer("random", "isomorphic", witness=f, detail="random search")
+        return answer(None, "inconclusive", detail=f"no witness in {random_tries} samples")
+
+    if any(lv.relations.shape[1] for lv in M.levels + N.levels):
+        raise NotImplementedError("level-iso test needs free levels over Z")
+    filt = gf_make(_FILTER_PRIME, 1)
+    stack = _LevelStack(homs, filt)
+
+    def unimodular_mod_p(rows):
+        return _unit_dets(stack, rows, _FILTER_PRIME).all(axis=1)
 
     # integer case: bounded search for a unimodular witness
     B = coeff_bound
     while B >= 1 and (2 * B + 1) ** h > exhaustive_cap:
         B -= 1
     if B >= 1:
-        for coeffs in itertools.product(range(-B, B + 1), repeat=h):
-            if all(c == 0 for c in coeffs):
-                continue
-            f = _combine(homs, coeffs, base)
-            if f.is_level_iso():
-                return IsoResult("isomorphic", witness=f,
-                                 detail=f"lattice search, coefficients within {B}")
+        box = (c for c in itertools.product(range(-B, B + 1), repeat=h) if any(c))
+        f = _first_iso(homs, box, unimodular_mod_p, int, "box", stats)
+        if f is not None:
+            return answer("box", "isomorphic", witness=f,
+                          detail=f"lattice search, coefficients within {B}")
     if B < coeff_bound:
         # the box was too large to enumerate; sample it instead, trying
         # sparse small-coefficient points first
-        rng = np.random.default_rng(_resolve_seed(seed))
-        for t in range(random_tries):
-            width = 1 if t < random_tries // 2 else coeff_bound
-            coeffs = rng.integers(-width, width + 1, size=h)
-            if not coeffs.any():
-                continue
-            f = _combine(homs, [int(c) for c in coeffs], base)
-            if f.is_level_iso():
-                return IsoResult("isomorphic", witness=f,
-                                 detail="random lattice search")
+        stats["seed"] = _resolve_seed(seed)
+        rng = np.random.default_rng(stats["seed"])
+
+        def draws():
+            for t in range(random_tries):
+                width = 1 if t < random_tries // 2 else coeff_bound
+                coeffs = rng.integers(-width, width + 1, size=h)
+                if coeffs.any():
+                    yield coeffs.tolist()
+        f = _first_iso(homs, draws(), unimodular_mod_p, int, "random", stats)
+        if f is not None:
+            return answer("random", "isomorphic", witness=f, detail="random lattice search")
 
     # certificate: some prime modulus where no hom is levelwise invertible
-    n_levels = M.n + 1
+    stats["candidates"]["modulus"] = stats["passed_filter"]["modulus"] = 0
     for m in _SMALL_PRIMES:
         if m ** h > modulus_cap:
             break
+        stats["moduli"].append(m)
+        stack = _LevelStack(homs, gf_make(m, 1))
+        level_ok = np.zeros(M.n + 1, dtype=bool)  # did any hom have det = +-1 mod m at level s
         found_admissible = False
-        level_ok = [False] * n_levels  # did any hom have det = +-1 mod m at level s
-        for coeffs in itertools.product(range(m), repeat=h):
-            f = _combine(homs, coeffs, base)
-            good = True
-            for s, F in enumerate(f.components):
-                if F.shape[0] == 0:
-                    level_ok[s] = True
-                    continue
-                d = la.bareiss_det(F) % m
-                if d in (1 % m, (m - 1) % m):
-                    level_ok[s] = True
-                else:
-                    good = False
-            if good:
+        for batch in _batches(itertools.product(range(m), repeat=h)):
+            good = _unit_dets(stack, np.array(batch), m)
+            admissible = np.flatnonzero(good.all(axis=1))
+            if admissible.size:
+                stats["candidates"]["modulus"] += int(admissible[0]) + 1
+                stats["passed_filter"]["modulus"] += 1
                 found_admissible = True
                 break
+            stats["candidates"]["modulus"] += len(batch)
+            level_ok |= good.any(axis=0)
         if not found_admissible:
-            blocking = [s for s in range(n_levels) if not level_ok[s]]
-            return IsoResult("not_isomorphic",
-                             certificate={"modulus": m, "hom_rank": h,
-                                          "level": blocking[0] if blocking else None},
-                             detail=f"no hom is unimodular mod {m}"
-                                    + (f"; level {blocking[0]} alone rules it out"
-                                       if blocking else ""))
-    return IsoResult("inconclusive", detail="bounded searches found neither witness nor certificate")
+            blocking = np.flatnonzero(~level_ok).tolist()
+            return answer("modulus", "not_isomorphic",
+                          certificate={"modulus": m, "hom_rank": h,
+                                       "level": blocking[0] if blocking else None},
+                          detail=f"no hom is unimodular mod {m}"
+                                 + (f"; level {blocking[0]} alone rules it out"
+                                    if blocking else ""))
+    return answer(None, "inconclusive",
+                  detail="bounded searches found neither witness nor certificate")
 
 
 def _resolve_seed(seed):

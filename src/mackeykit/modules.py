@@ -182,8 +182,10 @@ def module_subquotient(M: FPModule, span, inner=None):
 
 
 def direct_sum_modules(mods: list[FPModule]) -> FPModule:
-    assert mods, "empty direct sum needs an explicit base"
+    if not mods:
+        raise ValueError("empty direct sum needs an explicit base")
     base = mods[0].base
-    assert all(m.base == base or m.base is base for m in mods)
+    if any(m.base != base for m in mods):
+        raise ValueError("summands over different bases")
     return FPModule(base, sum(m.gens for m in mods),
                     la.block_diag([m.relations for m in mods]))

@@ -23,9 +23,9 @@ class BasedRing:
         self.rank = int(rank)
         # mult stored as an (rank*rank) x rank layout: row i*rank+j = e_i e_j
         assert mult.shape == (self.rank * self.rank, self.rank) or self.rank == 0
-        self.mult = mult
+        self.mult = la.coerce(mult, base)
         assert unit.shape == (self.rank, 1)
-        self.unit = unit
+        self.unit = la.coerce(unit, base)
         self.labels = list(labels) if labels is not None else [f"b{i}" for i in range(self.rank)]
         assert len(self.labels) == self.rank
         self.commutative = commutative

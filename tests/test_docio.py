@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mackeykit import cli
@@ -9,6 +10,7 @@ from mackeykit.functors import free_module, geometric_fixed_points
 from mackeykit.green import (GreenFunctor, GreenModule, burnside_green,
                              char_example_green, check_green,
                              check_green_module, constant_green,
+                             direct_sum_green_modules,
                              fixed_point_green)
 from mackeykit.gsets import CyclicGroup
 from mackeykit.linalg import ZZ
@@ -97,6 +99,19 @@ def test_parsed_field_elements_compare_with_fresh_ones():
     back = parse_document(print_document(R))
     assert back.base is R.base
     assert la.mat_eq(back.underlying.weyl[0], R.underlying.weyl[0])
+
+
+def test_parsed_module_keeps_action_and_ring_as_residues():
+    # the constructors convert the action and the ring tables once, as they
+    # do res and tr, so a parsed F_2 module holds int64 residues throughout
+    k = constant_green(CyclicGroup(2, 1), gf_make(2, 1))
+    back = parse_document(print_document(
+        direct_sum_green_modules([free_module(k, 0), free_module(k, 1)])))
+    for s in range(back.n + 1):
+        ring = back.ring.ring(s)
+        assert ring.mult.dtype == np.int64 and ring.unit.dtype == np.int64
+        assert back.action[s] and all(A.dtype == np.int64 for A in back.action[s])
+    assert check_green_module(back).ok
 
 
 def test_file_round_trip(tmp_path):

@@ -471,3 +471,15 @@ def test_green_constructors_reject_bad_input_with_value_error():
         GreenModule(R3, M.underlying, M.action)
     with pytest.raises(ValueError, match="action rank or shape at level 1"):
         GreenModule(R2, M.underlying, [M.action[0], [la.eye(2)]])
+
+
+def test_module_sum_and_hom_basis_reject_mismatched_rings():
+    from mackeykit.functors import free_module
+    G = CyclicGroup(2, 1)
+    k, A = constant_green(G, gf_make(2, 1)), burnside_green(G)
+    with pytest.raises(ValueError, match="empty direct sum"):
+        direct_sum_green_modules([])
+    with pytest.raises(ValueError, match="different rings"):
+        direct_sum_green_modules([free_module(k, 0), free_module(A, 0)])
+    with pytest.raises(ValueError, match="one ring"):
+        green_module_hom_basis(free_module(A, 0), free_module(burnside_green(G), 0))

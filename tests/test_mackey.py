@@ -285,3 +285,11 @@ def test_constructors_and_decisions_reject_bad_input_with_value_error():
                  lambda: direct_sum([M, N]), lambda: direct_sum([])):
         with pytest.raises(ValueError):
             call()
+
+
+def test_compose_rejects_maps_that_do_not_meet():
+    A, C = burnside_mackey(CyclicGroup(2, 1)), constant_mackey(CyclicGroup(2, 1), ZZ)
+    f, g = MackeyMorphism.identity(A), MackeyMorphism.identity(C)
+    with pytest.raises(ValueError, match="compose"):
+        f.compose(g)
+    assert f.compose(f).is_level_iso()

@@ -151,3 +151,10 @@ def test_field_direct_sum_and_relations(F):
     assert S.maps_equal(A, la.coerce(A, F)) and not S.maps_equal(A, la.zeros(3, 1))
     with pytest.raises(ValueError, match="no relations"):
         FPModule(F, 1, la.mat([[1]]))
+
+
+def test_direct_sum_modules_rejects_empty_and_mixed_bases():
+    with pytest.raises(ValueError, match="explicit base"):
+        direct_sum_modules([])
+    with pytest.raises(ValueError, match="different bases"):
+        direct_sum_modules([free_module_over(ZZ, 1), free_module_over(gf_make(2, 1), 1)])
