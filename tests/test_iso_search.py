@@ -68,14 +68,10 @@ def test_det_mod_p_matches_exact_determinants(case):
 def test_det_mod_p_edge_shapes_and_row_swaps(p):
     assert la.det_mod_p(np.zeros((3, 0, 0), dtype=np.int64), p).tolist() == [1, 1, 1]
     assert la.det_mod_p(np.array([[[0]], [[1]], [[p - 1]]]), p).tolist() == [0, 1, p - 1]
-    swaps = np.array([[[0, 1], [1, 0]],                         # one swap: det -1
-                      [[0, 0, 1], [0, 1, 0], [1, 0, 0]],        # padded below
-                      [[0, 1, 0], [0, 0, 1], [1, 0, 0]]],       # two swaps: det +1
-                     dtype=object)
-    two = np.zeros((1, 2, 2), dtype=np.int64)
-    two[0] = [[0, 1], [1, 0]]
+    two = np.array([[[0, 1], [1, 0]]])                          # one swap: det -1
     assert la.det_mod_p(two, p).tolist() == [(p - 1) % p]
-    three = np.array(swaps[1:].tolist(), dtype=np.int64)
+    three = np.array([[[0, 0, 1], [0, 1, 0], [1, 0, 0]],         # one swap: det -1
+                      [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])        # two swaps: det +1
     assert la.det_mod_p(three, p).tolist() == exact_dets(three, p) == [(p - 1) % p, 1]
     singular = np.array([[[1, 2, 3], [2, 4, 6], [0, 1, 1]],    # rows 0 and 1 dependent
                          [[0, 0, 0], [1, 2, 3], [4, 5, 6]],    # zero row
@@ -96,7 +92,7 @@ def test_full_rank_mask_matches_rank(field):
     for n in (0, 1, 2, 3):
         idx = rng.integers(0, min(q, 3), size=(40, n, n))
         A = np.empty(idx.shape, dtype=object)
-        A[...] = [[[elems[v] for v in row] for row in a] for a in idx] if n else A
+        A.reshape(-1)[:] = [elems[v] for v in idx.flat]
         mask = la.full_rank_mask(A, field)
         assert mask.dtype == bool and mask.shape == (40,)
         assert mask.tolist() == [la.rank(a, field) == n for a in A]
