@@ -27,7 +27,8 @@ randomness, fixed pivot rules.
 stack of int64 residue matrices, by one fraction-free elimination over the
 whole stack.  Over Z it serves as a filter, never as the answer: a matrix
 whose determinant is not +-1 mod a prime is not unimodular, and one that
-passes is confirmed with the exact `bareiss_det`.  `full_rank_mask` decides
+passes is confirmed with the exact `bareiss_det`.  `unit_det_mask` is that
+filter, the same elimination with no inverse.  `full_rank_mask` decides
 invertibility of a stack over a field with it, and falls back to `rank`
 matrix by matrix where residues do not apply (GF(p^k), k > 1, and primes
 past the int64 bound).
@@ -531,11 +532,16 @@ def det_mod_p(A, p):
     divided out at the end with one inverse per matrix.
     """
     num, den = _eliminate(A, p)
-    if len(den) > 32:
-        inv = _pow_mod(den, p - 2, p)
-    else:                               # a few Python pows beat ~2 log2 p array passes
-        inv = np.array([pow(int(d), p - 2, p) for d in den], dtype=np.int64)
+    inv = np.array([pow(int(d), p - 2, p) for d in den], dtype=np.int64)
     return num * inv % p
+
+
+def unit_det_mask(A, p):
+    """Boolean mask of the matrices of a (C, n, n) residue stack whose
+    determinant is +-1 mod p: `det_mod_p`'s elimination, compared without
+    the inverse (num = +-den).  A singular matrix has num = 0 and is out."""
+    num, den = _eliminate(A, p)
+    return (num != 0) & ((num == den) | (num == (p - den) % p))
 
 
 def _eliminate(A, p):
@@ -565,18 +571,6 @@ def _eliminate(A, p):
                                     - A[:, j + 1:, j, None] * A[:, j, None, j + 1:]) % p
     num[negate] = (p - num[negate]) % p
     return num, den
-
-
-def _pow_mod(a, e, p):
-    """Entrywise a^e mod p of an int64 residue array, by squaring."""
-    out = np.ones_like(a)
-    while e:
-        if e & 1:
-            out = out * a % p
-        e >>= 1
-        if e:
-            a = a * a % p
-    return out
 
 
 def full_rank_mask(A, field):

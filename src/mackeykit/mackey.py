@@ -633,8 +633,7 @@ class _LevelStack:
 
 def _unit_dets(stack, coeffs, p):
     """(C, levels) mask: the level determinant is +-1 mod p."""
-    dets = la.det_mod_p(stack.levels(coeffs), p)
-    return ((dets == 1) | (dets == p - 1)).reshape(len(coeffs), -1)
+    return la.unit_det_mask(stack.levels(coeffs), p).reshape(len(coeffs), -1)
 
 
 def _first_iso(homs, candidates, passing, coeff, phase, stats):
@@ -671,8 +670,9 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     unimodular witness, then a mod-m certificate ruling every hom out.
 
     Candidates are tested in batches of 1, 2, 4, ... up to _BATCH_CAP: one
-    stacked product gives a batch's level matrices and `la.det_mod_p` their
-    determinants.  Over F_p a nonzero determinant decides; over Z a
+    stacked product gives a batch's level matrices and one batched
+    elimination their determinants (`la.full_rank_mask`,
+    `la.unit_det_mask`).  Over F_p a nonzero determinant decides; over Z a
     determinant that is not +-1 mod _FILTER_PRIME rules a candidate out,
     and the rest are confirmed with the exact `is_level_iso` in order, so
     the first witness is the one a one-at-a-time search finds.
@@ -711,10 +711,11 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         q = base.p ** base.k
         elems = list(base.elements())
         stack = _LevelStack(homs, base)
-        scalars = np.empty(q, dtype=object)
-        scalars[:] = elems
+        if base.k > 1:              # rows index elems; over F_p they are the residues
+            scalars = np.empty(q, dtype=object)
+            scalars[:] = elems
 
-        def invertible(rows):       # rows index elems; over F_p they are the residues
+        def invertible(rows):
             levels = stack.levels(rows if base.k == 1 else scalars[rows])
             return la.full_rank_mask(levels, base).reshape(len(rows), -1).all(axis=1)
 

@@ -78,10 +78,31 @@ def test_det_mod_p_edge_shapes_and_row_swaps(p):
                          [[0, 1, 2], [0, 3, 4], [0, 5, 6]]],   # zero pivot column
                         dtype=np.int64) % p
     assert la.det_mod_p(singular, p).tolist() == [0, 0, 0]
-    # a large batch (above the Python-pow threshold) agrees with the exact values
+    # a larger batch agrees with the exact values
     rng = np.random.default_rng(p % 1000)
     big = rng.integers(0, min(p, 4), size=(100, 4, 4)).astype(np.int64)
     assert la.det_mod_p(big, p).tolist() == exact_dets(big, p)
+
+
+@SETTINGS
+@given(residue_stack())
+def test_unit_det_mask_matches_exact_determinants(case):
+    p, A = case
+    mask = la.unit_det_mask(A, p)
+    assert mask.dtype == bool and mask.shape == (len(A),)
+    assert mask.tolist() == [d in (1, p - 1) for d in exact_dets(A, p)]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_unit_det_mask_edge_cases(p):
+    assert la.unit_det_mask(np.zeros((2, 0, 0), dtype=np.int64), p).tolist() == [True, True]
+    ones = np.array([[[0]], [[1]], [[p - 1]], [[2 % p]]])
+    assert la.unit_det_mask(ones, p).tolist() == [False, True, True, p == 3]
+    # singular matrices whose later pivots are all 0 must not read as units
+    singular = np.array([[[0, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 1], [0, 1]]]) % p
+    assert la.unit_det_mask(singular, p).tolist() == [False, False, False]
+    swaps = np.array([[[0, 1], [1, 0]], [[0, 2], [1, 0]]]) % p    # det -1 and -2
+    assert la.unit_det_mask(swaps, p).tolist() == [True, p == 3]
 
 
 @pytest.mark.parametrize("field", [gf_make(2, 1), gf_make(7, 1), gf_make(2, 2), gf_make(3, 2)])
