@@ -26,8 +26,7 @@ from .green import (GreenFunctor, GreenModule, burnside_green, box_product_gener
 from .gsets import CyclicGroup
 from .kzero import decompose_module, g0_splitting, k0_free_fixed_point
 from .linalg import ZZ
-from .mackey import (MackeyFunctor, check_axioms, is_isomorphic,
-                     twisted_burnside_c5)
+from .mackey import check_axioms, is_isomorphic, twisted_burnside_c5
 
 EXAMPLE_NAMES = ("burnside", "constant-Z", "constant-Fp", "fp-galois",
                  "twisted-burnside-c5", "char-example")
@@ -158,7 +157,11 @@ def cmd_phi(args) -> int:
         print("fail: phi takes a mackey or green document")
         return 1
     if isinstance(obj, GreenFunctor) and args.stages is not None:
-        ph = phi_ring(obj, args.stages)
+        try:
+            ph = phi_ring(obj, args.stages)
+        except ValueError as exc:
+            print(f"usage error: --stages: {exc}", file=sys.stderr)
+            return 2
         rank = ph.rank if ph.ring is not None else 0
         base = "none" if ph.ring is None else \
             ("Z" if ph.ring.base is ZZ else f"F{ph.ring.base.q}")

@@ -133,7 +133,7 @@ def _read_block(cur: _Cursor, head: str, rows: int, cols: int, base):
         raise ParseError(
             f"expected '{head} rows {rows} cols {cols}', found "
             f"'{head.split()[0]} {' '.join(toks)}'", lineno)
-    A = la.zeros(rows, cols)
+    A = la.zeros(rows, cols, base)
     if rows == 0 or cols == 0:
         return A
     for a in range(rows):

@@ -15,14 +15,31 @@ import itertools
 import numpy as np
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Exact below 3.3 * 10^24, where Miller-Rabin on the first 13 prime
+    bases has no strong pseudoprime (Sorenson & Webster, Math. Comp. 86,
+    2017); raises ValueError above."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {_MR_LIMIT}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 1
     return True
 
 
@@ -127,7 +144,8 @@ def irreducible_witness(modulus, p):
         Q[:len(col), i] = col
         Q[i, i] -= 1
         col = poly_mod(poly_mul(col, xp, p), m, p)
-    ker = la.nullspace(Q, gf_make(p, 1))
+    F = gf_make(p, 1)
+    ker = la.nullspace(la.coerce(Q, F), F)
     if ker.shape[1] == 1:
         return None
     v = next([int(x) for x in u] for u in ker.T if any(u[1:]))
@@ -479,6 +497,16 @@ class GaloisField:
     def elements(self):
         for coeffs in itertools.product(range(self.p), repeat=self.k):
             yield self.elem(coeffs)
+
+    def element(self, i: int) -> FFElement:
+        """The i-th element of `elements()`, without listing the others: the
+        base-p digits of i, most significant first, are its coefficients,
+        so its residue has the digits of i in reverse order."""
+        r = 0
+        for _ in range(self.k):
+            i, c = divmod(i, self.p)
+            r = r * self.p + c
+        return self.residue_element(r)
 
     def format_elem(self, a: FFElement) -> str:
         return ":".join(str(c) for c in a.coeffs)

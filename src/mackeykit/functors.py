@@ -32,7 +32,8 @@ def restrict_mackey(M, m: int):
         und = restrict_mackey(M.underlying, m)
         return GreenFunctor(und, M.level_rings[: m + 1],
                             name=f"res_{m}({M.name})" if M.name else "")
-    assert 0 <= m <= M.n
+    if not 0 <= m <= M.n:
+        raise ValueError(f"restriction to C_{M.p}^{m} of a functor over {M.group}")
     group = CyclicGroup(M.p, m)
     step = M.p ** (M.n - m)
     weyl = [la.mpow(M.weyl[s], step, base=M.base) for s in range(m + 1)]
@@ -54,7 +55,8 @@ def induce_mackey(M: MackeyFunctor, n: int) -> MackeyFunctor:
         raise TypeError("induction of a Green functor is only a module, "
                         "not a ring; induce the underlying Mackey functor")
     p, m, base = M.p, M.n, M.base
-    assert n >= m
+    if n < m:
+        raise ValueError(f"induction from C_{p}^{m} to the smaller C_{p}^{n}")
     group = CyclicGroup(p, n)
 
     def copies(s):
@@ -69,14 +71,14 @@ def induce_mackey(M: MackeyFunctor, n: int) -> MackeyFunctor:
     for s in range(n):
         cs, cs1 = copies(s), copies(s + 1)
         ds, ds1 = comp(s).gens, comp(s + 1).gens
-        R = la.zeros(cs * ds, cs1 * ds1)
-        T = la.zeros(cs1 * ds1, cs * ds)
+        R = la.zeros(cs * ds, cs1 * ds1, base)
+        T = la.zeros(cs1 * ds1, cs * ds, base)
         if s + 1 <= m:
             for j in range(cs):
                 R[j * ds:(j + 1) * ds, j * ds1:(j + 1) * ds1] = M.res[s]
                 T[j * ds1:(j + 1) * ds1, j * ds:(j + 1) * ds] = M.tr[s]
         else:
-            I = la.eye(ds)
+            I = la.eye(ds, base)
             for j in range(cs):
                 jt = j % cs1
                 R[j * ds:(j + 1) * ds, jt * ds:(jt + 1) * ds] = I
@@ -87,10 +89,11 @@ def induce_mackey(M: MackeyFunctor, n: int) -> MackeyFunctor:
     weyl = []
     for s in range(n + 1):
         c, d = copies(s), comp(s).gens
-        W = la.zeros(c * d, c * d)
-        wrap = M.weyl[s] if s <= m else la.eye(d)
+        W = la.zeros(c * d, c * d, base)
+        I = la.eye(d, base)
+        wrap = M.weyl[s] if s <= m else I
         for j in range(c - 1):
-            W[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = la.eye(d)
+            W[(j + 1) * d:(j + 2) * d, j * d:(j + 1) * d] = I
         W[0:d, (c - 1) * d:c * d] = wrap
         weyl.append(W)
 
@@ -111,7 +114,8 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
     on the module as `.generator_level` / `.generator`.
     """
     p, n, base = R.p, R.n, R.base
-    assert 0 <= i <= n
+    if not 0 <= i <= n:
+        raise ValueError(f"free module at level {i} of a functor with levels 0..{n}")
     und = induce_mackey(restrict_mackey(R.underlying, i), n)
     M = R.underlying
 
@@ -121,7 +125,7 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
         ru = R.ring(u)
         d = ru.rank
         c = p ** (n - max(i, s))
-        resc = la.coerce(la.eye(R.ring(s).rank), base)
+        resc = la.eye(R.ring(s).rank, base)
         for t in range(s - 1, u - 1, -1):
             resc = la.mmul(M.res[t], resc, base)
         order = p ** (n - u)
@@ -138,10 +142,9 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
         action.append(mats)
 
     F = GreenModule(R, und, action, name=f"F{i}({R.name})" if R.name else f"F{i}")
-    gen = la.zeros(und.levels[i].gens, 1)
-    gen[unit_basis_index(R.ring(i)), 0] = 1
     F.generator_level = i
-    F.generator = la.coerce(gen, base)
+    F.generator = la.zeros(und.levels[i].gens, 1, base)
+    F.generator[unit_basis_index(R.ring(i)), 0] = base.one
     return F
 
 
@@ -241,26 +244,27 @@ def _gfp_mackey(M: MackeyFunctor):
     return N, projs, lifts
 
 
+def _quotient_ring(ring: BasedRing, proj, lift, out_base) -> BasedRing:
+    """ring modulo an ideal, on the quotient generators of (proj, lift); the
+    structure constants are computed over ring.base and reduced to out_base."""
+    base, rank = ring.base, proj.shape[0]
+    mult = la.zeros(rank * rank, rank, base)
+    for i in range(rank):
+        for j in range(rank):
+            prod = ring.multiply(lift[:, i:i + 1], lift[:, j:j + 1])
+            mult[i * rank + j, :] = la.mmul(proj, prod, base)[:, 0]
+    unit = la.mmul(proj, ring.unit, base)
+    return BasedRing(out_base, rank, mult, unit, commutative=ring.commutative)
+
+
 def _gfp_green(R: GreenFunctor) -> GreenFunctor:
     N, projs, lifts = _gfp_mackey(R.underlying)
-    base = R.base
     rings = []
     for s in range(1, R.n + 1):
         if not N.levels[s - 1].is_free:
             raise NotImplementedError(
                 "geometric fixed points of this ring have torsion coefficients")
-        old = R.ring(s)
-        proj, lift = projs[s - 1], lifts[s - 1]
-        rank = N.levels[s - 1].gens
-        mult = la.coerce(la.zeros(rank * rank, rank), base)
-        for i in range(rank):
-            for j in range(rank):
-                prod = old.multiply(lift[:, i:i + 1], lift[:, j:j + 1])
-                mult[(i * rank + j):(i * rank + j + 1), :] = \
-                    la.mmul(proj, prod, base).T
-        unit = la.mmul(proj, old.unit, base)
-        rings.append(BasedRing(base, rank, mult, unit,
-                               commutative=old.commutative))
+        rings.append(_quotient_ring(R.ring(s), projs[s - 1], lifts[s - 1], R.base))
     return GreenFunctor(N, rings, name=f"phi({R.name})" if R.name else "")
 
 
@@ -293,48 +297,34 @@ def phi_ring(R: GreenFunctor, m: int) -> PhiLevel:
     ring.  Over Z a purely p-torsion quotient is repackaged over GF(p); other
     torsion is reported descriptively with ring=None.
     """
+    if not 0 <= m <= R.n:
+        raise ValueError(f"stage {m} is outside 0..{R.n}")
     base = R.base
     ring = R.ring(m)
     if m == 0:
-        I = la.coerce(la.eye(ring.rank), base)
+        I = la.eye(ring.rank, base)
         return PhiLevel(ring, I, I, [0] * ring.rank, "full level 0")
-    assert 1 <= m <= R.n
     span = R.underlying.tr[m - 1]
     Q, proj, lift = reduced_quotient(base, ring.rank, span)
     if Q.gens == 0:
-        z = la.coerce(la.zeros(0, ring.rank), base)
+        z = la.zeros(0, ring.rank, base)
         return PhiLevel(None, z, z.T.copy(), [], "zero ring")
 
-    def quotient_ring(out_base, reduce=None):
-        rank = Q.gens
-        mult = la.coerce(la.zeros(rank * rank, rank), out_base)
-        for i in range(rank):
-            for j in range(rank):
-                prod = ring.multiply(lift[:, i:i + 1], lift[:, j:j + 1])
-                row = la.mmul(proj, prod, base)
-                if reduce is not None:
-                    row = reduce(row)
-                mult[(i * rank + j):(i * rank + j + 1), :] = row.T
-        unit = la.mmul(proj, ring.unit, base)
-        if reduce is not None:
-            unit = reduce(unit)
-        return BasedRing(out_base, rank, mult, unit, commutative=ring.commutative)
-
     if base is not ZZ:
-        return PhiLevel(quotient_ring(base), proj, lift,
+        return PhiLevel(_quotient_ring(ring, proj, lift, base), proj, lift,
                         [0] * Q.gens, "field quotient")
 
     invf = Q.invariant_factors()
     if Q.is_free:
-        return PhiLevel(quotient_ring(ZZ), proj, lift, invf,
+        return PhiLevel(_quotient_ring(ring, proj, lift, ZZ), proj, lift, invf,
                         "free quotient over Z")
     torsion = [d for d in invf if d != 0]
     frees = [d for d in invf if d == 0]
     prm = torsion[0]
     if not frees and all(d == prm for d in torsion) and is_prime(prm):
         F = gf_make(prm, 1)
-        return PhiLevel(quotient_ring(F, reduce=lambda row: la.coerce(row, F)), proj, lift,
-                        invf, f"Z-quotient reduced mod {prm}")
+        return PhiLevel(_quotient_ring(ring, proj, lift, F), proj, lift, invf,
+                        f"Z-quotient reduced mod {prm}")
     return PhiLevel(None, proj, lift, invf,
                     f"Z-module with invariant factors {invf}")
 
@@ -396,25 +386,20 @@ def _transfers_all_surjective(M: MackeyFunctor) -> bool:
     return True
 
 
-def _theta_on_phi(R: GreenFunctor, t: int, ph: PhiLevel):
-    W = R.underlying.weyl[t]
-    if R.base is ZZ and ph.ring is not None and ph.ring.base is not ZZ:
-        return la.coerce(la.mmul_chain(ph.proj, W, ph.lift, base=ZZ), ph.ring.base)
-    return la.mmul_chain(ph.proj, W, ph.lift, base=R.base)
-
-
 def _term_for(R: GreenFunctor, t: int, ph: PhiLevel) -> E1Term:
     p, n = R.p, R.n
     order = p ** (n - t)
     if ph.ring is None:
         return E1Term(t, order, ph, None, f"[{ph.description}] with C_{order}-twist")
-    theta = _theta_on_phi(R, t, ph)
+    # the Weyl action on the level ring, over that ring's base (Z reduced mod p)
+    theta = la.coerce(la.mmul_chain(ph.proj, R.underlying.weyl[t], ph.lift, base=R.base),
+                      ph.ring.base)
     tw = twisted_group_ring(ph.ring, order, theta)
     if ph.ring.base is not ZZ and ring_is_field(ph.ring):
         q0 = ph.ring.base.p ** ph.ring.base.k
         side = tw.theta_power_order()
         inner = order // side
-        delta = la.sub(theta, la.eye(ph.ring.rank), ph.ring.base)
+        delta = la.sub(theta, la.eye(ph.ring.rank, ph.ring.base), ph.ring.base)
         fixed_dim = ph.ring.rank - la.rank(delta, ph.ring.base)
         fixed = q0 ** fixed_dim
         core = f"F{fixed}" if inner == 1 else f"F{fixed}[C{inner}]"
@@ -463,17 +448,17 @@ def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
         return sigma if is_section(sigma) else None
 
     if base is ZZ:
-        coeffs = list(range(-bound, bound + 1))
-    else:
+        coeffs = range(-bound, bound + 1)
+    elif base.q ** (k * qr) <= cap:     # list the field only when the search runs
         coeffs = list(base.elements())
+    else:
+        return None
     if len(coeffs) ** (k * qr) > cap:
         return None
     for picks in itertools.product(coeffs, repeat=k * qr):
-        X = la.coerce(la.zeros(k, qr), base)
-        for a in range(k):
-            for b in range(qr):
-                X[a, b] = picks[a * qr + b]
-        sigma = la.coerce(ph.lift + la.mmul(K, X, base), base)
+        X = la.zeros(k, qr, base)
+        X.reshape(-1)[:] = picks
+        sigma = la.add_scaled(ph.lift, la.mmul(K, X, base), 1, base)
         if is_section(sigma):
             return sigma
     return None

@@ -25,10 +25,12 @@ from .rings import BasedRing, based_ring_check, ring_is_field
 
 def tensor_modules(A: FPModule, B: FPModule) -> FPModule:
     """Tensor product of presented modules; generator (i, j) is i*B.gens + j."""
-    assert A.base == B.base or A.base is B.base
-    rel = la.hstack([la.kron(A.relations, la.eye(B.gens)),
-                     la.kron(la.eye(A.gens), B.relations)])
-    return FPModule(A.base, A.gens * B.gens, rel)
+    base = A.base
+    if B.base != base:
+        raise ValueError(f"tensor product of modules over {base!r} and {B.base!r}")
+    rel = la.hstack([la.kron(A.relations, la.eye(B.gens, base), base),
+                     la.kron(la.eye(A.gens, base), B.relations, base)])
+    return FPModule(base, A.gens * B.gens, rel)
 
 
 class GreenFunctor:
@@ -114,8 +116,8 @@ def check_green(R: GreenFunctor) -> CheckReport:
                        R.ring(s), R.ring(s), M.levels[s], base)
     # projection formula tr(x . res y) = tr(x) . y for every pair of levels
     for s in range(n + 1):
-        trc = la.eye(M.levels[s].gens)
-        resc = la.eye(M.levels[s].gens)
+        trc = la.eye(M.levels[s].gens, base)
+        resc = trc
         for t in range(s + 1, n + 1):
             trc = la.mmul(M.tr[t - 1], trc, base)
             resc = la.mmul(resc, M.res[t - 1], base)
@@ -141,9 +143,6 @@ class GreenMorphism:
         # shape checks and coercion via the underlying morphism
         self._mackey = MackeyMorphism(source.underlying, target.underlying, components)
         self.components = self._mackey.components
-
-    def mackey_morphism(self) -> MackeyMorphism:
-        return self._mackey
 
     def check(self) -> CheckReport:
         rep = CheckReport("green morphism").merged(self._mackey.check())
@@ -201,7 +200,7 @@ class GreenModule:
     def action_matrix(self, s: int, rvec):
         """Matrix of the ring element with coefficient column rvec on level s."""
         g = self.underlying.levels[s].gens
-        out = la.coerce(la.zeros(g, g), self.base)
+        out = la.zeros(g, g, self.base)
         for u in range(self.ring.ring(s).rank):
             if rvec[u, 0]:
                 out = la.add_scaled(out, self.action[s][u], rvec[u, 0], self.base)
@@ -231,7 +230,7 @@ def check_green_module(M: GreenModule) -> CheckReport:
                 if not lev.annihilates(la.mmul(M.action[s][u], lev.relations)):
                     rep.add("action", f"level {s}: e{u}",
                             "action does not preserve the relations")
-        ident = la.coerce(la.eye(lev.gens), base)
+        ident = la.eye(lev.gens, base)
         if not lev.maps_equal(M.action_matrix(s, ring.unit), ident):
             rep.add("unit", f"level {s}", "unit does not act as the identity")
         for u in range(ring.rank):
@@ -299,14 +298,12 @@ class GreenModuleMorphism:
     """Levelwise maps commuting with res/tr/weyl and with the ring action."""
 
     def __init__(self, source: GreenModule, target: GreenModule, components):
-        assert source.ring is target.ring or source.ring.describe() == target.ring.describe()
+        if not (source.ring is target.ring or source.ring.describe() == target.ring.describe()):
+            raise ValueError("module morphism between modules over different rings")
         self.source = source
         self.target = target
         self._mackey = MackeyMorphism(source.underlying, target.underlying, components)
         self.components = self._mackey.components
-
-    def mackey_morphism(self) -> MackeyMorphism:
-        return self._mackey
 
     def check(self) -> CheckReport:
         rep = CheckReport("green module morphism").merged(self._mackey.check())
@@ -348,7 +345,7 @@ def green_module_from_invariant_span(M: GreenModule, spans):
 
     def inside(s, cols, what):
         if cols.shape[1] == 0:
-            return la.zeros(incl[s].shape[1], 0)
+            return la.zeros(incl[s].shape[1], 0, base)
         x = la.solve(incl[s], cols, base)
         if x is None:
             raise ValueError(f"span not closed under {what} at level {s}")
@@ -381,7 +378,7 @@ def burnside_green(group, name: str = "") -> GreenFunctor:
 def constant_green(group, base, name: str = "") -> GreenFunctor:
     """Constant green functor: every level is the base ring itself."""
     und = constant_mackey(group, base, 1, name=name)
-    one = la.coerce(la.mat([[1]]), base)
+    one = la.mat([[1]], base=base)
     rings = [BasedRing(base, 1, one.copy(), one.copy(), ["1"])
              for _ in range(group.n + 1)]
     return GreenFunctor(und, rings, name=name or und.name)
@@ -409,20 +406,14 @@ def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> Gree
     for B in M.fixed_bases:
         d = B.shape[1]
         elems = [field.from_poly([int(B[i, u]) for i in range(k)]) for u in range(d)]
-        mult = la.zeros(d * d, d)
+        mult = la.zeros(d * d, d, base)
         for u in range(d):
             for v in range(d):
                 prod = elems[u] * elems[v]
-                col = la.zeros(k, 1)
-                for i, c in enumerate(prod.coeffs):
-                    col[i, 0] = c
-                coords = la.solve(B, la.coerce(col, base), base)
+                coords = la.solve(B, la.mat([[c] for c in prod.coeffs], base=base), base)
                 assert coords is not None  # subfields are multiplicatively closed
-                for t in range(d):
-                    mult[u * d + v, t] = coords[t, 0]
-        one = la.zeros(k, 1)
-        one[0, 0] = 1
-        unit = la.solve(B, la.coerce(one, base), base)
+                mult[u * d + v, :] = coords[:, 0]
+        unit = la.solve(B, la.eye(k, base)[:, :1], base)
         assert unit is not None
         labels = [field.format_elem(e) for e in elems]
         rings.append(BasedRing(base, d, mult, unit, labels))
@@ -467,7 +458,7 @@ class TwistedGroupRing:
     def theta_power_order(self) -> int:
         """Smallest c >= 1 with theta^c = id (divides the group order)."""
         base = self.coefficient.base
-        idm = la.coerce(la.eye(self.coefficient.rank), base)
+        idm = la.eye(self.coefficient.rank, base)
         acc = self.theta
         c = 1
         while not la.mat_eq(acc, idm):
@@ -489,7 +480,7 @@ def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
     """
     base, r, m = R.base, R.rank, order
     assert m >= 1 and theta.shape == (r, r)
-    idm = la.coerce(la.eye(r), base)
+    idm = la.eye(r, base)
     if not la.mat_eq(la.mmul(theta, R.unit, base), R.unit):
         raise ValueError("theta must fix the unit")
     for i in range(r):
@@ -505,7 +496,7 @@ def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
     th_pows = [idm]
     for _ in range(m - 1):
         th_pows.append(la.mmul(theta, th_pows[-1], base))
-    mult = la.zeros(rank * rank, rank)
+    mult = la.zeros(rank * rank, rank, base)
     for a in range(m):
         Ta = th_pows[a]
         for i in range(r):
@@ -514,12 +505,9 @@ def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
                 c = (a + b) % m
                 for j in range(r):
                     coeff = la.mmul(Li, Ta[:, j:j + 1].copy(), base)
-                    row = (a * r + i) * rank + (b * r + j)
-                    for t in range(r):
-                        mult[row, c * r + t] = coeff[t, 0]
-    unit = la.zeros(rank, 1)
-    for t in range(r):
-        unit[t, 0] = R.unit[t, 0]
+                    mult[(a * r + i) * rank + (b * r + j), c * r:(c + 1) * r] = coeff[:, 0]
+    unit = la.zeros(rank, 1, base)
+    unit[:r, :] = R.unit
     labels = []
     for a in range(m):
         for i in range(r):
@@ -574,11 +562,11 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     k = L.rank
     assert k % m == 0
     d = k // m
-    idm = la.coerce(la.eye(k), base)
+    idm = la.eye(k, base)
     fixed = la.nullspace(la.sub(T.theta, idm, base), base)
     assert fixed.shape[1] == d
     # greedy basis of L over the fixed subfield
-    V, S = [], la.zeros(k, 0)
+    V, S = [], la.zeros(k, 0, base)
     for v in [L.unit] + [L.basis_vector(i) for i in range(k)]:
         block = la.mmul(L.left_mult_matrix(v), fixed, base)
         trial = la.hstack([S, block]) if S.shape[1] else block
@@ -600,19 +588,19 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
             cols.append(mat.transpose().reshape(k * k, 1))
     phi = la.hstack(cols)
     rep = CheckReport("matrix units")
-    idd = la.coerce(la.eye(d), base)
+    idd = la.eye(d, base)
     units = {}
     for a in range(m):
         for b in range(m):
-            P = la.zeros(m, m)
-            P[a, b] = 1
+            P = la.zeros(m, m, base)
+            P[a, b] = base.one
             E = la.mmul_chain(B, la.kron(P, idd, base), Binv, base=base)
             x = la.solve(phi, E.transpose().reshape(k * k, 1), base)
             if x is None:
                 rep.add("matrix-units", f"E[{a},{b}]", "target map not in the image")
                 continue
             units[(a, b)] = x
-    zero = la.coerce(la.zeros(k * m, 1), base)
+    zero = la.zeros(k * m, 1, base)
     for (a, b), u in units.items():
         for (c, e), v in units.items():
             prod = T.ring.multiply(u, v)
@@ -622,8 +610,8 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     total = zero
     for a in range(m):
         if (a, a) in units:
-            total = total + units[(a, a)]
-    if not la.mat_eq(la.coerce(total, base), T.ring.unit):
+            total = la.add_scaled(total, units[(a, a)], 1, base)
+    if not la.mat_eq(total, T.ring.unit):
         rep.add("matrix-units", "sum of diagonals", "idempotents do not sum to 1")
     return MoritaWitness(units, d, rep)
 
@@ -631,8 +619,8 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
 # --- box products and base change: one block presentation ----------------------
 
 
-def _place_rows(total_rows: int, offset: int, block):
-    out = la.zeros(total_rows, block.shape[1])
+def _place_rows(total_rows: int, offset: int, block, base):
+    out = la.zeros(total_rows, block.shape[1], base)
     out[offset:offset + block.shape[0], :] = block
     return out
 
@@ -658,19 +646,21 @@ def _block_presentation(M: MackeyFunctor, N: MackeyFunctor, extra, name: str) ->
     levels, projs, lifts = [], [], []
     for s in range(n + 1):
         total = offs[s + 1]
-        rels = [la.zeros(total, 0)]
+        rels = [la.zeros(total, 0, base)]
         for t in range(s + 1):
-            rels += [_place_rows(total, offs[t], X) for X in extra[t]]
+            rels += [_place_rows(total, offs[t], X, base) for X in extra[t]]
         for t in range(s):
-            C = la.sub(la.mpow(D[t], p ** (n - s), base), la.eye(g[t]), base)
-            rels.append(_place_rows(total, offs[t], C))
+            C = la.sub(la.mpow(D[t], p ** (n - s), base), la.eye(g[t], base), base)
+            rels.append(_place_rows(total, offs[t], C, base))
         for t in range(1, s + 1):
-            a1 = _place_rows(total, offs[t], la.kron(M.tr[t - 1], la.eye(gN[t]), base))
-            b1 = _place_rows(total, offs[t - 1], la.kron(la.eye(gM[t - 1]), N.res[t - 1], base))
-            rels.append(la.sub(a1, b1, base))
-            a2 = _place_rows(total, offs[t], la.kron(la.eye(gM[t]), N.tr[t - 1], base))
-            b2 = _place_rows(total, offs[t - 1], la.kron(M.res[t - 1], la.eye(gN[t - 1]), base))
-            rels.append(la.sub(a2, b2, base))
+            a1 = la.kron(M.tr[t - 1], la.eye(gN[t], base), base)
+            b1 = la.kron(la.eye(gM[t - 1], base), N.res[t - 1], base)
+            rels.append(la.sub(_place_rows(total, offs[t], a1, base),
+                               _place_rows(total, offs[t - 1], b1, base), base))
+            a2 = la.kron(la.eye(gM[t], base), N.tr[t - 1], base)
+            b2 = la.kron(M.res[t - 1], la.eye(gN[t - 1], base), base)
+            rels.append(la.sub(_place_rows(total, offs[t], a2, base),
+                               _place_rows(total, offs[t - 1], b2, base), base))
         Q, proj, lift = reduced_quotient(base, total, la.hstack(rels))
         levels.append(Q)
         projs.append(proj)
@@ -678,20 +668,15 @@ def _block_presentation(M: MackeyFunctor, N: MackeyFunctor, extra, name: str) ->
 
     res, tr = [], []
     for s in range(n):
-        raw = la.zeros(offs[s + 1], offs[s + 2])
+        raw = la.zeros(offs[s + 1], offs[s + 2], base)
         for t in range(s + 1):
-            acc = la.eye(g[t])
-            step = la.mpow(D[t], p ** (n - s - 1), base)
-            sm = la.zeros(g[t], g[t])
-            for _ in range(p):
-                sm = la.add_scaled(sm, acc, 1, base)
-                acc = la.mmul(acc, step, base)
+            sm = la.power_sum(la.mpow(D[t], p ** (n - s - 1), base), p, base)
             raw[offs[t]:offs[t] + g[t], offs[t]:offs[t] + g[t]] = sm
         top = la.kron(M.res[s], N.res[s], base)
         raw[offs[s]:offs[s] + g[s], offs[s + 1]:offs[s + 1] + g[s + 1]] = top
         res.append(la.mmul_chain(projs[s], raw, lifts[s + 1], base=base))
         # tr includes blocks 0..s of level s as the lower blocks of level s + 1
-        rawt = la.vstack([la.eye(offs[s + 1]), la.zeros(g[s + 1], offs[s + 1])])
+        rawt = la.vstack([la.eye(offs[s + 1], base), la.zeros(g[s + 1], offs[s + 1], base)])
         tr.append(la.mmul_chain(projs[s + 1], rawt, lifts[s], base=base))
     weyl = [la.mmul_chain(projs[s], la.block_diag(D[:s + 1]), lifts[s], base=base)
             for s in range(n + 1)]
@@ -736,18 +721,18 @@ def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
         rels = [tensor_modules(und.levels[t], Lund.levels[t]).relations]
         for lam, act in enumerate(M.action[t]):
             lmul = lt.left_mult_matrix(f.components[t][:, lam:lam + 1].copy())
-            rels.append(la.sub(la.kron(act, la.eye(lt.rank), base),
-                               la.kron(la.eye(mt), lmul, base), base))
+            rels.append(la.sub(la.kron(act, la.eye(lt.rank, base), base),
+                               la.kron(la.eye(mt, base), lmul, base), base))
         extra.append(rels)
     B = _block_presentation(und, Lund, extra, f"{M.name or 'M'} along {L.name or 'L'}")
 
     action = []
     for s in range(n + 1):
-        down = [la.mmul_chain(*Lund.res[t:s], la.eye(L.ring(s).rank), base=base)
+        down = [la.mmul_chain(*Lund.res[t:s], la.eye(L.ring(s).rank, base), base=base)
                 for t in range(s + 1)]                     # res_{s->t}
         action.append([])
         for c in range(L.ring(s).rank):
-            raw = la.block_diag([la.kron(la.eye(und.levels[t].gens), L.ring(t).left_mult_matrix(
+            raw = la.block_diag([la.kron(la.eye(und.levels[t].gens, base), L.ring(t).left_mult_matrix(
                 down[t][:, c:c + 1].copy()), base) for t in range(s + 1)])
             action[s].append(la.mmul_chain(B.projections[s], raw, B.lifts[s], base=base))
     out = GreenModule(L, B, action, name=B.name)
@@ -769,7 +754,7 @@ def base_change_map_cp(f: GreenMorphism, g: GreenModuleMorphism,
     base = f.source.base
     comps = []
     for s in range(L.n + 1):
-        raw = la.block_diag([la.kron(g.components[t], la.eye(L.ring(t).rank), base)
+        raw = la.block_diag([la.kron(g.components[t], la.eye(L.ring(t).rank, base), base)
                              for t in range(s + 1)])
         comps.append(la.mmul_chain(target_changed.projections[s], raw,
                                    source_changed.lifts[s], base=base))

@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 
 from . import linalg as la
-from .fields import gf_make
 from .functors import E1Page, e1_page, free_module
 from .green import (GreenFunctor, GreenModule, GreenModuleMorphism,
                     direct_sum_green_modules, green_module_from_invariant_span,
@@ -37,7 +36,7 @@ def meadow_stabilizer(k: GreenFunctor) -> int:
     p, n = k.p, k.n
     base = k.base
     W = k.underlying.weyl[0]
-    I = la.coerce(la.eye(W.shape[0]), base)
+    I = la.eye(W.shape[0], base)
     cur = W
     order = 1
     while not la.mat_eq(cur, I):
@@ -182,7 +181,7 @@ def classify_free(p: int, n: int, r: int, mults, char_is_p: bool = True) -> Cano
 def _res_chain(M: MackeyFunctor, src: int, dst: int):
     """Composite restriction from level src down to dst."""
     base = M.base
-    out = la.coerce(la.eye(M.levels[src].gens), base)
+    out = la.eye(M.levels[src].gens, base)
     for t in range(src - 1, dst - 1, -1):
         out = la.mmul(M.res[t], out, base)
     return out
@@ -191,7 +190,7 @@ def _res_chain(M: MackeyFunctor, src: int, dst: int):
 def _tr_chain(M: MackeyFunctor, src: int, dst: int):
     """Composite transfer from level src up to dst."""
     base = M.base
-    out = la.coerce(la.eye(M.levels[src].gens), base)
+    out = la.eye(M.levels[src].gens, base)
     for t in range(src, dst):
         out = la.mmul(M.tr[t], out, base)
     return out
@@ -223,8 +222,7 @@ def map_from_generator(P: GreenModule, i: int, x):
         for _ in range(c):
             cols.extend(cur)
             cur = [la.mmul(und.weyl[s], v, base) for v in cur]
-        comps.append(la.hstack(cols) if cols else
-                     la.coerce(la.zeros(und.levels[s].gens, 0), base))
+        comps.append(la.hstack(cols) if cols else la.zeros(und.levels[s].gens, 0, base))
     return comps
 
 
@@ -306,21 +304,18 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
         return FreenessWitness(canon, P, inclusion, zero, wit, wit.check())
 
     rng = random.Random(_resolve_seed(seed))
-    elements = list(base.elements())
     n = k.n
-    stacked = [la.coerce(la.zeros(d, 0), base) for d in P.level_dims()]
+    stacked = [la.zeros(d, 0, base) for d in P.level_dims()]
     for i in summands:
         gdim = P.underlying.levels[i].gens
         found = False
         for trial in range(attempts):
+            x = la.zeros(gdim, 1, base)
             if trial < gdim:
-                x = la.zeros(gdim, 1)
-                x[trial, 0] = 1
-                x = la.coerce(x, base)
+                x[trial, 0] = base.one
             else:
-                x = la.coerce(la.zeros(gdim, 1), base)
                 for a in range(gdim):
-                    x[a, 0] = rng.choice(elements)
+                    x[a, 0] = base.element(rng.randrange(base.q))
             block = map_from_generator(P, i, x)
             good = True
             for s in range(n + 1):
@@ -340,14 +335,8 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
     witness = GreenModuleMorphism(model, P, stacked)
     rep = witness.check()
     if rep.ok and not witness.is_level_iso():
-        rep = rep.merged(_level_iso_failure(witness))
+        rep.add("iso", "levels", "constructed map is not a levelwise isomorphism")
     return FreenessWitness(canon, P, inclusion, model, witness, rep)
-
-
-def _level_iso_failure(f: GreenModuleMorphism) -> CheckReport:
-    rep = CheckReport("witness")
-    rep.add("iso", "levels", "constructed map is not a levelwise isomorphism")
-    return rep
 
 
 def random_green_automorphism(M: GreenModule, seed=None, attempts: int = 80):
@@ -356,12 +345,11 @@ def random_green_automorphism(M: GreenModule, seed=None, attempts: int = 80):
     if base is ZZ:
         raise ValueError("random automorphisms need field coefficients")
     basis = green_module_hom_basis(M, M)
-    elements = list(base.elements())
     rng = random.Random(_resolve_seed(seed))
     for _ in range(attempts):
-        comps = [la.zeros(d, d) for d in M.level_dims()]
+        comps = [la.zeros(d, d, base) for d in M.level_dims()]
         for h in basis:
-            coeff = rng.choice(elements)
+            coeff = base.element(rng.randrange(base.q))
             comps = [la.add_scaled(a, c, coeff, base) for a, c in zip(comps, h.components)]
         g = GreenModuleMorphism(M, M, comps)
         if g.is_level_iso():

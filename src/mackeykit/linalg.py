@@ -11,17 +11,21 @@ Matrices are 2-d numpy arrays, and each base keeps them one way at rest:
 - over GF(p^k), k > 1, and larger primes, dtype=object holding interned
   field elements (see fields.FFElement).
 
-Every kernel takes its base and returns matrices in that form, so F_p
-matrices stay int64 residues from call to call and no FFElement arithmetic
-runs in a kernel.  Kernels also accept object arrays of FFElements or plain
-ints (0/1 as universal zero/one) and convert them on the way in; `coerce`
-is the one function that puts a matrix into the form of its base, and the
-only one that rejects elements of another field (ValueError).  The other
-kernels take int64 entries as residues in [0, p) without looking: after
-raw numpy arithmetic on residue arrays, reduce with `coerce`.  Assigning an
-FFElement into an int64 array converts it through `__int__`, unchecked, so
-callers keep to one base.  Everything here is deterministic: no implicit
-randomness, fixed pivot rules.
+The constructors `zeros`, `eye`, `mat` and `scalar_mul` take the base (Z by
+default) and build that form directly, and every kernel takes its base and
+returns that form, so F_p matrices stay int64 residues from call to call
+and no FFElement arithmetic runs in a kernel.  `power_sum` is the sum
+I + W + ... + W^(k-1) of the double coset formula.  Kernels still accept
+object arrays of FFElements or plain ints (0/1 as universal zero/one) from
+outside callers and convert them on the way in; the library itself builds
+every matrix in its base's form.  `coerce` is the one function that puts a
+matrix into the form of its base, and the only one that rejects elements
+of another field (ValueError).  The other kernels take int64 entries as
+residues in [0, p) without looking: after raw numpy arithmetic on residue
+arrays, reduce with `coerce`.  Assigning an FFElement into an int64 array
+converts it through `__int__`, unchecked, so callers keep to one base.
+Everything here is deterministic: no implicit randomness, fixed pivot
+rules.
 
 `det_mod_p` is the batched kernel: the determinants mod p of a (C, n, n)
 stack of int64 residue matrices, by one fraction-free elimination over the
@@ -58,29 +62,32 @@ ZZ = IntegerRing()
 # ---------------------------------------------------------------------------
 # construction helpers
 
-def mat(rows, ncols=None):
-    """Build an object-dtype matrix from nested lists; ncols disambiguates 0-row shapes."""
-    rows = list(rows)
-    if not rows:
-        return np.zeros((0, 0 if ncols is None else ncols), dtype=object)
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
+def mat(rows, ncols=None, base=ZZ):
+    """Matrix from nested lists, in the form of base; ncols gives the width
+    of a matrix with no rows.  Raises ValueError on ragged rows."""
+    rows = [list(r) for r in rows]
+    width = len(rows[0]) if rows else (ncols or 0)
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged rows")
+    out = np.empty((len(rows), width), dtype=object)
     for i, r in enumerate(rows):
-        assert len(r) == out.shape[1], "ragged rows"
-        for j, v in enumerate(r):
-            out[i, j] = v
-    return out
+        out[i, :] = r
+    return coerce(out, base)
 
 
-def zeros(r, c):
+def zeros(r, c, base=ZZ):
+    """The r x c zero matrix in the form of base."""
+    if _int64_prime(base):
+        return np.zeros((r, c), dtype=np.int64)
     out = np.empty((r, c), dtype=object)
-    out[...] = 0
+    out[...] = base.zero
     return out
 
 
-def eye(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
+def eye(n, base=ZZ):
+    """The n x n identity in the form of base."""
+    out = zeros(n, n, base)
+    out.flat[::n + 1] = base.one
     return out
 
 
@@ -150,7 +157,7 @@ def mmul_chain(*mats, base=ZZ):
 def mpow(A, k, base=ZZ):
     """A^k by square-and-multiply: at most 2 * ceil(log2 k) + 1 products."""
     assert A.shape[0] == A.shape[1]
-    out = _field_eye(A.shape[0], base)
+    out = eye(A.shape[0], base)
     while k:
         if k & 1:
             out = mmul(out, A, base)
@@ -170,10 +177,24 @@ def kron(A, B, base=ZZ):
     return K % p if p else coerce(K, base)
 
 
-def scalar_mul(c, A):
-    if A.size == 0:
-        return A.copy()
-    return c * A
+def power_sum(W, count, base=ZZ):
+    """I + W + W^2 + ... + W^(count - 1), for count >= 1."""
+    acc = eye(W.shape[0], base)
+    total = acc
+    for _ in range(count - 1):
+        acc = mmul(acc, W, base)
+        total = add_scaled(total, acc, 1, base)
+    return total
+
+
+def scalar_mul(c, A, base=ZZ):
+    """c * A in the form of base.  Over Z, the default, the product is
+    numpy's, entry by entry on whatever A holds: an FFElement times a
+    residue array gives FFElements."""
+    p = _int64_prime(base)
+    if p:
+        return to_residues(A, p) * int(base.coerce(c)) % p
+    return A.copy() if A.size == 0 else coerce(A * c, base)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +370,11 @@ def solve(A, B, field):
     if n == 0:
         if B.size and rank(B, field) > 0:
             return None
-        return _field_zeros(0, B.shape[1], field)
+        return zeros(0, B.shape[1], field)
     R, pivots = rref(hstack([A, B]), field)
     if pivots and pivots[-1] >= n:
         return None
-    X = _field_zeros(n, B.shape[1], field)
+    X = zeros(n, B.shape[1], field)
     if pivots:
         X[pivots, :] = R[:len(pivots), n:]
     return X
@@ -369,31 +390,17 @@ def nullspace(A, field):
     R, pivots = rref(A, field)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    K = _field_eye(n, field)[:, free]
+    K = eye(n, field)[:, free]
     if pivots and free:
         K[pivots, :] = neg(R[:len(pivots), free], field)
     return K
-
-
-def _field_zeros(r, c, base):
-    if _int64_prime(base):
-        return np.zeros((r, c), dtype=np.int64)
-    out = np.empty((r, c), dtype=object)
-    out[...] = base.zero
-    return out
-
-
-def _field_eye(n, base):
-    out = _field_zeros(n, n, base)
-    out[range(n), range(n)] = base.one
-    return out
 
 
 def inv_field(A, field):
     """Inverse of a square matrix over the field, or None when singular."""
     n = A.shape[0]
     assert A.shape[1] == n
-    return solve(A, eye(n), field)
+    return solve(A, eye(n, field), field)
 
 
 def column_space_basis(A, field):
@@ -402,10 +409,13 @@ def column_space_basis(A, field):
     Over Z this is `column_lattice_basis`, a basis of the column lattice."""
     if field is ZZ:
         return column_lattice_basis(A)
+    p = _int64_prime(field)
+    if p:
+        A = to_residues(A, p)
     if A.shape[1] == 0:
         return A.copy()
     _, pivots = rref(A, field)
-    return A[:, pivots].copy() if pivots else zeros(A.shape[0], 0)
+    return A[:, pivots].copy() if pivots else zeros(A.shape[0], 0, field)
 
 
 # ---------------------------------------------------------------------------

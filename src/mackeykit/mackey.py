@@ -21,9 +21,9 @@ import itertools
 import numpy as np
 
 from . import linalg as la
-from .fields import gf_make, is_prime
+from .fields import gf_make
 from .linalg import ZZ
-from .modules import FPModule, direct_sum_modules, free_module_over, reduced_quotient
+from .modules import FPModule, direct_sum_modules, reduced_quotient
 from .report import CheckReport
 
 
@@ -97,11 +97,11 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
         welldef(M.weyl[s], M.levels[s], M.levels[s], f"weyl_{s}")
 
     # weyl_n = id and weyl_s^(p^(n-s)) = id
-    if not M.levels[n].maps_equal(M.weyl[n], la.eye(M.levels[n].gens)):
+    if not M.levels[n].maps_equal(M.weyl[n], la.eye(M.levels[n].gens, base)):
         rep.add("weyl", "level n", "top Weyl action is not the identity")
     for s in range(n + 1):
         pw = la.mpow(M.weyl[s], p ** (n - s), base)
-        if not M.levels[s].maps_equal(pw, la.eye(M.levels[s].gens)):
+        if not M.levels[s].maps_equal(pw, la.eye(M.levels[s].gens, base)):
             rep.add("weyl", f"level {s}", f"weyl^{p ** (n - s)} != id")
 
     for s in range(n):
@@ -116,31 +116,20 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
 
     for s in range(n):
         lhs = la.mmul(M.res[s], M.tr[s], base)
-        step = la.mpow(M.weyl[s], p ** (n - s - 1), base)
-        acc = la.eye(M.levels[s].gens)
-        rhs = la.zeros(M.levels[s].gens, M.levels[s].gens)
-        for _ in range(p):
-            rhs = rhs + acc
-            acc = la.mmul(acc, step, base)
-        rhs = la.coerce(rhs, base)
+        rhs = la.power_sum(la.mpow(M.weyl[s], p ** (n - s - 1), base), p, base)
         if not M.levels[s].maps_equal(lhs, rhs):
             rep.add("double-coset", f"level {s}",
                     "res . tr != sum of relative Weyl translates")
 
     # non-adjacent instances: Res^{t+1}_s Tr^{t+1}_t = sum_i weyl_s^{i p^(n-t-1)} Res^t_s
     for t in range(n):
-        down_t = la.eye(M.levels[t].gens)  # res chain level t -> level s
+        down_t = la.eye(M.levels[t].gens, base)  # res chain level t -> level s
         for s in range(t - 1, -1, -1):
             down_t = la.mmul(M.res[s], down_t, base)
             down_t1 = la.mmul(down_t, M.res[t], base)
             lhs = la.mmul(down_t1, M.tr[t], base)
             step = la.mpow(M.weyl[s], p ** (n - t - 1), base)
-            acc = la.eye(M.levels[s].gens)
-            rhs = la.zeros(M.levels[s].gens, M.levels[t].gens)
-            for _ in range(p):
-                rhs = rhs + la.mmul(acc, down_t, base)
-                acc = la.mmul(acc, step, base)
-            rhs = la.coerce(rhs, base)
+            rhs = la.mmul(la.power_sum(step, p, base), down_t, base)
             if not M.levels[s].maps_equal(lhs, rhs):
                 rep.add("double-coset", f"levels {s}<{t}",
                         "non-adjacent res . tr != sum of Weyl-translated res")
@@ -153,7 +142,7 @@ def check_cohomological(M: MackeyFunctor) -> CheckReport:
     for s in range(M.n):
         comp = la.mmul(M.tr[s], M.res[s], M.base)
         g = M.levels[s + 1].gens
-        pid = la.coerce(la.scalar_mul(M.p, la.eye(g)), M.base)
+        pid = la.scalar_mul(M.p, la.eye(g, M.base), M.base)
         if not M.levels[s + 1].maps_equal(comp, pid):
             rep.add("cohomological", f"level {s + 1}", "tr . res != p * id")
     return rep
@@ -166,8 +155,8 @@ def constant_mackey(group, base, rank: int = 1, name: str = "") -> MackeyFunctor
     """Constant Mackey functor: res = id, tr = multiplication by p."""
     n = group.n
     levels = [FPModule(base, rank) for _ in range(n + 1)]
-    ident = la.coerce(la.eye(rank), base)
-    ptimes = la.coerce(la.scalar_mul(group.p, la.eye(rank)), base)
+    ident = la.eye(rank, base)
+    ptimes = la.scalar_mul(group.p, ident, base)
     res = [ident.copy() for _ in range(n)]
     tr = [ptimes.copy() for _ in range(n)]
     weyl = [ident.copy() for _ in range(n + 1)]
@@ -185,7 +174,7 @@ def fixed_point_mackey(group, field, rho, name: str = "") -> MackeyFunctor:
     p, n = group.p, group.n
     d = rho.shape[0]
     assert rho.shape == (d, d)
-    idm = la.coerce(la.eye(d), field)
+    idm = la.eye(d, field)
     if not la.mat_eq(la.mpow(rho, p ** n, field), idm):
         raise ValueError("generator order must divide p^n")
 
@@ -200,12 +189,7 @@ def fixed_point_mackey(group, field, rho, name: str = "") -> MackeyFunctor:
         r = la.solve(bases[s], bases[s + 1], field)
         assert r is not None
         res.append(r)
-        trace = la.zeros(d, d)
-        acc = idm
-        step = la.mpow(rho, p ** (n - s - 1), field)
-        for _ in range(p):
-            trace = trace + acc
-            acc = la.mmul(acc, step, field)
+        trace = la.power_sum(la.mpow(rho, p ** (n - s - 1), field), p, field)
         t = la.solve(bases[s + 1], la.mmul(trace, bases[s], field), field)
         assert t is not None, "relative trace left the fixed subspace"
         tr.append(t)
@@ -223,7 +207,7 @@ def burnside_mackey(group, name: str = "") -> MackeyFunctor:
     """The Burnside Mackey functor: level s = A(C_{p^s})."""
     from .gsets import CyclicGroup, FiniteGSet, induce_gset, restrict_gset
     p, n = group.p, group.n
-    levels = [free_module_over(ZZ, s + 1) for s in range(n + 1)]
+    levels = [FPModule(ZZ, s + 1) for s in range(n + 1)]
     res, tr = [], []
     for s in range(n):
         sub = CyclicGroup(p, s + 1)
@@ -253,7 +237,7 @@ def twisted_burnside_c5(name: str = "twisted burnside") -> MackeyFunctor:
     """
     from .gsets import CyclicGroup
     group = CyclicGroup(5, 1)
-    levels = [free_module_over(ZZ, 1), free_module_over(ZZ, 2)]
+    levels = [FPModule(ZZ, 1), FPModule(ZZ, 2)]
     res = [la.mat([[2, 5]])]
     tr = [la.mat([[0], [1]])]
     weyl = [la.eye(1), la.eye(2)]
@@ -267,8 +251,7 @@ def evaluate_at_gset(M: MackeyFunctor, X) -> FPModule:
     for s, m in enumerate(X.mult):
         parts.extend([M.levels[s]] * m)
     if not parts:
-        from .modules import zero_module
-        return zero_module(M.base)
+        return FPModule(M.base, 0)
     return direct_sum_modules(parts)
 
 
@@ -322,7 +305,7 @@ class MackeyMorphism:
 
     @staticmethod
     def identity(M: MackeyFunctor) -> "MackeyMorphism":
-        comps = [la.eye(m.gens) for m in M.levels]
+        comps = [la.eye(m.gens, M.base) for m in M.levels]
         return MackeyMorphism(M, M, comps)
 
     def is_level_iso(self) -> bool:
@@ -412,16 +395,16 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
 
     def block_row(pairs, nrows):
         """pairs: list of (level, coefficient matrix applied to vec(f_level))."""
-        row = np.zeros((nrows, total), dtype=pairs[0][1].dtype)
+        row = la.zeros(nrows, total, base)
         for s, C in pairs:
             row[:, offsets[s]:offsets[s + 1]] = C
         blocks.append(row)
 
     def veccol_left(A, rows):      # vec(F A) = (A^T kron I) vec(F)
-        return la.kron(A.T.copy(), la.eye(rows), base)
+        return la.kron(A.T.copy(), la.eye(rows, base), base)
 
     def veccol_right(B, cols):     # vec(B F) = (I kron B) vec(F)
-        return la.kron(la.eye(cols), B, base)
+        return la.kron(la.eye(cols, base), B, base)
 
     for s in range(n):
         # f_s res^M_s = res^N_s f_{s+1}
@@ -452,7 +435,7 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         big = la.vstack(blocks)
         ker = la.nullspace(big, base)
     else:
-        ker = la.eye(total)
+        ker = la.eye(total, base)
 
     out = []
     for c in range(ker.shape[1]):
@@ -498,7 +481,7 @@ def _spanned(F, bases, name):
     res = [_induced_map(F.res[s], bases[s + 1], bases[s], base) for s in range(n)]
     tr = [_induced_map(F.tr[s], bases[s], bases[s + 1], base) for s in range(n)]
     weyl = [_induced_map(F.weyl[s], bases[s], bases[s], base) for s in range(n + 1)]
-    levels = [free_module_over(base, B.shape[1]) for B in bases]
+    levels = [FPModule(base, B.shape[1]) for B in bases]
     return MackeyFunctor(F.group, base, levels, res, tr, weyl, name=name)
 
 
@@ -582,7 +565,7 @@ def _combine(homs, coeffs, base):
     comps = []
     for s in range(n1):
         r, k = homs[0].components[s].shape
-        F = la.zeros(r, k)
+        F = la.zeros(r, k, base)
         for h, c in zip(homs, coeffs):
             if c:
                 F = la.add_scaled(F, h.components[s], c, base)
@@ -620,7 +603,7 @@ class _LevelStack:
             self.gather[s, :r, :r] = np.arange(at, at + r * r).reshape(r, r)
             self.gather[s, range(r, n), range(r, n)] = total + 1
             at += r * r
-        self.pad = la.coerce(la.mat([[0, 1]]), field)
+        self.pad = la.mat([[0, 1]], base=field)
 
     def levels(self, coeffs):
         """(C * levels, n, n): the padded level matrices of the coefficient
@@ -709,21 +692,19 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
 
     if base is not ZZ:
         q = base.p ** base.k
-        elems = list(base.elements())
         stack = _LevelStack(homs, base)
-        if base.k > 1:              # rows index elems; over F_p they are the residues
-            scalars = np.empty(q, dtype=object)
-            scalars[:] = elems
+        # rows hold indices into base.elements(); over F_p they are the residues
+        scalars = np.vectorize(base.element, otypes=[object])
 
         def invertible(rows):
-            levels = stack.levels(rows if base.k == 1 else scalars[rows])
+            levels = stack.levels(rows if base.k == 1 else scalars(rows))
             return la.full_rank_mask(levels, base).reshape(len(rows), -1).all(axis=1)
 
         # exhaustive only for small hom spaces; beyond that the full
         # enumeration would be astronomically large over bigger fields
         if h <= 6 and q ** h <= exhaustive_cap:
             f = _first_iso(homs, itertools.product(range(q), repeat=h), invertible,
-                           elems.__getitem__, "box", stats)
+                           base.element, "box", stats)
             if f is not None:
                 return answer("box", "isomorphic", witness=f, detail="exhaustive search")
             return answer("box", "not_isomorphic",
@@ -733,7 +714,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         stats["seed"] = _resolve_seed(seed)
         rng = np.random.default_rng(stats["seed"])
         draws = ([int(rng.integers(0, q)) for _ in range(h)] for _ in range(random_tries))
-        f = _first_iso(homs, draws, invertible, elems.__getitem__, "random", stats)
+        f = _first_iso(homs, draws, invertible, base.element, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random search")
         return answer(None, "inconclusive", detail=f"no witness in {random_tries} samples")

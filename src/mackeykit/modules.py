@@ -20,12 +20,12 @@ class FPModule:
         self.base = base
         self.gens = int(gens)
         if relations is None:
-            relations = la.zeros(self.gens, 0)
+            relations = la.zeros(self.gens, 0, base)
         if base is not ZZ and relations.shape[1]:
             raise ValueError("field modules carry no relations")
         if relations.shape[0] != self.gens:
             raise ValueError(f"{relations.shape[0]} relation rows for {self.gens} generators")
-        self.relations = relations
+        self.relations = la.coerce(relations, base)
 
     # -- structure ---------------------------------------------------------
 
@@ -87,14 +87,6 @@ class FPModule:
         return f"FPModule({self.describe()})"
 
 
-def free_module_over(base, n: int) -> FPModule:
-    return FPModule(base, n)
-
-
-def zero_module(base) -> FPModule:
-    return FPModule(base, 0)
-
-
 def reduced_quotient(base, gens: int, rel_cols):
     """Quotient of base^gens by a relation span, with projection and lift.
 
@@ -108,13 +100,13 @@ def reduced_quotient(base, gens: int, rel_cols):
         # [rel_cols | I] are a basis of the span, then the standard vectors
         # that complete it, chosen greedily.
         c = rel_cols.shape[1]
-        _, pivots = la.rref(la.hstack([rel_cols, la.eye(gens)]), base)
+        ident = la.eye(gens, base)
+        _, pivots = la.rref(la.hstack([rel_cols, ident]), base)
         span = [j for j in pivots if j < c]
         r = len(span)
         if r == 0:
-            Q = FPModule(base, gens)
-            return Q, la.eye(gens), la.eye(gens)
-        C = la.hstack([rel_cols[:, span], la.eye(gens)[:, [j - c for j in pivots[r:]]]])
+            return FPModule(base, gens), ident, ident.copy()
+        C = la.hstack([rel_cols[:, span], ident[:, [j - c for j in pivots[r:]]]])
         Cinv = la.inv_field(C, base)
         proj = Cinv[r:, :].copy()
         lift = C[:, r:].copy()

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from . import linalg as la
 from .linalg import ZZ
 from .report import CheckReport
@@ -22,12 +20,15 @@ class BasedRing:
         self.base = base
         self.rank = int(rank)
         # mult stored as an (rank*rank) x rank layout: row i*rank+j = e_i e_j
-        assert mult.shape == (self.rank * self.rank, self.rank) or self.rank == 0
+        if mult.shape != (self.rank * self.rank, self.rank) and self.rank:
+            raise ValueError(f"mult has shape {mult.shape} for rank {self.rank}")
+        if unit.shape != (self.rank, 1):
+            raise ValueError(f"unit has shape {unit.shape} for rank {self.rank}")
         self.mult = la.coerce(mult, base)
-        assert unit.shape == (self.rank, 1)
         self.unit = la.coerce(unit, base)
         self.labels = list(labels) if labels is not None else [f"b{i}" for i in range(self.rank)]
-        assert len(self.labels) == self.rank
+        if len(self.labels) != self.rank:
+            raise ValueError(f"{len(self.labels)} labels for rank {self.rank}")
         self.commutative = commutative
 
     def product_of_basis(self, i: int, j: int):
@@ -36,7 +37,7 @@ class BasedRing:
     def left_mult_matrix(self, v):
         """Matrix of x -> v*x in the basis; v a coefficient column."""
         r = self.rank
-        out = la.zeros(r, r)
+        out = la.zeros(r, r, self.base)
         for i in range(r):
             if v[i, 0] != 0:
                 # column j of the block's transpose is e_i * e_j
@@ -57,8 +58,8 @@ class BasedRing:
         return self.rank == 0
 
     def basis_vector(self, i: int):
-        v = la.zeros(self.rank, 1)
-        v[i, 0] = 1
+        v = la.zeros(self.rank, 1, self.base)
+        v[i, 0] = self.base.one
         return v
 
     def elements(self):
@@ -66,9 +67,8 @@ class BasedRing:
         if self.base is ZZ:
             raise ValueError("elements are enumerable only over a finite base field")
         for tup in itertools.product(list(self.base.elements()), repeat=self.rank):
-            v = la.zeros(self.rank, 1)
-            for i, c in enumerate(tup):
-                v[i, 0] = c
+            v = la.zeros(self.rank, 1, self.base)
+            v[:, 0] = tup
             yield v
 
     def __repr__(self):

@@ -27,7 +27,6 @@ from mackeykit.kzero import (classify_free, constant_Z_resolution_check,
                              invert_module_iso, k0_free_fixed_point,
                              meadow_stabilizer, random_green_automorphism)
 from mackeykit.linalg import ZZ
-from mackeykit.linalg import coerce as _coerce_mat
 from mackeykit.mackey import (burnside_mackey, check_axioms,
                               constant_mackey, is_isomorphic,
                               twisted_burnside_c5)
@@ -106,8 +105,7 @@ def test_criterion_04_truncation_sends_free_to_free():
                 model = free_module(tR, i - 1)
                 assert model.level_dims() == tF.level_dims()
                 re = GreenModule(tR, tF.underlying, tF.action)
-                ident = [_coerce_mat(la.eye(dmm), R.base) if R.base is not ZZ
-                         else la.eye(dmm) for dmm in model.level_dims()]
+                ident = [la.eye(dmm, R.base) for dmm in model.level_dims()]
                 wit = GreenModuleMorphism(model, re, ident)
                 assert wit.check().ok and wit.is_level_iso(), \
                     f"{R.name}: tau F{i} != F{i-1}(tau R)"
@@ -122,8 +120,7 @@ def _conjugated_projection(F, pieces, keep, base, seed):
         blocks = []
         for idx, m in enumerate(pieces):
             d = m.level_dims()[s]
-            blocks.append(_coerce_mat(la.eye(d) if idx in keep else la.zeros(d, d),
-                                      base))
+            blocks.append(la.eye(d, base) if idx in keep else la.zeros(d, d, base))
         P = la.block_diag(blocks)
         comps.append(la.mmul_chain(g.components[s], P, gi.components[s], base=base))
     return comps
@@ -272,14 +269,13 @@ def _random_nonzero_submodule(M, base, rng):
     basis = green_module_hom_basis(M, M)
     elements = list(base.elements())
     for _ in range(40):
-        comps = [ _coerce_mat(la.zeros(d, d), base) for d in M.level_dims() ]
+        comps = [la.zeros(d, d, base) for d in M.level_dims()]
         for h in basis:
             c = rng.choice(elements)
             if c == 0:
                 continue
             for s in range(len(comps)):
-                comps[s] = comps[s] + la.scalar_mul(c, h.components[s])
-        comps = [_coerce_mat(c, base) for c in comps]
+                comps[s] = la.add_scaled(comps[s], h.components[s], c, base)
         spans = [la.column_space_basis(c, base) for c in comps]
         if any(sp.shape[1] for sp in spans):
             return green_module_from_invariant_span(M, spans)
@@ -300,8 +296,7 @@ def test_criterion_12_base_change_to_zero_transfer_meadow_is_flat():
             M = direct_sum_green_modules(pieces)
             sub, incl = _random_nonzero_submodule(M, base, rng)
             assert any(lv.gens for lv in sub.underlying.levels)
-            ident = GreenMorphism(k, k, [_coerce_mat(la.eye(d), base)
-                                         for d in k.level_dims()])
+            ident = GreenMorphism(k, k, [la.eye(d, base) for d in k.level_dims()])
             BS = base_change_cp(ident, sub)
             BM = base_change_cp(ident, M)
             g = base_change_map_cp(ident, incl, BS, BM)

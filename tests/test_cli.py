@@ -141,6 +141,13 @@ def test_phi_stage_report(capsys):
     assert rc == 0 and out.startswith("phi^1 ring: rank 1 over Z")
 
 
+@pytest.mark.parametrize("stages", ["3", "-1"])
+def test_phi_stage_out_of_range_is_a_usage_error(capsys, stages):
+    rc, out, err = run(capsys, "phi", "burnside", "--p", "2", "--n", "1", "--stages", stages)
+    assert rc == 2 and out == ""
+    assert f"stage {stages} is outside 0..1" in err
+
+
 def test_phi_refuses_torsion_green(capsys):
     rc, out, _ = run(capsys, "phi", "constant-Z", "--p", "2", "--n", "1")
     assert rc == 1 and "torsion" in out

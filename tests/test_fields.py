@@ -20,6 +20,11 @@ DEFAULTS = {**{(p, 1): (0, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 
 def test_is_prime():
     assert [x for x in range(2, 30) if is_prime(x)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+    # Mersenne primes, a strong pseudoprime to the bases 2, 3, 5 and 7, and its bound
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1) and is_prime(3037000493)
+    assert not is_prime(3215031751) and not is_prime(2 ** 61 + 1)
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(2 ** 89 - 1)
 
 
 def test_default_moduli_all_irreducible():

@@ -13,7 +13,6 @@ from mackeykit.green import (GreenModule, GreenModuleMorphism, burnside_green,
                              module_from_green)
 from mackeykit.gsets import CyclicGroup
 from mackeykit.linalg import ZZ
-from mackeykit.linalg import coerce as _coerce_mat
 from mackeykit.mackey import (burnside_mackey, check_axioms, constant_mackey,
                               direct_sum, fixed_point_mackey, is_isomorphic)
 from mackeykit.rings import based_ring_check
@@ -203,8 +202,7 @@ def test_truncated_free_module_is_free_one_step_down(mk):
         for x, y in list(zip(a.res, b.res)) + list(zip(a.tr, b.tr)) + list(zip(a.weyl, b.weyl)):
             assert _mats_eq(x, y)
         reparent = GreenModule(F2.ring, tF.underlying, tF.action)
-        comps = [_coerce_mat(la.eye(d), R.base) if R.base is not ZZ else la.eye(d)
-                 for d in tF.level_dims()]
+        comps = [la.eye(d, R.base) for d in tF.level_dims()]
         wit = GreenModuleMorphism(reparent, F2, comps)
         assert wit.check().ok and wit.is_level_iso()
 

@@ -4,7 +4,6 @@ from mackeykit import linalg as la
 from mackeykit.fields import gf_make
 from mackeykit.gsets import CyclicGroup, FiniteGSet, gset_product
 from mackeykit.linalg import ZZ
-from mackeykit.linalg import coerce as _coerce_mat
 from mackeykit.mackey import (MackeyFunctor, burnside_mackey, fixed_point_mackey,
                               check_axioms, constant_mackey, is_isomorphic,
                               twisted_burnside_c5)
@@ -22,21 +21,14 @@ from mackeykit.modules import FPModule
 from mackeykit.rings import based_ring_check, ring_is_field
 
 
-def _eye(rank, base):
-    m = la.eye(rank)
-    return m if base is ZZ else _coerce_mat(m, base)
-
-
 def _identity_green(G):
-    return GreenMorphism(G, G, [_eye(G.ring(s).rank, G.base) for s in range(G.n + 1)])
+    return GreenMorphism(G, G, [la.eye(G.ring(s).rank, G.base) for s in range(G.n + 1)])
 
 
 def _mod_p(M, field):
     """Reduce an integer Mackey functor to the given prime field."""
     levels = [FPModule(field, lv.gens) for lv in M.levels]
-    co = lambda A: _coerce_mat(A, field)
-    return MackeyFunctor(M.group, field, levels, [co(r) for r in M.res],
-                         [co(t) for t in M.tr], [co(w) for w in M.weyl],
+    return MackeyFunctor(M.group, field, levels, M.res, M.tr, M.weyl,
                          name=(M.name or "M") + " mod p")
 
 
@@ -116,7 +108,7 @@ def test_direct_sum_green_modules():
 def test_green_module_morphism_identity():
     G = burnside_green(CyclicGroup(2, 1))
     M = module_from_green(G)
-    ident = GreenModuleMorphism(M, M, [_eye(lv.gens, ZZ) for lv in M.underlying.levels])
+    ident = GreenModuleMorphism(M, M, [la.eye(lv.gens) for lv in M.underlying.levels])
     assert ident.check().ok
     assert ident.is_level_iso()
 
@@ -125,7 +117,7 @@ def test_invariant_span_diagonal():
     F = gf_make(2, 1)
     G = constant_green(CyclicGroup(2, 1), F)
     M = direct_sum_green_modules([module_from_green(G), module_from_green(G)])
-    spans = [_coerce_mat(la.mat([[1], [1]]), F) for _ in range(2)]
+    spans = [la.mat([[1], [1]], base=F) for _ in range(2)]
     sub, incl = green_module_from_invariant_span(M, spans)
     assert sub.level_dims() == (1, 1)
     assert check_green_module(sub).ok
@@ -137,7 +129,7 @@ def test_invariant_span_rejects_open_span():
     M = module_from_green(G)
     F = gf_make(2, 1)
     # the prime subfield of the bottom level is not closed under the F_4-action
-    spans = [_coerce_mat(la.mat([[1], [0]]), F), _coerce_mat(la.mat([[1]]), F)]
+    spans = [la.mat([[1], [0]], base=F), la.mat([[1]], base=F)]
     with pytest.raises(ValueError):
         green_module_from_invariant_span(M, spans)
 
@@ -324,8 +316,8 @@ def _field_extension_map():
     F = gf_make(2, 1)
     F2G = constant_green(G, F)
     F4G = fixed_point_green(G, gf_make(2, 2))
-    f = GreenMorphism(F2G, F4G, [_coerce_mat(la.mat([[1], [0]]), F),
-                                 _coerce_mat(la.mat([[1]]), F)])
+    f = GreenMorphism(F2G, F4G, [la.mat([[1], [0]], base=F),
+                                 la.mat([[1]], base=F)])
     assert f.check().ok
     return F2G, F4G, f
 
@@ -342,7 +334,7 @@ def test_base_change_preserves_inclusion():
     F2G, F4G, f = _field_extension_map()
     F = gf_make(2, 1)
     M = direct_sum_green_modules([module_from_green(F2G), module_from_green(F2G)])
-    spans = [_coerce_mat(la.mat([[1], [1]]), F) for _ in range(2)]
+    spans = [la.mat([[1], [1]], base=F) for _ in range(2)]
     sub, incl = green_module_from_invariant_span(M, spans)
     BS = base_change_cp(f, sub)
     BM = base_change_cp(f, M)
@@ -387,7 +379,7 @@ def test_base_change_field_extension_at_higher_heights(n, k):
     # the diagonal copy of K inside K + K stays a submodule after base change
     M = direct_sum_green_modules([module_from_green(K), module_from_green(K)])
     sub, incl = green_module_from_invariant_span(
-        M, [_coerce_mat(la.mat([[1], [1]]), F) for _ in range(n + 1)])
+        M, [la.mat([[1], [1]], base=F) for _ in range(n + 1)])
     BS, BM = base_change_cp(f, sub), base_change_cp(f, M)
     g = base_change_map_cp(f, incl, BS, BM)
     assert g.check().ok
@@ -410,7 +402,7 @@ def test_base_change_rejects_modules_over_other_rings():
         base_change_cp(f, module_from_green(L))
     M = module_from_green(K)
     B = base_change_cp(f, M)
-    ident = GreenModuleMorphism(M, M, [_eye(d, K.base) for d in M.level_dims()])
+    ident = GreenModuleMorphism(M, M, [la.eye(d, K.base) for d in M.level_dims()])
     with pytest.raises(ValueError, match="target of the ring map"):
         base_change_map_cp(f, ident, M, B)
     with pytest.raises(ValueError, match="target of the ring map"):
@@ -428,10 +420,11 @@ def test_preconditions_raise_value_error():
     B = burnside_green(G)
     BM = module_from_green(B)
     F2 = constant_green(G, gf_make(2, 1)).ring(0)
-    four_cycle = la.mat([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    four_cycle = la.mat([[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+                        base=gf_make(3, 1))
     calls = [
         ("order must divide", lambda: fixed_point_mackey(
-            G, gf_make(3, 1), _coerce_mat(four_cycle, gf_make(3, 1)))),
+            G, gf_make(3, 1), four_cycle)),
         ("finite base field", lambda: ring_is_field(A)),
         ("finite base field", lambda: list(A.elements())),
         ("over Z", lambda: render_presentation(F2)),

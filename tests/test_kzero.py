@@ -14,8 +14,6 @@ from mackeykit.kzero import (CanonicalFreeClass, classify_free,
                              invert_module_iso, k0_free_fixed_point,
                              map_from_generator, meadow_stabilizer,
                              random_green_automorphism, simples_count)
-from mackeykit.linalg import ZZ
-from mackeykit.linalg import coerce as _coerce_mat
 from mackeykit.rings import render_presentation
 
 
@@ -145,7 +143,7 @@ def _conjugated_projection(F, pieces, keep, base, seed):
         blocks = []
         for idx, m in enumerate(pieces):
             d = m.level_dims()[s]
-            blocks.append(_coerce_mat(la.eye(d) if idx in keep else la.zeros(d, d), base))
+            blocks.append(la.eye(d, base) if idx in keep else la.zeros(d, d, base))
         P = la.block_diag(blocks)
         comps.append(la.mmul_chain(g.components[s], P, gi.components[s], base=base))
     return comps
@@ -180,7 +178,7 @@ def test_idempotent_images_decompose_with_witness(name, mk, levels):
 def test_zero_idempotent_decomposes_to_nothing():
     k = constant_green(CyclicGroup(2, 1), gf_make(2, 1))
     F = free_module(k, 0)
-    comps = [_coerce_mat(la.zeros(d, d), k.base) for d in F.level_dims()]
+    comps = [la.zeros(d, d, k.base) for d in F.level_dims()]
     fw = freeness_decompose(k, F, comps)
     assert fw.ok and fw.classification.mults == {}
 
@@ -188,7 +186,7 @@ def test_zero_idempotent_decomposes_to_nothing():
 def test_identity_idempotent_returns_everything():
     k = fixed_point_green(CyclicGroup(2, 1), gf_make(2, 2))
     F = direct_sum_green_modules([free_module(k, 1), free_module(k, 1)])
-    comps = [_coerce_mat(la.eye(d), k.base) for d in F.level_dims()]
+    comps = [la.eye(d, k.base) for d in F.level_dims()]
     fw = freeness_decompose(k, F, comps, seed=3)
     assert fw.ok and fw.classification.mults == {1: 2}
 
@@ -198,7 +196,7 @@ def test_non_idempotent_input_is_rejected():
     F = free_module(k, 0)
     comps = []
     for d in F.level_dims():
-        A = _coerce_mat(la.zeros(d, d), k.base)
+        A = la.zeros(d, d, k.base)
         A[0, d - 1] = k.base.embed(1)   # nilpotent, not idempotent
         comps.append(A)
     with pytest.raises(ValueError):
@@ -219,7 +217,7 @@ def test_decomposition_results_are_seed_deterministic():
 def test_generator_map_of_the_unit_is_identity_on_regular_module():
     R = fixed_point_green(CyclicGroup(2, 1), gf_make(2, 2))
     M = module_from_green(R)
-    x = _coerce_mat(la.zeros(M.level_dims()[1], 1), R.base)
+    x = la.zeros(M.level_dims()[1], 1, R.base)
     x[0, 0] = R.base.embed(1)   # unit sits first in these level rings
     comps = map_from_generator(M, 1, x)
     F = free_module(R, 1)

@@ -31,9 +31,7 @@ def test_constant_axioms(p, n):
 def test_fixed_point_axioms_and_dims():
     F2 = gf_make(2, 1)
     # F_4 with its Galois action, over C_2 and over C_4 (through the quotient)
-    rho = la.mat([[1, 1], [0, 1]])
-    from mackeykit.linalg import coerce as _coerce_mat
-    rho = _coerce_mat(rho, F2)
+    rho = la.mat([[1, 1], [0, 1]], base=F2)
     M = fixed_point_mackey(CyclicGroup(2, 1), F2, rho)
     assert check_axioms(M).ok
     assert M.level_dims() == (2, 1)

@@ -7,7 +7,6 @@ from mackeykit.linalg import ZZ
 from mackeykit.modules import (
     FPModule,
     direct_sum_modules,
-    free_module_over,
     module_subquotient,
     quotient_by_submodule,
     reduced_quotient,
@@ -27,14 +26,14 @@ def test_invariant_factors():
 def test_zero_and_free():
     assert FPModule(ZZ, 1, la.mat([[1]])).is_zero
     assert FPModule(ZZ, 0, la.zeros(0, 0)).is_zero
-    F = free_module_over(ZZ, 3)
+    F = FPModule(ZZ, 3)
     assert F.is_free and F.free_rank == 3
     assert not F.is_zero
 
 
 def test_field_module_dim():
     F = gf_make(2, 2)
-    M = free_module_over(F, 4)
+    M = FPModule(F, 4)
     assert M.dim == 4 and M.is_free
 
 
@@ -69,7 +68,7 @@ def test_reduced_quotient_field():
     span[1, 0] = F.embed(2)
     Q, proj, lift = reduced_quotient(F, 3, span)
     assert Q.dim == 2
-    assert la.mat_eq(la.mmul(proj, lift, base=F), la._field_eye(2, F))
+    assert la.mat_eq(la.mmul(proj, lift, base=F), la.eye(2, F))
     assert la.is_zero_mat(la.mmul(proj, span, base=F))
 
 
@@ -113,12 +112,12 @@ FIELDS = [gf_make(5, 1), gf_make(2, 2)]
 
 
 def _field_cols(F, rows):
-    return la.coerce(la.mat(rows), F)
+    return la.mat(rows, base=F)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_field_quotient_by_submodule(F):
-    M = free_module_over(F, 3)
+    M = FPModule(F, 3)
     span = _field_cols(F, [[1, 0], [1, 1], [0, 1]])
     Q, proj, lift = quotient_by_submodule(M, span)
     assert Q.dim == 1 and Q.relations.shape == (1, 0)
@@ -128,7 +127,7 @@ def test_field_quotient_by_submodule(F):
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_field_module_subquotient(F):
-    M = free_module_over(F, 3)
+    M = FPModule(F, 3)
     outer = _field_cols(F, [[1, 0], [0, 1], [0, 0]])
     inner = _field_cols(F, [[1], [1], [0]])
     sub, incl, quot, proj = module_subquotient(M, outer, inner)
@@ -144,7 +143,7 @@ def test_field_module_subquotient(F):
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_field_direct_sum_and_relations(F):
-    S = direct_sum_modules([free_module_over(F, 1), free_module_over(F, 2)])
+    S = direct_sum_modules([FPModule(F, 1), FPModule(F, 2)])
     assert S.dim == 3 and S.relations.shape == (3, 0) and S.is_free
     assert S.invariant_factors() == [0, 0, 0] and not S.is_zero
     A = _field_cols(F, [[1], [0], [1]])
@@ -157,4 +156,4 @@ def test_direct_sum_modules_rejects_empty_and_mixed_bases():
     with pytest.raises(ValueError, match="explicit base"):
         direct_sum_modules([])
     with pytest.raises(ValueError, match="different bases"):
-        direct_sum_modules([free_module_over(ZZ, 1), free_module_over(gf_make(2, 1), 1)])
+        direct_sum_modules([FPModule(ZZ, 1), FPModule(gf_make(2, 1), 1)])
