@@ -125,6 +125,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_k0free(args) -> int:
+    if not 0 <= args.stab <= args.n:
+        print(f"usage error: --stab {args.stab} is outside 0..{args.n}", file=sys.stderr)
+        return 2
     res = k0_free_fixed_point(args.p, args.n, args.stab)
     print(res.presentation)
     print(f"additive: {_render_additive(res.additive_invariants)}")

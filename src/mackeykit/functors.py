@@ -16,7 +16,7 @@ from .gsets import CyclicGroup
 from .linalg import ZZ
 from .mackey import MackeyFunctor
 from .modules import FPModule, direct_sum_modules, reduced_quotient
-from .rings import BasedRing, ring_is_field, unit_basis_index
+from .rings import BasedRing, quotient_ring, ring_is_field, unit_basis_index
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +130,15 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
             resc = la.mmul(M.res[t], resc, base)
         order = p ** (n - u)
         winv = la.mpow(M.weyl[u], order - 1, base=base)
-        mats = []
-        for e in range(R.ring(s).rank):
-            col = resc[:, e:e + 1]
-            blocks = []
-            cur = col
-            for _ in range(c):
-                blocks.append(ru.left_mult_matrix(cur))
-                cur = la.mmul(winv, cur, base)
-            mats.append(la.block_diag(blocks))
-        action.append(mats)
+        # copy j of element e acts by left multiplication with winv^j res(e),
+        # column j * rank + e of the twists
+        twists = [resc]
+        for _ in range(c - 1):
+            twists.append(la.mmul(winv, twists[-1], base))
+        rank = R.ring(s).rank
+        mults = ru.left_mult_matrices(la.hstack(twists))
+        action.append([la.block_diag([mults[j * rank + e] for j in range(c)])
+                       for e in range(rank)])
 
     F = GreenModule(R, und, action, name=f"F{i}({R.name})" if R.name else f"F{i}")
     F.generator_level = i
@@ -244,19 +243,6 @@ def _gfp_mackey(M: MackeyFunctor):
     return N, projs, lifts
 
 
-def _quotient_ring(ring: BasedRing, proj, lift, out_base) -> BasedRing:
-    """ring modulo an ideal, on the quotient generators of (proj, lift); the
-    structure constants are computed over ring.base and reduced to out_base."""
-    base, rank = ring.base, proj.shape[0]
-    mult = la.zeros(rank * rank, rank, base)
-    for i in range(rank):
-        for j in range(rank):
-            prod = ring.multiply(lift[:, i:i + 1], lift[:, j:j + 1])
-            mult[i * rank + j, :] = la.mmul(proj, prod, base)[:, 0]
-    unit = la.mmul(proj, ring.unit, base)
-    return BasedRing(out_base, rank, mult, unit, commutative=ring.commutative)
-
-
 def _gfp_green(R: GreenFunctor) -> GreenFunctor:
     N, projs, lifts = _gfp_mackey(R.underlying)
     rings = []
@@ -264,7 +250,7 @@ def _gfp_green(R: GreenFunctor) -> GreenFunctor:
         if not N.levels[s - 1].is_free:
             raise NotImplementedError(
                 "geometric fixed points of this ring have torsion coefficients")
-        rings.append(_quotient_ring(R.ring(s), projs[s - 1], lifts[s - 1], R.base))
+        rings.append(quotient_ring(R.ring(s), projs[s - 1], lifts[s - 1], R.base))
     return GreenFunctor(N, rings, name=f"phi({R.name})" if R.name else "")
 
 
@@ -311,19 +297,19 @@ def phi_ring(R: GreenFunctor, m: int) -> PhiLevel:
         return PhiLevel(None, z, z.T.copy(), [], "zero ring")
 
     if base is not ZZ:
-        return PhiLevel(_quotient_ring(ring, proj, lift, base), proj, lift,
+        return PhiLevel(quotient_ring(ring, proj, lift, base), proj, lift,
                         [0] * Q.gens, "field quotient")
 
     invf = Q.invariant_factors()
     if Q.is_free:
-        return PhiLevel(_quotient_ring(ring, proj, lift, ZZ), proj, lift, invf,
+        return PhiLevel(quotient_ring(ring, proj, lift, ZZ), proj, lift, invf,
                         "free quotient over Z")
     torsion = [d for d in invf if d != 0]
     frees = [d for d in invf if d == 0]
     prm = torsion[0]
     if not frees and all(d == prm for d in torsion) and is_prime(prm):
         F = gf_make(prm, 1)
-        return PhiLevel(_quotient_ring(ring, proj, lift, F), proj, lift, invf,
+        return PhiLevel(quotient_ring(ring, proj, lift, F), proj, lift, invf,
                         f"Z-quotient reduced mod {prm}")
     return PhiLevel(None, proj, lift, invf,
                     f"Z-module with invariant factors {invf}")
@@ -422,7 +408,8 @@ def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
     kernel coefficients range over [-bound, bound].  Only the one-stage case is
     attempted.
     """
-    assert R.n == 1, "section search only runs one stage at a time"
+    if R.n != 1:
+        raise ValueError("section search only runs one stage at a time")
     base = R.base
     ph = phi_ring(R, 1)
     if ph.ring is None or (base is ZZ and ph.ring.base is not ZZ):
@@ -433,15 +420,8 @@ def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
     k = K.shape[1]
 
     def is_section(sigma):
-        if not la.mat_eq(la.mmul(sigma, ph.ring.unit, base), r1.unit):
-            return False
-        for i in range(qr):
-            for j in range(qr):
-                lhs = r1.multiply(sigma[:, i:i + 1], sigma[:, j:j + 1])
-                rhs = la.mmul(sigma, ph.ring.product_of_basis(i, j), base)
-                if not la.mat_eq(lhs, rhs):
-                    return False
-        return True
+        return (la.mat_eq(la.mmul(sigma, ph.ring.unit, base), r1.unit)
+                and la.mat_eq(la.mmul(sigma, ph.ring.mult.T, base), r1.products(sigma, sigma)))
 
     if k == 0:
         sigma = ph.lift

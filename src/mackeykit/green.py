@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import linalg as la
 from .fields import gf_make
 from .gsets import CyclicGroup
@@ -84,16 +86,37 @@ class GreenFunctor:
         return f"GreenFunctor({self.describe()})"
 
 
-def _ring_map_into(rep, kind, where, A, src: BasedRing, dst: BasedRing, target_level, base):
-    if not target_level.maps_equal(la.mmul(A, src.unit, base), dst.unit):
+def _failing(level, lhs, rhs, count):
+    """Indices of the `count` equal-width column blocks in which lhs and rhs
+    differ as maps into level, in order.  The whole stack is compared once;
+    only when that fails is it walked block by block to name the blocks."""
+    if level.maps_equal(lhs, rhs):
+        return []
+    w = lhs.shape[1] // count
+    return [u for u in range(count)
+            if not level.maps_equal(lhs[:, u * w:(u + 1) * w], rhs[:, u * w:(u + 1) * w])]
+
+
+def _hcat(S):
+    """The (c, g, h) stack S as one g x (c * h) matrix, block u = S[u]."""
+    c, g, h = S.shape
+    return S.transpose(1, 0, 2).reshape(g, c * h)
+
+
+def _right(S, B, base):
+    """S[u] @ B for every matrix of the stack S, as one _hcat matrix."""
+    c, g, h = S.shape
+    return _hcat(la.mmul(S.reshape(c * g, h), B, base).reshape(c, g, B.shape[1]))
+
+
+def _ring_map_into(rep, kind, where, A, src: BasedRing, dst: BasedRing, target_level):
+    """Add a violation for each law of a unital ring map that A breaks."""
+    if not target_level.maps_equal(la.mmul(A, src.unit, dst.base), dst.unit):
         rep.add(kind, where, "does not preserve the unit")
-    for i in range(src.rank):
-        ai = A[:, i:i + 1].copy()
-        for j in range(src.rank):
-            lhs = la.mmul(A, src.product_of_basis(i, j), base)
-            rhs = dst.multiply(ai, A[:, j:j + 1].copy())
-            if not target_level.maps_equal(lhs, rhs):
-                rep.add(kind, f"{where}: e{i}*e{j}", "not multiplicative")
+    r = src.rank
+    # column i * r + j: A(e_i e_j) against A(e_i) A(e_j)
+    for c in _failing(target_level, la.mmul(A, src.mult.T, dst.base), dst.products(A, A), r * r):
+        rep.add(kind, f"{where}: e{c // r}*e{c % r}", "not multiplicative")
 
 
 def check_green(R: GreenFunctor) -> CheckReport:
@@ -110,11 +133,12 @@ def check_green(R: GreenFunctor) -> CheckReport:
             rep.add(v.kind, f"level {s}: {v.where}", v.detail)
     for s in range(n):
         _ring_map_into(rep, "res-ring", f"res_{s}", M.res[s],
-                       R.ring(s + 1), R.ring(s), M.levels[s], base)
+                       R.ring(s + 1), R.ring(s), M.levels[s])
     for s in range(n + 1):
         _ring_map_into(rep, "weyl-ring", f"weyl_{s}", M.weyl[s],
-                       R.ring(s), R.ring(s), M.levels[s], base)
-    # projection formula tr(x . res y) = tr(x) . y for every pair of levels
+                       R.ring(s), R.ring(s), M.levels[s])
+    # projection formula tr(x . res y) = tr(x) . y for every pair of levels:
+    # column x * rank_t + y of two stacked products
     for s in range(n + 1):
         trc = la.eye(M.levels[s].gens, base)
         resc = trc
@@ -122,15 +146,12 @@ def check_green(R: GreenFunctor) -> CheckReport:
             trc = la.mmul(M.tr[t - 1], trc, base)
             resc = la.mmul(resc, M.res[t - 1], base)
             Rs, Rt = R.ring(s), R.ring(t)
-            for x in range(Rs.rank):
-                tx = trc[:, x:x + 1].copy()
-                for y in range(Rt.rank):
-                    lhs = Rt.multiply(tx, Rt.basis_vector(y))
-                    rhs = la.mmul(trc, Rs.multiply(Rs.basis_vector(x),
-                                                   resc[:, y:y + 1].copy()), base)
-                    if not M.levels[t].maps_equal(lhs, rhs):
-                        rep.add("frobenius", f"levels {s}->{t}",
-                                f"tr(e{x} . res(e{y})) != tr(e{x}) . e{y}")
+            lhs = Rt.products(trc, la.eye(Rt.rank, base))
+            rhs = la.mmul(trc, Rs.products(la.eye(Rs.rank, base), resc), base)
+            for c in _failing(M.levels[t], lhs, rhs, Rs.rank * Rt.rank):
+                x, y = divmod(c, Rt.rank)
+                rep.add("frobenius", f"levels {s}->{t}",
+                        f"tr(e{x} . res(e{y})) != tr(e{x}) . e{y}")
     return rep
 
 
@@ -146,11 +167,10 @@ class GreenMorphism:
 
     def check(self) -> CheckReport:
         rep = CheckReport("green morphism").merged(self._mackey.check())
-        base = self.source.base
         for s in range(self.source.n + 1):
             _ring_map_into(rep, "ring-map", f"level {s}", self.components[s],
                            self.source.ring(s), self.target.ring(s),
-                           self.target.underlying.levels[s], base)
+                           self.target.underlying.levels[s])
         return rep
 
     def __repr__(self):
@@ -164,7 +184,8 @@ class GreenModule:
     """A Mackey functor with an action of a green functor R.
 
     action[s][u] is the matrix of the u-th basis element of R(level s)
-    acting on level s of the underlying functor.
+    acting on level s of the underlying functor; the matrices of a level
+    are held as one (rank, g, g) stack, which `action_matrices` reads.
     """
 
     def __init__(self, ring: GreenFunctor, underlying: MackeyFunctor, action, name: str = ""):
@@ -178,7 +199,9 @@ class GreenModule:
                 raise ValueError(f"action rank or shape at level {s}")
         self.ring = ring
         self.underlying = underlying
-        self.action = [[la.coerce(A, underlying.base) for A in mats] for mats in action]
+        self._stacks = [la.coerce(np.array(mats).reshape(len(mats), lev.gens, lev.gens),
+                                  underlying.base) for mats, lev in zip(action, underlying.levels)]
+        self.action = [list(S) for S in self._stacks]
         self.name = name
 
     @property
@@ -197,14 +220,12 @@ class GreenModule:
     def p(self) -> int:
         return self.underlying.p
 
-    def action_matrix(self, s: int, rvec):
-        """Matrix of the ring element with coefficient column rvec on level s."""
-        g = self.underlying.levels[s].gens
-        out = la.zeros(g, g, self.base)
-        for u in range(self.ring.ring(s).rank):
-            if rvec[u, 0]:
-                out = la.add_scaled(out, self.action[s][u], rvec[u, 0], self.base)
-        return out
+    def action_matrices(self, s: int, X):
+        """(c, g, g) stack of the matrices on level s of the ring elements
+        whose coefficient columns are the c columns of X: one product."""
+        S = self._stacks[s]
+        r, g = S.shape[0], S.shape[1]
+        return la.mmul(X.T, S.reshape(r, g * g), self.base).reshape(X.shape[1], g, g)
 
     def level_dims(self) -> tuple:
         return self.underlying.level_dims()
@@ -219,54 +240,49 @@ class GreenModule:
 
 def check_green_module(M: GreenModule) -> CheckReport:
     """Mackey axioms plus unitality, multiplicativity, res/weyl semilinearity
-    and both projection formulas for the action."""
+    and both projection formulas for the action, each compared once over
+    the stacked basis elements (see `_failing`)."""
     R, und = M.ring, M.underlying
     base, n = und.base, und.n
     rep = CheckReport(M.name or "green module").merged(check_axioms(und))
     for s in range(n + 1):
         ring, lev = R.ring(s), und.levels[s]
+        A, r, g = M._stacks[s], ring.rank, lev.gens
         if lev.relations.shape[1]:
-            for u in range(ring.rank):
-                if not lev.annihilates(la.mmul(M.action[s][u], lev.relations)):
-                    rep.add("action", f"level {s}: e{u}",
-                            "action does not preserve the relations")
-        ident = la.eye(lev.gens, base)
-        if not lev.maps_equal(M.action_matrix(s, ring.unit), ident):
+            moved = _right(A, lev.relations, base)
+            for u in _failing(lev, moved, la.zeros(g, moved.shape[1], base), r):
+                rep.add("action", f"level {s}: e{u}",
+                        "action does not preserve the relations")
+        if not lev.maps_equal(M.action_matrices(s, ring.unit)[0], la.eye(g, base)):
             rep.add("unit", f"level {s}", "unit does not act as the identity")
-        for u in range(ring.rank):
-            for v in range(ring.rank):
-                lhs = la.mmul(M.action[s][u], M.action[s][v], base)
-                rhs = M.action_matrix(s, ring.product_of_basis(u, v))
-                if not lev.maps_equal(lhs, rhs):
-                    rep.add("action", f"level {s}: e{u}*e{v}", "action not multiplicative")
+        # block u * r + v: A_u A_v against the action of e_u e_v
+        pairs = la.mmul(A.reshape(r * g, g), _hcat(A), base)
+        pairs = pairs.reshape(r, g, r, g).transpose(0, 2, 1, 3).reshape(r * r, g, g)
+        for c in _failing(lev, _hcat(pairs), _hcat(M.action_matrices(s, ring.mult.T)), r * r):
+            rep.add("action", f"level {s}: e{c // r}*e{c % r}", "action not multiplicative")
     for s in range(n):
-        res, tr = und.res[s], und.tr[s]
-        Rres, Rtr = R.underlying.res[s], R.underlying.tr[s]
-        rs, rt = R.ring(s), R.ring(s + 1)
-        for u in range(rt.rank):
-            lhs = la.mmul(res, M.action[s + 1][u], base)
-            rhs = la.mmul(M.action_matrix(s, Rres[:, u:u + 1].copy()), res, base)
-            if not und.levels[s].maps_equal(lhs, rhs):
+        res, tr, lo, hi = und.res[s], und.tr[s], und.levels[s], und.levels[s + 1]
+        rt, rs = R.ring(s + 1).rank, R.ring(s).rank
+        A0, A1 = M._stacks[s], M._stacks[s + 1]
+        down = M.action_matrices(s, R.underlying.res[s])          # res(e_u) on level s
+        bad_res = _failing(lo, la.mmul(res, _hcat(A1), base), _right(down, res, base), rt)
+        bad_tr = _failing(hi, _right(A1, tr, base), la.mmul(tr, _hcat(down), base), rt)
+        for u in range(rt):
+            if u in bad_res:
                 rep.add("res-linearity", f"level {s + 1}: e{u}",
                         "res(r.m) != res(r).res(m)")
-            lhs = la.mmul(M.action[s + 1][u], tr, base)
-            rhs = la.mmul(tr, M.action_matrix(s, Rres[:, u:u + 1].copy()), base)
-            if not und.levels[s + 1].maps_equal(lhs, rhs):
+            if u in bad_tr:
                 rep.add("frobenius", f"levels {s}->{s + 1}: e{u}.tr",
                         "r.tr(m) != tr(res(r).m)")
-        for x in range(rs.rank):
-            lhs = M.action_matrix(s + 1, Rtr[:, x:x + 1].copy())
-            rhs = la.mmul_chain(tr, M.action[s][x], res, base=base)
-            if not und.levels[s + 1].maps_equal(lhs, rhs):
-                rep.add("frobenius", f"levels {s}->{s + 1}: tr(e{x})",
-                        "tr(x).m != tr(x.res(m))")
+        up = _hcat(M.action_matrices(s + 1, R.underlying.tr[s]))  # tr(e_x) on level s + 1
+        for x in _failing(hi, up, la.mmul(tr, _right(A0, res, base), base), rs):
+            rep.add("frobenius", f"levels {s}->{s + 1}: tr(e{x})",
+                    "tr(x).m != tr(x.res(m))")
     for s in range(n + 1):
-        w, Rw = und.weyl[s], R.underlying.weyl[s]
-        for u in range(R.ring(s).rank):
-            lhs = la.mmul(w, M.action[s][u], base)
-            rhs = la.mmul(M.action_matrix(s, Rw[:, u:u + 1].copy()), w, base)
-            if not und.levels[s].maps_equal(lhs, rhs):
-                rep.add("weyl", f"level {s}: e{u}", "weyl action not semilinear")
+        w, A = und.weyl[s], M._stacks[s]
+        twisted = _right(M.action_matrices(s, R.underlying.weyl[s]), w, base)
+        for u in _failing(und.levels[s], la.mmul(w, _hcat(A), base), twisted, len(A)):
+            rep.add("weyl", f"level {s}: e{u}", "weyl action not semilinear")
     return rep
 
 
@@ -275,7 +291,7 @@ def module_from_green(R: GreenFunctor, name: str = "") -> GreenModule:
     action = []
     for s in range(R.n + 1):
         ring = R.ring(s)
-        action.append([ring.left_mult_matrix(ring.basis_vector(u)) for u in range(ring.rank)])
+        action.append(list(ring.left_mult_matrices(la.eye(ring.rank, R.base))))
     return GreenModule(R, R.underlying, action, name=name or R.name)
 
 
@@ -309,12 +325,11 @@ class GreenModuleMorphism:
         rep = CheckReport("green module morphism").merged(self._mackey.check())
         base = self.source.base
         for s in range(self.source.n + 1):
-            f = self.components[s]
-            for u in range(self.source.ring.ring(s).rank):
-                lhs = la.mmul(f, self.source.action[s][u], base)
-                rhs = la.mmul(self.target.action[s][u], f, base)
-                if not self.target.underlying.levels[s].maps_equal(lhs, rhs):
-                    rep.add("linearity", f"level {s}: e{u}", "not module-linear")
+            f, A = self.components[s], self.source._stacks[s]
+            lhs = la.mmul(f, _hcat(A), base)
+            rhs = _right(self.target._stacks[s], f, base)
+            for u in _failing(self.target.underlying.levels[s], lhs, rhs, len(A)):
+                rep.add("linearity", f"level {s}: e{u}", "not module-linear")
         return rep
 
     def is_level_iso(self) -> bool:
@@ -406,15 +421,11 @@ def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> Gree
     for B in M.fixed_bases:
         d = B.shape[1]
         elems = [field.from_poly([int(B[i, u]) for i in range(k)]) for u in range(d)]
-        mult = la.zeros(d * d, d, base)
-        for u in range(d):
-            for v in range(d):
-                prod = elems[u] * elems[v]
-                coords = la.solve(B, la.mat([[c] for c in prod.coeffs], base=base), base)
-                assert coords is not None  # subfields are multiplicatively closed
-                mult[u * d + v, :] = coords[:, 0]
-        unit = la.solve(B, la.eye(k, base)[:, :1], base)
-        assert unit is not None
+        # columns u * d + v: the products elems[u] * elems[v]; the last: the unit
+        cols = [(x * y).coeffs for x in elems for y in elems] + [field.one.coeffs]
+        coords = la.solve(B, la.mat(list(zip(*cols)), base=base), base)
+        assert coords is not None  # subfields are multiplicatively closed
+        mult, unit = coords[:, :d * d].T.copy(), coords[:, d * d:]
         labels = [field.format_elem(e) for e in elems]
         rings.append(BasedRing(base, d, mult, unit, labels))
     G = GreenFunctor(M, rings, name=M.name)
@@ -476,36 +487,31 @@ def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
     """Twisted group algebra of a cyclic group over R.
 
     theta must be a ring automorphism with theta^order = id; the result is
-    commutative only when theta is trivial and R is commutative.
+    commutative only when theta is trivial and R is commutative.  The table
+    is filled by blocks from one stacked product of all e_i theta^a(e_j).
     """
     base, r, m = R.base, R.rank, order
-    assert m >= 1 and theta.shape == (r, r)
+    if m < 1 or theta.shape != (r, r):
+        raise ValueError(f"twisting needs order >= 1 and an {r} x {r} theta")
+    rep = CheckReport("theta")
+    _ring_map_into(rep, "theta", "theta", theta, R, R, FPModule(base, r))
+    if not rep.ok:
+        raise ValueError("theta must fix the unit" if rep.violations[0].where == "theta"
+                         else "theta is not multiplicative")
     idm = la.eye(r, base)
-    if not la.mat_eq(la.mmul(theta, R.unit, base), R.unit):
-        raise ValueError("theta must fix the unit")
-    for i in range(r):
-        ti = theta[:, i:i + 1].copy()
-        for j in range(r):
-            lhs = la.mmul(theta, R.product_of_basis(i, j), base)
-            rhs = R.multiply(ti, theta[:, j:j + 1].copy())
-            if not la.mat_eq(lhs, rhs):
-                raise ValueError("theta is not multiplicative")
-    if not la.mat_eq(la.mpow(theta, m, base), idm):
+    th_pows = [idm]
+    for _ in range(m):
+        th_pows.append(la.mmul(theta, th_pows[-1], base))
+    if not la.mat_eq(th_pows.pop(), idm):
         raise ValueError("theta^order != id")
     rank = r * m
-    th_pows = [idm]
-    for _ in range(m - 1):
-        th_pows.append(la.mmul(theta, th_pows[-1], base))
-    mult = la.zeros(rank * rank, rank, base)
+    # [i, a, j]: the coefficients of e_i theta^a(e_j)
+    prods = R.products(idm, la.hstack(th_pows)).T.reshape(r, m, r, r)
+    mult = la.zeros(rank * rank, rank, base).reshape(m, r, m, r, rank)
     for a in range(m):
-        Ta = th_pows[a]
-        for i in range(r):
-            Li = R.left_mult_matrix(R.basis_vector(i))
-            for b in range(m):
-                c = (a + b) % m
-                for j in range(r):
-                    coeff = la.mmul(Li, Ta[:, j:j + 1].copy(), base)
-                    mult[(a * r + i) * rank + (b * r + j), c * r:(c + 1) * r] = coeff[:, 0]
+        for b in range(m):
+            c = (a + b) % m
+            mult[a, :, b, :, c * r:(c + 1) * r] = prods[:, a]
     unit = la.zeros(rank, 1, base)
     unit[:r, :] = R.unit
     labels = []
@@ -513,7 +519,7 @@ def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
         for i in range(r):
             labels.append(R.labels[i] if a == 0 else f"{R.labels[i]}.w{a}")
     trivial = la.mat_eq(theta, idm)
-    ring = BasedRing(base, rank, mult, unit, labels,
+    ring = BasedRing(base, rank, mult.reshape(rank * rank, rank), unit, labels,
                      commutative=R.commutative and (trivial or m == 1))
     return TwistedGroupRing(R, m, theta, ring)
 
@@ -581,12 +587,9 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     th_pows = [idm]
     for _ in range(m - 1):
         th_pows.append(la.mmul(T.theta, th_pows[-1], base))
-    cols = []
-    for a in range(m):
-        for i in range(k):
-            mat = la.mmul(L.left_mult_matrix(L.basis_vector(i)), th_pows[a], base)
-            cols.append(mat.transpose().reshape(k * k, 1))
-    phi = la.hstack(cols)
+    # column a * k + i: the map x -> e_i theta^a(x), flattened row by row of its transpose
+    phi = L.products(idm, la.hstack(th_pows)).T.reshape(k, m, k * k).transpose(2, 1, 0)
+    phi = phi.reshape(k * k, m * k)
     rep = CheckReport("matrix units")
     idd = la.eye(d, base)
     units = {}
@@ -601,11 +604,12 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
                 continue
             units[(a, b)] = x
     zero = la.zeros(k * m, 1, base)
+    # one stacked product per left factor keeps the Kronecker factor at (k m)^2 x m^2
+    stack = la.hstack(list(units.values()) or [zero])
     for (a, b), u in units.items():
-        for (c, e), v in units.items():
-            prod = T.ring.multiply(u, v)
-            expect = units[(a, e)] if b == c else zero
-            if not la.mat_eq(prod, expect):
+        expect = la.hstack([units[(a, e)] if b == c else zero for c, e in units])
+        for (c, e), ok in zip(units, np.equal(T.ring.products(u, stack), expect).all(axis=0)):
+            if not ok:
                 rep.add("matrix-units", f"E[{a},{b}] E[{c},{e}]", "product law fails")
     total = zero
     for a in range(m):
@@ -719,8 +723,8 @@ def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
     for t in range(n + 1):
         lt, mt = L.ring(t), und.levels[t].gens
         rels = [tensor_modules(und.levels[t], Lund.levels[t]).relations]
-        for lam, act in enumerate(M.action[t]):
-            lmul = lt.left_mult_matrix(f.components[t][:, lam:lam + 1].copy())
+        lmuls = lt.left_mult_matrices(f.components[t])
+        for act, lmul in zip(M.action[t], lmuls):
             rels.append(la.sub(la.kron(act, la.eye(lt.rank, base), base),
                                la.kron(la.eye(mt, base), lmul, base), base))
         extra.append(rels)
@@ -730,10 +734,11 @@ def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
     for s in range(n + 1):
         down = [la.mmul_chain(*Lund.res[t:s], la.eye(L.ring(s).rank, base), base=base)
                 for t in range(s + 1)]                     # res_{s->t}
+        lmuls = [L.ring(t).left_mult_matrices(down[t]) for t in range(s + 1)]
         action.append([])
         for c in range(L.ring(s).rank):
-            raw = la.block_diag([la.kron(la.eye(und.levels[t].gens, base), L.ring(t).left_mult_matrix(
-                down[t][:, c:c + 1].copy()), base) for t in range(s + 1)])
+            raw = la.block_diag([la.kron(la.eye(und.levels[t].gens, base), lmuls[t][c], base)
+                                 for t in range(s + 1)])
             action[s].append(la.mmul_chain(B.projections[s], raw, B.lifts[s], base=base))
     out = GreenModule(L, B, action, name=B.name)
     out.projections = B.projections

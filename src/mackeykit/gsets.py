@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from . import linalg as la
 from .linalg import ZZ
-from .rings import BasedRing
+from .modules import reduced_quotient
+from .rings import BasedRing, quotient_ring, render_presentation
 
 
 @dataclass(frozen=True)
@@ -218,14 +219,11 @@ class QuotientRingResult:
 
 
 def ideal_lattice(R: BasedRing, gens) -> "la.np.ndarray":
-    """Additive lattice of the ideal generated by the given coefficient columns."""
-    cols = []
-    for g in gens:
-        L = R.left_mult_matrix(g)
-        for b in range(R.rank):
-            cols.append(L[:, b:b + 1])
-    stacked = la.hstack(cols) if cols else la.zeros(R.rank, 0)
-    return la.column_lattice_basis(stacked)
+    """Additive lattice of the ideal generated by the given coefficient
+    columns: the lattice of all products g * e_b, one stacked product."""
+    gens = list(gens)
+    cols = R.products(la.hstack(gens), la.eye(R.rank, R.base)) if gens else la.zeros(R.rank, 0)
+    return la.column_lattice_basis(cols)
 
 
 def burnside_quotient(R: BasedRing, gens) -> QuotientRingResult:
@@ -236,21 +234,11 @@ def burnside_quotient(R: BasedRing, gens) -> QuotientRingResult:
     """
     if R.base is not ZZ or not R.commutative:
         raise ValueError("burnside quotients need a commutative ring over Z")
-    from .modules import reduced_quotient
     lattice = ideal_lattice(R, gens)
     Q, proj, lift = reduced_quotient(ZZ, R.rank, lattice)
     invs = Q.invariant_factors()
     if any(d != 0 for d in invs):
         raise ValueError(f"quotient has torsion {invs}; no based presentation")
-    q = Q.gens
-    mult = la.zeros(q * q, q)
-    for i in range(q):
-        for j in range(q):
-            prod = R.multiply(lift[:, i:i + 1], lift[:, j:j + 1])
-            img = la.mmul(proj, prod)
-            mult[i * q + j, :] = img[:, 0]
-    unit = la.mmul(proj, R.unit)
-    ring = BasedRing(ZZ, q, mult, unit, labels=[f"q{i}" for i in range(q)])
-    from .rings import render_presentation
+    ring = quotient_ring(R, proj, lift, labels=[f"q{i}" for i in range(Q.gens)])
     pres = render_presentation(R, lattice)
     return QuotientRingResult(ring, pres, proj, lift, invs)

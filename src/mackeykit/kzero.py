@@ -117,7 +117,8 @@ def k0_free_fixed_point(p: int, n: int, r: int):
     orbit at each level s >= r with p^(n-s) copies of the top one; r = n gives
     the full ambient ring back, r = 0 collapses everything to rank one.
     """
-    assert 0 <= r <= n
+    if not 0 <= r <= n:
+        raise ValueError(f"stabilizer level {r} is outside 0..{n}")
     G = CyclicGroup(p, n)
     R = burnside_ring(G)
     gens = []

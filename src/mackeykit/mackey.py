@@ -80,7 +80,11 @@ def _check_same_base(M, N):
 
 
 def check_axioms(M: MackeyFunctor) -> CheckReport:
-    """Well-definedness, Weyl order, equivariance, and the double coset rule."""
+    """Well-definedness, Weyl order, equivariance, and the double coset rule.
+
+    Each level's Weyl ladder W_s^(p^k), k <= n - s, is built once by p-th
+    powers; its top rung is the Weyl-order check, and rung n - t - 1 the
+    translates in the double coset formula for levels s <= t."""
     rep = CheckReport(M.name or "mackey functor")
     p, n, base = M.p, M.n, M.base
 
@@ -96,12 +100,13 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
     for s in range(n + 1):
         welldef(M.weyl[s], M.levels[s], M.levels[s], f"weyl_{s}")
 
+    ladder = [list(itertools.accumulate(range(n - s), lambda W, _: la.mpow(W, p, base),
+                                        initial=M.weyl[s])) for s in range(n + 1)]
     # weyl_n = id and weyl_s^(p^(n-s)) = id
     if not M.levels[n].maps_equal(M.weyl[n], la.eye(M.levels[n].gens, base)):
         rep.add("weyl", "level n", "top Weyl action is not the identity")
     for s in range(n + 1):
-        pw = la.mpow(M.weyl[s], p ** (n - s), base)
-        if not M.levels[s].maps_equal(pw, la.eye(M.levels[s].gens, base)):
+        if not M.levels[s].maps_equal(ladder[s][n - s], la.eye(M.levels[s].gens, base)):
             rep.add("weyl", f"level {s}", f"weyl^{p ** (n - s)} != id")
 
     for s in range(n):
@@ -116,7 +121,7 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
 
     for s in range(n):
         lhs = la.mmul(M.res[s], M.tr[s], base)
-        rhs = la.power_sum(la.mpow(M.weyl[s], p ** (n - s - 1), base), p, base)
+        rhs = la.power_sum(ladder[s][n - s - 1], p, base)
         if not M.levels[s].maps_equal(lhs, rhs):
             rep.add("double-coset", f"level {s}",
                     "res . tr != sum of relative Weyl translates")
@@ -128,8 +133,7 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
             down_t = la.mmul(M.res[s], down_t, base)
             down_t1 = la.mmul(down_t, M.res[t], base)
             lhs = la.mmul(down_t1, M.tr[t], base)
-            step = la.mpow(M.weyl[s], p ** (n - t - 1), base)
-            rhs = la.mmul(la.power_sum(step, p, base), down_t, base)
+            rhs = la.mmul(la.power_sum(ladder[s][n - t - 1], p, base), down_t, base)
             if not M.levels[s].maps_equal(lhs, rhs):
                 rep.add("double-coset", f"levels {s}<{t}",
                         "non-adjacent res . tr != sum of Weyl-translated res")
@@ -573,12 +577,12 @@ def _combine(homs, coeffs, base):
     return MackeyMorphism(homs[0].source, homs[0].target, comps)
 
 
-def _batches(candidates):
-    """Lists of the candidates in order: 1, 2, 4, ... up to _BATCH_CAP at a time."""
+def _batches(candidates, cap=_BATCH_CAP):
+    """Lists of the candidates in order: 1, 2, 4, ... up to cap at a time."""
     size = 1
     while batch := list(itertools.islice(candidates, size)):
         yield batch
-        size = min(2 * size, _BATCH_CAP)
+        size = min(2 * size, cap)
 
 
 class _LevelStack:
@@ -619,15 +623,15 @@ def _unit_dets(stack, coeffs, p):
     return la.unit_det_mask(stack.levels(coeffs), p).reshape(len(coeffs), -1)
 
 
-def _first_iso(homs, candidates, passing, coeff, phase, stats):
+def _first_iso(homs, candidates, passing, coeff, phase, stats, cap=_BATCH_CAP):
     """The first candidate of the iterable that is a levelwise isomorphism,
-    or None.  passing(rows) is the batched filter, a necessary condition;
-    each row that passes is combined (coeff maps its entries to scalars)
-    and confirmed by is_level_iso, in order.  Counts the candidates up to
-    the answer, and those of them that passed the filter, into stats."""
+    or None.  passing(rows) is the batched filter (at most cap rows), a
+    necessary condition; each row that passes is combined (coeff maps its
+    entries to scalars) and confirmed by is_level_iso, in order.  Counts the
+    candidates up to the answer, and those that passed the filter, into stats."""
     base = homs[0].source.base
     tried = passed = 0
-    for batch in _batches(candidates):
+    for batch in _batches(candidates, cap):
         ok = passing(np.array(batch))
         for i in np.flatnonzero(ok):
             f = _combine(homs, [coeff(c) for c in batch[i]], base)
@@ -658,7 +662,9 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     `la.unit_det_mask`).  Over F_p a nonzero determinant decides; over Z a
     determinant that is not +-1 mod _FILTER_PRIME rules a candidate out,
     and the rest are confirmed with the exact `is_level_iso` in order, so
-    the first witness is the one a one-at-a-time search finds.
+    the first witness is the one a one-at-a-time search finds.  Over
+    GF(p^k), k > 1, and primes past the int64 bound, where `full_rank_mask`
+    has no batched kernel, every batch holds one candidate.
 
     The result's stats: "hom_rank", "phase" (the phase that answered:
     "ranks", "hom", "box", "random" or "modulus"; None when inconclusive),
@@ -693,6 +699,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     if base is not ZZ:
         q = base.p ** base.k
         stack = _LevelStack(homs, base)
+        cap = _BATCH_CAP if stack.rows.dtype == np.int64 else 1     # batch residues only
         # rows hold indices into base.elements(); over F_p they are the residues
         scalars = np.vectorize(base.element, otypes=[object])
 
@@ -704,7 +711,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         # enumeration would be astronomically large over bigger fields
         if h <= 6 and q ** h <= exhaustive_cap:
             f = _first_iso(homs, itertools.product(range(q), repeat=h), invertible,
-                           base.element, "box", stats)
+                           base.element, "box", stats, cap)
             if f is not None:
                 return answer("box", "isomorphic", witness=f, detail="exhaustive search")
             return answer("box", "not_isomorphic",
@@ -714,7 +721,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         stats["seed"] = _resolve_seed(seed)
         rng = np.random.default_rng(stats["seed"])
         draws = ([int(rng.integers(0, q)) for _ in range(h)] for _ in range(random_tries))
-        f = _first_iso(homs, draws, invertible, base.element, "random", stats)
+        f = _first_iso(homs, draws, invertible, base.element, "random", stats, cap)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random search")
         return answer(None, "inconclusive", detail=f"no witness in {random_tries} samples")

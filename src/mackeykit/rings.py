@@ -1,8 +1,9 @@
 """Rings presented by a basis and structure constants over Z or a finite field.
 
-mult[i][j] is the coefficient column of e_i * e_j; the unit is a coordinate
-vector.  Commutativity is an optional law so twisted group rings fit the
-same container.  Quotient presentations render as polynomial strings
+Every law and table is built from a few stacked products (`BasedRing.products`),
+compared at once, and walked pair by pair only to name the violations of a
+failed comparison.  Commutativity is an optional law so twisted group rings
+fit the same container.  Quotient presentations render as polynomial strings
 (generators named from the top basis element down).
 """
 
@@ -10,16 +11,21 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from . import linalg as la
 from .linalg import ZZ
 from .report import CheckReport
 
 
 class BasedRing:
+    """A ring free over its base on e_0..e_(r-1); elements are coefficient
+    columns.  mult has the (r^2, r) layout, row i * r + j the coefficients of
+    e_i * e_j, and `products` is the one product of stacks of elements."""
+
     def __init__(self, base, rank: int, mult, unit, labels=None, commutative=True):
         self.base = base
         self.rank = int(rank)
-        # mult stored as an (rank*rank) x rank layout: row i*rank+j = e_i e_j
         if mult.shape != (self.rank * self.rank, self.rank) and self.rank:
             raise ValueError(f"mult has shape {mult.shape} for rank {self.rank}")
         if unit.shape != (self.rank, 1):
@@ -31,27 +37,35 @@ class BasedRing:
             raise ValueError(f"{len(self.labels)} labels for rank {self.rank}")
         self.commutative = commutative
 
+    def products(self, X, Y):
+        """All products of columns: column a * Y.shape[1] + b is X[:, a] * Y[:, b].
+
+        This is mult^T @ kron(X, Y), one product for the whole stack."""
+        return la.mmul(self.mult.T, la.kron(X, Y, self.base), self.base)
+
     def product_of_basis(self, i: int, j: int):
         return self.mult[i * self.rank + j, :].reshape(self.rank, 1).copy()
 
+    def left_mult_matrices(self, X):
+        """(c, r, r) stack: the matrix of x -> X[:, a] * x for each of the c
+        columns of X.  This is products(X, I) without the Kronecker factor:
+        one (c, r) x (r, r^2) product with the table."""
+        r, c = self.rank, X.shape[1]
+        flat = la.mmul(X.T, self.mult.reshape(r, r * r), self.base)   # [a, j * r + b]
+        return flat.reshape(c, r, r).transpose(0, 2, 1)
+
     def left_mult_matrix(self, v):
         """Matrix of x -> v*x in the basis; v a coefficient column."""
-        r = self.rank
-        out = la.zeros(r, r, self.base)
-        for i in range(r):
-            if v[i, 0] != 0:
-                # column j of the block's transpose is e_i * e_j
-                out = la.add_scaled(out, self.mult[i * r:(i + 1) * r, :].T, v[i, 0], self.base)
-        return out
+        return self.left_mult_matrices(v)[0]
 
     def multiply(self, v, w):
         """Bilinear product of coefficient columns."""
-        return la.mmul(self.left_mult_matrix(v), w, self.base)
+        return self.products(v, w)
 
     def power(self, v, e: int):
         out = self.unit.copy()
         for _ in range(e):
-            out = self.multiply(out, v)
+            out = self.products(out, v)
         return out
 
     def is_zero_ring(self) -> bool:
@@ -62,54 +76,45 @@ class BasedRing:
         v[i, 0] = self.base.one
         return v
 
-    def elements(self):
-        """All coefficient columns (field base only; exponential in rank)."""
-        if self.base is ZZ:
-            raise ValueError("elements are enumerable only over a finite base field")
-        for tup in itertools.product(list(self.base.elements()), repeat=self.rank):
-            v = la.zeros(self.rank, 1, self.base)
-            v[:, 0] = tup
-            yield v
-
     def __repr__(self):
         return f"BasedRing(rank={self.rank}, base={self.base!r})"
 
 
 def based_ring_check(R: BasedRing) -> CheckReport:
-    """Associativity on all basis triples, unit on both sides, commutativity if claimed."""
+    """Associativity on all basis triples, unit on both sides, commutativity if claimed.
+
+    Associativity is two (r^2, r) x (r, r^2) contractions of the table,
+    (e_i e_j) e_k and e_i (e_j e_k) for every triple, compared at once."""
     rep = CheckReport("based ring")
     n = R.rank
     if n == 0:
         return rep
-    basis = [R.basis_vector(i) for i in range(n)]
-    prod = {}
-    for i in range(n):
-        for j in range(n):
-            prod[i, j] = R.product_of_basis(i, j)
+    T = R.mult.reshape(n, n, n)                       # T[i, j] = e_i e_j
     if R.commutative:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not la.mat_eq(prod[i, j], prod[j, i]):
-                    rep.add("commutativity", f"e{i}*e{j} != e{j}*e{i}")
+        for i, j in zip(*np.nonzero(~np.equal(T, T.transpose(1, 0, 2)).all(axis=2))):
+            if i < j:
+                rep.add("commutativity", f"e{i}*e{j} != e{j}*e{i}")
+    # left[(i, j), (k, b)] and right[(j, k), (i, b)]: coefficient b of
+    # (e_i e_j) e_k and of e_i (e_j e_k)
+    left = la.mmul(R.mult, T.reshape(n, n * n), R.base).reshape(n, n, n, n)
+    right = la.mmul(R.mult, T.transpose(1, 0, 2).reshape(n, n * n), R.base)
+    right = right.reshape(n, n, n, n).transpose(2, 0, 1, 3)
+    for i, j, k in zip(*np.nonzero(~np.equal(left, right).all(axis=3))):
+        rep.add("associativity", f"(e{i}*e{j})*e{k}")
+    ident = la.eye(n, R.base)
+    on_left = np.equal(R.products(R.unit, ident), ident).all(axis=0)
+    on_right = np.equal(R.products(ident, R.unit), ident).all(axis=0)
     for i in range(n):
-        for j in range(n):
-            left = R.left_mult_matrix(prod[i, j])
-            right_fix = R.left_mult_matrix(basis[i])
-            for k in range(n):
-                lhs = la.mmul(left, basis[k], R.base)            # (e_i e_j) e_k
-                rhs = la.mmul(right_fix, prod[j, k], R.base)     # e_i (e_j e_k)
-                if not la.mat_eq(lhs, rhs):
-                    rep.add("associativity", f"(e{i}*e{j})*e{k}")
-    for i in range(n):
-        if not la.mat_eq(R.multiply(R.unit, basis[i]), basis[i]):
+        if not on_left[i]:
             rep.add("unit", f"1*e{i}")
-        if not la.mat_eq(R.multiply(basis[i], R.unit), basis[i]):
+        if not on_right[i]:
             rep.add("unit", f"e{i}*1")
     return rep
 
 
 def ring_is_field(R: BasedRing, limit: int = 4096) -> bool:
-    """Exhaustive invertibility test over a finite base field."""
+    """Exhaustive invertibility test over a finite base field: the left
+    multiplications of all nonzero elements go through one `la.full_rank_mask`."""
     if R.base is ZZ:
         raise ValueError("field test only over finite base fields")
     if R.rank == 0:
@@ -118,13 +123,22 @@ def ring_is_field(R: BasedRing, limit: int = 4096) -> bool:
         raise ValueError("ring too large for the exhaustive field test")
     if not R.commutative:
         return False
-    for v in R.elements():
-        if la.is_zero_mat(v):
-            continue
-        L = R.left_mult_matrix(v)
-        if la.rank(L, R.base) < R.rank:
-            return False
-    return True
+    base = R.base
+    # rows hold indices into base.elements(); over F_p they are the residues
+    idx = np.array(list(itertools.product(range(base.q), repeat=R.rank))[1:], dtype=np.int64)
+    X = idx if base.k == 1 else np.vectorize(base.element, otypes=[object])(idx)
+    return bool(la.full_rank_mask(R.left_mult_matrices(la.coerce(X, base).T), base).all())
+
+
+def quotient_ring(R: BasedRing, proj, lift, base=None, labels=None) -> BasedRing:
+    """R modulo an ideal, on the quotient generators of (proj, lift): the
+    table is proj applied to the products of all pairs of lifted generators,
+    computed over R.base and reduced to base (R.base by default)."""
+    q = proj.shape[0]
+    mult = la.mmul(proj, R.products(lift, lift), R.base).T.copy()
+    unit = la.mmul(proj, R.unit, R.base)
+    return BasedRing(R.base if base is None else base, q, mult, unit, labels,
+                     commutative=R.commutative)
 
 
 def unit_basis_index(R: BasedRing):

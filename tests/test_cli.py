@@ -91,6 +91,13 @@ def test_k0free_full_burnside(capsys):
     assert rc == 0 and out.splitlines()[0] == "Z[x]/(x^2-2x)"
 
 
+@pytest.mark.parametrize("stab", ["3", "-1"])
+def test_k0free_stabilizer_out_of_range_is_a_usage_error(capsys, stab):
+    rc, out, err = run(capsys, "k0free", "--p", "2", "--n", "1", "--stab", stab)
+    assert rc == 2 and out == ""
+    assert f"--stab {stab} is outside 0..1" in err
+
+
 def test_decompose_reports_canonical_form(capsys, tmp_path):
     _, text, _ = run(capsys, "example", "fp-galois", "--p", "2", "--n", "1")
     from mackeykit.functors import free_module

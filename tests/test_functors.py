@@ -322,6 +322,11 @@ def test_page_constant_integers_honestly_fails_to_split():
     assert ring_section_search(constant_green(CyclicGroup(5, 1), ZZ)) is None
 
 
+def test_section_search_refuses_more_than_one_stage():
+    with pytest.raises(ValueError, match="one stage at a time"):
+        ring_section_search(burnside_green(CyclicGroup(2, 2)))
+
+
 def test_page_deeper_groups_report_unknown():
     page = e1_page(burnside_green(CyclicGroup(2, 2)))
     assert page.splitting == "unknown"

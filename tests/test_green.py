@@ -187,6 +187,16 @@ def test_twisted_ring_validates_theta():
         twisted_group_ring(G.ring(0), 3, G.underlying.weyl[0])  # theta^3 != id
 
 
+@pytest.mark.parametrize("order,theta,match", [
+    (0, la.eye(2, gf_make(2, 1)), "order >= 1"),
+    (2, la.eye(3, gf_make(2, 1)), "2 x 2 theta"),
+])
+def test_twisted_ring_rejects_bad_order_or_theta_shape(order, theta, match):
+    G = fixed_point_green(CyclicGroup(2, 1), gf_make(2, 2))
+    with pytest.raises(ValueError, match=match):
+        twisted_group_ring(G.ring(0), order, theta)
+
+
 def test_degenerate_order_one():
     G = fixed_point_green(CyclicGroup(2, 1), gf_make(2, 2))
     T = level_twisted_ring(G, 1)
@@ -426,7 +436,6 @@ def test_preconditions_raise_value_error():
         ("order must divide", lambda: fixed_point_mackey(
             G, gf_make(3, 1), four_cycle)),
         ("finite base field", lambda: ring_is_field(A)),
-        ("finite base field", lambda: list(A.elements())),
         ("over Z", lambda: render_presentation(F2)),
         ("over Z", lambda: burnside_quotient(F2, [])),
         ("over a field", lambda: green_module_from_invariant_span(BM, [la.eye(2), la.eye(2)])),

@@ -356,6 +356,23 @@ def test_free_burnside_module_over_c9_finds_the_same_witness():
     assert r.witness.check().ok and r.witness.is_level_iso()
 
 
+@pytest.mark.parametrize("field", [gf_make(2, 3), gf_make(3, 2)])
+def test_fields_without_a_residue_kernel_test_one_candidate_per_batch(field, monkeypatch):
+    # full_rank_mask takes rank level by level here, so a batch holds one
+    # candidate: every candidate up to the witness costs one rank per level,
+    # and the witness one more per level in is_level_iso
+    M = constant_mackey(CyclicGroup(2, 2), field, 2)
+    want = reference_is_isomorphic(M, M)
+    rank, calls = la.rank, []
+    monkeypatch.setattr(la, "rank", lambda A, f: calls.append(A.shape) or rank(A, f))
+    got = is_isomorphic(M, M)
+    monkeypatch.undo()
+    levels = M.n + 1
+    assert len(calls) == (got.stats["candidates"]["box"] + 1) * levels
+    assert_same_result(M, M)
+    assert got.stats == want.stats and got.detail == want.detail
+
+
 def test_z_levels_with_relations_are_refused():
     # the constant functor Z presented as Z^2 / (1, 0) on each level: hom_basis
     # re-presents it on a basis, but a level determinant needs free levels

@@ -267,3 +267,10 @@ def test_constant_resolution_is_exact(p):
 
 def test_resolution_report_carries_prime():
     assert constant_Z_resolution_check(3).p == 3
+
+
+@pytest.mark.parametrize("r", [-1, 3])
+def test_class_ring_rejects_a_stabilizer_outside_the_levels(r):
+    # a ValueError, not an assert, so it holds under python -O too
+    with pytest.raises(ValueError, match="outside 0..2"):
+        k0_free_fixed_point(2, 2, r)
