@@ -130,8 +130,7 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
             resc = la.mmul(M.res[t], resc, base)
         order = p ** (n - u)
         winv = la.mpow(M.weyl[u], order - 1, base=base)
-        # copy j of element e acts by left multiplication with winv^j res(e),
-        # column j * rank + e of the twists
+        # copy j of element e: left multiplication by winv^j res(e), twists column j * rank + e
         twists = [resc]
         for _ in range(c - 1):
             twists.append(la.mmul(winv, twists[-1], base))

@@ -605,10 +605,10 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
             units[(a, b)] = x
     zero = la.zeros(k * m, 1, base)
     # one stacked product per left factor keeps the Kronecker factor at (k m)^2 x m^2
-    stack = la.hstack(list(units.values()) or [zero])
     for (a, b), u in units.items():
+        prods = T.ring.products(u, la.hstack(list(units.values())))
         expect = la.hstack([units[(a, e)] if b == c else zero for c, e in units])
-        for (c, e), ok in zip(units, np.equal(T.ring.products(u, stack), expect).all(axis=0)):
+        for (c, e), ok in zip(units, np.equal(prods, expect).all(axis=0)):
             if not ok:
                 rep.add("matrix-units", f"E[{a},{b}] E[{c},{e}]", "product law fails")
     total = zero

@@ -239,6 +239,6 @@ def burnside_quotient(R: BasedRing, gens) -> QuotientRingResult:
     invs = Q.invariant_factors()
     if any(d != 0 for d in invs):
         raise ValueError(f"quotient has torsion {invs}; no based presentation")
-    ring = quotient_ring(R, proj, lift, labels=[f"q{i}" for i in range(Q.gens)])
+    ring = quotient_ring(R, proj, lift, ZZ, labels=[f"q{i}" for i in range(Q.gens)])
     pres = render_presentation(R, lattice)
     return QuotientRingResult(ring, pres, proj, lift, invs)

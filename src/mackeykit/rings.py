@@ -114,7 +114,9 @@ def based_ring_check(R: BasedRing) -> CheckReport:
 
 def ring_is_field(R: BasedRing, limit: int = 4096) -> bool:
     """Exhaustive invertibility test over a finite base field: the left
-    multiplications of all nonzero elements go through one `la.full_rank_mask`."""
+    multiplications of the nonzero elements go through `la.full_rank_mask` in
+    batches of 1, 2, 4, ..., so a zero divisor ends the test in its batch;
+    over GF(p^k), k > 1, where that ranks matrix by matrix, one at a time."""
     if R.base is ZZ:
         raise ValueError("field test only over finite base fields")
     if R.rank == 0:
@@ -123,22 +125,23 @@ def ring_is_field(R: BasedRing, limit: int = 4096) -> bool:
         raise ValueError("ring too large for the exhaustive field test")
     if not R.commutative:
         return False
-    base = R.base
-    # rows hold indices into base.elements(); over F_p they are the residues
-    idx = np.array(list(itertools.product(range(base.q), repeat=R.rank))[1:], dtype=np.int64)
-    X = idx if base.k == 1 else np.vectorize(base.element, otypes=[object])(idx)
-    return bool(la.full_rank_mask(R.left_mult_matrices(la.coerce(X, base).T), base).all())
+    base, size = R.base, 1
+    nonzero = itertools.islice(itertools.product(range(base.q), repeat=R.rank), 1, None)
+    while batch := list(itertools.islice(nonzero, size)):
+        # rows hold indices into base.elements(); over F_p they are the residues
+        X = np.array(batch) if base.k == 1 else np.vectorize(base.element, otypes=[object])(batch)
+        if not la.full_rank_mask(R.left_mult_matrices(X.T), base).all():
+            return False
+        size *= 2 if base.k == 1 else 1
+    return True
 
 
-def quotient_ring(R: BasedRing, proj, lift, base=None, labels=None) -> BasedRing:
-    """R modulo an ideal, on the quotient generators of (proj, lift): the
-    table is proj applied to the products of all pairs of lifted generators,
-    computed over R.base and reduced to base (R.base by default)."""
-    q = proj.shape[0]
+def quotient_ring(R: BasedRing, proj, lift, base, labels=None) -> BasedRing:
+    """R modulo an ideal on the quotient generators of (proj, lift): proj of the
+    products of all pairs of lifted generators over R.base, reduced to base."""
     mult = la.mmul(proj, R.products(lift, lift), R.base).T.copy()
     unit = la.mmul(proj, R.unit, R.base)
-    return BasedRing(R.base if base is None else base, q, mult, unit, labels,
-                     commutative=R.commutative)
+    return BasedRing(base, proj.shape[0], mult, unit, labels, commutative=R.commutative)
 
 
 def unit_basis_index(R: BasedRing):
