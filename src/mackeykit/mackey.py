@@ -24,6 +24,7 @@ from . import linalg as la
 from .fields import gf_make
 from .linalg import ZZ
 from .modules import FPModule, direct_sum_modules, reduced_quotient
+from .rings import batches, field_elements
 from .report import CheckReport
 
 
@@ -561,7 +562,6 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 # unimodular matrix has det = +-1 mod every prime.  h * (P - 1)^2 < 2^63
 # keeps the stacked product of h hom-basis rows in int64.
 _FILTER_PRIME = 65521
-_BATCH_CAP = 1024
 
 
 def _combine(homs, coeffs, base):
@@ -575,14 +575,6 @@ def _combine(homs, coeffs, base):
                 F = la.add_scaled(F, h.components[s], c, base)
         comps.append(F)
     return MackeyMorphism(homs[0].source, homs[0].target, comps)
-
-
-def _batches(candidates, cap=_BATCH_CAP):
-    """Lists of the candidates in order: 1, 2, 4, ... up to cap at a time."""
-    size = 1
-    while batch := list(itertools.islice(candidates, size)):
-        yield batch
-        size = min(2 * size, cap)
 
 
 class _LevelStack:
@@ -623,15 +615,15 @@ def _unit_dets(stack, coeffs, p):
     return la.unit_det_mask(stack.levels(coeffs), p).reshape(len(coeffs), -1)
 
 
-def _first_iso(homs, candidates, passing, coeff, phase, stats, cap=_BATCH_CAP):
+def _first_iso(homs, candidates, passing, coeff, phase, stats, field):
     """The first candidate of the iterable that is a levelwise isomorphism,
-    or None.  passing(rows) is the batched filter (at most cap rows), a
+    or None.  passing(rows) is the filter of a batch (`batches` over field), a
     necessary condition; each row that passes is combined (coeff maps its
     entries to scalars) and confirmed by is_level_iso, in order.  Counts the
     candidates up to the answer, and those that passed the filter, into stats."""
     base = homs[0].source.base
     tried = passed = 0
-    for batch in _batches(candidates, cap):
+    for batch in batches(candidates, field):
         ok = passing(np.array(batch))
         for i in np.flatnonzero(ok):
             f = _combine(homs, [coeff(c) for c in batch[i]], base)
@@ -656,7 +648,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     coefficients (levelwise free): bounded lattice search for a
     unimodular witness, then a mod-m certificate ruling every hom out.
 
-    Candidates are tested in batches of 1, 2, 4, ... up to _BATCH_CAP: one
+    Candidates are tested in `batches` of 1, 2, 4, ... up to 1024: one
     stacked product gives a batch's level matrices and one batched
     elimination their determinants (`la.full_rank_mask`,
     `la.unit_det_mask`).  Over F_p a nonzero determinant decides; over Z a
@@ -664,7 +656,8 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     and the rest are confirmed with the exact `is_level_iso` in order, so
     the first witness is the one a one-at-a-time search finds.  Over
     GF(p^k), k > 1, and primes past the int64 bound, where `full_rank_mask`
-    has no batched kernel, every batch holds one candidate.
+    ranks matrix by matrix, a batch holds at most a quarter of the
+    candidates before it, plus one.
 
     The result's stats: "hom_rank", "phase" (the phase that answered:
     "ranks", "hom", "box", "random" or "modulus"; None when inconclusive),
@@ -699,19 +692,15 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     if base is not ZZ:
         q = base.p ** base.k
         stack = _LevelStack(homs, base)
-        cap = _BATCH_CAP if stack.rows.dtype == np.int64 else 1     # batch residues only
-        # rows hold indices into base.elements(); over F_p they are the residues
-        scalars = np.vectorize(base.element, otypes=[object])
-
-        def invertible(rows):
-            levels = stack.levels(rows if base.k == 1 else scalars(rows))
+        def invertible(rows):       # rows hold indices into base.elements()
+            levels = stack.levels(field_elements(base, rows))
             return la.full_rank_mask(levels, base).reshape(len(rows), -1).all(axis=1)
 
         # exhaustive only for small hom spaces; beyond that the full
         # enumeration would be astronomically large over bigger fields
         if h <= 6 and q ** h <= exhaustive_cap:
             f = _first_iso(homs, itertools.product(range(q), repeat=h), invertible,
-                           base.element, "box", stats, cap)
+                           base.element, "box", stats, base)
             if f is not None:
                 return answer("box", "isomorphic", witness=f, detail="exhaustive search")
             return answer("box", "not_isomorphic",
@@ -721,7 +710,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         stats["seed"] = _resolve_seed(seed)
         rng = np.random.default_rng(stats["seed"])
         draws = ([int(rng.integers(0, q)) for _ in range(h)] for _ in range(random_tries))
-        f = _first_iso(homs, draws, invertible, base.element, "random", stats, cap)
+        f = _first_iso(homs, draws, invertible, base.element, "random", stats, base)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random search")
         return answer(None, "inconclusive", detail=f"no witness in {random_tries} samples")
@@ -740,7 +729,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         B -= 1
     if B >= 1:
         box = (c for c in itertools.product(range(-B, B + 1), repeat=h) if any(c))
-        f = _first_iso(homs, box, unimodular_mod_p, int, "box", stats)
+        f = _first_iso(homs, box, unimodular_mod_p, int, "box", stats, filt)
         if f is not None:
             return answer("box", "isomorphic", witness=f,
                           detail=f"lattice search, coefficients within {B}")
@@ -756,7 +745,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
                 coeffs = rng.integers(-width, width + 1, size=h)
                 if coeffs.any():
                     yield coeffs.tolist()
-        f = _first_iso(homs, draws(), unimodular_mod_p, int, "random", stats)
+        f = _first_iso(homs, draws(), unimodular_mod_p, int, "random", stats, filt)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random lattice search")
 
@@ -769,7 +758,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         stack = _LevelStack(homs, gf_make(m, 1))
         level_ok = np.zeros(M.n + 1, dtype=bool)  # did any hom have det = +-1 mod m at level s
         found_admissible = False
-        for batch in _batches(itertools.product(range(m), repeat=h)):
+        for batch in batches(itertools.product(range(m), repeat=h)):
             good = _unit_dets(stack, np.array(batch), m)
             admissible = np.flatnonzero(good.all(axis=1))
             if admissible.size:

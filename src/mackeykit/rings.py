@@ -17,6 +17,8 @@ from . import linalg as la
 from .linalg import ZZ
 from .report import CheckReport
 
+_STACK_ENTRIES = 1 << 20    # entries of one stacked operand; larger stacks go in blocks
+
 
 class BasedRing:
     """A ring free over its base on e_0..e_(r-1); elements are coefficient
@@ -40,8 +42,13 @@ class BasedRing:
     def products(self, X, Y):
         """All products of columns: column a * Y.shape[1] + b is X[:, a] * Y[:, b].
 
-        This is mult^T @ kron(X, Y), one product for the whole stack."""
-        return la.mmul(self.mult.T, la.kron(X, Y, self.base), self.base)
+        This is mult^T @ kron(X, Y), one product for the whole stack, taken
+        in column blocks of X when kron(X, Y) would pass _STACK_ENTRIES."""
+        step = max(1, _STACK_ENTRIES // max(X.shape[0] * Y.shape[0] * Y.shape[1], 1))
+        if X.shape[1] <= step:
+            return la.mmul(self.mult.T, la.kron(X, Y, self.base), self.base)
+        return la.hstack([la.mmul(self.mult.T, la.kron(X[:, a:a + step], Y, self.base), self.base)
+                          for a in range(0, X.shape[1], step)])
 
     def product_of_basis(self, i: int, j: int):
         return self.mult[i * self.rank + j, :].reshape(self.rank, 1).copy()
@@ -68,6 +75,13 @@ class BasedRing:
             out = self.products(out, v)
         return out
 
+    def elements(self):
+        """All coefficient columns (field base only; exponential in rank)."""
+        if self.base is ZZ:
+            raise ValueError("elements are enumerable only over a finite base field")
+        for idx in itertools.product(range(self.base.q), repeat=self.rank):
+            yield field_elements(self.base, [idx]).T
+
     def is_zero_ring(self) -> bool:
         return self.rank == 0
 
@@ -84,7 +98,8 @@ def based_ring_check(R: BasedRing) -> CheckReport:
     """Associativity on all basis triples, unit on both sides, commutativity if claimed.
 
     Associativity is two (r^2, r) x (r, r^2) contractions of the table,
-    (e_i e_j) e_k and e_i (e_j e_k) for every triple, compared at once."""
+    (e_i e_j) e_k and e_i (e_j e_k) for every triple, compared at once (in
+    blocks of i when they would pass _STACK_ENTRIES)."""
     rep = CheckReport("based ring")
     n = R.rank
     if n == 0:
@@ -94,13 +109,17 @@ def based_ring_check(R: BasedRing) -> CheckReport:
         for i, j in zip(*np.nonzero(~np.equal(T, T.transpose(1, 0, 2)).all(axis=2))):
             if i < j:
                 rep.add("commutativity", f"e{i}*e{j} != e{j}*e{i}")
-    # left[(i, j), (k, b)] and right[(j, k), (i, b)]: coefficient b of
-    # (e_i e_j) e_k and of e_i (e_j e_k)
-    left = la.mmul(R.mult, T.reshape(n, n * n), R.base).reshape(n, n, n, n)
-    right = la.mmul(R.mult, T.transpose(1, 0, 2).reshape(n, n * n), R.base)
-    right = right.reshape(n, n, n, n).transpose(2, 0, 1, 3)
-    for i, j, k in zip(*np.nonzero(~np.equal(left, right).all(axis=3))):
-        rep.add("associativity", f"(e{i}*e{j})*e{k}")
+    # for a block of i, left[i, j, k, b] and right[i, j, k, b]: coefficient b
+    # of (e_i e_j) e_k and of e_i (e_j e_k), n^3 entries per i
+    step = max(1, _STACK_ENTRIES // n ** 3)
+    for a in range(0, n, step):
+        Ti = T[a:a + step]
+        c = Ti.shape[0]
+        left = la.mmul(Ti.reshape(c * n, n), T.reshape(n, n * n), R.base).reshape(c, n, n, n)
+        right = la.mmul(R.mult, Ti.transpose(1, 0, 2).reshape(n, c * n), R.base)
+        right = right.reshape(n, n, c, n).transpose(2, 0, 1, 3)
+        for i, j, k in zip(*np.nonzero(~np.equal(left, right).all(axis=3))):
+            rep.add("associativity", f"(e{a + i}*e{j})*e{k}")
     ident = la.eye(n, R.base)
     on_left = np.equal(R.products(R.unit, ident), ident).all(axis=0)
     on_right = np.equal(R.products(ident, R.unit), ident).all(axis=0)
@@ -115,8 +134,7 @@ def based_ring_check(R: BasedRing) -> CheckReport:
 def ring_is_field(R: BasedRing, limit: int = 4096) -> bool:
     """Exhaustive invertibility test over a finite base field: the left
     multiplications of the nonzero elements go through `la.full_rank_mask` in
-    batches of 1, 2, 4, ..., so a zero divisor ends the test in its batch;
-    over GF(p^k), k > 1, where that ranks matrix by matrix, one at a time."""
+    `batches`, so a zero divisor ends the test in its batch."""
     if R.base is ZZ:
         raise ValueError("field test only over finite base fields")
     if R.rank == 0:
@@ -125,15 +143,34 @@ def ring_is_field(R: BasedRing, limit: int = 4096) -> bool:
         raise ValueError("ring too large for the exhaustive field test")
     if not R.commutative:
         return False
-    base, size = R.base, 1
+    base = R.base
     nonzero = itertools.islice(itertools.product(range(base.q), repeat=R.rank), 1, None)
-    while batch := list(itertools.islice(nonzero, size)):
-        # rows hold indices into base.elements(); over F_p they are the residues
-        X = np.array(batch) if base.k == 1 else np.vectorize(base.element, otypes=[object])(batch)
-        if not la.full_rank_mask(R.left_mult_matrices(X.T), base).all():
+    for batch in batches(nonzero, base):
+        X = field_elements(base, batch).T
+        if not la.full_rank_mask(R.left_mult_matrices(X), base).all():
             return False
-        size *= 2 if base.k == 1 else 1
     return True
+
+
+def batches(candidates, field=None):
+    """Lists of the candidates in order, at most 1024 at a time, for
+    `la.full_rank_mask` over field: 1, 2, 4, ... where it eliminates a
+    residue stack (and for no field); where it ranks matrix by matrix, each
+    batch at most a quarter of the candidates before it, plus one, so an
+    early answer pays for at most a quarter more ranks."""
+    share = 4 if field is not None and not la._int64_prime(field) else 1
+    tried = 0
+    while batch := list(itertools.islice(candidates, min(1024, tried // share + 1))):
+        yield batch
+        tried += len(batch)
+
+
+def field_elements(field, idx):
+    """The elements at indices idx into field.elements(), in the field's
+    at-rest form (over F_p the indices are the residues)."""
+    if la._int64_prime(field):
+        return np.array(idx, dtype=np.int64)
+    return np.vectorize(field.element, otypes=[object])(idx)
 
 
 def quotient_ring(R: BasedRing, proj, lift, base, labels=None) -> BasedRing:
@@ -146,11 +183,8 @@ def quotient_ring(R: BasedRing, proj, lift, base, labels=None) -> BasedRing:
 
 def unit_basis_index(R: BasedRing):
     """Index i with unit == e_i, or None."""
-    for i in range(R.rank):
-        ok = all((R.unit[j, 0] == (1 if j == i else 0)) for j in range(R.rank))
-        if ok:
-            return i
-    return None
+    return next((i for i in range(R.rank)
+                 if all(R.unit[j, 0] == (1 if j == i else 0) for j in range(R.rank))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +213,8 @@ def _poly_str(poly: dict, names: dict) -> str:
                 body = "".join(names[i] for i in sorted(mono, reverse=True))
             term = body if abs(c) == 1 else f"{abs(c)}{body}"
         parts.append(("-" if c < 0 else "+", term))
-    if not parts:
-        return "0"
-    sign0, t0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + t0
-    for sign, t in parts[1:]:
-        out += sign + t
-    return out
+    out = "".join(sign + t for sign, t in parts)
+    return out.removeprefix("+") or "0"
 
 
 def _substitute(poly: dict, var: int, repl: dict) -> dict:
@@ -204,18 +233,15 @@ def _substitute(poly: dict, var: int, repl: dict) -> dict:
             continue
         rest = tuple(v for v in mono if v != var)
         count = len(mono) - len(rest)
-        terms = [dict(repl)]
+        term = dict(repl)
         if count == 2:
-            prod: dict = {}
+            term = {}
             for m1, c1 in repl.items():
                 for m2, c2 in repl.items():
                     key = tuple(sorted(m1 + m2))
-                    prod[key] = prod.get(key, 0) + c1 * c2
-            terms = [prod]
-        for t in terms:
-            for m2, c2 in t.items():
-                key = tuple(sorted(rest + m2))
-                add(key, c * c2)
+                    term[key] = term.get(key, 0) + c1 * c2
+        for m2, c2 in term.items():
+            add(tuple(sorted(rest + m2)), c * c2)
     return out
 
 
@@ -233,18 +259,11 @@ def render_presentation(R: BasedRing, ideal_lattice=None) -> str:
         raise ValueError("presentation rendering needs a basis unit")
     gens = [i for i in range(R.rank) if i != u]
     # letters from the top (last basis index) down
-    names = {}
-    for pos, i in enumerate(sorted(gens, reverse=True)):
-        names[i] = _LETTERS[pos] if pos < len(_LETTERS) else f"x{pos + 1}"
+    names = {i: _LETTERS[pos] if pos < len(_LETTERS) else f"x{pos + 1}"
+             for pos, i in enumerate(sorted(gens, reverse=True))}
 
     def vec_to_linear(col) -> dict:
-        poly = {}
-        for i in range(R.rank):
-            c = int(col[i, 0])
-            if c == 0:
-                continue
-            poly[() if i == u else (i,)] = c
-        return poly
+        return {() if i == u else (i,): int(col[i, 0]) for i in range(R.rank) if int(col[i, 0])}
 
     # product rules x_i x_j - (linear expansion)
     rules = {}
@@ -258,12 +277,8 @@ def render_presentation(R: BasedRing, ideal_lattice=None) -> str:
                     del poly[m]
             rules[tuple(sorted((i, j)))] = poly
 
-    linear = []
-    if ideal_lattice is not None and ideal_lattice.shape[1]:
-        for c in range(ideal_lattice.shape[1]):
-            poly = vec_to_linear(ideal_lattice[:, c:c + 1])
-            if poly:
-                linear.append(poly)
+    cols = range(ideal_lattice.shape[1]) if ideal_lattice is not None else ()
+    linear = [poly for poly in (vec_to_linear(ideal_lattice[:, c:c + 1]) for c in cols) if poly]
 
     live = list(gens)
 
@@ -297,19 +312,10 @@ def render_presentation(R: BasedRing, ideal_lattice=None) -> str:
             break
         poly, var = elim
         c = poly[(var,)]
-        repl = {}
-        for m, cc in poly.items():
-            if m == (var,):
-                continue
-            repl[m] = -cc * c  # c in {1,-1}: x = -(rest)/c
+        repl = {m: -cc * c for m, cc in poly.items() if m != (var,)}  # c = +-1: x = -(rest)/c
         linear.remove(poly)
         live.remove(var)
-        new_linear = []
-        for q in linear:
-            q2 = _substitute(q, var, repl)
-            if q2:
-                new_linear.append(q2)
-        linear = new_linear
+        linear = [q2 for q2 in (_substitute(q, var, repl) for q in linear) if q2]
         new_rules = {}
         for mono, rule in rules.items():
             if var in mono:
@@ -322,23 +328,13 @@ def render_presentation(R: BasedRing, ideal_lattice=None) -> str:
         rules = new_rules
 
     name_list = [names[i] for i in sorted(live, reverse=True)]
-    rel_strs = []
-    for i in sorted(live, reverse=True):
-        if (i, i) in rules:
-            rel_strs.append(_poly_str(rules[i, i], names))
+    rel_strs = [_poly_str(rules[i, i], names)
+                for i in sorted(live, reverse=True) if (i, i) in rules]
     for a, i in enumerate(sorted(live, reverse=True)):
         for j in sorted(live, reverse=True)[a + 1:]:
             key = tuple(sorted((i, j)))
             if key in rules and i != j:
                 rel_strs.append(_poly_str(rules[key], names))
-    for q in linear:
-        rel_strs.append(_poly_str(q, names))
-    rel_strs = [r for r in rel_strs if r != "0"]
-
-    if not name_list:
-        head = "Z"
-    else:
-        head = f"Z[{','.join(name_list)}]"
-    if not rel_strs:
-        return head
-    return f"{head}/({','.join(rel_strs)})"
+    rel_strs = [r for r in rel_strs + [_poly_str(q, names) for q in linear] if r != "0"]
+    head = f"Z[{','.join(name_list)}]" if name_list else "Z"
+    return f"{head}/({','.join(rel_strs)})" if rel_strs else head

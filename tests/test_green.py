@@ -436,6 +436,7 @@ def test_preconditions_raise_value_error():
         ("order must divide", lambda: fixed_point_mackey(
             G, gf_make(3, 1), four_cycle)),
         ("finite base field", lambda: ring_is_field(A)),
+        ("finite base field", lambda: list(A.elements())),
         ("over Z", lambda: render_presentation(F2)),
         ("over Z", lambda: burnside_quotient(F2, [])),
         ("over a field", lambda: green_module_from_invariant_span(BM, [la.eye(2), la.eye(2)])),

@@ -357,18 +357,22 @@ def test_free_burnside_module_over_c9_finds_the_same_witness():
 
 
 @pytest.mark.parametrize("field", [gf_make(2, 3), gf_make(3, 2)])
-def test_fields_without_a_residue_kernel_test_one_candidate_per_batch(field, monkeypatch):
-    # full_rank_mask takes rank level by level here, so a batch holds one
-    # candidate: every candidate up to the witness costs one rank per level,
-    # and the witness one more per level in is_level_iso
+def test_fields_without_a_residue_kernel_grow_batches_by_a_quarter(field, monkeypatch):
+    # full_rank_mask takes rank level by level here, so each batch holds at
+    # most a quarter of the candidates before it, plus one: every candidate
+    # up to the end of the witness's batch costs one rank per level, and the
+    # witness one more per level in is_level_iso
     M = constant_mackey(CyclicGroup(2, 2), field, 2)
     want = reference_is_isomorphic(M, M)
     rank, calls = la.rank, []
     monkeypatch.setattr(la, "rank", lambda A, f: calls.append(A.shape) or rank(A, f))
     got = is_isomorphic(M, M)
     monkeypatch.undo()
-    levels = M.n + 1
-    assert len(calls) == (got.stats["candidates"]["box"] + 1) * levels
+    witness, ranked = got.stats["candidates"]["box"], 0
+    while ranked < witness:
+        ranked += ranked // 4 + 1
+    assert witness <= ranked < 1.25 * witness + 1 and witness > 16
+    assert len(calls) == (ranked + 1) * (M.n + 1)
     assert_same_result(M, M)
     assert got.stats == want.stats and got.detail == want.detail
 

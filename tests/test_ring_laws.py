@@ -31,6 +31,8 @@ from mackeykit.linalg import ZZ
 from mackeykit.mackey import MackeyFunctor
 from mackeykit.modules import FPModule, reduced_quotient
 from mackeykit.report import CheckReport
+from mackeykit import rings as rings_mod
+from mackeykit.green import _ring_map_into
 from mackeykit.rings import BasedRing, based_ring_check, quotient_ring, ring_is_field
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -515,6 +517,58 @@ def test_ring_is_field_as_before(name):
     got = [ring_is_field(R) for R in rings]
     assert got == [ref_ring_is_field(R) for R in rings]
     assert any(got) and not all(got)
+
+
+@pytest.mark.parametrize("name", ["F2", "GF4"])
+def test_elements_enumerate_the_base_field_coordinates(name):
+    base = BASES[name]
+    R = poly_ring(base, 2, 1)
+    got = list(R.elements())
+    want = [la.mat([[a], [b]], base=base) for a, b in itertools.product(base.elements(), repeat=2)]
+    assert len(got) == base.q ** 2
+    for g, w in zip(got, want):
+        same_table(g, w)
+
+
+@pytest.mark.parametrize("name", list(BASES))
+def test_blocked_stacks_report_as_before(name, monkeypatch):
+    # a stack budget this small splits every product and every associativity
+    # contraction into blocks of one slice
+    monkeypatch.setattr(rings_mod, "_STACK_ENTRIES", 8)
+    base = BASES[name]
+    for R in rings_over(base):
+        for i in range(R.mult.shape[0]):
+            broken = BasedRing(base, R.rank, bump(R.mult, i, i % R.rank, base), R.unit,
+                               commutative=R.commutative)
+            same_report(based_ring_check(broken), ref_based_ring_check(broken))
+    for G in greens_over(base):
+        for kind in ("ring", "res", "weyl"):
+            R = corrupt_green(G, kind, 1, 1, 0)
+            same_report(check_green(R), ref_check_green(R))
+
+
+@pytest.mark.parametrize("name", ["F2", "F5"])
+def test_large_rank_ring_laws_in_blocks(name, monkeypatch):
+    # rank 40: n^3 = 64,000 entries per slice, so associativity runs in
+    # blocks of 16 values of i and products(A, A) in blocks of 16 columns;
+    # the reports equal those of one unblocked contraction
+    base = BASES[name]
+    R = poly_ring(base, 40, 1)
+    broken = BasedRing(base, 40, bump(R.mult, 41 * 17, 3, base), R.unit)
+    A = bump(la.eye(40, base), 5, 33, base)
+    level = FPModule(base, 40)
+
+    def reports():
+        rep = CheckReport("map")
+        _ring_map_into(rep, "ring", "A", A, R, R, level)
+        return based_ring_check(R), based_ring_check(broken), rep
+
+    blocked = reports()
+    monkeypatch.setattr(rings_mod, "_STACK_ENTRIES", 1 << 40)
+    whole = reports()
+    assert blocked[0].ok and not blocked[1].ok and not blocked[2].ok
+    for got, want in zip(blocked, whole):
+        same_report(got, want)
 
 
 # --- green functors and ring maps --------------------------------------------------
