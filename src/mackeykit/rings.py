@@ -183,8 +183,11 @@ def quotient_ring(R: BasedRing, proj, lift, base, labels=None) -> BasedRing:
 
 def unit_basis_index(R: BasedRing):
     """Index i with unit == e_i, or None."""
-    return next((i for i in range(R.rank)
-                 if all(R.unit[j, 0] == (1 if j == i else 0) for j in range(R.rank))), None)
+    for i in range(R.rank):
+        ok = all((R.unit[j, 0] == (1 if j == i else 0)) for j in range(R.rank))
+        if ok:
+            return i
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +236,18 @@ def _substitute(poly: dict, var: int, repl: dict) -> dict:
             continue
         rest = tuple(v for v in mono if v != var)
         count = len(mono) - len(rest)
-        term = dict(repl)
+        terms = [dict(repl)]
         if count == 2:
-            term = {}
+            prod: dict = {}
             for m1, c1 in repl.items():
                 for m2, c2 in repl.items():
                     key = tuple(sorted(m1 + m2))
-                    term[key] = term.get(key, 0) + c1 * c2
-        for m2, c2 in term.items():
-            add(tuple(sorted(rest + m2)), c * c2)
+                    prod[key] = prod.get(key, 0) + c1 * c2
+            terms = [prod]
+        for t in terms:
+            for m2, c2 in t.items():
+                key = tuple(sorted(rest + m2))
+                add(key, c * c2)
     return out
 
 
@@ -312,10 +318,19 @@ def render_presentation(R: BasedRing, ideal_lattice=None) -> str:
             break
         poly, var = elim
         c = poly[(var,)]
-        repl = {m: -cc * c for m, cc in poly.items() if m != (var,)}  # c = +-1: x = -(rest)/c
+        repl = {}
+        for m, cc in poly.items():
+            if m == (var,):
+                continue
+            repl[m] = -cc * c  # c in {1,-1}: x = -(rest)/c
         linear.remove(poly)
         live.remove(var)
-        linear = [q2 for q2 in (_substitute(q, var, repl) for q in linear) if q2]
+        new_linear = []
+        for q in linear:
+            q2 = _substitute(q, var, repl)
+            if q2:
+                new_linear.append(q2)
+        linear = new_linear
         new_rules = {}
         for mono, rule in rules.items():
             if var in mono:
