@@ -692,6 +692,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     if base is not ZZ:
         q = base.p ** base.k
         stack = _LevelStack(homs, base)
+
         def invertible(rows):       # rows hold indices into base.elements()
             levels = stack.levels(field_elements(base, rows))
             return la.full_rank_mask(levels, base).reshape(len(rows), -1).all(axis=1)

@@ -143,11 +143,10 @@ def ring_is_field(R: BasedRing, limit: int = 4096) -> bool:
         raise ValueError("ring too large for the exhaustive field test")
     if not R.commutative:
         return False
-    base = R.base
-    nonzero = itertools.islice(itertools.product(range(base.q), repeat=R.rank), 1, None)
-    for batch in batches(nonzero, base):
-        X = field_elements(base, batch).T
-        if not la.full_rank_mask(R.left_mult_matrices(X), base).all():
+    nonzero = itertools.islice(itertools.product(range(R.base.q), repeat=R.rank), 1, None)
+    for batch in batches(nonzero, R.base):
+        X = field_elements(R.base, batch).T
+        if not la.full_rank_mask(R.left_mult_matrices(X), R.base).all():
             return False
     return True
 
