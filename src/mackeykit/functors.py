@@ -173,7 +173,8 @@ def tau_geq_1(X):
 
 def brutal_truncation(M: MackeyFunctor) -> MackeyFunctor:
     """Replace the bottom level by zero, keeping the group."""
-    assert M.n >= 1
+    if M.n < 1:
+        raise ValueError("brutal truncation needs n >= 1")
     base = M.base
     g1 = M.levels[1].gens
     levels = [FPModule(base, 0)] + list(M.levels[1:])
@@ -201,7 +202,8 @@ def geometric_fixed_points(X):
 
 
 def _gfp_mackey(M: MackeyFunctor):
-    assert M.n >= 1
+    if M.n < 1:
+        raise ValueError("geometric fixed points need n >= 1")
     base, n = M.base, M.n
     spans = [None] * (n + 1)
     spans[1] = la.column_space_basis(M.tr[0], base)

@@ -36,7 +36,8 @@ class CyclicGroup:
         return self.p ** self.n
 
     def subquotient(self, m: int) -> "CyclicGroup":
-        assert 0 <= m <= self.n
+        if not 0 <= m <= self.n:
+            raise ValueError(f"subquotient exponent {m} outside [0, {self.n}]")
         return CyclicGroup(self.p, m)
 
     def orbit_label(self, s: int) -> str:
@@ -130,7 +131,8 @@ def orbit_product(G: CyclicGroup, i: int, j: int) -> FiniteGSet:
     (C_{p^n}/C_{p^i}) x (C_{p^n}/C_{p^j}) splits into p^(n - max(i,j))
     orbits, each of type C_{p^n}/C_{p^min(i,j)}.
     """
-    assert 0 <= i <= G.n and 0 <= j <= G.n
+    if not (0 <= i <= G.n and 0 <= j <= G.n):
+        raise ValueError(f"orbit exponents {i}, {j} outside [0, {G.n}]")
     count = G.p ** (G.n - max(i, j))
     mult = tuple(count if s == min(i, j) else 0 for s in range(G.n + 1))
     return FiniteGSet(G, mult)
@@ -146,7 +148,6 @@ def restrict_gset(X: FiniteGSet, m: int) -> FiniteGSet:
     """Restriction along C_{p^m} <= C_{p^n}: orbit s gives p^(n - max(m,s))
     orbits of type C_{p^m}/C_{p^min(m,s)}."""
     G = X.group
-    assert 0 <= m <= G.n
     H = G.subquotient(m)
     out = [0] * (m + 1)
     for s, a in enumerate(X.mult):
@@ -159,7 +160,8 @@ def restrict_gset(X: FiniteGSet, m: int) -> FiniteGSet:
 def induce_gset(X: FiniteGSet, n: int) -> FiniteGSet:
     """Induction along C_{p^m} <= C_{p^n}: each orbit keeps its stabilizer."""
     G = X.group
-    assert n >= G.n
+    if n < G.n:
+        raise ValueError(f"cannot induce from C_{{p^{G.n}}} to C_{{p^{n}}}")
     big = CyclicGroup(G.p, n)
     out = [0] * (n + 1)
     for s, a in enumerate(X.mult):

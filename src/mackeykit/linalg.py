@@ -27,6 +27,13 @@ converts it through `__int__`, unchecked, so callers keep to one base.
 Everything here is deterministic: no implicit randomness, fixed pivot
 rules.
 
+Gauss-Jordan over F_p (`_rref_mod_p`, under `rref`, `rank`, `solve`,
+`nullspace`, `column_space_basis` and `inv_field`) has two regimes: up to
+`_ROWS_MAX_ENTRIES` = 512 entries it runs on Python-int rows, where the
+numpy calls of a pivot step would cost more than its arithmetic, and past
+that on the int64 array, one XOR per pivot over F_2 and one broadcast
+product otherwise.  The constant records where the crossover was measured.
+
 `det_mod_p` is the batched kernel: the determinants mod p of a (C, n, n)
 stack of int64 residue matrices, by one fraction-free elimination over the
 whole stack.  Over Z it serves as a filter, never as the answer: a matrix
@@ -155,16 +162,22 @@ def mmul_chain(*mats, base=ZZ):
 
 
 def mpow(A, k, base=ZZ):
-    """A^k by square-and-multiply: at most 2 * ceil(log2 k) + 1 products."""
+    """A^k by square-and-multiply from A: at most 2 * floor(log2 k)
+    products, none by the identity.  A^0 is the identity, and A^1 a copy of
+    A in the form of base."""
     assert A.shape[0] == A.shape[1]
-    out = eye(A.shape[0], base)
-    while k:
+    if k == 0:
+        return eye(A.shape[0], base)
+    A = coerce(A, base)
+    if k == 1:
+        return A.copy()
+    out = None
+    while k > 1:
         if k & 1:
-            out = mmul(out, A, base)
+            out = A if out is None else mmul(out, A, base)
         k >>= 1
-        if k:
-            A = mmul(A, A, base)
-    return out
+        A = mmul(A, A, base)
+    return A if out is None else mmul(out, A, base)
 
 
 def kron(A, B, base=ZZ):
@@ -178,10 +191,15 @@ def kron(A, B, base=ZZ):
 
 
 def power_sum(W, count, base=ZZ):
-    """I + W + W^2 + ... + W^(count - 1), for count >= 1."""
-    acc = eye(W.shape[0], base)
-    total = acc
-    for _ in range(count - 1):
+    """I + W + W^2 + ... + W^(count - 1), for count >= 1: count - 2
+    products, starting from I + W."""
+    total = eye(W.shape[0], base)
+    if count <= 1:
+        return total
+    W = coerce(W, base)
+    total = add_scaled(total, W, 1, base)
+    acc = W
+    for _ in range(count - 2):
         acc = mmul(acc, W, base)
         total = add_scaled(total, acc, 1, base)
     return total
@@ -283,34 +301,87 @@ def to_residues(A, p):
 # ---------------------------------------------------------------------------
 # elimination over a field
 
-def _rref_mod_p(M, p):
-    """Row-reduce an int64 residue matrix mod p in place; returns (R, pivots).
-    Needs (p - 1)^2 < 2^63.
+# Eliminations with at most this many entries run on Python-int rows.  On
+# the eliminations of a field-decide pass (hom systems 5-15 % nonzero) the
+# list rows win up to about 1,000 entries, where their cost, which grows
+# with the fill-in, meets the numpy rows' fixed cost per pivot; on dense
+# matrices they already lose past about 256 entries (16 x 16).  512 keeps
+# the sparse systems within 3 % of their best split and dense ones within
+# 2x of numpy.
+_ROWS_MAX_ENTRIES = 512
 
-    Each pivot step clears only the rows that are nonzero in the pivot
-    column, and only the columns from the pivot on, with one outer-product
-    update.
-    """
+
+def _rref_mod_p(M, p):
+    """Reduced row echelon form (R, pivots) of an int64 residue matrix mod p,
+    as a new int64 array; M is not changed.  Needs (p - 1)^2 < 2^63.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row, scaled by pow(a, p - 2, p).  R is unique, so the list and
+    the array regime give the same R and pivots."""
+    if M.size <= _ROWS_MAX_ENTRIES:
+        return _rref_rows(M, p)
+    return _rref_array(M.copy(), p)
+
+
+def _rref_rows(M, p):
+    """_rref_mod_p on M.tolist(): each row with a nonzero entry in the pivot
+    column is updated from that column on by one list comprehension."""
+    m, n = M.shape
+    rows = M.tolist()
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        if r >= m:
+            break
+        for piv in range(r, m):
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        top = rows[piv]
+        rows[piv], rows[r] = rows[r], top
+        if top[col] != 1:
+            inv = pow(top[col], p - 2, p)
+            top[col:] = [x * inv % p for x in top[col:]]
+        tail = top[col:]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                row[col:] = [(x - f * y) % p for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return np.array(rows, dtype=np.int64).reshape(m, n), pivots
+
+
+def _rref_array(M, p):
+    """_rref_mod_p on the int64 array M, in place: each pivot step clears
+    only the rows that are nonzero in the pivot column, and only the columns
+    from the pivot on, by one XOR over F_2 and one broadcast product
+    otherwise."""
     m, n = M.shape
     pivots = []
-    row = 0
     for col in range(n):
-        if row >= m:
+        r = len(pivots)
+        if r >= m:
             break
-        nz = M[row:, col].nonzero()[0]
-        if nz.size == 0:
+        column = M[:, col]
+        nz = column[r:].nonzero()[0]
+        if not nz.size:
             continue
-        piv = row + int(nz[0])
-        if piv != row:
-            M[[row, piv]] = M[[piv, row]]
-        M[row, col:] = M[row, col:] * pow(int(M[row, col]), p - 2, p) % p
-        others = M[:, col].nonzero()[0]
-        others = others[others != row]
+        piv = r + int(nz[0])
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]]
+        a = int(column[r])
+        if a != 1:
+            M[r, col:] = M[r, col:] * pow(a, p - 2, p) % p
+        others = column.nonzero()[0]
+        others = others[others != r]
         if others.size:
-            M[others, col:] = (M[others, col:]
-                               - np.outer(M[others, col], M[row, col:])) % p
+            top = M[r, col:]
+            if p == 2:
+                M[others, col:] ^= top
+            else:
+                M[others, col:] = (M[others, col:] - column[others, None] * top) % p
         pivots.append(col)
-        row += 1
     return M, pivots
 
 
@@ -346,7 +417,7 @@ def rref(A, field):
     """Reduced row echelon form (R, pivots)."""
     p = _int64_prime(field)
     if p:
-        return _rref_mod_p(to_residues(A, p).copy(), p)
+        return _rref_mod_p(to_residues(A, p), p)
     return _rref_generic(A, field)
 
 
@@ -355,7 +426,7 @@ def rank(A, field) -> int:
         return 0
     p = _int64_prime(field)
     if p:
-        return len(_rref_mod_p(to_residues(A, p).copy(), p)[1])
+        return len(_rref_mod_p(to_residues(A, p), p)[1])
     return len(_rref_generic(A, field)[1])
 
 

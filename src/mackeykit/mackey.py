@@ -178,7 +178,8 @@ def fixed_point_mackey(group, field, rho, name: str = "") -> MackeyFunctor:
     """
     p, n = group.p, group.n
     d = rho.shape[0]
-    assert rho.shape == (d, d)
+    if rho.shape != (d, d):
+        raise ValueError(f"rho must be a square matrix, not of shape {rho.shape}")
     idm = la.eye(d, field)
     if not la.mat_eq(la.mpow(rho, p ** n, field), idm):
         raise ValueError("generator order must divide p^n")

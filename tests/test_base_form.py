@@ -13,17 +13,20 @@ import pytest
 
 import mackeykit.linalg as la
 from mackeykit.fields import FFElement, GaloisField, gf_make
-from mackeykit.functors import (free_module, induce_mackey, phi_ring,
+from mackeykit.functors import (brutal_truncation, free_module,
+                                geometric_fixed_points, induce_mackey, phi_ring,
                                 restrict_mackey)
 from mackeykit.green import (GreenModuleMorphism, GreenMorphism, base_change_cp,
                              burnside_green, check_green, check_green_module,
                              constant_green, direct_sum_green_modules,
                              fixed_point_green, green_module_hom_basis,
                              module_from_green, tensor_modules)
-from mackeykit.gsets import CyclicGroup
+from mackeykit.gsets import (CyclicGroup, FiniteGSet, induce_gset, orbit_product,
+                             restrict_gset)
 from mackeykit.kzero import decompose_module, random_green_automorphism
 from mackeykit.linalg import ZZ
-from mackeykit.mackey import MackeyMorphism, constant_mackey, is_isomorphic
+from mackeykit.mackey import (MackeyMorphism, constant_mackey, fixed_point_mackey,
+                              is_isomorphic)
 from mackeykit.modules import FPModule
 from mackeykit.rings import BasedRing
 
@@ -163,6 +166,22 @@ REJECTIONS = [
     ("ragged rows", "ragged", lambda: la.mat([[1, 2], [3]])),
     ("phi stage above n", "outside", lambda: phi_ring(_burnside_c2(), 2)),
     ("phi stage below 0", "outside", lambda: phi_ring(_burnside_c2(), -1)),
+    ("geometric fixed points at n = 0", "n >= 1",
+     lambda: geometric_fixed_points(constant_mackey(CyclicGroup(2, 0), gf_make(2, 1)))),
+    ("geometric fixed points of a Green functor at n = 0", "n >= 1",
+     lambda: geometric_fixed_points(burnside_green(CyclicGroup(3, 0)))),
+    ("brutal truncation at n = 0", "n >= 1",
+     lambda: brutal_truncation(constant_mackey(CyclicGroup(2, 0), ZZ))),
+    ("non-square rho", "square", lambda: fixed_point_mackey(
+        CyclicGroup(2, 1), gf_make(2, 1), la.zeros(2, 3, gf_make(2, 1)))),
+    ("subquotient above n", "outside", lambda: CyclicGroup(2, 1).subquotient(5)),
+    ("subquotient below 0", "outside", lambda: CyclicGroup(2, 1).subquotient(-1)),
+    ("orbit exponent above n", "outside", lambda: orbit_product(CyclicGroup(2, 1), 3, 0)),
+    ("orbit exponent below 0", "outside", lambda: orbit_product(CyclicGroup(2, 1), 0, -1)),
+    ("restrict G-set above n", "outside",
+     lambda: restrict_gset(FiniteGSet.orbit(CyclicGroup(2, 1), 0), 2)),
+    ("induce G-set downwards", "cannot induce",
+     lambda: induce_gset(FiniteGSet.orbit(CyclicGroup(2, 2), 0), 1)),
 ]
 
 

@@ -294,26 +294,51 @@ def test_large_prime_kernels_match_exact_reference(p):
 # --- mpow ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("base", [la.ZZ, gf_make(2, 1), gf_make(2, 2)],
-                         ids=["Z", "F2", "F4"])
-def test_mpow_uses_logarithmically_many_products(monkeypatch, base):
+def _counting_products(monkeypatch, base):
+    """Record every la.mmul call; fail on one with an identity operand."""
     calls = []
     real = la.mmul
 
     def counting(A, B, base=la.ZZ):
+        for X in (A, B):
+            assert not (X.shape[0] == X.shape[1] and la.mat_eq(X, la.eye(X.shape[0], base))), \
+                "a product by the identity"
         calls.append(1)
         return real(A, B, base)
 
     monkeypatch.setattr(la, "mmul", counting)
-    A = la.coerce(la.mat([[1, 1], [0, 1]]), base)
+    return calls
+
+
+MPOW_BASES = pytest.mark.parametrize("base", [la.ZZ, gf_make(2, 1), gf_make(2, 2)],
+                                     ids=["Z", "F2", "F4"])
+
+
+@MPOW_BASES
+def test_mpow_uses_logarithmically_many_products(monkeypatch, base):
+    calls = _counting_products(monkeypatch, base)
+    # singular, so no power of A is the identity; A^k has k at (0, 1)
+    A = la.mat([[1, 1, 0], [0, 1, 0], [0, 0, 0]], base=base)
     for k in [1, 2, 3, 5, 8, 13, 64, 1000, 2 ** 40]:
         calls.clear()
         P = la.mpow(A, k, base)
-        assert len(calls) <= 2 * math.ceil(math.log2(k)) + 1, k
+        assert len(calls) <= 2 * int(math.log2(k)), k
         want = k if base is la.ZZ else k % base.p
-        assert P[0, 1] == want and P[0, 0] == 1 and P[1, 0] == 0
+        assert la.mat_eq(P, la.mat([[1, want, 0], [0, 1, 0], [0, 0, 0]], base=base))
+        assert P is not A and P.dtype == A.dtype
     calls.clear()
-    assert la.mat_eq(la.mpow(A, 0, base), la.eye(2)) and not calls
+    assert la.mat_eq(la.mpow(A, 0, base), la.eye(3)) and not calls
+
+
+@MPOW_BASES
+def test_power_sum_takes_count_minus_two_products(monkeypatch, base):
+    calls = _counting_products(monkeypatch, base)
+    W = la.mat([[0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]], base=base)
+    for count in (1, 2, 3, 4, 7):
+        calls.clear()
+        S = la.power_sum(W, count, base)
+        assert len(calls) == max(count - 2, 0), count
+        assert S is not W and S.dtype == W.dtype
 
 
 def test_mpow_agrees_with_repeated_products():
