@@ -302,12 +302,12 @@ def to_residues(A, p):
 # elimination over a field
 
 # Eliminations with at most this many entries run on Python-int rows.  On
-# the eliminations of a field-decide pass (hom systems 5-15 % nonzero) the
+# the eliminations of a field-decide pass (hom systems 1-17 % nonzero) the
 # list rows win up to about 1,000 entries, where their cost, which grows
 # with the fill-in, meets the numpy rows' fixed cost per pivot; on dense
 # matrices they already lose past about 256 entries (16 x 16).  512 keeps
 # the sparse systems within 3 % of their best split and dense ones within
-# 2x of numpy.
+# about 2x of numpy.
 _ROWS_MAX_ENTRIES = 512
 
 
