@@ -182,7 +182,8 @@ def _emit_mackey_body(out: list[str], M: MackeyFunctor, prefix: str = "",
                       name_override: str | None = None):
     name = M.name if name_override is None else name_override
     if name:
-        assert "\n" not in name
+        if "\n" in name:
+            raise ValueError(f"name {name!r} has a newline; a document name is one line")
         out.append(f"{prefix}name {name}")
     n = M.group.n
     for s in range(n + 1):
@@ -282,7 +283,9 @@ def _parse_rings(cur: _Cursor, und: MackeyFunctor, prefix: str = ""):
 # -- documents ---------------------------------------------------------------
 
 def print_document(obj) -> str:
-    """Render a Mackey functor, Green functor or Green module as text."""
+    """Render a Mackey functor, Green functor or Green module as text.
+
+    Raises ValueError on a name with a newline, which no document can hold."""
     out = [MAGIC]
     if isinstance(obj, GreenModule):
         out.append("kind module")

@@ -16,7 +16,7 @@ from .gsets import CyclicGroup
 from .linalg import ZZ
 from .mackey import MackeyFunctor
 from .modules import FPModule, direct_sum_modules, reduced_quotient
-from .rings import BasedRing, quotient_ring, ring_is_field, unit_basis_index
+from .rings import BasedRing, quotient_ring, ring_is_field
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +110,7 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
 
     A ring element at level s acts on the copy over coset j through the chain
     restriction to level u = min(i, s) followed by the j-fold inverse Weyl
-    twist.  The canonical generator is the unit of R(i) in copy 0; it is kept
-    on the module as `.generator_level` / `.generator`.
+    twist.  The canonical generator is the unit of R(i) in copy 0.
     """
     p, n, base = R.p, R.n, R.base
     if not 0 <= i <= n:
@@ -139,11 +138,7 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
         action.append([la.block_diag([mults[j * rank + e] for j in range(c)])
                        for e in range(rank)])
 
-    F = GreenModule(R, und, action, name=f"F{i}({R.name})" if R.name else f"F{i}")
-    F.generator_level = i
-    F.generator = la.zeros(und.levels[i].gens, 1, base)
-    F.generator[unit_basis_index(R.ring(i)), 0] = base.one
-    return F
+    return GreenModule(R, und, action, name=f"F{i}({R.name})" if R.name else f"F{i}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +397,18 @@ def _term_for(R: GreenFunctor, t: int, ph: PhiLevel) -> E1Term:
     return E1Term(t, order, ph, tw, label)
 
 
-def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
+# Bounds of ring_section_search: integer kernel coefficients lie in
+# [-_SECTION_BOUND, _SECTION_BOUND], and at most _SECTION_CAP candidates are tried.
+_SECTION_BOUND = 2
+_SECTION_CAP = 200_000
+
+
+def ring_section_search(R: GreenFunctor):
     """Multiplicative unital section of R(1) ->> R(1)/im(tr), or None.
 
-    Bounded search: over a field every candidate is tried (within cap); over Z
-    kernel coefficients range over [-bound, bound].  Only the one-stage case is
-    attempted.
+    Bounded search: over a field every candidate is tried (within
+    _SECTION_CAP); over Z kernel coefficients range over [-_SECTION_BOUND,
+    _SECTION_BOUND].  Only the one-stage case is attempted.
     """
     if R.n != 1:
         raise ValueError("section search only runs one stage at a time")
@@ -429,12 +430,12 @@ def ring_section_search(R: GreenFunctor, bound: int = 2, cap: int = 200000):
         return sigma if is_section(sigma) else None
 
     if base is ZZ:
-        coeffs = range(-bound, bound + 1)
-    elif base.q ** (k * qr) <= cap:     # list the field only when the search runs
+        coeffs = range(-_SECTION_BOUND, _SECTION_BOUND + 1)
+    elif base.q ** (k * qr) <= _SECTION_CAP:     # list the field only when the search runs
         coeffs = list(base.elements())
     else:
         return None
-    if len(coeffs) ** (k * qr) > cap:
+    if len(coeffs) ** (k * qr) > _SECTION_CAP:
         return None
     for picks in itertools.product(coeffs, repeat=k * qr):
         X = la.zeros(k, qr, base)

@@ -72,11 +72,14 @@ class GreenFunctor:
     def level_dims(self) -> tuple:
         return self.underlying.level_dims()
 
-    def is_meadow(self, limit: int = 4096) -> bool:
-        """Whether every level ring is a field (finite base only)."""
+    def is_meadow(self) -> bool:
+        """Whether every level ring is a field: the paper's Green meadow, the
+        setting of `kzero`'s free-module classes.  False over Z; over a finite
+        field each level ring is tested with `ring_is_field`, which raises
+        ValueError past its size limit."""
         if self.base is ZZ:
             return False
-        return all(ring_is_field(r, limit) for r in self.level_rings)
+        return all(ring_is_field(r) for r in self.level_rings)
 
     def describe(self) -> str:
         label = self.name or "green functor"
@@ -183,9 +186,10 @@ class GreenMorphism:
 class GreenModule:
     """A Mackey functor with an action of a green functor R.
 
-    action[s][u] is the matrix of the u-th basis element of R(level s)
-    acting on level s of the underlying functor; the matrices of a level
-    are held as one (rank, g, g) stack, which `action_matrices` reads.
+    action[s] is a (rank, g, g) array, the stack of the matrices by which
+    the basis elements of R(level s) act on level s of the underlying
+    functor: action[s][u] is the matrix of the u-th one.  The constructor
+    takes any sequence of g x g matrices per level.
     """
 
     def __init__(self, ring: GreenFunctor, underlying: MackeyFunctor, action, name: str = ""):
@@ -199,9 +203,8 @@ class GreenModule:
                 raise ValueError(f"action rank or shape at level {s}")
         self.ring = ring
         self.underlying = underlying
-        self._stacks = [la.coerce(np.array(mats).reshape(len(mats), lev.gens, lev.gens),
-                                  underlying.base) for mats, lev in zip(action, underlying.levels)]
-        self.action = [list(S) for S in self._stacks]
+        self.action = [la.coerce(np.array(mats).reshape(len(mats), lev.gens, lev.gens),
+                                 underlying.base) for mats, lev in zip(action, underlying.levels)]
         self.name = name
 
     @property
@@ -223,7 +226,7 @@ class GreenModule:
     def action_matrices(self, s: int, X):
         """(c, g, g) stack of the matrices on level s of the ring elements
         whose coefficient columns are the c columns of X: one product."""
-        S = self._stacks[s]
+        S = self.action[s]
         r, g = S.shape[0], S.shape[1]
         return la.mmul(X.T, S.reshape(r, g * g), self.base).reshape(X.shape[1], g, g)
 
@@ -247,7 +250,7 @@ def check_green_module(M: GreenModule) -> CheckReport:
     rep = CheckReport(M.name or "green module").merged(check_axioms(und))
     for s in range(n + 1):
         ring, lev = R.ring(s), und.levels[s]
-        A, r, g = M._stacks[s], ring.rank, lev.gens
+        A, r, g = M.action[s], ring.rank, lev.gens
         if lev.relations.shape[1]:
             moved = _right(A, lev.relations, base)
             for u in _failing(lev, moved, la.zeros(g, moved.shape[1], base), r):
@@ -263,7 +266,7 @@ def check_green_module(M: GreenModule) -> CheckReport:
     for s in range(n):
         res, tr, lo, hi = und.res[s], und.tr[s], und.levels[s], und.levels[s + 1]
         rt, rs = R.ring(s + 1).rank, R.ring(s).rank
-        A0, A1 = M._stacks[s], M._stacks[s + 1]
+        A0, A1 = M.action[s], M.action[s + 1]
         down = M.action_matrices(s, R.underlying.res[s])          # res(e_u) on level s
         bad_res = _failing(lo, la.mmul(res, _hcat(A1), base), _right(down, res, base), rt)
         bad_tr = _failing(hi, _right(A1, tr, base), la.mmul(tr, _hcat(down), base), rt)
@@ -279,7 +282,7 @@ def check_green_module(M: GreenModule) -> CheckReport:
             rep.add("frobenius", f"levels {s}->{s + 1}: tr(e{x})",
                     "tr(x).m != tr(x.res(m))")
     for s in range(n + 1):
-        w, A = und.weyl[s], M._stacks[s]
+        w, A = und.weyl[s], M.action[s]
         twisted = _right(M.action_matrices(s, R.underlying.weyl[s]), w, base)
         for u in _failing(und.levels[s], la.mmul(w, _hcat(A), base), twisted, len(A)):
             rep.add("weyl", f"level {s}: e{u}", "weyl action not semilinear")
@@ -288,10 +291,7 @@ def check_green_module(M: GreenModule) -> CheckReport:
 
 def module_from_green(R: GreenFunctor, name: str = "") -> GreenModule:
     """R as a module over itself by left multiplication."""
-    action = []
-    for s in range(R.n + 1):
-        ring = R.ring(s)
-        action.append(list(ring.left_mult_matrices(la.eye(ring.rank, R.base))))
+    action = [r.left_mult_matrices(la.eye(r.rank, R.base)) for r in R.level_rings]
     return GreenModule(R, R.underlying, action, name=name or R.name)
 
 
@@ -325,9 +325,9 @@ class GreenModuleMorphism:
         rep = CheckReport("green module morphism").merged(self._mackey.check())
         base = self.source.base
         for s in range(self.source.n + 1):
-            f, A = self.components[s], self.source._stacks[s]
+            f, A = self.components[s], self.source.action[s]
             lhs = la.mmul(f, _hcat(A), base)
-            rhs = _right(self.target._stacks[s], f, base)
+            rhs = _right(self.target.action[s], f, base)
             for u in _failing(self.target.underlying.levels[s], lhs, rhs, len(A)):
                 rep.add("linearity", f"level {s}: e{u}", "not module-linear")
         return rep
@@ -428,10 +428,7 @@ def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> Gree
         mult, unit = coords[:, :d * d].T.copy(), coords[:, d * d:]
         labels = [field.format_elem(e) for e in elems]
         rings.append(BasedRing(base, d, mult, unit, labels))
-    G = GreenFunctor(M, rings, name=M.name)
-    G.field = field
-    G.frob_power = j
-    return G
+    return GreenFunctor(M, rings, name=M.name)
 
 
 def char_example_green(p: int, name: str = "") -> GreenFunctor:
@@ -574,7 +571,7 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     # greedy basis of L over the fixed subfield
     V, S = [], la.zeros(k, 0, base)
     for v in [L.unit] + [L.basis_vector(i) for i in range(k)]:
-        block = la.mmul(L.left_mult_matrix(v), fixed, base)
+        block = la.mmul(L.left_mult_matrices(v)[0], fixed, base)
         trial = la.hstack([S, block]) if S.shape[1] else block
         if la.rank(trial, base) == S.shape[1] + d:
             V.append(v)

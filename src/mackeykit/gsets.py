@@ -49,6 +49,16 @@ class CyclicGroup:
         return f"C{self.order}" + (f"(p={self.p})" if self.n == 0 else "")
 
 
+def _check_length(group: CyclicGroup, vector):
+    if len(vector) != group.n + 1:
+        raise ValueError(f"{len(vector)} orbit entries for {group}, which has {group.n + 1}")
+
+
+def _check_same_group(x, y):
+    if x.group != y.group:
+        raise ValueError(f"Burnside elements of {x.group} and {y.group}")
+
+
 @dataclass(frozen=True)
 class FiniteGSet:
     """Multiplicity vector: mult[s] copies of the orbit C_{p^n}/C_{p^s}."""
@@ -57,8 +67,9 @@ class FiniteGSet:
     mult: tuple
 
     def __post_init__(self):
-        assert len(self.mult) == self.group.n + 1
-        assert all(isinstance(m, int) and m >= 0 for m in self.mult)
+        _check_length(self.group, self.mult)
+        if not all(isinstance(m, int) and m >= 0 for m in self.mult):
+            raise ValueError(f"orbit multiplicities {self.mult} must be ints >= 0")
 
     @staticmethod
     def orbit(group: CyclicGroup, s: int) -> "FiniteGSet":
@@ -82,14 +93,14 @@ class BurnsideElement:
     coeffs: tuple
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.group.n + 1
+        _check_length(self.group, self.coeffs)
 
     @staticmethod
     def of_gset(X: FiniteGSet) -> "BurnsideElement":
         return BurnsideElement(X.group, tuple(int(m) for m in X.mult))
 
     def __add__(self, other):
-        assert other.group == self.group
+        _check_same_group(self, other)
         return BurnsideElement(self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
@@ -101,7 +112,7 @@ class BurnsideElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return BurnsideElement(self.group, tuple(other * a for a in self.coeffs))
-        assert other.group == self.group
+        _check_same_group(self, other)
         n = self.group.n
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
@@ -139,7 +150,10 @@ def orbit_product(G: CyclicGroup, i: int, j: int) -> FiniteGSet:
 
 
 def gset_product(X: FiniteGSet, Y: FiniteGSet) -> FiniteGSet:
-    """Cartesian product of G-sets, multiplied as Burnside-ring elements."""
+    """Cartesian product X x Y of G-sets of one group, multiplied as
+    Burnside-ring elements (`orbit_product` on each pair of orbits): the
+    product of the Burnside ring on actual G-sets.  ValueError on G-sets of
+    different groups."""
     prod = BurnsideElement.of_gset(X) * BurnsideElement.of_gset(Y)
     return FiniteGSet(X.group, prod.coeffs)
 

@@ -18,7 +18,7 @@ from .green import (GreenFunctor, GreenModule, GreenModuleMorphism,
                     green_module_hom_basis)
 from .gsets import CyclicGroup, burnside_quotient, burnside_ring
 from .linalg import ZZ
-from .mackey import MackeyFunctor, MackeyMorphism, _resolve_seed
+from .mackey import MackeyFunctor, MackeyMorphism, resolve_seed
 from .modules import FPModule
 from .report import CheckReport
 
@@ -31,7 +31,8 @@ def meadow_stabilizer(k: GreenFunctor) -> int:
     """Smallest level r with trivial Weyl action on the bottom coefficients.
 
     The bottom Weyl map of a meadow has p-power order p^(n-r); from level r on
-    the level fields stop shrinking.
+    the level fields stop shrinking.  Raises ValueError when that order
+    passes p^n.
     """
     p, n = k.p, k.n
     base = k.base
@@ -42,7 +43,8 @@ def meadow_stabilizer(k: GreenFunctor) -> int:
     while not la.mat_eq(cur, I):
         cur = la.mmul(cur, W, base)
         order += 1
-        assert order <= p ** n, "bottom Weyl map has order beyond the group"
+        if order > p ** n:
+            raise ValueError("bottom Weyl map has order beyond the group")
     r = n
     while order > 1:
         order //= p
@@ -65,6 +67,9 @@ class DimMatrix:
     gamma: object
 
     def gamma_determinant(self) -> int:
+        """det(gamma), exact.  It is nonzero: the level dimensions of the
+        canonical generators are independent, so `solve` has at most one
+        answer."""
         return la.bareiss_det(self.gamma)
 
     def solve(self, level_dims):
@@ -165,7 +170,9 @@ def classify_free(p: int, n: int, r: int, mults, char_is_p: bool = True) -> Cano
     for i, m in dict(mults).items():
         if not m:
             continue
-        assert 0 <= i <= n and m > 0
+        if not (0 <= i <= n and m > 0):
+            raise ValueError(f"free summand F{i} with multiplicity {m}; "
+                             f"need 0 <= i <= {n} and a positive multiplicity")
         if i < r:
             out[i] = out.get(i, 0) + m
         else:
@@ -178,23 +185,10 @@ def classify_free(p: int, n: int, r: int, mults, char_is_p: bool = True) -> Cano
 # ---------------------------------------------------------------------------
 # constructive freeness of idempotent images
 
-
-def _res_chain(M: MackeyFunctor, src: int, dst: int):
-    """Composite restriction from level src down to dst."""
-    base = M.base
-    out = la.eye(M.levels[src].gens, base)
-    for t in range(src - 1, dst - 1, -1):
-        out = la.mmul(M.res[t], out, base)
-    return out
-
-
-def _tr_chain(M: MackeyFunctor, src: int, dst: int):
-    """Composite transfer from level src up to dst."""
-    base = M.base
-    out = la.eye(M.levels[src].gens, base)
-    for t in range(src, dst):
-        out = la.mmul(M.tr[t], out, base)
-    return out
+# Generators tried per free summand by decompose_module, and random
+# combinations tried by random_green_automorphism, before giving up.
+_SUMMAND_ATTEMPTS = 60
+_AUTOMORPHISM_ATTEMPTS = 80
 
 
 def map_from_generator(P: GreenModule, i: int, x):
@@ -211,12 +205,11 @@ def map_from_generator(P: GreenModule, i: int, x):
     for s in range(n + 1):
         u_rank = R.ring(min(i, s)).rank
         c = p ** (n - max(i, s))
-        if s >= i:
-            seeds = [la.mmul(_tr_chain(und, i, s),
-                             la.mmul(P.action[i][u], x, base), base)
-                     for u in range(u_rank)]
-        else:
-            rx = la.mmul(_res_chain(und, i, s), x, base)
+        if s >= i:      # tr_{s-1} ... tr_i A_u x
+            up = und.tr[i:s][::-1]
+            seeds = [la.mmul_chain(*up, P.action[i][u], x, base=base) for u in range(u_rank)]
+        else:           # A_u res_s ... res_{i-1} x
+            rx = la.mmul_chain(*und.res[s:i], x, base=base)
             seeds = [la.mmul(P.action[s][u], rx, base) for u in range(u_rank)]
         cols = []
         cur = seeds
@@ -252,8 +245,7 @@ class FreenessWitness:
         return self.report.ok
 
 
-def freeness_decompose(k: GreenFunctor, F: GreenModule, idem,
-                       seed=None, attempts: int = 60) -> FreenessWitness:
+def freeness_decompose(k: GreenFunctor, F: GreenModule, idem, seed=None) -> FreenessWitness:
     """Split the image of an idempotent endomorphism of F into free modules.
 
     Works over meadows with field coefficients.  The multiplicities come from
@@ -277,16 +269,17 @@ def freeness_decompose(k: GreenFunctor, F: GreenModule, idem,
 
     spans = [la.column_space_basis(c, base) for c in comps]
     P, incl = green_module_from_invariant_span(F, spans)
-    return decompose_module(k, P, seed=seed, attempts=attempts, inclusion=incl)
+    return decompose_module(k, P, seed=seed, inclusion=incl)
 
 
 def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
-                     attempts: int = 60, inclusion=None) -> FreenessWitness:
+                     inclusion=None) -> FreenessWitness:
     """Write P as a verified direct sum of free modules over the meadow k.
 
     The multiplicities come from the dimension matrix; generators for each
-    summand are sampled (seeded) until the assembled map is levelwise
-    injective, then the square map is checked as a module isomorphism.
+    summand are sampled (seeded, at most _SUMMAND_ATTEMPTS each) until the
+    assembled map is levelwise injective, then the square map is checked as
+    a module isomorphism.
     """
     base = k.base
     if base is ZZ:
@@ -304,13 +297,13 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
                                   [la.zeros(d, 0) for d in P.level_dims()])
         return FreenessWitness(canon, P, inclusion, zero, wit, wit.check())
 
-    rng = random.Random(_resolve_seed(seed))
+    rng = random.Random(resolve_seed(seed))
     n = k.n
     stacked = [la.zeros(d, 0, base) for d in P.level_dims()]
     for i in summands:
         gdim = P.underlying.levels[i].gens
         found = False
-        for trial in range(attempts):
+        for trial in range(_SUMMAND_ATTEMPTS):
             x = la.zeros(gdim, 1, base)
             if trial < gdim:
                 x[trial, 0] = base.one
@@ -340,14 +333,16 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
     return FreenessWitness(canon, P, inclusion, model, witness, rep)
 
 
-def random_green_automorphism(M: GreenModule, seed=None, attempts: int = 80):
-    """Seeded random module automorphism of M (field coefficients)."""
+def random_green_automorphism(M: GreenModule, seed=None):
+    """Seeded random module automorphism of M (field coefficients): the
+    first levelwise invertible one of _AUTOMORPHISM_ATTEMPTS random
+    combinations of the hom basis, else ValueError."""
     base = M.ring.base
     if base is ZZ:
         raise ValueError("random automorphisms need field coefficients")
     basis = green_module_hom_basis(M, M)
-    rng = random.Random(_resolve_seed(seed))
-    for _ in range(attempts):
+    rng = random.Random(resolve_seed(seed))
+    for _ in range(_AUTOMORPHISM_ATTEMPTS):
         comps = [la.zeros(d, d, base) for d in M.level_dims()]
         for h in basis:
             coeff = base.element(rng.randrange(base.q))
@@ -369,15 +364,16 @@ def invert_module_iso(g: GreenModuleMorphism) -> GreenModuleMorphism:
 # simple modules of twisted cyclic group rings
 
 
-def simples_count(q: int, order: int, char_equals_p: bool, matrix_part: int = 1) -> int:
-    """Number of simple modules of F_q[C_order] (after any matrix part).
+def simples_count(q: int, order: int, char_equals_p: bool) -> int:
+    """Number of simple modules of F_q[C_order], and of any matrix ring over
+    it (Morita equivalent, so the matrix part is not an argument).
 
     In the group's own characteristic the augmentation is the only simple.
     Otherwise simples biject with q-power cyclotomic cosets modulo the order.
-    matrix_part is Morita-irrelevant and accepted only so callers can carry
-    the full shape along.
+    Raises ValueError unless order >= 1 and q >= 2.
     """
-    assert order >= 1 and q >= 2 and matrix_part >= 1
+    if order < 1 or q < 2:
+        raise ValueError(f"simples of F_{q}[C_{order}]: need order >= 1 and q >= 2")
     if char_equals_p:
         return 1
     seen = set()
@@ -420,7 +416,7 @@ def g0_splitting(R: GreenFunctor) -> G0Splitting:
     for term in page.terms:
         if term.fixed_order is not None:
             ranks.append(simples_count(term.fixed_order, term.inner_order,
-                                       term.char_equals_p, term.matrix_side))
+                                       term.char_equals_p))
         else:
             ranks.append(None)
     known = all(r is not None for r in ranks)

@@ -84,7 +84,7 @@ def mat(rows, ncols=None, base=ZZ):
 
 def zeros(r, c, base=ZZ):
     """The r x c zero matrix in the form of base."""
-    if _int64_prime(base):
+    if int64_prime(base):
         return np.zeros((r, c), dtype=np.int64)
     out = np.empty((r, c), dtype=object)
     out[...] = base.zero
@@ -117,7 +117,7 @@ def hstack(mats):
     assert mats
     r = mats[0].shape[0]
     assert all(m.shape[0] == r for m in mats)
-    return np.concatenate(mats, axis=1) if mats else zeros(r, 0)
+    return np.concatenate(mats, axis=1)
 
 
 def vstack(mats):
@@ -144,10 +144,10 @@ def block_diag(mats):
 def mmul(A, B, base=ZZ):
     """Exact matrix product."""
     assert A.shape[1] == B.shape[0], (A.shape, B.shape)
-    p = _int64_prime(base)
+    p = int64_prime(base)
     if p:
         A, B = to_residues(A, p), to_residues(B, p)
-        if _int64_prime(base, A.shape[1]):
+        if int64_prime(base, A.shape[1]):
             return A @ B % p
         # sums of products past int64: exact Python ints, then back
         return (np.dot(A.astype(object), B.astype(object)) % p).astype(np.int64)
@@ -182,7 +182,7 @@ def mpow(A, k, base=ZZ):
 
 def kron(A, B, base=ZZ):
     """Kronecker product: entry (i*rB + k, j*cB + l) is A[i, j] * B[k, l]."""
-    p = _int64_prime(base)
+    p = int64_prime(base)
     if p:
         A, B = to_residues(A, p), to_residues(B, p)
     K = (A[:, None, :, None] * B[None, :, None, :]).reshape(
@@ -209,7 +209,7 @@ def scalar_mul(c, A, base=ZZ):
     """c * A in the form of base.  Over Z, the default, the product is
     numpy's, entry by entry on whatever A holds: an FFElement times a
     residue array gives FFElements."""
-    p = _int64_prime(base)
+    p = int64_prime(base)
     if p:
         return to_residues(A, p) * int(base.coerce(c)) % p
     return A.copy() if A.size == 0 else coerce(A * c, base)
@@ -224,7 +224,7 @@ def coerce(A, base):
     Raises ValueError on an element of another field."""
     if base is ZZ:
         return A if A.dtype == object else A.astype(object)
-    p = _int64_prime(base)
+    p = int64_prime(base)
     if not p:
         return _elements(A, base)
     if A.dtype != object:
@@ -245,7 +245,7 @@ def _elements(A, field):
 def neg(A, base):
     if base is ZZ:
         return -A
-    p = _int64_prime(base)
+    p = int64_prime(base)
     if p:
         return -to_residues(A, p) % p
     return coerce(-A, base)
@@ -255,7 +255,7 @@ def sub(A, B, base):
     assert A.shape == B.shape, (A.shape, B.shape)
     if base is ZZ:
         return A - B
-    p = _int64_prime(base)
+    p = int64_prime(base)
     if p:
         return (to_residues(A, p) - to_residues(B, p)) % p
     return coerce(A - B, base)
@@ -266,7 +266,7 @@ def add_scaled(F, A, c, base):
     assert F.shape == A.shape, (F.shape, A.shape)
     if base is ZZ:
         return F + A * c
-    p = _int64_prime(base)
+    p = int64_prime(base)
     if p:
         return (to_residues(A, p) * int(base.coerce(c)) % p + to_residues(F, p)) % p
     return coerce(F + A * c, base)
@@ -278,9 +278,10 @@ def add_scaled(F, A, c, base):
 _INT64_LIMIT = 2 ** 63
 
 
-def _int64_prime(base, terms=1):
+def int64_prime(base, terms=1):
     """p when base is F_p and a sum of `terms` products of two residues fits
-    in int64, else None (the caller then takes the exact object path)."""
+    in int64, else None (the caller then takes the exact object path): the
+    one test of whether a base keeps its matrices as int64 residues."""
     if getattr(base, "k", 0) != 1:
         return None
     p = base.p
@@ -415,7 +416,7 @@ def _rref_generic(A, field):
 
 def rref(A, field):
     """Reduced row echelon form (R, pivots)."""
-    p = _int64_prime(field)
+    p = int64_prime(field)
     if p:
         return _rref_mod_p(to_residues(A, p), p)
     return _rref_generic(A, field)
@@ -424,7 +425,7 @@ def rref(A, field):
 def rank(A, field) -> int:
     if A.size == 0:
         return 0
-    p = _int64_prime(field)
+    p = int64_prime(field)
     if p:
         return len(_rref_mod_p(to_residues(A, p), p)[1])
     return len(_rref_generic(A, field)[1])
@@ -480,7 +481,7 @@ def column_space_basis(A, field):
     Over Z this is `column_lattice_basis`, a basis of the column lattice."""
     if field is ZZ:
         return column_lattice_basis(A)
-    p = _int64_prime(field)
+    p = int64_prime(field)
     if p:
         A = to_residues(A, p)
     if A.shape[1] == 0:
@@ -493,21 +494,18 @@ def column_space_basis(A, field):
 # Smith normal form over Z
 
 class SmithForm:
-    """U @ A @ V = D with U, V unimodular and diagonal D, d_i | d_{i+1} >= 0."""
+    """U @ A @ V = D with U, V unimodular and diagonal D, d_i | d_{i+1} >= 0;
+    Uinv is the inverse of U."""
 
-    def __init__(self, U, D, V, Uinv, Vinv):
+    def __init__(self, U, D, V, Uinv):
         self.U = U
         self.D = D
         self.V = V
         self.Uinv = Uinv
-        self.Vinv = Vinv
 
     @property
     def diagonal(self):
         return [int(self.D[i, i]) for i in range(min(self.D.shape))]
-
-    def nonunit_invariants(self):
-        return [d for d in self.diagonal if d != 1]
 
 
 def _find_pivot(D, t):
@@ -527,7 +525,7 @@ def smith_normal_form(A) -> SmithForm:
     m, n = A.shape
     D = A.astype(object).copy()
     U, Ui = eye(m), eye(m)
-    V, Vi = eye(n), eye(n)
+    V = eye(n)
 
     def row_add(i, j, c):  # row_i += c * row_j
         D[i, :] = D[i, :] + c * D[j, :]
@@ -537,7 +535,6 @@ def smith_normal_form(A) -> SmithForm:
     def col_add(j, i, c):  # col_j += c * col_i
         D[:, j] = D[:, j] + c * D[:, i]
         V[:, j] = V[:, j] + c * V[:, i]
-        Vi[i, :] = Vi[i, :] - c * Vi[j, :]
 
     def row_swap(i, j):
         D[[i, j], :] = D[[j, i], :]
@@ -547,7 +544,6 @@ def smith_normal_form(A) -> SmithForm:
     def col_swap(i, j):
         D[:, [i, j]] = D[:, [j, i]]
         V[:, [i, j]] = V[:, [j, i]]
-        Vi[[i, j], :] = Vi[[j, i], :]
 
     def row_neg(i):
         D[i, :] = -D[i, :]
@@ -594,11 +590,7 @@ def smith_normal_form(A) -> SmithForm:
             row_add(t, offender, 1)
             continue
         t += 1
-    return SmithForm(U, D, V, Ui, Vi)
-
-
-def int_rank(A) -> int:
-    return sum(1 for d in smith_normal_form(A).diagonal if d != 0)
+    return SmithForm(U, D, V, Ui)
 
 
 def det_mod_p(A, p):
@@ -659,7 +651,7 @@ def full_rank_mask(A, field):
     field: a nonzero determinant by `det_mod_p`'s elimination over F_p
     within the int64 bound, else full `rank` matrix by matrix (GF(p^k),
     k > 1, and larger primes)."""
-    p = _int64_prime(field)
+    p = int64_prime(field)
     if p:
         return _eliminate(to_residues(A, p), p)[0] != 0
     n = A.shape[1]

@@ -55,9 +55,6 @@ class MackeyFunctor:
     def p(self) -> int:
         return self.group.p
 
-    def level(self, s: int) -> FPModule:
-        return self.levels[s]
-
     def level_dims(self) -> tuple:
         return tuple(m.gens for m in self.levels)
 
@@ -138,18 +135,6 @@ def check_axioms(M: MackeyFunctor) -> CheckReport:
             if not M.levels[s].maps_equal(lhs, rhs):
                 rep.add("double-coset", f"levels {s}<{t}",
                         "non-adjacent res . tr != sum of Weyl-translated res")
-    return rep
-
-
-def check_cohomological(M: MackeyFunctor) -> CheckReport:
-    """tr_s . res_s = p * id on every upper level."""
-    rep = CheckReport((M.name or "mackey functor") + " cohomological")
-    for s in range(M.n):
-        comp = la.mmul(M.tr[s], M.res[s], M.base)
-        g = M.levels[s + 1].gens
-        pid = la.scalar_mul(M.p, la.eye(g, M.base), M.base)
-        if not M.levels[s + 1].maps_equal(comp, pid):
-            rep.add("cohomological", f"level {s + 1}", "tr . res != p * id")
     return rep
 
 
@@ -248,17 +233,6 @@ def twisted_burnside_c5(name: str = "twisted burnside") -> MackeyFunctor:
     tr = [la.mat([[0], [1]])]
     weyl = [la.eye(1), la.eye(2)]
     return MackeyFunctor(group, ZZ, levels, res, tr, weyl, name=name)
-
-
-def evaluate_at_gset(M: MackeyFunctor, X) -> FPModule:
-    """M(X) = direct sum of M_s over the orbits of X."""
-    assert X.group == M.group
-    parts = []
-    for s, m in enumerate(X.mult):
-        parts.extend([M.levels[s]] * m)
-    if not parts:
-        return FPModule(M.base, 0)
-    return direct_sum_modules(parts)
 
 
 # --- morphisms ----------------------------------------------------------------
@@ -548,10 +522,6 @@ class IsoResult:
         self.detail = detail
         self.stats = stats if stats is not None else {}
 
-    @property
-    def is_definitive(self) -> bool:
-        return self.verdict != "inconclusive"
-
     def __repr__(self):
         return f"IsoResult({self.verdict}{': ' + self.detail if self.detail else ''})"
 
@@ -563,6 +533,11 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 # unimodular matrix has det = +-1 mod every prime.  h * (P - 1)^2 < 2^63
 # keeps the stacked product of h hom-basis rows in int64.
 _FILTER_PRIME = 65521
+
+# Over Z: the coefficient bound of the lattice search, and the largest m^h
+# of a mod-m certificate search (h the hom rank).
+_COEFF_BOUND = 5
+_MODULUS_CAP = 200_000
 
 
 def _combine(homs, coeffs, base):
@@ -640,14 +615,14 @@ def _first_iso(homs, candidates, passing, coeff, phase, stats, field):
 
 
 def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
-                         exhaustive_cap=200_000, random_tries=10_000,
-                         coeff_bound=5, modulus_cap=200_000) -> IsoResult:
+                         exhaustive_cap=200_000, random_tries=10_000) -> IsoResult:
     """Decide whether M and N are isomorphic Mackey functors.
 
     Field coefficients: exhaustive search over the hom space when small
     enough, else seeded random search (inconclusive on failure).  Integer
     coefficients (levelwise free): bounded lattice search for a
-    unimodular witness, then a mod-m certificate ruling every hom out.
+    unimodular witness (coefficients within _COEFF_BOUND), then a mod-m
+    certificate ruling every hom out (m^h <= _MODULUS_CAP).
 
     Candidates are tested in `batches` of 1, 2, 4, ... up to 1024: one
     stacked product gives a batch's level matrices and one batched
@@ -709,7 +684,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
                           certificate={"reason": "no iso in the full hom space",
                                        "hom_dim": h},
                           detail="exhausted the hom space")
-        stats["seed"] = _resolve_seed(seed)
+        stats["seed"] = resolve_seed(seed)
         rng = np.random.default_rng(stats["seed"])
         draws = ([int(rng.integers(0, q)) for _ in range(h)] for _ in range(random_tries))
         f = _first_iso(homs, draws, invertible, base.element, "random", stats, base)
@@ -726,7 +701,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         return _unit_dets(stack, rows, _FILTER_PRIME).all(axis=1)
 
     # integer case: bounded search for a unimodular witness
-    B = coeff_bound
+    B = _COEFF_BOUND
     while B >= 1 and (2 * B + 1) ** h > exhaustive_cap:
         B -= 1
     if B >= 1:
@@ -735,15 +710,15 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         if f is not None:
             return answer("box", "isomorphic", witness=f,
                           detail=f"lattice search, coefficients within {B}")
-    if B < coeff_bound:
+    if B < _COEFF_BOUND:
         # the box was too large to enumerate; sample it instead, trying
         # sparse small-coefficient points first
-        stats["seed"] = _resolve_seed(seed)
+        stats["seed"] = resolve_seed(seed)
         rng = np.random.default_rng(stats["seed"])
 
         def draws():
             for t in range(random_tries):
-                width = 1 if t < random_tries // 2 else coeff_bound
+                width = 1 if t < random_tries // 2 else _COEFF_BOUND
                 coeffs = rng.integers(-width, width + 1, size=h)
                 if coeffs.any():
                     yield coeffs.tolist()
@@ -754,7 +729,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
     # certificate: some prime modulus where no hom is levelwise invertible
     stats["candidates"]["modulus"] = stats["passed_filter"]["modulus"] = 0
     for m in _SMALL_PRIMES:
-        if m ** h > modulus_cap:
+        if m ** h > _MODULUS_CAP:
             break
         stats["moduli"].append(m)
         stack = _LevelStack(homs, gf_make(m, 1))
@@ -782,7 +757,8 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
                   detail="bounded searches found neither witness nor certificate")
 
 
-def _resolve_seed(seed):
+def resolve_seed(seed):
+    """The seed of a seeded search: seed itself, else $MACKEYKIT_SEED, else 0."""
     if seed is not None:
         return int(seed)
     import os

@@ -46,11 +46,6 @@ class FPModule:
         return sum(1 for d in self.invariant_factors() if d == 0)
 
     @property
-    def dim(self) -> int:
-        assert self.base is not ZZ
-        return self.gens
-
-    @property
     def is_zero(self) -> bool:
         return not self.invariant_factors()
 

@@ -18,6 +18,7 @@ from .linalg import ZZ
 from .report import CheckReport
 
 _STACK_ENTRIES = 1 << 20    # entries of one stacked operand; larger stacks go in blocks
+_FIELD_TEST_LIMIT = 4096    # most elements ring_is_field will enumerate
 
 
 class BasedRing:
@@ -61,14 +62,6 @@ class BasedRing:
         flat = la.mmul(X.T, self.mult.reshape(r, r * r), self.base)   # [a, j * r + b]
         return flat.reshape(c, r, r).transpose(0, 2, 1)
 
-    def left_mult_matrix(self, v):
-        """Matrix of x -> v*x in the basis; v a coefficient column."""
-        return self.left_mult_matrices(v)[0]
-
-    def multiply(self, v, w):
-        """Bilinear product of coefficient columns."""
-        return self.products(v, w)
-
     def power(self, v, e: int):
         out = self.unit.copy()
         for _ in range(e):
@@ -81,9 +74,6 @@ class BasedRing:
             raise ValueError("elements are enumerable only over a finite base field")
         for idx in itertools.product(range(self.base.q), repeat=self.rank):
             yield field_elements(self.base, [idx]).T
-
-    def is_zero_ring(self) -> bool:
-        return self.rank == 0
 
     def basis_vector(self, i: int):
         v = la.zeros(self.rank, 1, self.base)
@@ -131,15 +121,16 @@ def based_ring_check(R: BasedRing) -> CheckReport:
     return rep
 
 
-def ring_is_field(R: BasedRing, limit: int = 4096) -> bool:
+def ring_is_field(R: BasedRing) -> bool:
     """Exhaustive invertibility test over a finite base field: the left
     multiplications of the nonzero elements go through `la.full_rank_mask` in
-    `batches`, so a zero divisor ends the test in its batch."""
+    `batches`, so a zero divisor ends the test in its batch.  Raises
+    ValueError on a ring of more than _FIELD_TEST_LIMIT elements."""
     if R.base is ZZ:
         raise ValueError("field test only over finite base fields")
     if R.rank == 0:
         return False
-    if R.base.q ** R.rank > limit:
+    if R.base.q ** R.rank > _FIELD_TEST_LIMIT:
         raise ValueError("ring too large for the exhaustive field test")
     if not R.commutative:
         return False
@@ -157,7 +148,7 @@ def batches(candidates, field=None):
     residue stack (and for no field); where it ranks matrix by matrix, each
     batch at most a quarter of the candidates before it, plus one, so an
     early answer pays for at most a quarter more ranks."""
-    share = 4 if field is not None and not la._int64_prime(field) else 1
+    share = 4 if field is not None and not la.int64_prime(field) else 1
     tried = 0
     while batch := list(itertools.islice(candidates, min(1024, tried // share + 1))):
         yield batch
@@ -167,7 +158,7 @@ def batches(candidates, field=None):
 def field_elements(field, idx):
     """The elements at indices idx into field.elements(), in the field's
     at-rest form (over F_p the indices are the residues)."""
-    if la._int64_prime(field):
+    if la.int64_prime(field):
         return np.array(idx, dtype=np.int64)
     return np.vectorize(field.element, otypes=[object])(idx)
 

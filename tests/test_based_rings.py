@@ -82,7 +82,7 @@ def test_ring_is_field():
 def test_multiply_and_power():
     R = burnside_ring(CyclicGroup(2, 1))
     free = R.basis_vector(0)     # [C2/e]
-    sq = R.multiply(free, free)
+    sq = R.products(free, free)
     assert sq[0, 0] == 2 and sq[1, 0] == 0
     assert la.mat_eq(R.power(free, 3), la.mat([[4], [0]]))  # x^2 = 2x so x^3 = 4x
     assert la.mat_eq(R.power(free, 0), R.unit)
@@ -90,7 +90,7 @@ def test_multiply_and_power():
 
 def test_zero_ring():
     Z0 = BasedRing(la.ZZ, 0, la.zeros(0, 0), la.zeros(0, 1), [])
-    assert Z0.is_zero_ring
+    assert Z0.rank == 0
     assert based_ring_check(Z0).ok
 
 
@@ -131,6 +131,6 @@ def test_left_mult_matrix_matches_entrywise_reference(ring):
         v = la.zeros(R.rank, 1)
         for i in range(R.rank):
             v[i, 0] = rng.choice(scalars)
-        assert la.mat_eq(R.left_mult_matrix(v), _left_mult_reference(R, v))
+        assert la.mat_eq(R.left_mult_matrices(v)[0], _left_mult_reference(R, v))
         w = R.basis_vector(rng.randrange(R.rank))
-        assert la.mat_eq(R.multiply(v, w), la.mmul(_left_mult_reference(R, v), w, R.base))
+        assert la.mat_eq(R.products(v, w), la.mmul(_left_mult_reference(R, v), w, R.base))

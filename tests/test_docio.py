@@ -110,7 +110,7 @@ def test_parsed_module_keeps_action_and_ring_as_residues():
     for s in range(back.n + 1):
         ring = back.ring.ring(s)
         assert ring.mult.dtype == np.int64 and ring.unit.dtype == np.int64
-        assert back.action[s] and all(A.dtype == np.int64 for A in back.action[s])
+        assert len(back.action[s]) and back.action[s].dtype == np.int64
     assert check_green_module(back).ok
 
 
@@ -135,6 +135,18 @@ def test_names_with_spaces_round_trip():
     M = constant_mackey(CyclicGroup(2, 1), ZZ, name="a name with  spaces")
     back = parse_document(print_document(M))
     assert back.name == "a name with  spaces"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: constant_mackey(CyclicGroup(2, 1), ZZ, name="a\nb"),
+    lambda: GreenModule(constant_green(CyclicGroup(2, 1), gf_make(2, 1)),
+                        constant_mackey(CyclicGroup(2, 1), gf_make(2, 1)),
+                        [[la.eye(1)], [la.eye(1)]], name="a\nb"),
+], ids=["functor", "module"])
+def test_a_name_with_a_newline_is_refused(make):
+    # the document would not parse back; python -O must not print it either
+    with pytest.raises(ValueError, match="newline"):
+        print_document(make())
 
 
 # -- parse failures carry line numbers ---------------------------------------

@@ -120,6 +120,26 @@ def test_burnside_element_from_gsets_is_multiplicative():
     assert lhs.coeffs == rhs.coeffs
 
 
+C2, C3, C4 = CyclicGroup(2, 1), CyclicGroup(3, 1), CyclicGroup(2, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FiniteGSet(C2, (1, -2)),
+    lambda: FiniteGSet(C2, (1, 0, 0)),
+    lambda: FiniteGSet(C2, (1, 0.5)),
+    lambda: BurnsideElement(C2, (1, 2, 3)),
+    lambda: BurnsideElement(C2, (1, 2)) + BurnsideElement(C3, (1, 2)),
+    lambda: BurnsideElement(C2, (1, 2)) * BurnsideElement(C4, (0, 0, 1)),
+    lambda: gset_product(FiniteGSet(C2, (1, 0)), FiniteGSet(C3, (1, 0))),
+], ids=["negative-multiplicity", "too-many-orbits", "fractional-multiplicity",
+        "too-many-coefficients", "sum-across-groups", "product-across-groups",
+        "gset-product-across-groups"])
+def test_malformed_gsets_and_elements_raise_value_error(make):
+    # ValueError, not assert: the checks hold under python -O too
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_burnside_ring_matches_element_products():
     G = CyclicGroup(2, 2)
     R = burnside_ring(G)

@@ -23,7 +23,7 @@ from mackeykit.green import direct_sum_green_modules
 from mackeykit.gsets import CyclicGroup
 from mackeykit.linalg import ZZ
 from mackeykit.mackey import (_FILTER_PRIME, _SMALL_PRIMES, MackeyFunctor, MackeyMorphism,
-                              _resolve_seed, burnside_mackey, constant_mackey, hom_basis,
+                              resolve_seed, burnside_mackey, constant_mackey, hom_basis,
                               is_isomorphic, twisted_burnside_c5)
 
 from oracles import rational_det
@@ -188,7 +188,7 @@ def reference_is_isomorphic(M, N, seed=None, exhaustive_cap=200_000, random_trie
             return Ref("not_isomorphic", certificate={"reason": "no iso in the full hom space",
                                                       "hom_dim": h},
                        detail="exhausted the hom space", stats=stats)
-        stats["seed"] = _resolve_seed(seed)
+        stats["seed"] = resolve_seed(seed)
         rng = np.random.default_rng(stats["seed"])
         draws = ([elems[int(rng.integers(0, q))] for _ in range(h)] for _ in range(random_tries))
         f = search("random", draws, level_iso)
@@ -210,7 +210,7 @@ def reference_is_isomorphic(M, N, seed=None, exhaustive_cap=200_000, random_trie
             return Ref("isomorphic", witness=f,
                        detail=f"lattice search, coefficients within {B}", stats=stats)
     if B < coeff_bound:
-        stats["seed"] = _resolve_seed(seed)
+        stats["seed"] = resolve_seed(seed)
         rng = np.random.default_rng(stats["seed"])
 
         def draws():

@@ -3,7 +3,7 @@ import pytest
 from mackeykit import linalg as la
 from mackeykit.fields import gf_make
 from mackeykit.functors import free_module
-from mackeykit.green import (GreenModuleMorphism, burnside_green,
+from mackeykit.green import (GreenFunctor, GreenModuleMorphism, burnside_green,
                              char_example_green, constant_green,
                              direct_sum_green_modules, fixed_point_green,
                              module_from_green)
@@ -14,6 +14,7 @@ from mackeykit.kzero import (CanonicalFreeClass, classify_free,
                              invert_module_iso, k0_free_fixed_point,
                              map_from_generator, meadow_stabilizer,
                              random_green_automorphism, simples_count)
+from mackeykit.mackey import MackeyFunctor
 from mackeykit.rings import render_presentation
 
 
@@ -25,6 +26,15 @@ def test_meadow_stabilizer_values():
     assert meadow_stabilizer(fixed_point_green(CyclicGroup(2, 2), gf_make(2, 4))) == 0
     assert meadow_stabilizer(fixed_point_green(CyclicGroup(2, 2), gf_make(2, 2))) == 1
     assert meadow_stabilizer(constant_green(CyclicGroup(3, 2), gf_make(3, 1))) == 2
+
+
+def test_meadow_stabilizer_rejects_a_weyl_order_beyond_the_group():
+    k = fixed_point_green(CyclicGroup(2, 1), gf_make(2, 2))
+    und = k.underlying
+    W = la.mat([[0, 1], [1, 1]], base=k.base)      # order 3 over F_2, and |C_2| = 2
+    bad = MackeyFunctor(und.group, k.base, und.levels, und.res, und.tr, [W, und.weyl[1]])
+    with pytest.raises(ValueError, match="order beyond the group"):
+        meadow_stabilizer(GreenFunctor(bad, k.level_rings))
 
 
 def test_dim_matrix_shapes_and_determinant():
@@ -120,6 +130,12 @@ def test_classify_away_from_char_p_needs_trivial_twist():
         classify_free(2, 2, 1, {0: 1}, char_is_p=False)
     c = classify_free(2, 2, 2, {1: 1}, char_is_p=False)
     assert c.mults == {1: 1}
+
+
+@pytest.mark.parametrize("mults", [{3: 1}, {-1: 1}, {0: -2}])
+def test_classify_rejects_summands_outside_the_levels(mults):
+    with pytest.raises(ValueError):
+        classify_free(2, 2, 1, mults)
 
 
 def test_monoid_generator_count_for_constant_mod_two():
@@ -233,6 +249,12 @@ def test_simples_counts():
     assert simples_count(4, 5, False) == 3    # cosets {0},{1,4},{2,3}
     assert simples_count(3, 1, False) == 1
     assert simples_count(2, 7, False) == 3
+
+
+@pytest.mark.parametrize("q,order", [(2, 0), (1, 3), (0, 1)])
+def test_simples_count_rejects_an_empty_group_or_field(q, order):
+    with pytest.raises(ValueError):
+        simples_count(q, order, False)
 
 
 def test_g0_totals():

@@ -34,7 +34,7 @@ def test_zero_and_free():
 def test_field_module_dim():
     F = gf_make(2, 2)
     M = FPModule(F, 4)
-    assert M.dim == 4 and M.is_free
+    assert M.gens == 4 and M.is_free
 
 
 def test_reduced_quotient_integer():
@@ -67,7 +67,7 @@ def test_reduced_quotient_field():
     span[0, 0] = F.one
     span[1, 0] = F.embed(2)
     Q, proj, lift = reduced_quotient(F, 3, span)
-    assert Q.dim == 2
+    assert Q.gens == 2
     assert la.mat_eq(la.mmul(proj, lift, base=F), la.eye(2, F))
     assert la.is_zero_mat(la.mmul(proj, span, base=F))
 
@@ -120,7 +120,7 @@ def test_field_quotient_by_submodule(F):
     M = FPModule(F, 3)
     span = _field_cols(F, [[1, 0], [1, 1], [0, 1]])
     Q, proj, lift = quotient_by_submodule(M, span)
-    assert Q.dim == 1 and Q.relations.shape == (1, 0)
+    assert Q.gens == 1 and Q.relations.shape == (1, 0)
     assert la.mat_eq(la.mmul(proj, lift, F), la.eye(1))
     assert la.is_zero_mat(la.mmul(proj, span, F))
 
@@ -131,20 +131,20 @@ def test_field_module_subquotient(F):
     outer = _field_cols(F, [[1, 0], [0, 1], [0, 0]])
     inner = _field_cols(F, [[1], [1], [0]])
     sub, incl, quot, proj = module_subquotient(M, outer, inner)
-    assert (sub.dim, quot.dim) == (2, 1)
+    assert (sub.gens, quot.gens) == (2, 1)
     # proj kills inner, written in sub's generators
     assert la.is_zero_mat(la.mmul(proj, la.solve(incl, inner, F), F))
     with pytest.raises(ValueError, match="inside the span"):
         module_subquotient(M, outer, _field_cols(F, [[0], [0], [1]]))
     # inner = None: the quotient of M by the span
     _, _, Q, _ = module_subquotient(M, outer)
-    assert Q.dim == 1
+    assert Q.gens == 1
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
 def test_field_direct_sum_and_relations(F):
     S = direct_sum_modules([FPModule(F, 1), FPModule(F, 2)])
-    assert S.dim == 3 and S.relations.shape == (3, 0) and S.is_free
+    assert S.gens == 3 and S.relations.shape == (3, 0) and S.is_free
     assert S.invariant_factors() == [0, 0, 0] and not S.is_zero
     A = _field_cols(F, [[1], [0], [1]])
     assert S.maps_equal(A, la.coerce(A, F)) and not S.maps_equal(A, la.zeros(3, 1))
