@@ -15,7 +15,7 @@ Blank lines and lines starting with ``#`` are ignored.  Parse failures raise
 from __future__ import annotations
 
 from . import linalg as la
-from .fields import FFElement, gf_make
+from .fields import gf_make
 from .green import GreenFunctor, GreenModule
 from .linalg import ZZ
 from .mackey import MackeyFunctor
@@ -38,9 +38,7 @@ class ParseError(ValueError):
 def _fmt_entry(x, base) -> str:
     if base is ZZ:
         return str(int(x))
-    if not isinstance(x, FFElement):
-        x = base.embed(int(x))
-    return base.format_elem(x)
+    return base.format_elem(base.coerce(x))
 
 
 def _parse_entry(tok: str, base, lineno: int):
@@ -117,22 +115,25 @@ def _take_count(toks: list[str], idx: int, what: str, lineno: int) -> int:
 
 # -- matrix blocks -----------------------------------------------------------
 
-def _emit_block(out: list[str], head: str, A, base):
+def _emit_block(out: list[str], head: str | None, A, base):
+    """A row by row, after a 'head rows R cols C' line unless head is None."""
     r, c = A.shape
-    out.append(f"{head} rows {r} cols {c}")
-    if r == 0 or c == 0:
-        return
-    for a in range(r):
-        out.append(" ".join(_fmt_entry(A[a, b], base) for b in range(c)))
+    if head is not None:
+        out.append(f"{head} rows {r} cols {c}")
+    if c:
+        out += [" ".join(_fmt_entry(x, base) for x in row) for row in A.tolist()]
 
 
-def _read_block(cur: _Cursor, head: str, rows: int, cols: int, base):
-    lineno, toks = cur.directive(head.split()[0])
-    want = head.split()[1:] + ["rows", str(rows), "cols", str(cols)]
-    if toks != want:
-        raise ParseError(
-            f"expected '{head} rows {rows} cols {cols}', found "
-            f"'{head.split()[0]} {' '.join(toks)}'", lineno)
+def _read_block(cur: _Cursor, head: str | None, rows: int, cols: int, base):
+    """Inverse of _emit_block: the rows x cols matrix after its header line,
+    or with head None the rows alone."""
+    if head is not None:
+        lineno, toks = cur.directive(head.split()[0])
+        want = head.split()[1:] + ["rows", str(rows), "cols", str(cols)]
+        if toks != want:
+            raise ParseError(
+                f"expected '{head} rows {rows} cols {cols}', found "
+                f"'{head.split()[0]} {' '.join(toks)}'", lineno)
     A = la.zeros(rows, cols, base)
     if rows == 0 or cols == 0:
         return A
@@ -189,10 +190,7 @@ def _emit_mackey_body(out: list[str], M: MackeyFunctor, prefix: str = "",
     for s in range(n + 1):
         L = M.levels[s]
         out.append(f"{prefix}level {s} gens {L.gens} relations {L.relations.shape[1]}")
-        if L.gens and L.relations.shape[1]:
-            for a in range(L.gens):
-                out.append(" ".join(_fmt_entry(L.relations[a, b], ZZ)
-                                    for b in range(L.relations.shape[1])))
+        _emit_block(out, None, L.relations, ZZ)
     for s in range(n):
         _emit_block(out, f"{prefix}res {s}", M.res[s], M.base)
     for s in range(n):
@@ -219,16 +217,7 @@ def _parse_mackey_body(cur: _Cursor, group: CyclicGroup, base, prefix: str = "")
         relc = _take_count(toks, 4, "relation count", lineno)
         if base is not ZZ and relc:
             raise ParseError("levels over a field cannot carry relations", lineno)
-        rel = la.zeros(gens, relc)
-        if gens and relc:
-            for a in range(gens):
-                lineno, line = cur.take()
-                entries = line.split()
-                if len(entries) != relc:
-                    raise ParseError(f"expected {relc} entries, found {len(entries)}",
-                                     lineno)
-                for b, tok in enumerate(entries):
-                    rel[a, b] = _parse_entry(tok, ZZ, lineno)
+        rel = _read_block(cur, None, gens, relc, ZZ)
         levels.append(FPModule(base, gens, rel if relc else None))
     res = [_read_block(cur, f"{prefix}res {s}",
                        levels[s].gens, levels[s + 1].gens, base)

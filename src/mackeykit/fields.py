@@ -300,14 +300,10 @@ class GaloisField:
         self.q = p ** k
         self.modulus = modulus
         self._cache: dict[tuple, FFElement] = {}
-        # residue i (little-endian base-p digits) -> interned element, as an
-        # object array so that linalg can map residue matrices back by indexing
-        self.element_by_residue = None
         if self.q <= TABLE_LIMIT:
-            elems = [self._from_residue(i) for i in range(self.q)]
-            self.element_by_residue = np.empty(self.q, dtype=object)
-            self.element_by_residue[:] = elems
+            # residue i (little-endian base-p digits) -> interned element;
             # the instance attributes below shadow the polynomial methods
+            elems = [self._from_residue(i) for i in range(self.q)]
             self.residue_element = elems.__getitem__
             if k > 1:
                 self._build_log_tables(elems)
@@ -338,20 +334,11 @@ class GaloisField:
         """
         p, k, q = self.p, self.k, self.q
         mod = list(self.modulus)
-
-        def power(g, e):
-            out = [1]
-            while e:
-                if e & 1:
-                    out = poly_mod(poly_mul(out, g, p), mod, p)
-                g = poly_mod(poly_mul(g, g, p), mod, p)
-                e >>= 1
-            return out
-
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
         # the modulus need not be primitive, so search for gamma
         gamma = next(list(e.coeffs) for e in elems[2:]
-                     if all(power(list(e.coeffs), (q - 1) // r) != [1] for r in primes))
+                     if all(_poly_pow_mod(list(e.coeffs), (q - 1) // r, mod, p) != [1]
+                            for r in primes))
         # times_gamma[r] = residue of gamma * (element r), from the matrix of
         # multiplication by gamma applied to the digits of every residue
         cols = [poly_mod(poly_mul(gamma, [0] * j + [1], p), mod, p) for j in range(k)]
@@ -372,7 +359,8 @@ class GaloisField:
 
     def elem(self, coeffs) -> FFElement:
         coeffs = tuple(int(c) % self.p for c in coeffs)
-        assert len(coeffs) == self.k
+        if len(coeffs) != self.k:
+            raise ValueError(f"{len(coeffs)} coordinates for an element of {self!r}")
         e = self._cache.get(coeffs)
         if e is None:
             e = FFElement(self, coeffs)
@@ -475,7 +463,6 @@ class GaloisField:
 
     def frobenius_matrix(self, times: int = 1):
         """Matrix of x -> x^(p^times) on the power basis, entries in F_p (ints)."""
-        import numpy as np
         if self._frob_mat is None:
             cols = []
             for i in range(self.k):

@@ -355,17 +355,10 @@ def _transfers_all_zero(M: MackeyFunctor) -> bool:
 
 
 def _transfers_all_surjective(M: MackeyFunctor) -> bool:
-    for s in range(M.n):
-        g = M.levels[s + 1].gens
-        if M.base is ZZ:
-            sm = la.smith_normal_form(M.tr[s])
-            diag = [d for d in sm.diagonal if d != 0]
-            if len(diag) != g or any(abs(d) != 1 for d in diag):
-                return False
-        else:
-            if la.rank(M.tr[s], M.base) != g:
-                return False
-    return True
+    """Whether every transfer has a right inverse, which over Z and over a
+    field is what makes it surjective."""
+    return all(la.solve(M.tr[s], la.eye(M.levels[s + 1].gens, M.base), M.base) is not None
+               for s in range(M.n))
 
 
 def _term_for(R: GreenFunctor, t: int, ph: PhiLevel) -> E1Term:

@@ -14,11 +14,12 @@ Matrices are 2-d numpy arrays, and each base keeps them one way at rest:
 The constructors `zeros`, `eye`, `mat` and `scalar_mul` take the base (Z by
 default) and build that form directly, and every kernel takes its base and
 returns that form, so F_p matrices stay int64 residues from call to call
-and no FFElement arithmetic runs in a kernel.  `power_sum` is the sum
-I + W + ... + W^(k-1) of the double coset formula.  Kernels still accept
-object arrays of FFElements or plain ints (0/1 as universal zero/one) from
-outside callers and convert them on the way in; the library itself builds
-every matrix in its base's form.  `coerce` is the one function that puts a
+and no FFElement arithmetic runs in a kernel.  `field_elements` gives the
+elements at given indices into a field's `elements()` in that form, and
+`power_sum` is the sum I + W + ... + W^(k-1) of the double coset formula.
+Kernels still accept object arrays of FFElements or plain ints (0/1 as
+universal zero/one) from outside callers and convert them on the way in;
+the library itself builds every matrix in its base's form.  `coerce` is the one function that puts a
 matrix into the form of its base, and the only one that rejects elements
 of another field (ValueError).  The other kernels take int64 entries as
 residues in [0, p) without looking: after raw numpy arithmetic on residue
@@ -40,9 +41,9 @@ whole stack.  Over Z it serves as a filter, never as the answer: a matrix
 whose determinant is not +-1 mod a prime is not unimodular, and one that
 passes is confirmed with the exact `bareiss_det`.  `unit_det_mask` is that
 filter, the same elimination with no inverse.  `full_rank_mask` decides
-invertibility of a stack over a field with it, and falls back to `rank`
-matrix by matrix where residues do not apply (GF(p^k), k > 1, and primes
-past the int64 bound).
+invertibility of a stack over any finite field by the same elimination, on
+residues or, for GF(p^k), k > 1, and primes past the int64 bound, on field
+elements in the field's own arithmetic.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def mat(rows, ncols=None, base=ZZ):
 
 def zeros(r, c, base=ZZ):
     """The r x c zero matrix in the form of base."""
-    if int64_prime(base):
+    if _int64_prime(base):
         return np.zeros((r, c), dtype=np.int64)
     out = np.empty((r, c), dtype=object)
     out[...] = base.zero
@@ -144,10 +145,10 @@ def block_diag(mats):
 def mmul(A, B, base=ZZ):
     """Exact matrix product."""
     assert A.shape[1] == B.shape[0], (A.shape, B.shape)
-    p = int64_prime(base)
+    p = _int64_prime(base)
     if p:
         A, B = to_residues(A, p), to_residues(B, p)
-        if int64_prime(base, A.shape[1]):
+        if _int64_prime(base, A.shape[1]):
             return A @ B % p
         # sums of products past int64: exact Python ints, then back
         return (np.dot(A.astype(object), B.astype(object)) % p).astype(np.int64)
@@ -182,7 +183,7 @@ def mpow(A, k, base=ZZ):
 
 def kron(A, B, base=ZZ):
     """Kronecker product: entry (i*rB + k, j*cB + l) is A[i, j] * B[k, l]."""
-    p = int64_prime(base)
+    p = _int64_prime(base)
     if p:
         A, B = to_residues(A, p), to_residues(B, p)
     K = (A[:, None, :, None] * B[None, :, None, :]).reshape(
@@ -209,7 +210,7 @@ def scalar_mul(c, A, base=ZZ):
     """c * A in the form of base.  Over Z, the default, the product is
     numpy's, entry by entry on whatever A holds: an FFElement times a
     residue array gives FFElements."""
-    p = int64_prime(base)
+    p = _int64_prime(base)
     if p:
         return to_residues(A, p) * int(base.coerce(c)) % p
     return A.copy() if A.size == 0 else coerce(A * c, base)
@@ -224,7 +225,7 @@ def coerce(A, base):
     Raises ValueError on an element of another field."""
     if base is ZZ:
         return A if A.dtype == object else A.astype(object)
-    p = int64_prime(base)
+    p = _int64_prime(base)
     if not p:
         return _elements(A, base)
     if A.dtype != object:
@@ -245,7 +246,7 @@ def _elements(A, field):
 def neg(A, base):
     if base is ZZ:
         return -A
-    p = int64_prime(base)
+    p = _int64_prime(base)
     if p:
         return -to_residues(A, p) % p
     return coerce(-A, base)
@@ -255,7 +256,7 @@ def sub(A, B, base):
     assert A.shape == B.shape, (A.shape, B.shape)
     if base is ZZ:
         return A - B
-    p = int64_prime(base)
+    p = _int64_prime(base)
     if p:
         return (to_residues(A, p) - to_residues(B, p)) % p
     return coerce(A - B, base)
@@ -266,7 +267,7 @@ def add_scaled(F, A, c, base):
     assert F.shape == A.shape, (F.shape, A.shape)
     if base is ZZ:
         return F + A * c
-    p = int64_prime(base)
+    p = _int64_prime(base)
     if p:
         return (to_residues(A, p) * int(base.coerce(c)) % p + to_residues(F, p)) % p
     return coerce(F + A * c, base)
@@ -278,7 +279,7 @@ def add_scaled(F, A, c, base):
 _INT64_LIMIT = 2 ** 63
 
 
-def int64_prime(base, terms=1):
+def _int64_prime(base, terms=1):
     """p when base is F_p and a sum of `terms` products of two residues fits
     in int64, else None (the caller then takes the exact object path): the
     one test of whether a base keeps its matrices as int64 residues."""
@@ -286,6 +287,14 @@ def int64_prime(base, terms=1):
         return None
     p = base.p
     return p if terms * (p - 1) ** 2 < _INT64_LIMIT else None
+
+
+def field_elements(field, idx):
+    """The elements at indices idx into field.elements(), in the field's
+    at-rest form (over F_p the indices are the residues)."""
+    if _int64_prime(field):
+        return np.array(idx, dtype=np.int64)
+    return np.vectorize(field.element, otypes=[object])(idx)
 
 
 def to_residues(A, p):
@@ -416,7 +425,7 @@ def _rref_generic(A, field):
 
 def rref(A, field):
     """Reduced row echelon form (R, pivots)."""
-    p = int64_prime(field)
+    p = _int64_prime(field)
     if p:
         return _rref_mod_p(to_residues(A, p), p)
     return _rref_generic(A, field)
@@ -425,7 +434,7 @@ def rref(A, field):
 def rank(A, field) -> int:
     if A.size == 0:
         return 0
-    p = int64_prime(field)
+    p = _int64_prime(field)
     if p:
         return len(_rref_mod_p(to_residues(A, p), p)[1])
     return len(_rref_generic(A, field)[1])
@@ -481,7 +490,7 @@ def column_space_basis(A, field):
     Over Z this is `column_lattice_basis`, a basis of the column lattice."""
     if field is ZZ:
         return column_lattice_basis(A)
-    p = int64_prime(field)
+    p = _int64_prime(field)
     if p:
         A = to_residues(A, p)
     if A.shape[1] == 0:
@@ -618,13 +627,19 @@ def unit_det_mask(A, p):
 
 
 def _eliminate(A, p):
-    """(num, den) with det = num / den mod p for each matrix of the stack A:
-    num is the signed product of the pivots, den the product of the row
-    scalings.  A singular matrix has num = 0."""
-    A = np.array(A, dtype=np.int64)
+    """(num, den) with det = num / den for each matrix of the (C, n, n) stack
+    A: num is the signed product of the pivots, den the product of the row
+    scalings.  A singular matrix has num = 0.  With p, A holds int64
+    residues and every step is reduced mod p; with p None, A holds field
+    elements and the steps are the field's own arithmetic."""
+    A = np.array(A, dtype=np.int64 if p else object)
     C, n = A.shape[0], A.shape[1]
-    num = np.ones(C, dtype=np.int64)
-    den = np.ones(C, dtype=np.int64)
+
+    def reduce(X):
+        return X % p if p else X
+
+    num = np.ones(C, dtype=A.dtype)
+    den = np.ones(C, dtype=A.dtype)
     negate = np.zeros(C, dtype=bool)
     for j in range(n):
         # the first row from j down with a nonzero entry in column j
@@ -636,26 +651,23 @@ def _eliminate(A, p):
             A[swap, piv[swap]] = rows
             negate[swap] ^= True
         if j:
-            den = den * num % p         # rows j.. were scaled by every pivot so far
+            den = reduce(den * num)     # rows j.. were scaled by every pivot so far
         d = A[:, j, j]
-        num = num * d % p
+        num = reduce(num * d)
         if j + 1 < n:
-            A[:, j + 1:, j + 1:] = (A[:, j + 1:, j + 1:] * d[:, None, None]
-                                    - A[:, j + 1:, j, None] * A[:, j, None, j + 1:]) % p
-    num[negate] = (p - num[negate]) % p
+            A[:, j + 1:, j + 1:] = reduce(A[:, j + 1:, j + 1:] * d[:, None, None]
+                                          - A[:, j + 1:, j, None] * A[:, j, None, j + 1:])
+    num[negate] = reduce(-num[negate])
     return num, den
 
 
 def full_rank_mask(A, field):
     """Boolean mask of the invertible matrices in a (C, n, n) stack over a
-    field: a nonzero determinant by `det_mod_p`'s elimination over F_p
-    within the int64 bound, else full `rank` matrix by matrix (GF(p^k),
-    k > 1, and larger primes)."""
-    p = int64_prime(field)
-    if p:
-        return _eliminate(to_residues(A, p), p)[0] != 0
-    n = A.shape[1]
-    return np.array([rank(a, field) == n for a in A], dtype=bool)
+    finite field: a nonzero determinant by `det_mod_p`'s elimination, on
+    int64 residues within the int64 bound and on field elements otherwise.
+    Plain ints in A are read as field elements."""
+    p = _int64_prime(field)
+    return _eliminate(to_residues(A, p) if p else coerce(A, field), p)[0] != 0
 
 
 def bareiss_det(A) -> int:

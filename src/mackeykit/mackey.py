@@ -24,7 +24,7 @@ from . import linalg as la
 from .fields import gf_make
 from .linalg import ZZ
 from .modules import FPModule, direct_sum_modules, reduced_quotient
-from .rings import batches, field_elements
+from .rings import batches
 from .report import CheckReport
 
 
@@ -534,8 +534,12 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 # keeps the stacked product of h hom-basis rows in int64.
 _FILTER_PRIME = 65521
 
-# Over Z: the coefficient bound of the lattice search, and the largest m^h
-# of a mod-m certificate search (h the hom rank).
+# The most candidates an exhaustive search enumerates (q^h over a field,
+# (2B + 1)^h over Z) and the draws of a random search.  Over Z: the
+# coefficient bound of the lattice search, and the largest m^h of a mod-m
+# certificate search (h the hom rank).
+_EXHAUSTIVE_CAP = 200_000
+_RANDOM_TRIES = 10_000
 _COEFF_BOUND = 5
 _MODULUS_CAP = 200_000
 
@@ -591,15 +595,15 @@ def _unit_dets(stack, coeffs, p):
     return la.unit_det_mask(stack.levels(coeffs), p).reshape(len(coeffs), -1)
 
 
-def _first_iso(homs, candidates, passing, coeff, phase, stats, field):
+def _first_iso(homs, candidates, passing, coeff, phase, stats):
     """The first candidate of the iterable that is a levelwise isomorphism,
-    or None.  passing(rows) is the filter of a batch (`batches` over field), a
+    or None.  passing(rows) is the filter of a batch (`batches`), a
     necessary condition; each row that passes is combined (coeff maps its
     entries to scalars) and confirmed by is_level_iso, in order.  Counts the
     candidates up to the answer, and those that passed the filter, into stats."""
     base = homs[0].source.base
     tried = passed = 0
-    for batch in batches(candidates, field):
+    for batch in batches(candidates):
         ok = passing(np.array(batch))
         for i in np.flatnonzero(ok):
             f = _combine(homs, [coeff(c) for c in batch[i]], base)
@@ -614,26 +618,24 @@ def _first_iso(homs, candidates, passing, coeff, phase, stats, field):
     return None
 
 
-def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
-                         exhaustive_cap=200_000, random_tries=10_000) -> IsoResult:
+def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
     """Decide whether M and N are isomorphic Mackey functors.
 
-    Field coefficients: exhaustive search over the hom space when small
-    enough, else seeded random search (inconclusive on failure).  Integer
-    coefficients (levelwise free): bounded lattice search for a
-    unimodular witness (coefficients within _COEFF_BOUND), then a mod-m
-    certificate ruling every hom out (m^h <= _MODULUS_CAP).
+    Field coefficients: exhaustive search over the hom space when it has at
+    most _EXHAUSTIVE_CAP elements, else _RANDOM_TRIES seeded random draws
+    (inconclusive on failure).  Integer coefficients (levelwise free):
+    bounded lattice search for a unimodular witness (coefficients within
+    _COEFF_BOUND), then a mod-m certificate ruling every hom out (m^h <=
+    _MODULUS_CAP).
 
     Candidates are tested in `batches` of 1, 2, 4, ... up to 1024: one
     stacked product gives a batch's level matrices and one batched
     elimination their determinants (`la.full_rank_mask`,
-    `la.unit_det_mask`).  Over F_p a nonzero determinant decides; over Z a
-    determinant that is not +-1 mod _FILTER_PRIME rules a candidate out,
-    and the rest are confirmed with the exact `is_level_iso` in order, so
-    the first witness is the one a one-at-a-time search finds.  Over
-    GF(p^k), k > 1, and primes past the int64 bound, where `full_rank_mask`
-    ranks matrix by matrix, a batch holds at most a quarter of the
-    candidates before it, plus one.
+    `la.unit_det_mask`).  Over a field a nonzero determinant decides; over
+    Z a determinant that is not +-1 mod _FILTER_PRIME rules a candidate
+    out.  The candidates that pass are confirmed with the exact
+    `is_level_iso` in order, so the first witness is the one a
+    one-at-a-time search finds.
 
     The result's stats: "hom_rank", "phase" (the phase that answered:
     "ranks", "hom", "box", "random" or "modulus"; None when inconclusive),
@@ -670,14 +672,14 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         stack = _LevelStack(homs, base)
 
         def invertible(rows):       # rows hold indices into base.elements()
-            levels = stack.levels(field_elements(base, rows))
+            levels = stack.levels(la.field_elements(base, rows))
             return la.full_rank_mask(levels, base).reshape(len(rows), -1).all(axis=1)
 
         # exhaustive only for small hom spaces; beyond that the full
         # enumeration would be astronomically large over bigger fields
-        if h <= 6 and q ** h <= exhaustive_cap:
+        if h <= 6 and q ** h <= _EXHAUSTIVE_CAP:
             f = _first_iso(homs, itertools.product(range(q), repeat=h), invertible,
-                           base.element, "box", stats, base)
+                           base.element, "box", stats)
             if f is not None:
                 return answer("box", "isomorphic", witness=f, detail="exhaustive search")
             return answer("box", "not_isomorphic",
@@ -686,11 +688,11 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
                           detail="exhausted the hom space")
         stats["seed"] = resolve_seed(seed)
         rng = np.random.default_rng(stats["seed"])
-        draws = ([int(rng.integers(0, q)) for _ in range(h)] for _ in range(random_tries))
-        f = _first_iso(homs, draws, invertible, base.element, "random", stats, base)
+        draws = ([int(rng.integers(0, q)) for _ in range(h)] for _ in range(_RANDOM_TRIES))
+        f = _first_iso(homs, draws, invertible, base.element, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random search")
-        return answer(None, "inconclusive", detail=f"no witness in {random_tries} samples")
+        return answer(None, "inconclusive", detail=f"no witness in {_RANDOM_TRIES} samples")
 
     if any(lv.relations.shape[1] for lv in M.levels + N.levels):
         raise NotImplementedError("level-iso test needs free levels over Z")
@@ -702,11 +704,11 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
 
     # integer case: bounded search for a unimodular witness
     B = _COEFF_BOUND
-    while B >= 1 and (2 * B + 1) ** h > exhaustive_cap:
+    while B >= 1 and (2 * B + 1) ** h > _EXHAUSTIVE_CAP:
         B -= 1
     if B >= 1:
         box = (c for c in itertools.product(range(-B, B + 1), repeat=h) if any(c))
-        f = _first_iso(homs, box, unimodular_mod_p, int, "box", stats, filt)
+        f = _first_iso(homs, box, unimodular_mod_p, int, "box", stats)
         if f is not None:
             return answer("box", "isomorphic", witness=f,
                           detail=f"lattice search, coefficients within {B}")
@@ -717,12 +719,12 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None,
         rng = np.random.default_rng(stats["seed"])
 
         def draws():
-            for t in range(random_tries):
-                width = 1 if t < random_tries // 2 else _COEFF_BOUND
+            for t in range(_RANDOM_TRIES):
+                width = 1 if t < _RANDOM_TRIES // 2 else _COEFF_BOUND
                 coeffs = rng.integers(-width, width + 1, size=h)
                 if coeffs.any():
                     yield coeffs.tolist()
-        f = _first_iso(homs, draws(), unimodular_mod_p, int, "random", stats, filt)
+        f = _first_iso(homs, draws(), unimodular_mod_p, int, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random lattice search")
 

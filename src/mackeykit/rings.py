@@ -73,7 +73,7 @@ class BasedRing:
         if self.base is ZZ:
             raise ValueError("elements are enumerable only over a finite base field")
         for idx in itertools.product(range(self.base.q), repeat=self.rank):
-            yield field_elements(self.base, [idx]).T
+            yield la.field_elements(self.base, [idx]).T
 
     def basis_vector(self, i: int):
         v = la.zeros(self.rank, 1, self.base)
@@ -135,32 +135,20 @@ def ring_is_field(R: BasedRing) -> bool:
     if not R.commutative:
         return False
     nonzero = itertools.islice(itertools.product(range(R.base.q), repeat=R.rank), 1, None)
-    for batch in batches(nonzero, R.base):
-        X = field_elements(R.base, batch).T
+    for batch in batches(nonzero):
+        X = la.field_elements(R.base, batch).T
         if not la.full_rank_mask(R.left_mult_matrices(X), R.base).all():
             return False
     return True
 
 
-def batches(candidates, field=None):
-    """Lists of the candidates in order, at most 1024 at a time, for
-    `la.full_rank_mask` over field: 1, 2, 4, ... where it eliminates a
-    residue stack (and for no field); where it ranks matrix by matrix, each
-    batch at most a quarter of the candidates before it, plus one, so an
-    early answer pays for at most a quarter more ranks."""
-    share = 4 if field is not None and not la.int64_prime(field) else 1
+def batches(candidates):
+    """Lists of the candidates in order, 1, 2, 4, ... up to 1024 at a time,
+    each one stack for `la.full_rank_mask` or `la.unit_det_mask`."""
     tried = 0
-    while batch := list(itertools.islice(candidates, min(1024, tried // share + 1))):
+    while batch := list(itertools.islice(candidates, min(1024, tried + 1))):
         yield batch
         tried += len(batch)
-
-
-def field_elements(field, idx):
-    """The elements at indices idx into field.elements(), in the field's
-    at-rest form (over F_p the indices are the residues)."""
-    if la.int64_prime(field):
-        return np.array(idx, dtype=np.int64)
-    return np.vectorize(field.element, otypes=[object])(idx)
 
 
 def quotient_ring(R: BasedRing, proj, lift, base, labels=None) -> BasedRing:

@@ -132,7 +132,7 @@ def test_prime_field_pipeline_keeps_residues(p, residues_only):
 
 
 def test_field_search_lists_no_field(residues_only):
-    # hom rank 1 at q = 200003 > exhaustive_cap: the seeded random phase
+    # hom rank 1 at q = 200003 > _EXHAUSTIVE_CAP: the seeded random phase
     F = gf_make(200003, 1)
     M = constant_mackey(CyclicGroup(2, 1), F)
     res = is_isomorphic(M, M, seed=0)

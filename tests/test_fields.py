@@ -136,9 +136,16 @@ def test_residue_roundtrip_and_interning():
         r = int(a)
         assert 0 <= r < 8 and r not in seen
         seen.add(r)
-        assert F.element_by_residue[r] is a     # interned
+        assert F.residue_element(r) is a     # interned
     assert F.elem((1, 1, 0)) is F.elem((1, 1, 0))
     assert gf_make(2, 3) is F
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 1), (1,), ()])
+def test_elem_rejects_a_wrong_coordinate_count(coeffs):
+    # a ValueError, also under python -O
+    with pytest.raises(ValueError, match="coordinates"):
+        gf_make(2, 2).elem(coeffs)
 
 
 def test_format_elem():

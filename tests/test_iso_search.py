@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mackeykit.linalg as la
+import mackeykit.mackey as mackey
 from mackeykit.fields import gf_make
 from mackeykit.functors import free_module
 from mackeykit.green import box_product_general, burnside_green, constant_green
@@ -105,18 +106,25 @@ def test_unit_det_mask_edge_cases(p):
     assert la.unit_det_mask(swaps, p).tolist() == [True, p == 3]
 
 
-@pytest.mark.parametrize("field", [gf_make(2, 1), gf_make(7, 1), gf_make(2, 2), gf_make(3, 2)])
+# GF(3^9) is past TABLE_LIMIT and 4294967311 past the int64 bound: both are
+# eliminated on field elements, the others on int64 residues
+@pytest.mark.parametrize("field", [gf_make(2, 1), gf_make(7, 1), gf_make(2, 2), gf_make(3, 2),
+                                   gf_make(3, 9), gf_make(4294967311, 1)])
 def test_full_rank_mask_matches_rank(field):
     rng = np.random.default_rng(field.p * 10 + field.k)
-    q = field.p ** field.k
-    elems = list(field.elements())
     for n in (0, 1, 2, 3):
-        idx = rng.integers(0, min(q, 3), size=(40, n, n))
+        idx = rng.integers(0, min(field.q, 3), size=(40, n, n))
         A = np.empty(idx.shape, dtype=object)
-        A.reshape(-1)[:] = [elems[v] for v in idx.flat]
-        mask = la.full_rank_mask(A, field)
-        assert mask.dtype == bool and mask.shape == (40,)
-        assert mask.tolist() == [la.rank(a, field) == n for a in A]
+        A.reshape(-1)[:] = [field.element(int(v)) for v in idx.flat]
+        # plain ints are read as field elements, in an object array or not
+        for stack in (A, idx, idx.astype(object)):
+            mask = la.full_rank_mask(stack, field)
+            assert mask.dtype == bool and mask.shape == (40,)
+            assert mask.tolist() == [la.rank(a, field) == n for a in stack]
+    # integer determinant 2: singular exactly in characteristic 2
+    T = np.array([[[1, 1, 0], [0, 1, 1], [1, 0, 1]]])
+    for stack in (T, T.astype(object)):
+        assert la.full_rank_mask(stack, field).tolist() == [field.p != 2]
 
 
 # --- the candidate search ------------------------------------------------------
@@ -257,8 +265,15 @@ def reference_is_isomorphic(M, N, seed=None, exhaustive_cap=200_000, random_trie
                stats=stats)
 
 
-def assert_same_result(M, N, **kw):
-    got, want = is_isomorphic(M, N, **kw), reference_is_isomorphic(M, N, **kw)
+def assert_same_result(M, N, seed=None, **caps):
+    """is_isomorphic against the reference.  caps (exhaustive_cap,
+    random_tries) are arguments of the reference and module constants of
+    is_isomorphic, set for this call."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in caps.items():
+            mp.setattr(mackey, f"_{name.upper()}", value)
+        got = is_isomorphic(M, N, seed=seed)
+    want = reference_is_isomorphic(M, N, seed=seed, **caps)
     assert got.verdict == want.verdict
     assert got.detail == want.detail
     assert got.certificate == want.certificate
@@ -357,22 +372,23 @@ def test_free_burnside_module_over_c9_finds_the_same_witness():
 
 
 @pytest.mark.parametrize("field", [gf_make(2, 3), gf_make(3, 2)])
-def test_fields_without_a_residue_kernel_grow_batches_by_a_quarter(field, monkeypatch):
-    # full_rank_mask takes rank level by level here, so each batch holds at
-    # most a quarter of the candidates before it, plus one: every candidate
-    # up to the end of the witness's batch costs one rank per level, and the
-    # witness one more per level in is_level_iso
+def test_extension_fields_search_in_doubling_batches(field, monkeypatch):
+    # full_rank_mask eliminates a whole batch of level matrices of GF(p^k)
+    # elements at once, so batches double as over F_p, and rank runs only
+    # in the witness's is_level_iso, once per level
     M = constant_mackey(CyclicGroup(2, 2), field, 2)
     want = reference_is_isomorphic(M, M)
-    rank, calls = la.rank, []
-    monkeypatch.setattr(la, "rank", lambda A, f: calls.append(A.shape) or rank(A, f))
+    rank, ranked = la.rank, []
+    mask, stacks = la.full_rank_mask, []
+    monkeypatch.setattr(la, "rank", lambda A, f: ranked.append(A.shape) or rank(A, f))
+    monkeypatch.setattr(la, "full_rank_mask", lambda A, f: stacks.append(len(A)) or mask(A, f))
     got = is_isomorphic(M, M)
     monkeypatch.undo()
-    witness, ranked = got.stats["candidates"]["box"], 0
-    while ranked < witness:
-        ranked += ranked // 4 + 1
-    assert witness <= ranked < 1.25 * witness + 1 and witness > 16
-    assert len(calls) == (ranked + 1) * (M.n + 1)
+    sizes = [c // (M.n + 1) for c in stacks]
+    assert sizes == [2 ** i for i in range(len(sizes))]
+    witness = got.stats["candidates"]["box"]
+    assert sum(sizes[:-1]) < witness <= sum(sizes) and witness > 16
+    assert len(ranked) == M.n + 1
     assert_same_result(M, M)
     assert got.stats == want.stats and got.detail == want.detail
 
