@@ -9,6 +9,7 @@ box products, and base change of modules along a ring map at any height.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -454,14 +455,40 @@ class TwistedGroupRing:
     """R_theta[C_m]: free R-module on w^0..w^(m-1) with w.x = theta(x).w.
 
     Basis index a * R.rank + i is e_i w^a; .ring is the resulting BasedRing
-    (non-commutative unless theta is trivial).
+    (non-commutative unless theta is trivial), built on first access: its
+    table has (m r)^3 entries, which callers that need only the coefficient
+    ring and theta never pay for.
     """
 
-    def __init__(self, coefficient: BasedRing, order: int, theta, ring: BasedRing):
+    def __init__(self, coefficient: BasedRing, order: int, theta):
         self.coefficient = coefficient
         self.order = order
         self.theta = theta
-        self.ring = ring
+
+    @functools.cached_property
+    def ring(self) -> BasedRing:
+        """The table, filled by blocks from one stacked product of all
+        e_i theta^a(e_j)."""
+        R, m = self.coefficient, self.order
+        base, r = R.base, R.rank
+        th_pows = [la.eye(r, base)]
+        for _ in range(m - 1):
+            th_pows.append(la.mmul(self.theta, th_pows[-1], base))
+        rank = r * m
+        # [i, a, j]: the coefficients of e_i theta^a(e_j)
+        prods = R.products(th_pows[0], la.hstack(th_pows)).T.reshape(r, m, r, r)
+        mult = la.zeros(rank * rank, rank, base).reshape(m, r, m, r, rank)
+        for a in range(m):
+            for b in range(m):
+                c = (a + b) % m
+                mult[a, :, b, :, c * r:(c + 1) * r] = prods[:, a]
+        unit = la.zeros(rank, 1, base)
+        unit[:r, :] = R.unit
+        labels = [R.labels[i] if a == 0 else f"{R.labels[i]}.w{a}"
+                  for a in range(m) for i in range(r)]
+        trivial = la.mat_eq(self.theta, th_pows[0])
+        return BasedRing(base, rank, mult.reshape(rank * rank, rank), unit, labels,
+                         commutative=R.commutative and (trivial or m == 1))
 
     def theta_power_order(self) -> int:
         """Smallest c >= 1 with theta^c = id (divides the group order)."""
@@ -483,9 +510,10 @@ class TwistedGroupRing:
 def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
     """Twisted group algebra of a cyclic group over R.
 
-    theta must be a ring automorphism with theta^order = id; the result is
-    commutative only when theta is trivial and R is commutative.  The table
-    is filled by blocks from one stacked product of all e_i theta^a(e_j).
+    theta must be a ring automorphism with theta^order = id, which is
+    checked here; the result is commutative only when theta is trivial and
+    R is commutative.  The multiplication table is built when `.ring` is
+    first read.
     """
     base, r, m = R.base, R.rank, order
     if m < 1 or theta.shape != (r, r):
@@ -495,30 +523,9 @@ def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
     if not rep.ok:
         raise ValueError("theta must fix the unit" if rep.violations[0].where == "theta"
                          else "theta is not multiplicative")
-    idm = la.eye(r, base)
-    th_pows = [idm]
-    for _ in range(m):
-        th_pows.append(la.mmul(theta, th_pows[-1], base))
-    if not la.mat_eq(th_pows.pop(), idm):
+    if not la.mat_eq(la.mpow(theta, m, base), la.eye(r, base)):
         raise ValueError("theta^order != id")
-    rank = r * m
-    # [i, a, j]: the coefficients of e_i theta^a(e_j)
-    prods = R.products(idm, la.hstack(th_pows)).T.reshape(r, m, r, r)
-    mult = la.zeros(rank * rank, rank, base).reshape(m, r, m, r, rank)
-    for a in range(m):
-        for b in range(m):
-            c = (a + b) % m
-            mult[a, :, b, :, c * r:(c + 1) * r] = prods[:, a]
-    unit = la.zeros(rank, 1, base)
-    unit[:r, :] = R.unit
-    labels = []
-    for a in range(m):
-        for i in range(r):
-            labels.append(R.labels[i] if a == 0 else f"{R.labels[i]}.w{a}")
-    trivial = la.mat_eq(theta, idm)
-    ring = BasedRing(base, rank, mult.reshape(rank * rank, rank), unit, labels,
-                     commutative=R.commutative and (trivial or m == 1))
-    return TwistedGroupRing(R, m, theta, ring)
+    return TwistedGroupRing(R, m, theta)
 
 
 def level_twisted_ring(R: GreenFunctor, s: int) -> TwistedGroupRing:
@@ -764,13 +771,24 @@ def base_change_map_cp(f: GreenMorphism, g: GreenModuleMorphism,
 
 
 def green_module_hom_basis(M: GreenModule, N: GreenModule):
-    """Basis of the module-linear homomorphisms M -> N over the same ring."""
+    """Basis of the module-linear homomorphisms M -> N over the same ring.
+
+    The maps are asked to commute only with the action of the generators of
+    each level ring (`BasedRing.generators`), skipping a generator that acts
+    as the identity on both modules.  That is enough when M and N satisfy
+    the module axioms (the unit acts as the identity, the action is
+    multiplicative), which are assumed here, not checked:
+    `check_green_module` tests them, and `GreenModuleMorphism.check` still
+    tests every basis element of the ring.  Over a field the system has the
+    same row space as with every basis element, so the basis is the same."""
     if M.ring is not N.ring:
         raise ValueError("hom space needs modules over one ring")
     R = M.ring
     inter = []
     for s in range(R.n + 1):
-        inter.append([(M.action[s][u], N.action[s][u])
-                      for u in range(R.ring(s).rank)])
+        A, B = M.action[s], N.action[s]
+        ida, idb = la.eye(A.shape[1], R.base), la.eye(B.shape[1], R.base)
+        inter.append([(A[u], B[u]) for u in R.ring(s).generators
+                      if not (la.mat_eq(A[u], ida) and la.mat_eq(B[u], idb))])
     raw = hom_basis(M.underlying, N.underlying, level_intertwiners=inter)
     return [GreenModuleMorphism(M, N, f.components) for f in raw]

@@ -29,11 +29,12 @@ Everything here is deterministic: no implicit randomness, fixed pivot
 rules.
 
 Gauss-Jordan over F_p (`_rref_mod_p`, under `rref`, `rank`, `solve`,
-`nullspace`, `column_space_basis` and `inv_field`) has two regimes: up to
-`_ROWS_MAX_ENTRIES` = 512 entries it runs on Python-int rows, where the
-numpy calls of a pivot step would cost more than its arithmetic, and past
-that on the int64 array, one XOR per pivot over F_2 and one broadcast
-product otherwise.  The constant records where the crossover was measured.
+`nullspace`, `column_space_basis` and `inv_field`) packs each F_2 row into
+one Python int, so a row operation is one XOR of the whole row.  For odd p
+it has two regimes: up to `_ROWS_MAX_ENTRIES` = 512 entries it runs on
+Python-int rows, where the numpy calls of a pivot step would cost more
+than its arithmetic, and past that on the int64 array, one broadcast
+product per pivot.  The constant records where that crossover was measured.
 
 `det_mod_p` is the batched kernel: the determinants mod p of a (C, n, n)
 stack of int64 residue matrices, by one fraction-free elimination over the
@@ -326,11 +327,51 @@ def _rref_mod_p(M, p):
     as a new int64 array; M is not changed.  Needs (p - 1)^2 < 2^63.
 
     The pivot of each column is its first nonzero entry at or below the
-    current row, scaled by pow(a, p - 2, p).  R is unique, so the list and
-    the array regime give the same R and pivots."""
+    current row, scaled by pow(a, p - 2, p).  R is unique, so the packed F_2,
+    the list and the array regime give the same R and pivots."""
+    if p == 2:
+        return _rref_f2(M)
     if M.size <= _ROWS_MAX_ENTRIES:
         return _rref_rows(M, p)
     return _rref_array(M.copy(), p)
+
+
+def _rref_f2(M):
+    """_rref_mod_p over F_2 on rows packed into Python ints, column j at bit
+    width - 1 - j, so a row's leading column is its top bit.  Each row joins
+    an echelon set keyed by top bit with one XOR per pivot it leads into;
+    one pass at the end, from the rightmost pivot on, clears the entries
+    above each pivot."""
+    m, n = M.shape
+    nbytes = (n + 7) // 8
+    data = np.packbits(M, axis=1).tobytes()
+    echelon = {}
+    for i in range(m):
+        row = int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big")
+        while row:
+            top = row.bit_length() - 1
+            other = echelon.get(top)
+            if other is None:
+                echelon[top] = row
+                break
+            row ^= other
+    tops = sorted(echelon)
+    mask = 0                             # the pivot bits right of top
+    for top in tops:
+        row = echelon[top]
+        hits = row & mask
+        while hits:
+            b = hits.bit_length() - 1
+            hits ^= 1 << b
+            row ^= echelon[b]
+        echelon[top] = row
+        mask |= 1 << top
+    tops.reverse()
+    packed = b"".join([echelon[t].to_bytes(nbytes, "big") for t in tops])
+    packed += bytes((m - len(tops)) * nbytes)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(m, nbytes)
+    R = np.unpackbits(bits, axis=1, count=n).astype(np.int64)
+    return R, [8 * nbytes - 1 - t for t in tops]
 
 
 def _rref_rows(M, p):
@@ -365,8 +406,7 @@ def _rref_rows(M, p):
 def _rref_array(M, p):
     """_rref_mod_p on the int64 array M, in place: each pivot step clears
     only the rows that are nonzero in the pivot column, and only the columns
-    from the pivot on, by one XOR over F_2 and one broadcast product
-    otherwise."""
+    from the pivot on, by one broadcast product."""
     m, n = M.shape
     pivots = []
     for col in range(n):
@@ -386,11 +426,7 @@ def _rref_array(M, p):
         others = column.nonzero()[0]
         others = others[others != r]
         if others.size:
-            top = M[r, col:]
-            if p == 2:
-                M[others, col:] ^= top
-            else:
-                M[others, col:] = (M[others, col:] - column[others, None] * top) % p
+            M[others, col:] = (M[others, col:] - column[others, None] * M[r, col:]) % p
         pivots.append(col)
     return M, pivots
 

@@ -9,6 +9,7 @@ fit the same container.  Quotient presentations render as polynomial strings
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -50,6 +51,28 @@ class BasedRing:
             return la.mmul(self.mult.T, la.kron(X, Y, self.base), self.base)
         return la.hstack([la.mmul(self.mult.T, la.kron(X[:, a:a + step], Y, self.base), self.base)
                           for a in range(0, X.shape[1], step)])
+
+    @functools.cached_property
+    def generators(self):
+        """Indices u of basis elements e_u that generate the ring with the
+        unit, greedy in basis order: e_u is kept when it is not in the
+        subring that the unit and the kept elements generate.  The unit is
+        never kept, so a ring spanned by its unit has none."""
+        out = []
+        span = la.column_space_basis(self.unit, self.base)
+        for u in range(self.rank):
+            if la.solve(span, self.basis_vector(u), self.base) is not None:
+                continue
+            out.append(u)
+            gens = la.eye(self.rank, self.base)[:, out]
+            # the subring is spanned by the words in the generators, so it is
+            # the closure of the span under right multiplication by them
+            while True:
+                prods = self.products(span, gens)
+                if la.solve(span, prods, self.base) is not None:
+                    break
+                span = la.column_space_basis(la.hstack([span, prods]), self.base)
+        return out
 
     def product_of_basis(self, i: int, j: int):
         return self.mult[i * self.rank + j, :].reshape(self.rank, 1).copy()

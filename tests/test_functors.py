@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from mackeykit import linalg as la
+from mackeykit.cli import build_example
 from mackeykit.fields import gf_make
 from mackeykit.functors import (brutal_truncation, e1_page, free_module,
                                 geometric_fixed_points, induce_mackey,
@@ -331,6 +334,17 @@ def test_page_deeper_groups_report_unknown():
     page = e1_page(burnside_green(CyclicGroup(2, 2)))
     assert page.splitting == "unknown"
     assert [t.label for t in page.terms] == ["Z[C4]", "Z[C2]", "Z"]
+
+
+def test_page_of_constant_integers_over_c1024_stays_small():
+    # the table of the t=0 column Z[C1024] would hold 2^30 entries; the page
+    # reads only the coefficient rings and theta, so it never builds one
+    start = time.process_time()
+    page = e1_page(build_example("constant-Z", 2, 10))
+    assert time.process_time() - start < 2.0
+    assert [t.label for t in page.terms] == \
+        ["Z[C1024]"] + [f"F2[C{2 ** k}]" for k in range(9, 0, -1)] + ["F2"]
+    assert page.splitting == "unknown"
 
 
 def test_section_search_on_burnside_gives_multiplicative_lift():

@@ -1,14 +1,18 @@
-"""Gauss-Jordan mod p on both sides of the list/array crossover.
+"""Gauss-Jordan mod p: packed F_2 rows, and both sides of the list/array
+crossover for odd p.
 
-`la._rref_mod_p` reduces matrices of at most `la._ROWS_MAX_ENTRIES` entries
-on Python-int rows (`_rref_rows`) and larger ones on numpy rows
-(`_rref_array`).  Both are compared with `reference_rref`, the single numpy
-kernel they replaced, kept here as it was: on derandomized matrices up to
-40 x 40, tall ones up to 200 x 24 and sparse ones (5-10 % nonzero, like the
-hom systems), over primes from 2 to 3037000493, the largest p with
-(p - 1)^2 < 2^63.  `rank`, `solve`, `nullspace`, `column_space_basis` and
-`inv_field` must give the same results on the new kernel as on the
-reference.
+`la._rref_mod_p` reduces every F_2 matrix on rows packed into Python ints
+(`_rref_f2`).  For odd p it reduces matrices of at most
+`la._ROWS_MAX_ENTRIES` entries on Python-int rows (`_rref_rows`) and larger
+ones on numpy rows (`_rref_array`).  Every kernel is compared with
+`reference_rref`, the single numpy kernel they replaced, kept here as it
+was: on derandomized matrices up to 40 x 40, tall ones up to 200 x 24 and
+sparse ones (5-10 % nonzero, like the hom systems), over primes from 2 to
+3037000493, the largest p with (p - 1)^2 < 2^63.  Over F_2 the packed rows
+are also checked at widths around the byte and word boundaries (1, 7, 8, 9,
+63, 64, 65 and 200 columns) and on empty and all-zero matrices.  `rank`,
+`solve`, `nullspace`, `column_space_basis` and `inv_field` must give the
+same results on the new kernels as on the reference.
 """
 
 import numpy as np
@@ -72,6 +76,23 @@ def residue_matrix(draw, max_rows, max_cols, densities=(1.0, 0.5, 0.2)):
     return p, la.mmul(sparse(m, inner), sparse(inner, n), F)
 
 
+@st.composite
+def f2_matrix(draw, n):
+    """(2, A): an F_2 matrix with n columns, of full rank or a product
+    through a drawn inner dimension."""
+    m = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from((0.5, 0.1, 0.02)))
+
+    def sparse(r, c):
+        return (rng.random((r, c)) < density).astype(np.int64)
+
+    inner = draw(st.one_of(st.none(), st.integers(0, max(min(m, n) - 1, 0))))
+    if inner is None:
+        return 2, sparse(m, n)
+    return 2, la.mmul(sparse(m, inner), sparse(inner, n), gf_make(2, 1))
+
+
 SQUARE = residue_matrix(40, 40)
 TALL = st.integers(24, 200).flatmap(lambda m: residue_matrix(m, 24))
 SPARSE = residue_matrix(160, 64, densities=(0.05, 0.075, 0.1))
@@ -80,7 +101,10 @@ SPARSE = residue_matrix(160, 64, densities=(0.05, 0.075, 0.1))
 def _check_kernels(p, A):
     keep = A.copy()
     R_ref, piv_ref = reference_rref(A.copy(), p)
-    for R, piv in (la._rref_mod_p(A, p), la._rref_rows(A, p), la._rref_array(A.copy(), p)):
+    kernels = [la._rref_mod_p(A, p), la._rref_rows(A, p), la._rref_array(A.copy(), p)]
+    if p == 2:
+        kernels.append(la._rref_f2(A))
+    for R, piv in kernels:
         assert piv == piv_ref
         assert R.dtype == R_ref.dtype == np.int64
         assert R.shape == R_ref.shape and (R == R_ref).all()
@@ -132,22 +156,44 @@ def test_rref_matches_reference_on_sparse_systems(case):
     _check_derived(*case)
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64, 65, 200])
+def test_packed_f2_rows_match_reference(width):
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(f2_matrix(width))
+    def check(case):
+        _check_kernels(*case)
+        _check_derived(*case)
+    check()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 9), (9, 0), (1, 1), (5, 8), (3, 65), (70, 200)])
+def test_packed_f2_rows_on_empty_and_zero_matrices(shape):
+    A = np.zeros(shape, dtype=np.int64)
+    R, piv = la._rref_f2(A)
+    assert piv == [] and R.dtype == np.int64 and R.shape == shape and not R.any()
+    _check_kernels(2, A)
+    _check_derived(2, A)
+
+
 def test_crossover_sends_each_size_to_its_path(monkeypatch):
     calls = []
-    for name in ("_rref_rows", "_rref_array"):
+    for name in ("_rref_rows", "_rref_array", "_rref_f2"):
         real = getattr(la, name)
-        monkeypatch.setattr(la, name, lambda M, p, real=real, name=name:
-                            calls.append(name) or real(M, p))
+        monkeypatch.setattr(la, name, lambda M, *p, real=real, name=name:
+                            calls.append(name) or real(M, *p))
     limit = la._ROWS_MAX_ENTRIES
     for shape, path in [((1, limit), "_rref_rows"), ((limit, 1), "_rref_rows"),
                         ((1, limit + 1), "_rref_array"), ((limit + 1, 1), "_rref_array")]:
         calls.clear()
         la._rref_mod_p(np.ones(shape, dtype=np.int64), 3)
         assert calls == [path], shape
+        calls.clear()
+        la._rref_mod_p(np.ones(shape, dtype=np.int64), 2)
+        assert calls == ["_rref_f2"], shape
 
 
 def test_hom_system_of_fp_f16_over_c4():
-    """The largest elimination of a field-decide pass: the 1026 x 189 F_2
+    """The largest elimination of a field-decide pass: the 549 x 189 F_2
     system of hom_basis for FP(F16)/C4, [1, 2] -> [1, 2]."""
     seen = []
     real = la._rref_mod_p
@@ -162,10 +208,8 @@ def test_hom_system_of_fp_f16_over_c4():
         mp.setattr(la, "_rref_mod_p", spy)
         basis = green_module_hom_basis(S, S)
     assert len(basis) == 9
-    systems = [(M, p) for M, p in seen if M.shape == (1026, 189)]
-    assert len(systems) == 1
-    M, p = systems[0]
-    assert p == 2
+    M, p = max(seen, key=lambda case: case[0].size)
+    assert M.shape == (549, 189) and p == 2
     R_ref, piv_ref = reference_rref(M.copy(), p)
     R, piv = real(M, p)
     assert piv == piv_ref and len(piv) == 189 - 9
