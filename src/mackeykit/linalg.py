@@ -29,12 +29,13 @@ Everything here is deterministic: no implicit randomness, fixed pivot
 rules.
 
 Gauss-Jordan over F_p (`_rref_mod_p`, under `rref`, `rank`, `solve`,
-`nullspace`, `column_space_basis` and `inv_field`) packs each F_2 row into
-one Python int, so a row operation is one XOR of the whole row.  For odd p
-it has two regimes: up to `_ROWS_MAX_ENTRIES` = 512 entries it runs on
-Python-int rows, where the numpy calls of a pivot step would cost more
-than its arithmetic, and past that on the int64 array, one broadcast
-product per pivot.  The constant records where that crossover was measured.
+`nullspace`, `column_space_basis` and `inv_field`) has two regimes: up to
+`_ROWS_MAX_ENTRIES` = 512 entries it runs on lists of Python-int entries,
+where the numpy calls of a pivot step would cost more than its arithmetic.
+Past that, an F_2 matrix has each row packed into one Python int, so a row
+operation is one XOR of the whole row, and for odd p the elimination runs
+on the int64 array, one broadcast product per pivot.  The constant records
+where the crossover was measured.
 
 `det_mod_p` is the batched kernel: the determinants mod p of a (C, n, n)
 stack of int64 residue matrices, by one fraction-free elimination over the
@@ -318,7 +319,10 @@ def to_residues(A, p):
 # with the fill-in, meets the numpy rows' fixed cost per pivot; on dense
 # matrices they already lose past about 256 entries (16 x 16).  512 keeps
 # the sparse systems within 3 % of their best split and dense ones within
-# about 2x of numpy.
+# about 2x of numpy.  Over F_2 the list rows beat packed rows on the tiny
+# systems that dominate doc-cli (most under 64 entries); on the 64-512
+# entry systems of a field-decide pass the packed rows were faster, but by
+# about 1 ms a pass, too little to set a crossover of their own.
 _ROWS_MAX_ENTRIES = 512
 
 
@@ -327,12 +331,12 @@ def _rref_mod_p(M, p):
     as a new int64 array; M is not changed.  Needs (p - 1)^2 < 2^63.
 
     The pivot of each column is its first nonzero entry at or below the
-    current row, scaled by pow(a, p - 2, p).  R is unique, so the packed F_2,
-    the list and the array regime give the same R and pivots."""
-    if p == 2:
-        return _rref_f2(M)
+    current row, scaled by pow(a, p - 2, p).  R is unique, so the list, the
+    packed F_2 and the array regime give the same R and pivots."""
     if M.size <= _ROWS_MAX_ENTRIES:
         return _rref_rows(M, p)
+    if p == 2:
+        return _rref_f2(M)
     return _rref_array(M.copy(), p)
 
 

@@ -1,10 +1,10 @@
-"""Gauss-Jordan mod p: packed F_2 rows, and both sides of the list/array
-crossover for odd p.
+"""Gauss-Jordan mod p on both sides of the crossover: list rows, and packed
+F_2 or numpy rows.
 
-`la._rref_mod_p` reduces every F_2 matrix on rows packed into Python ints
-(`_rref_f2`).  For odd p it reduces matrices of at most
-`la._ROWS_MAX_ENTRIES` entries on Python-int rows (`_rref_rows`) and larger
-ones on numpy rows (`_rref_array`).  Every kernel is compared with
+`la._rref_mod_p` reduces matrices of at most `la._ROWS_MAX_ENTRIES` entries
+on lists of Python ints (`_rref_rows`), and larger ones on rows packed into
+Python ints over F_2 (`_rref_f2`) and on numpy rows for odd p
+(`_rref_array`).  Every kernel is compared with
 `reference_rref`, the single numpy kernel they replaced, kept here as it
 was: on derandomized matrices up to 40 x 40, tall ones up to 200 x 24 and
 sparse ones (5-10 % nonzero, like the hom systems), over primes from 2 to
@@ -189,7 +189,7 @@ def test_crossover_sends_each_size_to_its_path(monkeypatch):
         assert calls == [path], shape
         calls.clear()
         la._rref_mod_p(np.ones(shape, dtype=np.int64), 2)
-        assert calls == ["_rref_f2"], shape
+        assert calls == [path.replace("_rref_array", "_rref_f2")], shape
 
 
 def test_hom_system_of_fp_f16_over_c4():
