@@ -58,10 +58,10 @@ class BasedRing:
         unit, greedy in basis order: e_u is kept when it is not in the
         subring that the unit and the kept elements generate.  The unit is
         never kept, so a ring spanned by its unit has none."""
-        out = []
-        span = la.column_space_basis(self.unit, self.base)
+        out, span = [], self.unit
         for u in range(self.rank):
-            if la.solve(span, self.basis_vector(u), self.base) is not None:
+            e = self.basis_vector(u)
+            if la.mat_eq(e, self.unit) or la.solve(span, e, self.base) is not None:
                 continue
             out.append(u)
             gens = la.eye(self.rank, self.base)[:, out]
