@@ -2,9 +2,9 @@
 
 `green_module_hom_basis` asks a map to commute with the action of the
 generators of each level ring (`BasedRing.generators`), not with every basis
-element.  `all_pairs_hom_basis` below is the system with every basis
-element, as it was before; over a field both must give the same basis, entry
-for entry and dtype for dtype, and over Z the same lattice.
+element.  `all_pairs_hom_basis` below imposes every basis element; over a
+field both must give the same basis, entry for entry and dtype for dtype,
+and over Z the same lattice.
 """
 
 import numpy as np
