@@ -774,9 +774,8 @@ def green_module_hom_basis(M: GreenModule, N: GreenModule):
     """Basis of the module-linear homomorphisms M -> N over the same ring.
 
     The maps are asked to commute only with the action of the generators of
-    each level ring (`BasedRing.generators`), skipping a generator that acts
-    as the identity on both modules.  That is enough when M and N satisfy
-    the module axioms (the unit acts as the identity, the action is
+    each level ring (`BasedRing.generators`).  That is enough when M and N
+    satisfy the module axioms (the unit acts as the identity, the action is
     multiplicative), which are assumed here, not checked:
     `check_green_module` tests them, and `GreenModuleMorphism.check` still
     tests every basis element of the ring.  Over a field the system has the
@@ -784,11 +783,7 @@ def green_module_hom_basis(M: GreenModule, N: GreenModule):
     if M.ring is not N.ring:
         raise ValueError("hom space needs modules over one ring")
     R = M.ring
-    inter = []
-    for s in range(R.n + 1):
-        A, B = M.action[s], N.action[s]
-        ida, idb = la.eye(A.shape[1], R.base), la.eye(B.shape[1], R.base)
-        inter.append([(A[u], B[u]) for u in R.ring(s).generators
-                      if not (la.mat_eq(A[u], ida) and la.mat_eq(B[u], idb))])
+    inter = [[(M.action[s][u], N.action[s][u]) for u in R.ring(s).generators]
+             for s in range(R.n + 1)]
     raw = hom_basis(M.underlying, N.underlying, level_intertwiners=inter)
     return [GreenModuleMorphism(M, N, f.components) for f in raw]
