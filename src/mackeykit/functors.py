@@ -111,10 +111,19 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
     A ring element at level s acts on the copy over coset j through the chain
     restriction to level u = min(i, s) followed by the j-fold inverse Weyl
     twist.  The canonical generator is the unit of R(i) in copy 0.
+
+    Each (ring, level) module is built once and kept in R.free_modules, so a
+    repeated call returns the same object; callers must not change it.
     """
+    if not 0 <= i <= R.n:
+        raise ValueError(f"free module at level {i} of a functor with levels 0..{R.n}")
+    if i not in R.free_modules:
+        R.free_modules[i] = _build_free_module(R, i)
+    return R.free_modules[i]
+
+
+def _build_free_module(R: GreenFunctor, i: int) -> GreenModule:
     p, n, base = R.p, R.n, R.base
-    if not 0 <= i <= n:
-        raise ValueError(f"free module at level {i} of a functor with levels 0..{n}")
     und = induce_mackey(restrict_mackey(R.underlying, i), n)
     M = R.underlying
 

@@ -50,6 +50,9 @@ class GreenFunctor:
         self.underlying = underlying
         self.level_rings = list(level_rings)
         self.name = name or underlying.name
+        # the free modules on one generator, by level: functors.free_module
+        # builds each once and keeps it here
+        self.free_modules = {}
 
     @property
     def group(self):
@@ -312,14 +315,23 @@ def direct_sum_green_modules(mods) -> GreenModule:
 
 
 class GreenModuleMorphism:
-    """Levelwise maps commuting with res/tr/weyl and with the ring action."""
+    """Levelwise maps commuting with res/tr/weyl and with the ring action.
+
+    components is the list of level matrices, or a MackeyMorphism between
+    the underlying functors, which is kept as it is."""
 
     def __init__(self, source: GreenModule, target: GreenModule, components):
         if not (source.ring is target.ring or source.ring.describe() == target.ring.describe()):
             raise ValueError("module morphism between modules over different rings")
         self.source = source
         self.target = target
-        self._mackey = MackeyMorphism(source.underlying, target.underlying, components)
+        if isinstance(components, MackeyMorphism):
+            if components.source is not source.underlying or \
+                    components.target is not target.underlying:
+                raise ValueError("the map is not between the modules' underlying functors")
+            self._mackey = components
+        else:
+            self._mackey = MackeyMorphism(source.underlying, target.underlying, components)
         self.components = self._mackey.components
 
     def check(self) -> CheckReport:
@@ -786,4 +798,4 @@ def green_module_hom_basis(M: GreenModule, N: GreenModule):
     inter = [[(M.action[s][u], N.action[s][u]) for u in R.ring(s).generators]
              for s in range(R.n + 1)]
     raw = hom_basis(M.underlying, N.underlying, level_intertwiners=inter)
-    return [GreenModuleMorphism(M, N, f.components) for f in raw]
+    return [GreenModuleMorphism(M, N, f) for f in raw]

@@ -17,6 +17,7 @@ target's relations.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
@@ -353,6 +354,10 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
     level_intertwiners, when given, is a per-level list of (P, Q) matrix
     pairs adding the constraint f_s P = Q f_s; this cuts the hom space down
     to maps that also commute with extra operators (e.g. ring actions).
+
+    Every constraint block is written straight into one array in the base's
+    form; a pair that is the identity on both sides (every Weyl pair of a
+    constant functor) gives only zero rows and is left out.
     """
     _check_same_base(M, N)
     base = M.base
@@ -363,70 +368,54 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         level_intertwiners = [[(_conj(m_proj, P, m_lift, s, base), _conj(n_proj, Q, n_lift, s, base))
                                for P, Q in pairs] for s, pairs in enumerate(level_intertwiners)]
     n = M.n
-    sizes = [N.levels[s].gens * M.levels[s].gens for s in range(n + 1)]
+    r = [lv.gens for lv in N.levels]
+    k = [lv.gens for lv in M.levels]
     offsets = [0]
-    for sz in sizes:
-        offsets.append(offsets[-1] + sz)
+    for s in range(n + 1):
+        offsets.append(offsets[-1] + r[s] * k[s])
     total = offsets[-1]
     if total == 0:
         return []
+    eye = {d: la.eye(d, base) for d in set(r + k)}
 
-    blocks = []
+    def kron4(A, B):
+        """kron(A, B) with its row and column indices split, (rA, rB, cA, cB)."""
+        return A[:, None, :, None] * B[None, :, None, :]
 
-    def block_row(pairs, nrows):
-        """pairs: list of (level, coefficient matrix applied to vec(f_level))."""
-        row = la.zeros(nrows, total, base)
-        for s, C in pairs:
-            row[:, offsets[s]:offsets[s + 1]] = C
-        blocks.append(row)
-
-    def veccol_left(A, rows):      # vec(F A) = (A^T kron I) vec(F)
-        return la.kron(A.T.copy(), la.eye(rows, base), base)
-
-    def veccol_right(B, cols):     # vec(B F) = (I kron B) vec(F)
-        return la.kron(la.eye(cols, base), B, base)
-
+    # a constraint is its row count and its (level, block) terms, each block
+    # applied to vec(f_level), column-major: vec(F A) = (A^T kron I) vec(F)
+    # and vec(B F) = (I kron B) vec(F)
+    constraints = []
     for s in range(n):
         # f_s res^M_s = res^N_s f_{s+1}
-        rows = N.levels[s].gens * M.levels[s + 1].gens
-        if rows:
-            L = veccol_left(M.res[s], N.levels[s].gens)
-            R = veccol_right(N.res[s], M.levels[s + 1].gens)
-            block_row([(s, L), (s + 1, la.neg(R, base))], rows)
+        constraints.append((r[s] * k[s + 1], [(s, kron4(M.res[s].T, eye[r[s]])),
+                            (s + 1, kron4(eye[k[s + 1]], la.neg(N.res[s], base)))]))
         # f_{s+1} tr^M_s = tr^N_s f_s
-        rows = N.levels[s + 1].gens * M.levels[s].gens
-        if rows:
-            L = veccol_left(M.tr[s], N.levels[s + 1].gens)
-            R = veccol_right(N.tr[s], M.levels[s].gens)
-            block_row([(s + 1, L), (s, la.neg(R, base))], rows)
+        constraints.append((r[s + 1] * k[s], [(s + 1, kron4(M.tr[s].T, eye[r[s + 1]])),
+                            (s, kron4(eye[k[s]], la.neg(N.tr[s], base)))]))
     for s in range(n + 1):
-        rows = N.levels[s].gens * M.levels[s].gens
-        if not rows:
-            continue
-        pairs = [(M.weyl[s], N.weyl[s])]
-        if level_intertwiners is not None:
-            pairs.extend(level_intertwiners[s])
-        for P, Q in pairs:
-            L = veccol_left(P, N.levels[s].gens)
-            R = veccol_right(Q, M.levels[s].gens)
-            block_row([(s, la.sub(L, R, base))], rows)
+        extra = level_intertwiners[s] if level_intertwiners else []
+        for P, Q in [(M.weyl[s], N.weyl[s]), *extra]:
+            # f_s P = Q f_s; a pair that is the identity on both sides adds zero rows
+            if not (la.mat_eq(P, eye[k[s]]) and la.mat_eq(Q, eye[r[s]])):
+                constraints.append((r[s] * k[s], [(s, la.sub(kron4(P.T, eye[r[s]]),
+                                                             kron4(eye[k[s]], Q), base))]))
 
-    if blocks:
-        big = la.vstack(blocks)
-        ker = la.nullspace(big, base)
-    else:
-        ker = la.eye(total, base)
+    big = la.zeros(sum(h for h, _ in constraints), total, base)
+    at = 0
+    for h, terms in constraints:
+        for s, C in terms:
+            big[at:at + h, offsets[s]:offsets[s + 1]] = C.reshape(h, r[s] * k[s])
+        at += h
+    ker = la.nullspace(big, base) if len(big) else la.eye(total, base)
 
     out = []
-    for c in range(ker.shape[1]):
-        comps = []
-        for s in range(n + 1):
-            r, k = N.levels[s].gens, M.levels[s].gens
-            seg = ker[offsets[s]:offsets[s + 1], c]
-            f = seg.reshape(k, r).T.copy()              # undo the column-major vec
-            comps.append(_conj(n_lift, f, m_proj, s, base))
-        out.append(MackeyMorphism(M0, N0, comps))
-    return out
+    for s in range(n + 1):
+        # column c of the level's rows is vec(f_s) of basis map c
+        vecs = ker[offsets[s]:offsets[s + 1]].T.reshape(ker.shape[1], k[s], r[s])
+        comps = np.ascontiguousarray(vecs.transpose(0, 2, 1))
+        out.append([_conj(n_lift, f, m_proj, s, base) for f in comps])
+    return [MackeyMorphism(M0, N0, list(fs)) for fs in zip(*out)]
 
 
 # --- constructions on functors --------------------------------------------------
@@ -628,6 +617,12 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
     _COEFF_BOUND), then a mod-m certificate ruling every hom out (m^h <=
     _MODULUS_CAP).
 
+    The random draws come from the standard library's `random.Random(seed)`,
+    the generator of every seeded search in mackeykit: each candidate is h
+    draws of `randrange(q)` (indices into the field's elements) over a
+    field, and of `randint(-w, w)` over Z (w = 1 for the first half of the
+    tries, then _COEFF_BOUND; the zero vector is skipped).
+
     Candidates are tested in `batches` of 1, 2, 4, ... up to 1024: one
     stacked product gives a batch's level matrices and one batched
     elimination their determinants (`la.full_rank_mask`,
@@ -687,8 +682,8 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
                                        "hom_dim": h},
                           detail="exhausted the hom space")
         stats["seed"] = resolve_seed(seed)
-        rng = np.random.default_rng(stats["seed"])
-        draws = ([int(rng.integers(0, q)) for _ in range(h)] for _ in range(_RANDOM_TRIES))
+        rng = random.Random(stats["seed"])
+        draws = ([rng.randrange(q) for _ in range(h)] for _ in range(_RANDOM_TRIES))
         f = _first_iso(homs, draws, invertible, base.element, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random search")
@@ -716,14 +711,14 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
         # the box was too large to enumerate; sample it instead, trying
         # sparse small-coefficient points first
         stats["seed"] = resolve_seed(seed)
-        rng = np.random.default_rng(stats["seed"])
+        rng = random.Random(stats["seed"])
 
         def draws():
             for t in range(_RANDOM_TRIES):
                 width = 1 if t < _RANDOM_TRIES // 2 else _COEFF_BOUND
-                coeffs = rng.integers(-width, width + 1, size=h)
-                if coeffs.any():
-                    yield coeffs.tolist()
+                coeffs = [rng.randint(-width, width) for _ in range(h)]
+                if any(coeffs):
+                    yield coeffs
         f = _first_iso(homs, draws(), unimodular_mod_p, int, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random lattice search")

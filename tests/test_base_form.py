@@ -8,6 +8,11 @@ kernel converts an object array it built itself, and no search lists a
 whole field.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -138,6 +143,31 @@ def test_field_search_lists_no_field(residues_only):
     res = is_isomorphic(M, M, seed=0)
     assert (res.verdict, res.detail) == ("isomorphic", "random search")
     assert res.witness.check().ok and res.witness.is_level_iso()
+
+
+RANDOM_PHASES = """
+import sys
+import mackeykit.mackey as mackey
+from mackeykit.fields import gf_make
+from mackeykit.gsets import CyclicGroup
+M = mackey.constant_mackey(CyclicGroup(2, 1), gf_make(200003, 1))
+assert mackey.is_isomorphic(M, M, seed=0).detail == "random search"
+mackey._EXHAUSTIVE_CAP = 2           # no lattice box: the random lattice phase runs
+B = mackey.burnside_mackey(CyclicGroup(2, 2))
+assert mackey.is_isomorphic(B, B, seed=0).detail == "random lattice search"
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_random_phases_do_not_import_numpy_random():
+    # the seeded searches draw from the standard library's random.Random;
+    # numpy.random is a lazy import of its own (time and memory), so a
+    # fresh process shows whether any library path pulls it in
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", RANDOM_PHASES], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- caller input is rejected with ValueError, also under python -O ----------------

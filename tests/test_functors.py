@@ -148,6 +148,22 @@ def test_constant_f2_free_module_dims():
     assert free_module(R, 1).level_dims() == (1, 1)
 
 
+def test_free_modules_are_built_once_per_ring_and_level():
+    G, F = CyclicGroup(2, 1), gf_make(2, 1)
+    R, R2 = constant_green(G, F), constant_green(G, F)
+    F0, F1 = free_module(R, 0), free_module(R, 1)
+    assert free_module(R, 0) is F0 and free_module(R, 1) is F1 and F0 is not F1
+    # an equal ring built again is another object and gets its own modules
+    assert free_module(R2, 0) is not F0
+    assert free_module(R2, 0).level_dims() == F0.level_dims()
+    assert R.free_modules == {0: F0, 1: F1}
+    # a bad level still raises after the cache holds the good ones (also under -O)
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match="free module at level"):
+            free_module(R, bad)
+    assert set(R.free_modules) == {0, 1}
+
+
 def test_free_module_generator_recovers_identity_hom():
     # the hom space out of F_i matches the module at level i
     R = fixed_point_green(CyclicGroup(2, 1), gf_make(2, 2))
