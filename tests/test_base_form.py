@@ -193,6 +193,10 @@ REJECTIONS = [
     ("module map across rings", "different rings", lambda: GreenModuleMorphism(
         module_from_green(_burnside_c2()),
         module_from_green(fixed_point_green(CyclicGroup(2, 1), gf_make(2, 2))), [])),
+    ("module map wrapping another functor's map", "underlying functors",
+     lambda: GreenModuleMorphism(module_from_green(_burnside_c2()),
+                                 module_from_green(_burnside_c2()),
+                                 MackeyMorphism.identity(_burnside_c2().underlying))),
     ("ragged rows", "ragged", lambda: la.mat([[1, 2], [3]])),
     ("phi stage above n", "outside", lambda: phi_ring(_burnside_c2(), 2)),
     ("phi stage below 0", "outside", lambda: phi_ring(_burnside_c2(), -1)),
