@@ -19,7 +19,7 @@ import time
 from . import docio
 from .docio import ParseError
 from .fields import gf_make
-from .functors import e1_page, geometric_fixed_points, phi_ring, tau_geq_1
+from .functors import geometric_fixed_points, phi_ring, tau_geq_1
 from .green import (GreenFunctor, GreenModule, burnside_green, box_product_general,
                     char_example_green, check_green, check_green_module,
                     constant_green, fixed_point_green)
@@ -195,8 +195,8 @@ def cmd_e1(args) -> int:
     if not isinstance(obj, GreenFunctor):
         print("fail: e1 needs a green-functor document")
         return 1
-    page = e1_page(obj)
     g0 = g0_splitting(obj)
+    page = g0.page
     rings = ", ".join(t.label for t in page.terms) or "0"
     tz = "yes" if page.transfers_zero else "no"
     ranks = "+".join("?" if r is None else str(r) for r in g0.term_ranks)

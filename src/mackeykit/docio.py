@@ -10,6 +10,16 @@ result again reproduces the same text.
 
 Blank lines and lines starting with ``#`` are ignored.  Parse failures raise
 :class:`ParseError` carrying the offending line number.
+
+Documents hold many small blocks (about two entries each in the example
+documents), so the reader's cost is per block, not per entry.  A block over
+Z or F_p that reads exactly as :func:`print_document` writes it is taken
+whole: its header compared as one string, every row's entry count checked,
+and all its entries converted by one ``int`` pass into one array in the
+base's at-rest form.  Any other block, over GF(p^k) with k > 1 or with a
+header or entry written differently, is read entry by entry; a malformed
+block always takes that path, so each ParseError names the same line and
+says the same thing whichever path saw the block first.
 """
 
 from __future__ import annotations
@@ -126,7 +136,52 @@ def _emit_block(out: list[str], head: str | None, A, base):
 
 def _read_block(cur: _Cursor, head: str | None, rows: int, cols: int, base):
     """Inverse of _emit_block: the rows x cols matrix after its header line,
-    or with head None the rows alone."""
+    or with head None the rows alone.  A block as _emit_block writes it over
+    Z or F_p is read whole; any other block, a malformed one included, is
+    read entry by entry, which raises the ParseError."""
+    A = _read_whole_block(cur, head, rows, cols, base)
+    return _read_block_by_entry(cur, head, rows, cols, base) if A is None else A
+
+
+def _read_whole_block(cur: _Cursor, head: str | None, rows: int, cols: int, base):
+    """The block with its header matched as one string and all its entries
+    converted at once, or None, with the cursor left where it was, when the
+    block is not exactly as _emit_block writes it over Z or F_p.  Entries
+    over GF(p^k), k > 1, are colon-joined coordinates, never one int."""
+    if base is ZZ:
+        bound = None
+    elif base.k == 1:
+        bound = base.p
+    else:
+        return None
+    at = cur.pos
+    if head is not None:
+        if at == len(cur.rows) or cur.rows[at][1] != f"{head} rows {rows} cols {cols}":
+            return None
+        at += 1
+    if rows == 0 or cols == 0:
+        cur.pos = at
+        return la.zeros(rows, cols, base)
+    lines = cur.rows[at:at + rows]
+    if len(lines) != rows:
+        return None
+    toks = []
+    for _, line in lines:
+        row = line.split()
+        if len(row) != cols:
+            return None
+        toks += row
+    try:
+        vals = [int(t) for t in toks]
+    except ValueError:
+        return None
+    if bound is not None and (min(vals) < 0 or max(vals) >= bound):
+        return None
+    cur.pos = at + rows
+    return la.from_ints(vals, rows, cols, base)
+
+
+def _read_block_by_entry(cur: _Cursor, head: str | None, rows: int, cols: int, base):
     if head is not None:
         lineno, toks = cur.directive(head.split()[0])
         want = head.split()[1:] + ["rows", str(rows), "cols", str(cols)]

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg as la
 from .functors import E1Page, e1_page, free_module
 from .green import (GreenFunctor, GreenModule, GreenModuleMorphism,
@@ -341,12 +343,20 @@ def random_green_automorphism(M: GreenModule, seed=None):
     if base is ZZ:
         raise ValueError("random automorphisms need field coefficients")
     basis = green_module_hom_basis(M, M)
+    dims = M.level_dims()
+    # row i holds the flattened components of basis[i], so one product with
+    # a coefficient row gives every level of the combination
+    stack = la.zeros(len(basis), sum(d * d for d in dims), base)
+    for i, h in enumerate(basis):
+        stack[i] = np.concatenate([c.reshape(-1) for c in h.components])
     rng = random.Random(resolve_seed(seed))
     for _ in range(_AUTOMORPHISM_ATTEMPTS):
-        comps = [la.zeros(d, d, base) for d in M.level_dims()]
-        for h in basis:
-            coeff = base.element(rng.randrange(base.q))
-            comps = [la.add_scaled(a, c, coeff, base) for a, c in zip(comps, h.components)]
+        coeffs = la.field_elements(base, [[rng.randrange(base.q) for _ in basis]])
+        flat = la.mmul(coeffs, stack, base)[0]
+        comps, at = [], 0
+        for d in dims:
+            comps.append(flat[at:at + d * d].reshape(d, d))
+            at += d * d
         g = GreenModuleMorphism(M, M, comps)
         if g.is_level_iso():
             return g

@@ -101,18 +101,32 @@ def eye(n, base=ZZ):
     return out
 
 
+def from_ints(values, rows, cols, base=ZZ):
+    """The rows x cols matrix with the row-major entries `values`, a list of
+    Python ints, in the form of base.  Over F_p the ints are taken as
+    residues in [0, p) without a check, as the kernels take int64 entries;
+    over other fields they are read as elements of the prime field."""
+    if _int64_prime(base):
+        return np.array(values, dtype=np.int64).reshape(rows, cols)
+    return coerce(np.array(values, dtype=object).reshape(rows, cols), base)
+
+
 def mat_eq(A, B) -> bool:
+    """Whether A and B have one shape and equal entries.  Two int64 arrays
+    compare by their bytes and two object arrays as lists, which skips
+    numpy's reduction machinery, the larger cost on small matrices."""
     if A.shape != B.shape:
         return False
-    if A.size == 0:
-        return True
+    if A.dtype == B.dtype == np.int64:
+        return A.tobytes() == B.tobytes()
+    if A.dtype == B.dtype == object:
+        return A.tolist() == B.tolist()
     return bool(np.equal(A, B).all())
 
 
 def is_zero_mat(A) -> bool:
-    if A.size == 0:
-        return True
-    return bool(np.equal(A, 0).all())
+    """Whether every entry of A is zero (falsy: an int 0 or a zero FFElement)."""
+    return not np.count_nonzero(A)
 
 
 def hstack(mats):
@@ -246,8 +260,6 @@ def _elements(A, field):
 
 
 def neg(A, base):
-    if base is ZZ:
-        return -A
     p = _int64_prime(base)
     if p:
         return -to_residues(A, p) % p

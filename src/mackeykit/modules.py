@@ -20,7 +20,8 @@ class FPModule:
         self.base = base
         self.gens = int(gens)
         if relations is None:
-            relations = la.zeros(self.gens, 0, base)
+            self.relations = la.zeros(self.gens, 0, base)
+            return
         if base is not ZZ and relations.shape[1]:
             raise ValueError("field modules carry no relations")
         if relations.shape[0] != self.gens:

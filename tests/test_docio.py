@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mackeykit import cli
 from mackeykit import linalg as la
@@ -347,3 +349,87 @@ def test_high_degree_field_header_parses_quickly():
     assert time.process_time() - start < 1.0
     assert (M.base.p, M.base.k, list(M.base.modulus)) == (2, 61, modulus)
     assert print_document(M) == text
+
+
+# -- the block reader: whole blocks, and the entry-by-entry fallback ---------
+
+_WEYL_1 = "weyl 1 rows 2 cols 2\n1 0\n0 1"
+
+
+def _parse_failure(text):
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    return info.value.lineno, str(info.value)
+
+
+def test_a_block_is_checked_row_by_row():
+    # 3 + 1 entries under 'cols 2' have the right total, but the first row is long
+    text = _doc().replace(_WEYL_1, "weyl 1 rows 2 cols 2\n1 0 0\n1")
+    assert _parse_failure(text) == (17, "line 17: expected 2 entries, found 3")
+
+
+def test_a_header_with_a_doubled_blank_still_parses():
+    text = _doc().replace("weyl 1 rows 2 cols 2", "weyl 1  rows 2 cols 2")
+    assert print_document(parse_document(text)) == _doc()
+
+
+def test_a_document_ending_inside_a_block_names_the_line_after_it():
+    text = _doc()
+    text = text[:text.rindex("0 1")]
+    assert _parse_failure(text) == (18, "line 18: unexpected end of document")
+
+
+@pytest.mark.parametrize("k,tok", [(1, "1:0"), (1, "-1"), (1, "2"),
+                                   (2, "1"), (2, "1:0:0")])
+def test_a_bad_field_entry_is_named_with_its_line(k, tok):
+    text, lineno = _replace_line(_field_doc(k), "res 0 rows 1 cols 1", tok, 1)
+    assert _parse_failure(text) == (
+        lineno, f"line {lineno}: coefficient {tok!r} is not {k} coordinate(s) in 0..1")
+
+
+def test_integer_entries_beyond_int64_round_trip():
+    big = [2 ** 70, -(2 ** 65) - 1]
+    M = MackeyFunctor(CyclicGroup(2, 1), ZZ, [FPModule(ZZ, 1), FPModule(ZZ, 2)],
+                      [la.mat([big])], [la.mat([[big[1]], [7]])],
+                      [la.eye(1), la.mat([[1, big[0]], [0, 1]])])
+    text = print_document(M)
+    back = parse_document(text)
+    assert print_document(back) == text
+    assert back.res[0].dtype == object and back.res[0].tolist() == [big]
+    _same_mackey(M, back)
+
+
+_BASES = {"Z": ZZ, "F2": gf_make(2, 1), "F5": gf_make(5, 1), "GF4": gf_make(2, 2)}
+
+
+@st.composite
+def _small_functor(draw):
+    base = _BASES[draw(st.sampled_from(sorted(_BASES)))]
+    group = CyclicGroup(draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)))
+    if base is ZZ:
+        entry = st.integers(-(2 ** 70), 2 ** 70)
+    else:
+        entry = st.integers(0, base.q - 1).map(base.element)
+
+    def block(r, c, entries=entry):
+        return la.mat(draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                                    min_size=r, max_size=r)), c, base)
+
+    gens = [draw(st.integers(0, 3)) for _ in range(group.n + 1)]
+    levels = []
+    for g in gens:
+        relc = draw(st.integers(0, 2)) if base is ZZ else 0
+        rel = block(g, relc, st.integers(-9, 9)) if relc else None
+        levels.append(FPModule(base, g, rel))
+    res = [block(gens[s], gens[s + 1]) for s in range(group.n)]
+    tr = [block(gens[s + 1], gens[s]) for s in range(group.n)]
+    weyl = [block(g, g) for g in gens]
+    name = draw(st.text("ab ", max_size=6).map(str.strip))
+    return MackeyFunctor(group, base, levels, res, tr, weyl, name=name)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_small_functor())
+def test_printing_a_parsed_document_gives_the_same_text(M):
+    text = print_document(M)
+    assert print_document(parse_document(text)) == text

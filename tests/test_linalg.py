@@ -233,3 +233,46 @@ def test_solve_inconsistent_field():
     A = la.mat([[F.zero]])
     B = la.mat([[F.one]])
     assert la.solve(A, B, F) is None
+
+
+# --- equality and zero tests -------------------------------------------------
+
+def _equality_cases():
+    F = gf_make(2, 2)
+    A = np.arange(12, dtype=np.int64).reshape(3, 4)
+    big = la.mat([[2 ** 70, -(2 ** 64)], [0, 1]])
+    elems = la.mat([[F.one, F.gen], [F.zero, F.gen ** 2]], base=F)
+    return [
+        ("int64 vs object, equal values", A, A.astype(object)),
+        ("object vs int64, unequal values", A.astype(object), A + 1),
+        ("transposed view", A.T, np.ascontiguousarray(A.T)),
+        ("transposed view vs its transpose", A.T[:3, :3], A[:3, :3]),
+        ("sliced view", A[::2, 1:], A[::2, 1:].copy()),
+        ("sliced object view", A.astype(object)[1:, ::3], A[1:, ::3].copy()),
+        ("0 x n", la.zeros(0, 3), np.zeros((0, 3), dtype=np.int64)),
+        ("n x 0", np.zeros((3, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64)),
+        ("0 x n vs n x 0", la.zeros(0, 3), la.zeros(3, 0)),
+        ("Z beyond int64, equal", big, big.copy()),
+        ("Z beyond int64, unequal", big, la.add_scaled(big, la.eye(2), 1, la.ZZ)),
+        ("FFElements, equal", elems, elems.copy()),
+        ("FFElements, unequal", elems, elems.T),
+        ("FFElements vs ints", la.zeros(2, 2, F), la.zeros(2, 2)),
+        ("unequal shapes", A, A.reshape(4, 3)),
+        ("unequal shapes, one entry", A[:1, :1], A[:1, :2]),
+    ]
+
+
+@pytest.mark.parametrize("A,B", [c[1:] for c in _equality_cases()],
+                         ids=[c[0] for c in _equality_cases()])
+def test_mat_eq_matches_elementwise_equality(A, B):
+    want = A.shape == B.shape and bool(np.equal(A, B).all())
+    assert la.mat_eq(A, B) is want and la.mat_eq(B, A) is want
+
+
+@pytest.mark.parametrize("A", [c[1] for c in _equality_cases()] +
+                         [c[2] for c in _equality_cases()] +
+                         [np.zeros((2, 3), dtype=np.int64), la.zeros(2, 2),
+                          la.zeros(2, 3, gf_make(2, 2)), la.mat([[0, 2 ** 70]]),
+                          np.zeros((4, 4), dtype=np.int64)[::2, 1:]])
+def test_is_zero_mat_matches_elementwise_equality(A):
+    assert la.is_zero_mat(A) is bool(np.equal(A, 0).all())
