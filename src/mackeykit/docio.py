@@ -9,7 +9,10 @@ colon-joined polynomial coordinates (the field's own element format), so
 result again reproduces the same text.
 
 Blank lines and lines starting with ``#`` are ignored.  Parse failures raise
-:class:`ParseError` carrying the offending line number.
+:class:`ParseError` carrying the offending line number.  No document asks
+for more than its text holds: a level's generator count past the lines left
+is refused at the level line, and a block's rows are read before its matrix
+is made.
 
 Documents hold many small blocks (about two entries each in the example
 documents), so the reader's cost is per block, not per entry.  A block over
@@ -123,6 +126,17 @@ def _take_count(toks: list[str], idx: int, what: str, lineno: int) -> int:
     return n
 
 
+def _check_fits(cur: _Cursor, count: int, what: str, lineno: int):
+    """Refuse a count larger than the lines left in the document, before
+    any matrix of that size is made.  A level of g generators is followed
+    by at least g lines (its Weyl block has g rows), so a valid document
+    always passes."""
+    left = len(cur.rows) - cur.pos
+    if count > left:
+        raise ParseError(f"{what} {count} exceeds the {left} lines left in the document",
+                         lineno)
+
+
 # -- matrix blocks -----------------------------------------------------------
 
 def _emit_block(out: list[str], head: str | None, A, base):
@@ -189,16 +203,19 @@ def _read_block_by_entry(cur: _Cursor, head: str | None, rows: int, cols: int, b
             raise ParseError(
                 f"expected '{head} rows {rows} cols {cols}', found "
                 f"'{head.split()[0]} {' '.join(toks)}'", lineno)
-    A = la.zeros(rows, cols, base)
     if rows == 0 or cols == 0:
-        return A
-    for a in range(rows):
+        return la.zeros(rows, cols, base)
+    parsed = []                 # every row is read before the matrix is made
+    for _ in range(rows):
         lineno, line = cur.take()
         entries = line.split()
         if len(entries) != cols:
             raise ParseError(f"expected {cols} entries, found {len(entries)}", lineno)
-        for b, tok in enumerate(entries):
-            A[a, b] = _parse_entry(tok, base, lineno)
+        parsed.append([_parse_entry(tok, base, lineno) for tok in entries])
+    A = la.zeros(rows, cols, base)
+    for a, row in enumerate(parsed):
+        for b, x in enumerate(row):
+            A[a, b] = x
     return A
 
 
@@ -272,6 +289,11 @@ def _parse_mackey_body(cur: _Cursor, group: CyclicGroup, base, prefix: str = "")
         relc = _take_count(toks, 4, "relation count", lineno)
         if base is not ZZ and relc:
             raise ParseError("levels over a field cannot carry relations", lineno)
+        _check_fits(cur, gens, "generator count", lineno)
+        if not gens:
+            # no relation rows follow; the bound keeps the empty 0 x relc
+            # matrix within what numpy can make
+            _check_fits(cur, relc, "relation count", lineno)
         rel = _read_block(cur, None, gens, relc, ZZ)
         levels.append(FPModule(base, gens, rel if relc else None))
     res = [_read_block(cur, f"{prefix}res {s}",

@@ -7,6 +7,7 @@ bookkeeping used to split G-theory into twisted group-ring pieces.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import linalg as la
@@ -50,6 +51,11 @@ def induce_mackey(M: MackeyFunctor, n: int) -> MackeyFunctor:
     the smaller group appearing on the wrap-around at levels below m.
     Restriction into the range s >= m duplicates components; transfer sums the
     duplication fibers.
+
+    Induced from the trivial group (m = 0) with no relations, M = base^r,
+    the result is free over the Burnside functor on the r generators of
+    level 0, copy 0; it records r as induced_free_rank, which `hom_basis`
+    reads.
     """
     if isinstance(M, GreenFunctor):
         raise TypeError("induction of a Green functor is only a module, "
@@ -97,8 +103,11 @@ def induce_mackey(M: MackeyFunctor, n: int) -> MackeyFunctor:
         W[0:d, (c - 1) * d:c * d] = wrap
         weyl.append(W)
 
-    return MackeyFunctor(group, base, levels, res, tr, weyl,
-                         name=f"ind^{n}({M.name})" if M.name else "")
+    out = MackeyFunctor(group, base, levels, res, tr, weyl,
+                        name=f"ind^{n}({M.name})" if M.name else "")
+    if m == 0 and not M.levels[0].relations.shape[1]:
+        out.induced_free_rank = M.levels[0].gens
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +119,8 @@ def free_module(R: GreenFunctor, i: int) -> GreenModule:
 
     A ring element at level s acts on the copy over coset j through the chain
     restriction to level u = min(i, s) followed by the j-fold inverse Weyl
-    twist.  The canonical generator is the unit of R(i) in copy 0.
+    twist.  The canonical generator is the unit of R(i) in copy 0.  The
+    module records free_levels = (i,), which `green_module_hom_basis` reads.
 
     Each (ring, level) module is built once and kept in R.free_modules, so a
     repeated call returns the same object; callers must not change it.
@@ -147,7 +157,9 @@ def _build_free_module(R: GreenFunctor, i: int) -> GreenModule:
         action.append([la.block_diag([mults[j * rank + e] for j in range(c)])
                        for e in range(rank)])
 
-    return GreenModule(R, und, action, name=f"F{i}({R.name})" if R.name else f"F{i}")
+    F = GreenModule(R, und, action, name=f"F{i}({R.name})" if R.name else f"F{i}")
+    F.free_levels = (i,)
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +460,16 @@ def ring_section_search(R: GreenFunctor):
     return None
 
 
+def section_obstruction(R: GreenFunctor):
+    """c > 0 when R(1) is over Z and R(1)/im(tr) has characteristic c, else
+    None.  Then no unital ring map R(1)/im(tr) -> R(1) exists: it would
+    send c . 1 = 0 to c . 1, which is not 0 in the torsion-free R(1)."""
+    invariants = phi_ring(R, 1).invariants
+    if not invariants or 0 in invariants:   # zero, or a free part (every field quotient)
+        return None
+    return math.lcm(*invariants)
+
+
 def e1_page(R: GreenFunctor) -> E1Page:
     """Columns of the page: each level ring of iterated fixed points, twisted
     by the residual cyclic action, together with whether the underlying
@@ -475,11 +497,16 @@ def e1_page(R: GreenFunctor) -> E1Page:
         notes.append("transfers are surjective: every higher column collapses "
                      "to zero and only t=0 survives")
     elif n == 1:
-        section = ring_section_search(R)
+        c = section_obstruction(R)
+        section = None if c else ring_section_search(R)
         if section is not None:
             splitting = "total"
             notes.append("found a multiplicative section of the level-1 "
                          "projection by bounded search")
+        elif c:
+            splitting = "unknown"
+            notes.append(f"no section exists: R(1)/im(tr) has characteristic {c}, "
+                         f"but {c} * 1 != 0 in R(1); a splitting may still exist")
         else:
             splitting = "unknown"
             notes.append("no section found within the search bounds")

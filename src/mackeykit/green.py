@@ -19,8 +19,8 @@ from .fields import gf_make
 from .gsets import CyclicGroup
 from .linalg import ZZ
 from .mackey import (MackeyFunctor, MackeyMorphism, burnside_mackey,
-                     check_axioms, constant_mackey,
-                     direct_sum, fixed_point_mackey, hom_basis)
+                     check_axioms, constant_mackey, direct_sum, fixed_point_mackey,
+                     hom_basis, maps_from_images, weyl_orbit)
 from .modules import FPModule, reduced_quotient
 from .report import CheckReport
 from .rings import BasedRing, based_ring_check, ring_is_field
@@ -210,6 +210,9 @@ class GreenModule:
         self.action = [la.coerce(np.array(mats).reshape(len(mats), lev.gens, lev.gens),
                                  underlying.base) for mats, lev in zip(action, underlying.levels)]
         self.name = name
+        # the levels of the free summands F_i of a module built as a sum of
+        # them by free_module and direct_sum_green_modules, in order; else None
+        self.free_levels = None
 
     @property
     def group(self):
@@ -311,7 +314,10 @@ def direct_sum_green_modules(mods) -> GreenModule:
         action.append([la.block_diag([m.action[s][u] for m in mods])
                        for u in range(R.ring(s).rank)])
     name = " + ".join(m.name for m in mods if m.name)
-    return GreenModule(R, und, action, name=name)
+    out = GreenModule(R, und, action, name=name)
+    if all(m.free_levels is not None for m in mods):
+        out.free_levels = sum((m.free_levels for m in mods), ())
+    return out
 
 
 class GreenModuleMorphism:
@@ -782,20 +788,67 @@ def base_change_map_cp(f: GreenMorphism, g: GreenModuleMorphism,
     return GreenModuleMorphism(source_changed, target_changed, comps)
 
 
+def map_from_generator(P: GreenModule, i: int, x):
+    """Components of the module map F_i -> P sending the generator to x.
+
+    x is a column at level i.  Level s receives, for copy j and ring basis u,
+    the column W^j tr(A_u x) (s >= i) or W^j A_u res(x) (s < i), matching the
+    copy-block layout of free_module.  With several columns in x, column
+    (j * rank + u) * g + a of level s belongs to the map sending the
+    generator to column a of x (g columns), so [:, a::g] is that map.
+    """
+    R = P.ring
+    n, base = R.n, R.base
+    und = P.underlying
+    comps = []
+    for s in range(n + 1):
+        u = min(i, s)
+        down = la.mmul_chain(*und.res[s:i], x, base=base)          # res to level u
+        A = P.action[u]
+        rank, g, k = A.shape[0], A.shape[1], down.shape[1]
+        seeds = la.mmul(A.reshape(rank * g, g), down, base)        # A_u down, u by u
+        seeds = seeds.reshape(rank, g, k).transpose(1, 0, 2).reshape(g, rank * k)
+        seeds = la.mmul_chain(*und.tr[u:s][::-1], seeds, base=base)  # tr up to level s
+        comps.append(weyl_orbit(und, s, seeds, R.p ** (n - max(i, s))))
+    return comps
+
+
 def green_module_hom_basis(M: GreenModule, N: GreenModule):
     """Basis of the module-linear homomorphisms M -> N over the same ring.
 
-    The maps are asked to commute only with the action of the generators of
-    each level ring (`BasedRing.generators`).  That is enough when M and N
-    satisfy the module axioms (the unit acts as the identity, the action is
-    multiplicative), which are assumed here, not checked:
+    A source built as a sum of free modules (M.free_levels set) takes the
+    Yoneda route: Hom(F_i, N) = N(i), a map from F_i being fixed by where
+    its generator goes (`map_from_generator`).  The basis is the standard
+    basis of N(i) for each summand F_i, zero on the other summands, and no
+    system is solved.  A target with relations, or any other source, takes
+    the system of `hom_basis`.
+
+    That system asks a map to commute only with the action of the
+    generators of each level ring (`BasedRing.generators`).  That is enough
+    when M and N satisfy the module axioms (the unit acts as the identity,
+    the action is multiplicative), which are assumed here, not checked:
     `check_green_module` tests them, and `GreenModuleMorphism.check` still
     tests every basis element of the ring.  Over a field the system has the
     same row space as with every basis element, so the basis is the same."""
     if M.ring is not N.ring:
         raise ValueError("hom space needs modules over one ring")
     R = M.ring
-    inter = [[(M.action[s][u], N.action[s][u]) for u in R.ring(s).generators]
-             for s in range(R.n + 1)]
-    raw = hom_basis(M.underlying, N.underlying, level_intertwiners=inter)
+    if M.free_levels is not None and not any(lv.relations.shape[1]
+                                             for lv in N.underlying.levels):
+        dims = N.level_dims()
+        images = {i: map_from_generator(N, i, la.eye(dims[i], R.base))
+                  for i in set(M.free_levels)}
+        gens, at = [], [0] * (R.n + 1)
+        for i in M.free_levels:
+            blocks = []
+            for s, C in enumerate(images[i]):
+                w = R.p ** (R.n - max(i, s)) * R.ring(min(i, s)).rank
+                blocks.append((slice(at[s], at[s] + w), C))
+                at[s] += w
+            gens.append((dims[i], blocks))
+        raw = maps_from_images(M.underlying, N.underlying, gens)
+    else:
+        inter = [[(M.action[s][u], N.action[s][u]) for u in R.ring(s).generators]
+                 for s in range(R.n + 1)]
+        raw = hom_basis(M.underlying, N.underlying, level_intertwiners=inter)
     return [GreenModuleMorphism(M, N, f) for f in raw]

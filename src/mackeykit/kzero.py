@@ -17,7 +17,7 @@ from . import linalg as la
 from .functors import E1Page, e1_page, free_module
 from .green import (GreenFunctor, GreenModule, GreenModuleMorphism,
                     direct_sum_green_modules, green_module_from_invariant_span,
-                    green_module_hom_basis)
+                    green_module_hom_basis, map_from_generator)
 from .gsets import CyclicGroup, burnside_quotient, burnside_ring
 from .linalg import ZZ
 from .mackey import MackeyFunctor, MackeyMorphism, resolve_seed
@@ -191,35 +191,6 @@ def classify_free(p: int, n: int, r: int, mults, char_is_p: bool = True) -> Cano
 # combinations tried by random_green_automorphism, before giving up.
 _SUMMAND_ATTEMPTS = 60
 _AUTOMORPHISM_ATTEMPTS = 80
-
-
-def map_from_generator(P: GreenModule, i: int, x):
-    """Components of the module map F_i -> P sending the generator to x.
-
-    x is a column at level i.  Level s receives, for copy j and ring basis u,
-    the column W^j tr(A_u x) (s >= i) or W^j A_u res(x) (s < i), matching the
-    copy-block layout of free_module.
-    """
-    R = P.ring
-    p, n, base = R.p, R.n, R.base
-    und = P.underlying
-    comps = []
-    for s in range(n + 1):
-        u_rank = R.ring(min(i, s)).rank
-        c = p ** (n - max(i, s))
-        if s >= i:      # tr_{s-1} ... tr_i A_u x
-            up = und.tr[i:s][::-1]
-            seeds = [la.mmul_chain(*up, P.action[i][u], x, base=base) for u in range(u_rank)]
-        else:           # A_u res_s ... res_{i-1} x
-            rx = la.mmul_chain(*und.res[s:i], x, base=base)
-            seeds = [la.mmul(P.action[s][u], rx, base) for u in range(u_rank)]
-        cols = []
-        cur = seeds
-        for _ in range(c):
-            cols.extend(cur)
-            cur = [la.mmul(und.weyl[s], v, base) for v in cur]
-        comps.append(la.hstack(cols) if cols else la.zeros(und.levels[s].gens, 0, base))
-    return comps
 
 
 def _zero_green_module(k: GreenFunctor) -> GreenModule:

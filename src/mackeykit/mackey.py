@@ -47,6 +47,9 @@ class MackeyFunctor:
         self.tr = [la.coerce(A, base) for A in tr]
         self.weyl = [la.coerce(A, base) for A in weyl]
         self.name = name
+        # r when this is Ind_e^G base^r as induce_mackey builds it: free over
+        # the Burnside functor on r level-0 generators (see hom_basis)
+        self.induced_free_rank = None
 
     @property
     def n(self) -> int:
@@ -284,6 +287,14 @@ class MackeyMorphism:
                  for f, g in zip(self.components, other.components)]
         return MackeyMorphism(other.source, self.target, comps)
 
+    @classmethod
+    def _at_rest(cls, source, target, components):
+        """The morphism on components already of the right shapes and in the
+        base's form, as hom_basis builds them: no checks, no conversion."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.components = source, target, list(components)
+        return f
+
     @staticmethod
     def identity(M: MackeyFunctor) -> "MackeyMorphism":
         comps = [la.eye(m.gens, M.base) for m in M.levels]
@@ -345,6 +356,42 @@ def _conj(left, A, right, s, base):
     return A
 
 
+def weyl_orbit(M: MackeyFunctor, s: int, X, copies: int):
+    """[X | W X | ... | W^(copies-1) X] at level s of M, W its Weyl map: the
+    images of the copies of a free generator's summand, copy j being W^j of
+    copy 0."""
+    out = [X]
+    for _ in range(copies - 1):
+        out.append(la.mmul(M.weyl[s], out[-1], M.base))
+    return la.hstack(out)
+
+
+def maps_from_images(M: MackeyFunctor, N: MackeyFunctor, generators):
+    """The Yoneda basis of Hom(M, N) for M free on the given generators.
+
+    generators holds, per free generator of M, the number g of basis
+    vectors of the level it maps into, and per level s a pair (cols, C):
+    cols the slice of M_s's columns its summand occupies, and C the images
+    of those columns, column w * g + b under the map sending the generator
+    to basis vector b.  Basis map (generator, b) is C's columns b, b + g,
+    ... on cols and zero elsewhere, generator by generator and b fastest.
+    Each level's maps are written into one array."""
+    base = M.base
+    h = sum(g for g, _ in generators)
+    comps = []
+    for s in range(M.n + 1):
+        r, k = N.levels[s].gens, M.levels[s].gens
+        stack = la.zeros(h * r, k, base).reshape(h, r, k)
+        at = 0
+        for g, images in generators:
+            cols, C = images[s]
+            if g:
+                stack[at:at + g, :, cols] = C.reshape(r, C.shape[1] // g, g).transpose(2, 0, 1)
+            at += g
+        comps.append(stack)
+    return [MackeyMorphism._at_rest(M, N, [c[t] for c in comps]) for t in range(h)]
+
+
 def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
     """Basis of Hom(M, N): a list of MackeyMorphisms.
 
@@ -355,19 +402,38 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
     pairs adding the constraint f_s P = Q f_s; this cuts the hom space down
     to maps that also commute with extra operators (e.g. ring actions).
 
-    Every constraint block is written straight into one array in the base's
-    form; a pair that is the identity on both sides (every Weyl pair of a
-    constant functor) gives only zero rows and is left out.
+    Two routes.  When M is Ind_e^G base^r as `induce_mackey` builds it
+    (M.induced_free_rank is r) and no intertwiners are given, M is free
+    over the Burnside functor on r level-0 generators, and Hom(M, N) = N_0^r
+    (Yoneda): the basis is the standard basis of N_0 for each generator,
+    zero on the others, and the map sending generator a to x is W^j
+    tr_{0->s}(x) on column j r + a of level s.  No system is solved.
+
+    Otherwise the constraints f_s res = res f_{s+1}, f_{s+1} tr = tr f_s
+    and f_s P = Q f_s are written straight into one array in the base's
+    form and its kernel taken; a pair that is the identity on both sides
+    (every Weyl pair of a constant functor) gives only zero rows and is
+    left out.  Either way a target with relations is solved on its free
+    presentation and the maps lifted back.
     """
     _check_same_base(M, N)
     base = M.base
     M0, N0 = M, N
     M, m_proj, m_lift = _free_presentation(M)
     N, n_proj, n_lift = _free_presentation(N)
+    n = M.n
+    if level_intertwiners is None and M.induced_free_rank is not None:
+        r0, g0 = M.induced_free_rank, N.levels[0].gens
+        up = [la.eye(g0, base)]
+        for s in range(n):
+            up.append(la.mmul(N.tr[s], up[-1], base))
+        images = [_conj(n_lift, weyl_orbit(N, s, up[s], M.p ** (n - s)), None, s, base)
+                  for s in range(n + 1)]
+        return maps_from_images(M0, N0, [(g0, [(slice(a, None, r0), C) for C in images])
+                                         for a in range(r0)])
     if level_intertwiners is not None:
         level_intertwiners = [[(_conj(m_proj, P, m_lift, s, base), _conj(n_proj, Q, n_lift, s, base))
                                for P, Q in pairs] for s, pairs in enumerate(level_intertwiners)]
-    n = M.n
     r = [lv.gens for lv in N.levels]
     k = [lv.gens for lv in M.levels]
     offsets = [0]
@@ -415,7 +481,7 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         vecs = ker[offsets[s]:offsets[s + 1]].T.reshape(ker.shape[1], k[s], r[s])
         comps = np.ascontiguousarray(vecs.transpose(0, 2, 1))
         out.append([_conj(n_lift, f, m_proj, s, base) for f in comps])
-    return [MackeyMorphism(M0, N0, list(fs)) for fs in zip(*out)]
+    return [MackeyMorphism._at_rest(M0, N0, fs) for fs in zip(*out)]
 
 
 # --- constructions on functors --------------------------------------------------

@@ -197,6 +197,18 @@ def test_e1_honest_about_unknown_splitting(capsys):
     assert rc == 0 and "splitting: unknown" in out
 
 
+@pytest.mark.parametrize("p", [2, 5])
+def test_e1_certifies_that_no_section_exists_over_z(capsys, p):
+    """R(1)/im(tr) = F_p, but p * 1 != 0 in R(1) = Z[C_p]: no unital ring map
+    reaches R(1), so no search runs, and the splitting stays unknown."""
+    rc, out, _ = run(capsys, "e1", "constant-Z", "--p", str(p), "--n", "1")
+    assert rc == 0
+    assert out == (f"rings: Z[C{p}], F{p}; zero-transfer: no; G0 ranks ?+1\n"
+                   "splitting: unknown; G0 total: ? (not certified)\n"
+                   f"note: no section exists: R(1)/im(tr) has characteristic {p}, "
+                   f"but {p} * 1 != 0 in R(1); a splitting may still exist\n")
+
+
 def test_box_and_iso_pinned_certificate(capsys, tmp_path):
     _, a_text, _ = run(capsys, "example", "burnside", "--p", "5", "--n", "1")
     _, t_text, _ = run(capsys, "example", "twisted-burnside-c5")

@@ -433,3 +433,47 @@ def _small_functor(draw):
 def test_printing_a_parsed_document_gives_the_same_text(M):
     text = print_document(M)
     assert print_document(parse_document(text)) == text
+
+
+# -- counts larger than the document ------------------------------------------
+
+# `mackeykit check` in a child process whose address space is capped at 1 GiB,
+# so a reader that sizes a matrix from a count before reading its rows fails
+# the test instead of exhausting the machine
+_LIMITED_CHECK = """
+import resource, sys
+limit = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from mackeykit import cli
+sys.exit(cli.main(["check", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("level_line", [
+    "level 0 gens 99999999999999999999999 relations 0",
+    "level 0 gens 50000 relations 50000",
+])
+def test_a_count_past_the_document_is_refused_at_its_line(level_line, tmp_path):
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import mackeykit
+    text, lineno = _replace_line(_doc(), "level 0 gens 1 relations 0", level_line)
+    path = tmp_path / "big.doc"
+    path.write_text(text)
+    src = str(pathlib.Path(mackeykit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CHECK, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"parse error: line {lineno}: generator count" in proc.stderr
+
+
+def test_relations_on_no_generators_are_held_to_the_lines_left():
+    text, lineno = _replace_line(_doc(), "level 0 gens 1 relations 0",
+                                 "level 0 gens 0 relations 99999999999999999999999")
+    assert _parse_failure(text) == (
+        lineno, f"line {lineno}: relation count 99999999999999999999999 exceeds "
+                f"the {len(text.splitlines()) - lineno} lines left in the document")

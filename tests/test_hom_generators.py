@@ -5,6 +5,11 @@ generators of each level ring (`BasedRing.generators`), not with every basis
 element.  `all_pairs_hom_basis` below imposes every basis element; over a
 field both must give the same basis, entry for entry and dtype for dtype,
 and over Z the same lattice.
+
+A source that is a sum of free modules takes the Yoneda route instead, whose
+basis is the standard basis of each N(i): against the system it must span the
+same space over a field and the same lattice over Z, and every map must pass
+its check.
 """
 
 import numpy as np
@@ -49,6 +54,32 @@ def _assert_same_basis(got, want):
             assert a.dtype == b.dtype and la.mat_eq(a, b)
 
 
+def _flat(basis):
+    """One row per map: its components flattened and concatenated."""
+    return np.array([np.concatenate([c.reshape(-1) for c in h.components]) for h in basis])
+
+
+def _assert_same_span(got, want, base):
+    assert len(got) == len(want)
+    if not got:
+        return
+    A, B = _flat(got), _flat(want)
+    assert A.dtype == B.dtype
+    rank = la.rank(A, base)
+    assert rank == len(got) == la.rank(B, base) == la.rank(la.vstack([A, B]), base)
+
+
+def _assert_matches_system(M, N):
+    """The basis of green_module_hom_basis against the all-pairs system:
+    the same span for a free source, the same entries otherwise."""
+    basis, want = green_module_hom_basis(M, N), all_pairs_hom_basis(M, N)
+    if M.free_levels is not None:
+        _assert_same_span(basis, want, M.base)
+    else:
+        _assert_same_basis(basis, want)
+    assert all(h.check().ok for h in basis)
+
+
 def _module_pairs(R):
     """Sums of free modules, and the first summand of one as a submodule."""
     n = R.n
@@ -67,15 +98,13 @@ def _module_pairs(R):
 def test_generator_hom_basis_is_the_all_pairs_basis_over_fields(p, n, degree):
     R = _ring(p, n, degree)
     for M, N in _module_pairs(R):
-        basis = green_module_hom_basis(M, N)
-        _assert_same_basis(basis, all_pairs_hom_basis(M, N))
-        assert all(h.check().ok for h in basis)
+        _assert_matches_system(M, N)
 
 
 def test_generator_hom_basis_over_gf4():
     R = constant_green(CyclicGroup(2, 2), gf_make(2, 2))
     for M, N in _module_pairs(R):
-        _assert_same_basis(green_module_hom_basis(M, N), all_pairs_hom_basis(M, N))
+        _assert_matches_system(M, N)
 
 
 def _lattice(basis):

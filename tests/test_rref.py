@@ -25,6 +25,7 @@ from mackeykit.fields import gf_make
 from mackeykit.functors import free_module
 from mackeykit.green import direct_sum_green_modules, fixed_point_green, green_module_hom_basis
 from mackeykit.gsets import CyclicGroup
+from mackeykit.mackey import hom_basis
 
 KERNEL_PRIMES = (2, 3, 5, 7, 65521, 3037000493)
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -193,9 +194,12 @@ def test_crossover_sends_each_size_to_its_path(monkeypatch):
 
 
 def test_hom_system_of_fp_f16_over_c4():
-    """The largest elimination of a field-decide pass: the 540 x 189 F_2
-    system of hom_basis for FP(F16)/C4, [1, 2] -> [1, 2] (the Weyl pairs
-    that are the identity on both sides add no rows)."""
+    """The 540 x 189 F_2 system of hom_basis for FP(F16)/C4, [1, 2] ->
+    [1, 2], with the ring generators' actions as intertwiners (the Weyl
+    pairs that are the identity on both sides add no rows).  It was the
+    largest elimination of a field-decide pass; green_module_hom_basis now
+    takes the Yoneda route on this free source, so the system is built
+    through hom_basis directly."""
     seen = []
     real = la._rref_mod_p
 
@@ -207,8 +211,10 @@ def test_hom_system_of_fp_f16_over_c4():
     S = direct_sum_green_modules([free_module(R, 1), free_module(R, 2)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(la, "_rref_mod_p", spy)
-        basis = green_module_hom_basis(S, S)
-    assert len(basis) == 9
+        inter = [[(S.action[s][u], S.action[s][u]) for u in R.ring(s).generators]
+                 for s in range(R.n + 1)]
+        basis = hom_basis(S.underlying, S.underlying, level_intertwiners=inter)
+    assert len(basis) == 9 == len(green_module_hom_basis(S, S))
     M, p = max(seen, key=lambda case: case[0].size)
     assert M.shape == (540, 189) and p == 2
     R_ref, piv_ref = reference_rref(M.copy(), p)
