@@ -802,13 +802,13 @@ def map_from_generator(P: GreenModule, i: int, x):
     und = P.underlying
     comps = []
     for s in range(n + 1):
-        u = min(i, s)
-        down = la.mmul_chain(*und.res[s:i], x, base=base)          # res to level u
-        A = P.action[u]
+        t = min(i, s)
+        down = la.mmul_chain(*und.res[s:i], x, base=base)          # res to level t
+        A = P.action[t]
         rank, g, k = A.shape[0], A.shape[1], down.shape[1]
-        seeds = la.mmul(A.reshape(rank * g, g), down, base)        # A_u down, u by u
+        seeds = la.mmul(A.reshape(rank * g, g), down, base)        # every A_u down at once
         seeds = seeds.reshape(rank, g, k).transpose(1, 0, 2).reshape(g, rank * k)
-        seeds = la.mmul_chain(*und.tr[u:s][::-1], seeds, base=base)  # tr up to level s
+        seeds = la.mmul_chain(*und.tr[t:s][::-1], seeds, base=base)  # tr up to level s
         comps.append(weyl_orbit(und, s, seeds, R.p ** (n - max(i, s))))
     return comps
 
