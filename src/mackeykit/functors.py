@@ -460,7 +460,7 @@ def ring_section_search(R: GreenFunctor):
     return None
 
 
-def section_obstruction(R: GreenFunctor):
+def _section_obstruction(R: GreenFunctor):
     """c > 0 when R(1) is over Z and R(1)/im(tr) has characteristic c, else
     None.  Then no unital ring map R(1)/im(tr) -> R(1) exists: it would
     send c . 1 = 0 to c . 1, which is not 0 in the torsion-free R(1)."""
@@ -497,7 +497,7 @@ def e1_page(R: GreenFunctor) -> E1Page:
         notes.append("transfers are surjective: every higher column collapses "
                      "to zero and only t=0 survives")
     elif n == 1:
-        c = section_obstruction(R)
+        c = _section_obstruction(R)
         section = None if c else ring_section_search(R)
         if section is not None:
             splitting = "total"

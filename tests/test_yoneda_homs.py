@@ -12,7 +12,6 @@ field and the same lattice over Z, and every map must pass its check.
 
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,11 +29,7 @@ from mackeykit.mackey import (MackeyFunctor, burnside_mackey, check_axioms, cons
                               direct_sum, hom_basis)
 from mackeykit.modules import FPModule
 
-from test_hom_generators import FIELD_RINGS, _ring, all_pairs_hom_basis
-
-
-def _flat(basis):
-    return np.array([np.concatenate([c.reshape(-1) for c in h.components]) for h in basis])
+from test_hom_generators import FIELD_RINGS, _flat, _ring, all_pairs_hom_basis
 
 
 def _assert_same_hom_space(got, want, base):
