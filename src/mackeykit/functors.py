@@ -460,11 +460,12 @@ def ring_section_search(R: GreenFunctor):
     return None
 
 
-def _section_obstruction(R: GreenFunctor):
-    """c > 0 when R(1) is over Z and R(1)/im(tr) has characteristic c, else
-    None.  Then no unital ring map R(1)/im(tr) -> R(1) exists: it would
-    send c . 1 = 0 to c . 1, which is not 0 in the torsion-free R(1)."""
-    invariants = phi_ring(R, 1).invariants
+def _section_obstruction(ph: PhiLevel):
+    """c > 0 when ph, the stage-1 level R(1)/im(tr), is a Z-module of
+    characteristic c, else None.  Then no unital ring map R(1)/im(tr) ->
+    R(1) exists: it would send c . 1 = 0 to c . 1, which is not 0 in the
+    torsion-free R(1)."""
+    invariants = ph.invariants
     if not invariants or 0 in invariants:   # zero, or a free part (every field quotient)
         return None
     return math.lcm(*invariants)
@@ -479,12 +480,8 @@ def e1_page(R: GreenFunctor) -> E1Page:
     tz = _transfers_all_zero(M)
     tsur = _transfers_all_surjective(M)
 
-    terms = []
-    for t in range(n + 1):
-        ph = phi_ring(R, t)
-        if ph.is_zero:
-            continue
-        terms.append(_term_for(R, t, ph))
+    phis = [phi_ring(R, t) for t in range(n + 1)]
+    terms = [_term_for(R, t, ph) for t, ph in enumerate(phis) if not ph.is_zero]
 
     notes = []
     section = None
@@ -497,7 +494,7 @@ def e1_page(R: GreenFunctor) -> E1Page:
         notes.append("transfers are surjective: every higher column collapses "
                      "to zero and only t=0 survives")
     elif n == 1:
-        c = _section_obstruction(R)
+        c = _section_obstruction(phis[1])
         section = None if c else ring_section_search(R)
         if section is not None:
             splitting = "total"

@@ -795,7 +795,9 @@ def map_from_generator(P: GreenModule, i: int, x):
     the column W^j tr(A_u x) (s >= i) or W^j A_u res(x) (s < i), matching the
     copy-block layout of free_module.  With several columns in x, column
     (j * rank + u) * g + a of level s belongs to the map sending the
-    generator to column a of x (g columns), so [:, a::g] is that map.
+    generator to column a of x (g columns), so [:, a::g] is that map:
+    `green_module_hom_basis` passes the identity of P(i) and so gets the
+    Yoneda basis of Hom(F_i, P), the standard basis of P(i), at once.
     """
     R = P.ring
     n, base = R.n, R.base
