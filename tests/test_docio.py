@@ -477,3 +477,80 @@ def test_relations_on_no_generators_are_held_to_the_lines_left():
     assert _parse_failure(text) == (
         lineno, f"line {lineno}: relation count 99999999999999999999999 exceeds "
                 f"the {len(text.splitlines()) - lineno} lines left in the document")
+
+
+# -- one mutation of a printed document ---------------------------------------
+
+def _example_documents():
+    docs = [print_document(cli.build_example(name, p, n)) for name, p, n in [
+        ("burnside", 2, 2), ("constant-Z", 3, 1), ("constant-Fp", 2, 3), ("fp-galois", 2, 2),
+        ("twisted-burnside-c5", 5, 1), ("char-example", 3, 1)]]
+    R = constant_green(CyclicGroup(2, 2), gf_make(2, 1))
+    docs.append(print_document(direct_sum_green_modules([free_module(R, 0), free_module(R, 1)])))
+    docs.append(print_document(burnside_mackey(CyclicGroup(3, 1))))
+    return docs
+
+
+_DOCUMENTS = _example_documents()
+_EXTRA_TOKENS = ["-1", "0", "2", "x", "1:1", "gens", "99"]
+
+
+def _mutate(text, unit, op, draw):
+    """text with one line (unit "line") or one token of a line (unit
+    "token") deleted, duplicated, swapped with another or retyped as another
+    line or token of the document or one of _EXTRA_TOKENS; `draw` picks an
+    index below its argument."""
+    lines = text.splitlines()
+    if unit == "line":
+        items, pool = lines, lines + _EXTRA_TOKENS
+    else:
+        row = draw(len(lines))
+        items, pool = lines[row].split(" "), text.split() + _EXTRA_TOKENS
+    i = draw(len(items))
+    if op == "delete":
+        del items[i]
+    elif op == "duplicate":
+        items.insert(i, items[i])
+    elif op == "swap":
+        j = draw(len(items))
+        items[i], items[j] = items[j], items[i]
+    else:
+        items[i] = pool[draw(len(pool))]
+    if unit == "token":
+        lines[row] = " ".join(items)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(doc=st.sampled_from(_DOCUMENTS), unit=st.sampled_from(["line", "token"]),
+       op=st.sampled_from(["delete", "duplicate", "swap", "retype"]), data=st.data())
+def test_a_mutated_document_parses_or_raises_parse_error_and_then_checks(doc, unit, op, data):
+    _parse_and_check(_mutate(doc, unit, op, lambda k: data.draw(st.integers(0, k - 1))))
+
+
+@pytest.mark.parametrize("doc", range(len(_DOCUMENTS)))
+def test_every_header_token_retyped_parses_or_raises_parse_error(doc):
+    # the six header lines (magic, kind, prime, stages, base, name) hold the
+    # values every later block is read by
+    lines = _DOCUMENTS[doc].splitlines()
+    for row in range(6):
+        toks = lines[row].split(" ")
+        for i in range(len(toks)):
+            for tok in _EXTRA_TOKENS:
+                _parse_and_check("\n".join(lines[:row] + [" ".join(toks[:i] + [tok] + toks[i + 1:])]
+                                           + lines[row + 1:]) + "\n")
+
+
+def _parse_and_check(text):
+    """Parse text; a ParseError ends the test of it, and a parsed object
+    goes through its check, which must not raise either."""
+    try:
+        obj = parse_document(text)
+    except ParseError:
+        return
+    if isinstance(obj, GreenModule):
+        check_green_module(obj)
+    elif isinstance(obj, GreenFunctor):
+        check_green(obj)
+    else:
+        check_axioms(obj)

@@ -10,6 +10,7 @@ one action entry, one res, tr or Weyl entry or one component entry changed.
 The property tests are derandomized.
 """
 
+import collections
 import functools
 import itertools
 
@@ -18,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mackeykit.linalg as la
+from mackeykit import cli
+from mackeykit.docio import parse_document, print_document
 from mackeykit.fields import gf_make
 from mackeykit.functors import free_module
 from mackeykit.green import (GreenFunctor, GreenModule, GreenModuleMorphism, GreenMorphism,
@@ -28,7 +31,7 @@ from mackeykit.green import (GreenFunctor, GreenModule, GreenModuleMorphism, Gre
 from mackeykit.gsets import CyclicGroup, burnside_ring, ideal_lattice
 from mackeykit.kzero import k0_free_fixed_point
 from mackeykit.linalg import ZZ
-from mackeykit.mackey import MackeyFunctor
+from mackeykit.mackey import MackeyFunctor, check_axioms
 from mackeykit.modules import FPModule, reduced_quotient
 from mackeykit.report import CheckReport
 from mackeykit import rings as rings_mod
@@ -737,3 +740,133 @@ def test_burnside_quotients_as_before(p, n, r):
         col[s, 0], col[n, 0] = 1, -(p ** (n - s))
         gens.append(col)
     same_table(ideal_lattice(R, gens), ref_ideal_lattice(R, gens))
+
+
+# --- many stages -------------------------------------------------------------------
+#
+# With n stages the checks compute n adjacent double-coset instances and n
+# adjacent projection-formula pairs, and walk the pairs of levels further
+# apart only when the report already has a violation.  The inputs above stop
+# at two stages, where one such pair exists; these have three to five.
+
+
+@functools.lru_cache(maxsize=None)
+def many_stage_greens():
+    return [constant_green(CyclicGroup(2, 3), ZZ), constant_green(CyclicGroup(2, 5), F2),
+            constant_green(CyclicGroup(2, 4), F5), burnside_green(CyclicGroup(2, 3)),
+            constant_green(CyclicGroup(2, 3), GF4),
+            fixed_point_green(CyclicGroup(2, 3), gf_make(2, 8))]
+
+
+@functools.lru_cache(maxsize=None)
+def many_stage_modules():
+    greens = many_stage_greens()
+    out = [module_from_green(R, name="regular") for R in greens]
+    out.append(direct_sum_green_modules([free_module(greens[0], 0), free_module(greens[0], 2)]))
+    return out
+
+
+def corrupt_module(M, kind, s, u, i, j):
+    """M with one entry of an action matrix (kind "action"), or of one res,
+    tr or Weyl map of its underlying functor, changed (indices reduced into
+    range)."""
+    und, base = M.underlying, M.base
+    action = [list(mats) for mats in M.action]
+    maps = {"res": list(und.res), "tr": list(und.tr), "weyl": list(und.weyl)}
+    if kind == "action":
+        s %= len(action)
+        if not action[s]:
+            return M
+        u %= len(action[s])
+        A = action[s][u]
+        if A.size:
+            action[s][u] = bump(A, i % A.shape[0], j % A.shape[1], base)
+    else:
+        A = maps[kind]
+        s %= len(A)
+        if A[s].size:
+            A[s] = bump(A[s], i % A[s].shape[0], j % A[s].shape[1], base)
+    und = MackeyFunctor(und.group, base, und.levels, maps["res"], maps["tr"], maps["weyl"],
+                        name=und.name)
+    return GreenModule(M.ring, und, action, name="perturbed")
+
+
+def test_many_stage_inputs_check_as_before():
+    for R in many_stage_greens():
+        same_report(check_axioms(R.underlying), ref_check_axioms(R.underlying))
+        same_report(check_green(R), ref_check_green(R))
+        assert check_green(R).ok
+    for M in many_stage_modules():
+        same_report(check_green_module(M), ref_check_green_module(M))
+        assert check_green_module(M).ok
+
+
+@pytest.mark.parametrize("pick", [1, 3])
+def test_one_changed_entry_at_every_stage_reports_as_before(pick):
+    R = many_stage_greens()[pick]
+    for kind, count in [("res", R.n), ("tr", R.n), ("weyl", R.n + 1), ("ring", R.n + 1)]:
+        for s in range(count):
+            bad = corrupt_green(R, kind, s, 0, 0)
+            got = check_green(bad)
+            same_report(got, ref_check_green(bad))
+            same_report(check_axioms(bad.underlying), ref_check_axioms(bad.underlying))
+            assert not got.ok
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(pick=st.integers(0, 5), kind=st.sampled_from(["ring", "res", "tr", "weyl"]),
+       s=st.integers(0, 5), i=st.integers(0, 63), j=st.integers(0, 8))
+def test_corrupted_many_stage_green_functors_report_as_before(pick, kind, s, i, j):
+    bad = corrupt_green(many_stage_greens()[pick], kind, s, i, j)
+    same_report(check_green(bad), ref_check_green(bad))
+    same_report(check_axioms(bad.underlying), ref_check_axioms(bad.underlying))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(pick=st.integers(0, 6), kind=st.sampled_from(["action", "res", "tr", "weyl"]),
+       s=st.integers(0, 5), u=st.integers(0, 8), i=st.integers(0, 20), j=st.integers(0, 20))
+def test_corrupted_many_stage_modules_report_as_before(pick, kind, s, u, i, j):
+    bad = corrupt_module(many_stage_modules()[pick], kind, s, u, i, j)
+    same_report(check_green_module(bad), ref_check_green_module(bad))
+
+
+def test_check_prints_the_reference_failures_of_a_corrupted_document(tmp_path, capsys):
+    # tr_1 of constant F_2 over C_16 set to 1: the double coset fails at
+    # level 1 and, non-adjacent, at the pair of levels 0 < 1
+    text = print_document(constant_green(CyclicGroup(2, 4), F2))
+    lines = text.splitlines()
+    at = lines.index("tr 1 rows 1 cols 1") + 1
+    lines[at] = "1"
+    path = tmp_path / "bad.doc"
+    path.write_text("\n".join(lines) + "\n")
+    want = ref_check_green(parse_document(path.read_text()))
+    assert cli.main(["check", str(path)]) == 1
+    assert ("double-coset", "levels 0<1") in [(v.kind, v.where) for v in want.violations]
+    assert capsys.readouterr().out.splitlines() == \
+        [f"{path}: FAIL"] + [f"fail: {line.strip()}" for line in want.lines()[1:]]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_checks_do_linear_work_in_the_stages(n, monkeypatch):
+    # n power sums (one per adjacent double coset) and at most 6n + 3 ring
+    # products: two per distinct level table, one per res and Weyl ring map
+    # and two per adjacent projection-formula pair; all pairs would take n(n + 1)
+    R = constant_green(CyclicGroup(2, n), F2)
+    calls = collections.Counter()
+    power_sum, products = la.power_sum, BasedRing.products
+
+    def counted_power_sum(*args, **kwargs):
+        calls["power_sum"] += 1
+        return power_sum(*args, **kwargs)
+
+    def counted_products(self, X, Y):
+        calls["products"] += 1
+        return products(self, X, Y)
+
+    monkeypatch.setattr(la, "power_sum", counted_power_sum)
+    monkeypatch.setattr(BasedRing, "products", counted_products)
+    assert check_axioms(R.underlying).ok
+    assert calls["power_sum"] == n
+    calls.clear()
+    assert check_green(R).ok
+    assert calls["products"] <= 6 * n + 3
