@@ -32,25 +32,33 @@ EXAMPLE_NAMES = ("burnside", "constant-Z", "constant-Fp", "fp-galois",
                  "twisted-burnside-c5", "char-example")
 
 
+class UsageError(ValueError):
+    """Arguments that name nothing to compute; main exits 2 on it."""
+
+
 def build_example(name: str, p: int = 2, n: int = 1, degree: int | None = None):
-    """Construct one of the named example functors."""
+    """Construct one of the named example functors: UsageError when p, n or
+    degree fit no group or field it is built on, ValueError on an unknown name."""
     m = re.fullmatch(r"constant-F(\d+)", name)
     if m and name != "constant-Fp":
         name, p = "constant-Fp", int(m.group(1))
-    if name == "twisted-burnside-c5":
-        return twisted_burnside_c5()
-    if name == "char-example":
-        return char_example_green(p)
-    G = CyclicGroup(p, n)
-    if name == "burnside":
-        return burnside_green(G)
-    if name == "constant-Z":
-        return constant_green(G, ZZ, name="constant Z")
-    if name == "constant-Fp":
-        return constant_green(G, gf_make(p, 1), name=f"constant F{p}")
-    if name == "fp-galois":
-        k = degree if degree is not None else p ** n
-        return fixed_point_green(G, gf_make(p, k))
+    try:
+        if name == "twisted-burnside-c5":
+            return twisted_burnside_c5()
+        if name == "char-example":
+            return char_example_green(p)
+        G = CyclicGroup(p, n)
+        if name == "burnside":
+            return burnside_green(G)
+        if name == "constant-Z":
+            return constant_green(G, ZZ, name="constant Z")
+        if name == "constant-Fp":
+            return constant_green(G, gf_make(p, 1), name=f"constant F{p}")
+        if name == "fp-galois":
+            k = degree if degree is not None else p ** n
+            return fixed_point_green(G, gf_make(p, k))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     raise ValueError(f"unknown example {name!r}; choose from "
                      + ", ".join(EXAMPLE_NAMES))
 
@@ -126,8 +134,7 @@ def cmd_check(args) -> int:
 
 def cmd_k0free(args) -> int:
     if not 0 <= args.stab <= args.n:
-        print(f"usage error: --stab {args.stab} is outside 0..{args.n}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--stab {args.stab} is outside 0..{args.n}")
     res = k0_free_fixed_point(args.p, args.n, args.stab)
     print(res.presentation)
     print(f"additive: {_render_additive(res.additive_invariants)}")
@@ -163,8 +170,7 @@ def cmd_phi(args) -> int:
         try:
             ph = phi_ring(obj, args.stages)
         except ValueError as exc:
-            print(f"usage error: --stages: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"--stages: {exc}") from None
         rank = ph.rank if ph.ring is not None else 0
         base = "none" if ph.ring is None else \
             ("Z" if ph.ring.base is ZZ else f"F{ph.ring.base.q}")
@@ -346,6 +352,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"fail: {exc}")

@@ -15,14 +15,15 @@ is refused at the level line, and a block's rows are read before its matrix
 is made.
 
 Documents hold many small blocks (about two entries each in the example
-documents), so the reader's cost is per block, not per entry.  A block over
-Z or F_p that reads exactly as :func:`print_document` writes it is taken
-whole: its header compared as one string, every row's entry count checked,
-and all its entries converted by one ``int`` pass into one array in the
-base's at-rest form.  Any other block, over GF(p^k) with k > 1 or with a
-header or entry written differently, is read entry by entry; a malformed
-block always takes that path, so each ParseError names the same line and
-says the same thing whichever path saw the block first.
+documents), so the reader's cost is per block, not per entry, and one pass
+reads every base: a block's header is compared as one string, its rows are
+taken as one slice of the lines, every row's entry count is checked, and
+all its entries are converted by one ``int`` pass (a GF(p^k) entry split
+into its k coordinates) into one array in the base's at-rest form.  Only a
+block that fails the pass is walked again, row by row, to raise the first
+bad row's ParseError; a header written with doubled blanks still reads.
+The writer prints each at-rest entry with ``str``, which is its document
+text in every base.
 """
 
 from __future__ import annotations
@@ -46,37 +47,12 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
-# -- entry formatting --------------------------------------------------------
-
-def _fmt_entry(x, base) -> str:
-    if base is ZZ:
-        return str(int(x))
-    return base.format_elem(base.coerce(x))
-
-
-def _parse_entry(tok: str, base, lineno: int):
-    """Integer over Z; over GF(p^k), exactly k colon-joined coordinates in 0..p-1."""
-    try:
-        if base is ZZ:
-            return int(tok)
-        coords = [int(c) for c in tok.split(":")]
-    except ValueError:
-        raise ParseError(f"bad coefficient {tok!r}", lineno) from None
-    if len(coords) != base.k or not all(0 <= c < base.p for c in coords):
-        raise ParseError(f"coefficient {tok!r} is not {base.k} coordinate(s) "
-                         f"in 0..{base.p - 1}", lineno)
-    return base.elem(coords)
-
-
 # -- cursor over meaningful lines -------------------------------------------
 
 class _Cursor:
     def __init__(self, text: str):
-        self.rows = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            s = raw.strip()
-            if s and not s.startswith("#"):
-                self.rows.append((i, s))
+        self.rows = [(i, s) for i, s in enumerate(map(str.strip, text.splitlines()), 1)
+                     if s and s[0] != "#"]
         self.pos = 0
 
     @property
@@ -139,84 +115,79 @@ def _check_fits(cur: _Cursor, count: int, what: str, lineno: int):
 
 # -- matrix blocks -----------------------------------------------------------
 
-def _emit_block(out: list[str], head: str | None, A, base):
-    """A row by row, after a 'head rows R cols C' line unless head is None."""
+def _emit_block(out: list[str], head: str | None, A):
+    """A row by row, after a 'head rows R cols C' line unless head is None.
+    The str of an at-rest entry is its document text in every base."""
     r, c = A.shape
     if head is not None:
         out.append(f"{head} rows {r} cols {c}")
     if c:
-        out += [" ".join(_fmt_entry(x, base) for x in row) for row in A.tolist()]
+        out += [" ".join(map(str, row)) for row in A.tolist()]
 
 
 def _read_block(cur: _Cursor, head: str | None, rows: int, cols: int, base):
     """Inverse of _emit_block: the rows x cols matrix after its header line,
-    or with head None the rows alone.  A block as _emit_block writes it over
-    Z or F_p is read whole; any other block, a malformed one included, is
-    read entry by entry, which raises the ParseError."""
-    A = _read_whole_block(cur, head, rows, cols, base)
-    return _read_block_by_entry(cur, head, rows, cols, base) if A is None else A
+    or with head None the rows alone.
 
-
-def _read_whole_block(cur: _Cursor, head: str | None, rows: int, cols: int, base):
-    """The block with its header matched as one string and all its entries
-    converted at once, or None, with the cursor left where it was, when the
-    block is not exactly as _emit_block writes it over Z or F_p.  Entries
-    over GF(p^k), k > 1, are colon-joined coordinates, never one int."""
-    if base is ZZ:
-        bound = None
-    elif base.k == 1:
-        bound = base.p
-    else:
-        return None
+    An entry is one int over Z, and over GF(p^k) k colon-joined coordinates
+    in 0..p-1.  The rows are taken as one slice of the cursor and all their
+    entries converted in one pass; a block that fails the pass is walked row
+    by row, without building a matrix, to raise its first bad row's
+    ParseError."""
     at = cur.pos
     if head is not None:
-        if at == len(cur.rows) or cur.rows[at][1] != f"{head} rows {rows} cols {cols}":
-            return None
+        want = f"{head} rows {rows} cols {cols}"
+        if at == len(cur.rows) or cur.rows[at][1] != want:
+            word, *rest = want.split()      # doubled blanks pass; else word it
+            lineno, toks = cur.directive(word)
+            if toks != rest:
+                raise ParseError(f"expected '{want}', found '{word} {' '.join(toks)}'",
+                                 lineno)
         at += 1
     if rows == 0 or cols == 0:
         cur.pos = at
         return la.zeros(rows, cols, base)
-    lines = cur.rows[at:at + rows]
-    if len(lines) != rows:
-        return None
     toks = []
-    for _, line in lines:
+    for _, line in cur.rows[at:at + rows]:
         row = line.split()
         if len(row) != cols:
-            return None
+            break
         toks += row
-    try:
-        vals = [int(t) for t in toks]
-    except ValueError:
-        return None
-    if bound is not None and (min(vals) < 0 or max(vals) >= bound):
-        return None
-    cur.pos = at + rows
-    return la.from_ints(vals, rows, cols, base)
-
-
-def _read_block_by_entry(cur: _Cursor, head: str | None, rows: int, cols: int, base):
-    if head is not None:
-        lineno, toks = cur.directive(head.split()[0])
-        want = head.split()[1:] + ["rows", str(rows), "cols", str(cols)]
-        if toks != want:
-            raise ParseError(
-                f"expected '{head} rows {rows} cols {cols}', found "
-                f"'{head.split()[0]} {' '.join(toks)}'", lineno)
-    if rows == 0 or cols == 0:
-        return la.zeros(rows, cols, base)
-    parsed = []                 # every row is read before the matrix is made
+    k, p = (1, None) if base is ZZ else (base.k, base.p)
+    if len(toks) == rows * cols:        # every row is there, each of cols entries
+        try:
+            if k == 1:
+                vals = [int(t) for t in toks]
+            else:
+                coords = [t.split(":") for t in toks]
+                vals = [int(c) for cs in coords for c in cs]
+                if list(map(len, coords)) != [k] * len(toks):
+                    vals = None
+        except ValueError:
+            vals = None
+        if vals is not None and (p is None or 0 <= min(vals) and max(vals) < p):
+            cur.pos = at + rows
+            if k > 1:       # a residue has an element's coordinates as base-p digits
+                res = vals[k - 1::k]
+                for j in range(k - 2, -1, -1):
+                    res = [r * p + c for r, c in zip(res, vals[j::k])]
+                vals = [base.residue_element(r) for r in res]
+            return la.from_ints(vals, rows, cols, base)
+    cur.pos = at                        # the pass failed: word the first bad row
     for _ in range(rows):
         lineno, line = cur.take()
-        entries = line.split()
-        if len(entries) != cols:
-            raise ParseError(f"expected {cols} entries, found {len(entries)}", lineno)
-        parsed.append([_parse_entry(tok, base, lineno) for tok in entries])
-    A = la.zeros(rows, cols, base)
-    for a, row in enumerate(parsed):
-        for b, x in enumerate(row):
-            A[a, b] = x
-    return A
+        toks = line.split()
+        if len(toks) != cols:
+            raise ParseError(f"expected {cols} entries, found {len(toks)}", lineno)
+        for tok in toks:
+            try:
+                coords = [int(c) for c in ([tok] if p is None else tok.split(":"))]
+            except ValueError:
+                raise ParseError(f"bad coefficient {tok!r}", lineno) from None
+            if p is not None and (len(coords) != k or not all(0 <= c < p for c in coords)):
+                raise ParseError(f"coefficient {tok!r} is not {k} coordinate(s) "
+                                 f"in 0..{p - 1}", lineno)
+    raise AssertionError("a block that failed the pass has no bad row")
 
 
 # -- base field header -------------------------------------------------------
@@ -262,13 +233,13 @@ def _emit_mackey_body(out: list[str], M: MackeyFunctor, prefix: str = "",
     for s in range(n + 1):
         L = M.levels[s]
         out.append(f"{prefix}level {s} gens {L.gens} relations {L.relations.shape[1]}")
-        _emit_block(out, None, L.relations, ZZ)
+        _emit_block(out, None, L.relations)
     for s in range(n):
-        _emit_block(out, f"{prefix}res {s}", M.res[s], M.base)
+        _emit_block(out, f"{prefix}res {s}", M.res[s])
     for s in range(n):
-        _emit_block(out, f"{prefix}tr {s}", M.tr[s], M.base)
+        _emit_block(out, f"{prefix}tr {s}", M.tr[s])
     for s in range(n + 1):
-        _emit_block(out, f"{prefix}weyl {s}", M.weyl[s], M.base)
+        _emit_block(out, f"{prefix}weyl {s}", M.weyl[s])
 
 
 def _parse_mackey_body(cur: _Cursor, group: CyclicGroup, base, prefix: str = ""):
@@ -317,8 +288,8 @@ def _emit_rings(out: list[str], R: GreenFunctor, prefix: str = ""):
         comm = 1 if ring.commutative else 0
         out.append(f"{prefix}ring {s} rank {ring.rank} commutative {comm} "
                    f"labels {labels}")
-        _emit_block(out, f"{prefix}mult {s}", ring.mult, R.base)
-        _emit_block(out, f"{prefix}unit {s}", ring.unit, R.base)
+        _emit_block(out, f"{prefix}mult {s}", ring.mult)
+        _emit_block(out, f"{prefix}unit {s}", ring.unit)
 
 
 def _parse_rings(cur: _Cursor, und: MackeyFunctor, prefix: str = ""):
@@ -346,39 +317,43 @@ def _parse_rings(cur: _Cursor, und: MackeyFunctor, prefix: str = ""):
     return rings
 
 
+def _parse_green(cur: _Cursor, group: CyclicGroup, base, prefix: str = ""):
+    und = _parse_mackey_body(cur, group, base, prefix)
+    rings = _parse_rings(cur, und, prefix)
+    try:
+        return GreenFunctor(und, rings, name=und.name)
+    except ValueError as exc:
+        raise ParseError(str(exc) or "invalid ring data", cur.lineno) from None
+
+
 # -- documents ---------------------------------------------------------------
 
 def print_document(obj) -> str:
     """Render a Mackey functor, Green functor or Green module as text.
 
     Raises ValueError on a name with a newline, which no document can hold."""
-    out = [MAGIC]
     if isinstance(obj, GreenModule):
-        out.append("kind module")
-        grp, base = obj.ring.group, obj.ring.base
-        out += [f"prime {grp.p}", f"stages {grp.n}"]
-        _emit_base(out, base)
+        kind = "module"
+    elif isinstance(obj, GreenFunctor):
+        kind = "green"
+    elif isinstance(obj, MackeyFunctor):
+        kind = "mackey"
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    out = [MAGIC, f"kind {kind}", f"prime {obj.group.p}", f"stages {obj.group.n}"]
+    _emit_base(out, obj.base)
+    if kind == "module":
         _emit_mackey_body(out, obj.ring.underlying, prefix="ring.")
         _emit_rings(out, obj.ring, prefix="ring.")
         _emit_mackey_body(out, obj.underlying, name_override=obj.name)
-        for s in range(grp.n + 1):
-            for u, A in enumerate(obj.action[s]):
-                _emit_block(out, f"action {s} {u}", A, base)
-    elif isinstance(obj, GreenFunctor):
-        out.append("kind green")
-        grp = obj.group
-        out += [f"prime {grp.p}", f"stages {grp.n}"]
-        _emit_base(out, obj.base)
+        for s, acts in enumerate(obj.action):
+            for u, A in enumerate(acts):
+                _emit_block(out, f"action {s} {u}", A)
+    elif kind == "green":
         _emit_mackey_body(out, obj.underlying)
         _emit_rings(out, obj)
-    elif isinstance(obj, MackeyFunctor):
-        out.append("kind mackey")
-        grp = obj.group
-        out += [f"prime {grp.p}", f"stages {grp.n}"]
-        _emit_base(out, obj.base)
-        _emit_mackey_body(out, obj)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        _emit_mackey_body(out, obj)
     return "\n".join(out) + "\n"
 
 
@@ -405,19 +380,9 @@ def parse_document(text: str):
     if kind == "mackey":
         obj = _parse_mackey_body(cur, group, base)
     elif kind == "green":
-        und = _parse_mackey_body(cur, group, base)
-        rings = _parse_rings(cur, und)
-        try:
-            obj = GreenFunctor(und, rings, name=und.name)
-        except ValueError as exc:
-            raise ParseError(str(exc) or "invalid ring data", cur.lineno) from None
+        obj = _parse_green(cur, group, base)
     else:
-        rund = _parse_mackey_body(cur, group, base, prefix="ring.")
-        rings = _parse_rings(cur, rund, prefix="ring.")
-        try:
-            ring = GreenFunctor(rund, rings, name=rund.name)
-        except ValueError as exc:
-            raise ParseError(str(exc) or "invalid ring data", cur.lineno) from None
+        ring = _parse_green(cur, group, base, prefix="ring.")
         und = _parse_mackey_body(cur, group, base)
         action = []
         for s in range(n + 1):

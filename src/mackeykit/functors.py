@@ -15,7 +15,7 @@ from .fields import gf_make, is_prime
 from .green import GreenFunctor, GreenModule, TwistedGroupRing, twisted_group_ring
 from .gsets import CyclicGroup
 from .linalg import ZZ
-from .mackey import MackeyFunctor
+from .mackey import MackeyFunctor, pushed
 from .modules import FPModule, direct_sum_modules, reduced_quotient
 from .rings import BasedRing, quotient_ring, ring_is_field
 
@@ -240,24 +240,11 @@ def _gfp_mackey(M: MackeyFunctor):
                 spans[s] = new
                 changed = True
 
-    quots, projs, lifts = [], [], []
-    for s in range(1, n + 1):
-        rel = la.hstack([spans[s], M.levels[s].relations])
-        Q, proj, lift = reduced_quotient(base, M.levels[s].gens, rel)
-        quots.append(Q)
-        projs.append(proj)
-        lifts.append(lift)
-
-    res = [la.mmul_chain(projs[s], M.res[s + 1], lifts[s + 1], base=base)
-           for s in range(n - 1)]
-    tr = [la.mmul_chain(projs[s + 1], M.tr[s + 1], lifts[s], base=base)
-          for s in range(n - 1)]
-    weyl = [la.mmul_chain(projs[s], M.weyl[s + 1], lifts[s], base=base)
-            for s in range(n)]
-    group = CyclicGroup(M.p, n - 1)
-    N = MackeyFunctor(group, base, quots, res, tr, weyl,
-                      name=f"phi({M.name})" if M.name else "")
-    return N, projs, lifts
+    quots = [reduced_quotient(base, M.levels[s].gens,
+                              la.hstack([spans[s], M.levels[s].relations]))
+             for s in range(1, n + 1)]
+    N = pushed(tau_geq_1(M), quots, name=f"phi({M.name})" if M.name else "")
+    return N, [q[1] for q in quots], [q[2] for q in quots]
 
 
 def _gfp_green(R: GreenFunctor) -> GreenFunctor:

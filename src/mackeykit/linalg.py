@@ -103,9 +103,10 @@ def eye(n, base=ZZ):
 
 def from_ints(values, rows, cols, base=ZZ):
     """The rows x cols matrix with the row-major entries `values`, a list of
-    Python ints, in the form of base.  Over F_p the ints are taken as
-    residues in [0, p) without a check, as the kernels take int64 entries;
-    over other fields they are read as elements of the prime field."""
+    Python ints or elements of base, in the form of base.  Over F_p the ints
+    are taken as residues in [0, p) without a check, as the kernels take
+    int64 entries; over other fields they are read as elements of the prime
+    field."""
     if _int64_prime(base):
         return np.array(values, dtype=np.int64).reshape(rows, cols)
     return coerce(np.array(values, dtype=object).reshape(rows, cols), base)
@@ -268,8 +269,6 @@ def neg(A, base):
 
 def sub(A, B, base):
     assert A.shape == B.shape, (A.shape, B.shape)
-    if base is ZZ:
-        return A - B
     p = _int64_prime(base)
     if p:
         return (to_residues(A, p) - to_residues(B, p)) % p
@@ -279,8 +278,6 @@ def sub(A, B, base):
 def add_scaled(F, A, c, base):
     """F + c * A."""
     assert F.shape == A.shape, (F.shape, A.shape)
-    if base is ZZ:
-        return F + A * c
     p = _int64_prime(base)
     if p:
         return (to_residues(A, p) * int(base.coerce(c)) % p + to_residues(F, p)) % p

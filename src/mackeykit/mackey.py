@@ -339,7 +339,7 @@ class MackeyMorphism:
         return f"MackeyMorphism({dims})"
 
 
-def _pushed(M, quots, name=""):
+def pushed(M, quots, name=""):
     """The functor on the levels Q_s of the (Q_s, proj_s, lift_s) in quots,
     with M's maps conjugated by proj_s . - . lift_t."""
     base, n = M.base, M.n
@@ -362,7 +362,7 @@ def _free_presentation(M):
     if not all(lv.is_free for lv in M.levels):
         raise NotImplementedError("hom computations over Z require levelwise-free functors")
     quots = [reduced_quotient(M.base, lv.gens, lv.relations) for lv in M.levels]
-    return _pushed(M, quots, M.name), [q[1] for q in quots], [q[2] for q in quots]
+    return pushed(M, quots, M.name), [q[1] for q in quots], [q[2] for q in quots]
 
 
 def _conj(left, A, right, s, base):
@@ -567,7 +567,7 @@ def cokernel(f: MackeyMorphism):
     N = f.target
     quots = [reduced_quotient(N.base, lv.gens, la.hstack([A, lv.relations]))
              for A, lv in zip(f.components, N.levels)]
-    C = _pushed(N, quots, "cokernel")
+    C = pushed(N, quots, "cokernel")
     return C, MackeyMorphism(N, C, [q[1] for q in quots])
 
 
