@@ -51,6 +51,18 @@ def test_example_rejects_unknown_name(capsys):
     assert rc == 1 and out.startswith("fail:")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["example", "burnside", "--p", "4"], "p = 4 is not prime"),
+    (["example", "burnside", "--n", "-1"], "n must be >= 0"),
+    (["example", "fp-galois", "--degree", "0"], "k must be >= 1"),
+    (["check", "constant-F4"], "p = 4 is not prime"),
+])
+def test_an_argument_that_fits_no_example_is_a_usage_error(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert f"usage error: {message}" in err
+
+
 def test_check_accepts_example_names(capsys):
     rc, out, _ = run(capsys, "check", "burnside", "--p", "2", "--n", "1")
     assert rc == 0 and "ok" in out

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -351,7 +353,7 @@ def test_high_degree_field_header_parses_quickly():
     assert print_document(M) == text
 
 
-# -- the block reader: whole blocks, and the entry-by-entry fallback ---------
+# -- the block reader: one pass, and a row walk for the error -----------------
 
 _WEYL_1 = "weyl 1 rows 2 cols 2\n1 0\n0 1"
 
@@ -397,6 +399,108 @@ def test_integer_entries_beyond_int64_round_trip():
     assert print_document(back) == text
     assert back.res[0].dtype == object and back.res[0].tolist() == [big]
     _same_mackey(M, back)
+
+
+_BLOCK_BASES = {"GF4": gf_make(2, 2), "GF9": gf_make(3, 2), "GF16": gf_make(2, 4),
+                "F5": gf_make(5, 1), "Z": ZZ}
+_WEYL_0 = "weyl 0 rows 2 cols 2"
+
+
+def _block_doc(base, header, rows):
+    """A one-level document whose only matrix block is header and rows;
+    the header is line 7 and the rows start at line 8."""
+    base_line = print_document(constant_green(CyclicGroup(2, 0), base)).splitlines()[4]
+    return "\n".join([MAGIC, "kind mackey", "prime 2", "stages 0", base_line,
+                      "level 0 gens 2 relations 0", header, *rows]) + "\n"
+
+
+# (base, header, rows) -> (line, message), as the entry-by-entry reader gave them
+_MALFORMED_BLOCKS = [
+    # a 1 x 2 row whose coordinate counts add up to the right total
+    ("GF4", _WEYL_0, ["1 0:1:0", "0:0 1:0"], 8, "coefficient '1' is not 2 coordinate(s) in 0..1"),
+    # a bad token in row 1 before a short row 2: row 1 is named
+    ("GF4", _WEYL_0, ["1:0 x:0", "1:0"], 8, "bad coefficient 'x:0'"),
+    ("GF4", _WEYL_0, ["1:0 2:0", "x"], 8, "coefficient '2:0' is not 2 coordinate(s) in 0..1"),
+    ("F5", _WEYL_0, ["1 x", "0"], 8, "bad coefficient 'x'"),
+    ("Z", _WEYL_0, ["1 x", "0"], 8, "bad coefficient 'x'"),
+    # a block cut off by the end of the document
+    ("GF4", _WEYL_0, ["1:0 0:0"], 9, "unexpected end of document"),
+    ("F5", _WEYL_0, ["1 0"], 9, "unexpected end of document"),
+    ("Z", _WEYL_0, ["1 0"], 9, "unexpected end of document"),
+    ("GF4", _WEYL_0, ["1:0 0:0", "0:0 1:2"], 9, "coefficient '1:2' is not 2 coordinate(s) in 0..1"),
+    ("GF4", _WEYL_0, ["1:0 0:0", "0:0 1:0 1:0"], 9, "expected 2 entries, found 3"),
+    ("GF4", _WEYL_0, ["1:0 0:0", "0:0 1:"], 9, "bad coefficient '1:'"),
+    ("GF9", _WEYL_0, ["1:0 0:3", "0:0 1:0"], 8, "coefficient '0:3' is not 2 coordinate(s) in 0..2"),
+    ("GF9", _WEYL_0, ["1:0 0:1", "0:0 1:-1"], 9, "coefficient '1:-1' is not 2 coordinate(s) in 0..2"),
+    ("GF9", _WEYL_0, ["1:0 0:1", "0:0:0 1"], 9, "coefficient '0:0:0' is not 2 coordinate(s) in 0..2"),
+    ("GF16", _WEYL_0, ["1:0:0:0 0:0:0:0", "0:0:0:0 1:0:0"], 9,
+     "coefficient '1:0:0' is not 4 coordinate(s) in 0..1"),
+    ("GF16", _WEYL_0, ["1:0:0:0:0 0:0:0", "0:0:0:0 1:0:0:0"], 8,
+     "coefficient '1:0:0:0:0' is not 4 coordinate(s) in 0..1"),
+    ("GF16", _WEYL_0, ["1:0:0:0 0:0:0:0", "0:0:0:0 1::0:0"], 9, "bad coefficient '1::0:0'"),
+    ("F5", _WEYL_0, ["1 5", "0 1"], 8, "coefficient '5' is not 1 coordinate(s) in 0..4"),
+    ("F5", _WEYL_0, ["1 0", "0 1:0"], 9, "coefficient '1:0' is not 1 coordinate(s) in 0..4"),
+    ("F5", _WEYL_0, ["1 0", "-1 1"], 9, "coefficient '-1' is not 1 coordinate(s) in 0..4"),
+    ("Z", _WEYL_0, ["1 0", "0 1:0"], 9, "bad coefficient '1:0'"),
+    ("Z", _WEYL_0, ["1 0 0", "1"], 8, "expected 2 entries, found 3"),
+    ("Z", _WEYL_0, ["1.0 0", "0 1"], 8, "bad coefficient '1.0'"),
+    ("Z", "weyl 0 rows 2 cols 3", ["1 0", "0 1"], 7,
+     "expected 'weyl 0 rows 2 cols 2', found 'weyl 0 rows 2 cols 3'"),
+    ("GF4", "res 0 rows 2 cols 2", ["1:0 0:0", "0:0 1:0"], 7, "expected 'weyl', found 'res'"),
+    ("F5", "weyl 0 rows 2", ["1 0", "0 1"], 7,
+     "expected 'weyl 0 rows 2 cols 2', found 'weyl 0 rows 2'"),
+]
+
+
+@pytest.mark.parametrize("base,header,rows,line,message", _MALFORMED_BLOCKS,
+                         ids=[f"{c[0]} {c[1]} {' / '.join(c[2])}" for c in _MALFORMED_BLOCKS])
+def test_a_malformed_block_names_its_first_bad_row(base, header, rows, line, message,
+                                                   monkeypatch):
+    text = _block_doc(_BLOCK_BASES[base], header, rows)
+    built, zeros = [], la.zeros
+    monkeypatch.setattr(la, "from_ints", lambda *args: built.append(args))
+    monkeypatch.setattr(la, "zeros", lambda r, c, *rest: (r * c and built.append((r, c)))
+                        or zeros(r, c, *rest))
+    assert _parse_failure(text) == (line, f"line {line}: {message}")
+    assert built == []              # no matrix is made of a malformed block
+
+
+@pytest.mark.parametrize("base", sorted(_BLOCK_BASES))
+def test_every_base_reads_a_block_by_one_conversion(base, monkeypatch):
+    F = _BLOCK_BASES[base]
+    M = free_module(constant_green(CyclicGroup(2, 1), F), 0)
+    text = print_document(M)
+    calls = []
+    from_ints = la.from_ints
+    monkeypatch.setattr(la, "from_ints", lambda *args: calls.append(args) or from_ints(*args))
+    back = parse_document(text)
+    assert print_document(back) == text
+    # one conversion for each block with entries, GF(p^k) blocks included
+    shapes = re.findall(r" rows (\d+) cols (\d+)$", text, re.M)
+    assert len(calls) == sum(int(r) * int(c) > 0 for r, c in shapes) > 0
+
+
+_BIG_PRIME = 4611686018427388039        # past the int64 residue bound
+
+
+@pytest.mark.parametrize("p,k,modulus,rows", [
+    (2, 8, None, ["1:0:1:1:0:0:0:1 0:0:0:0:0:0:0:0", "1:1:1:1:1:1:1:1 0:1:0:0:0:0:0:0"]),
+    (3, 3, None, ["2:1:0 0:0:2", "1:1:1 0:0:0"]),
+    (11, 2, [1, 0, 1], ["10:3 0:10", "5:5 1:0"]),     # coordinates of two digits
+    (_BIG_PRIME, 1, None, [f"{_BIG_PRIME - 1} 1", f"0 {2 ** 62}"]),
+])
+def test_printing_reproduces_a_parsed_block_byte_for_byte(p, k, modulus, rows):
+    F = gf_make(p, k, modulus)
+    text = _block_doc(F, _WEYL_0, rows)
+    back = parse_document(text)
+    assert print_document(back) == text
+    if p == _BIG_PRIME:             # field elements at rest, printed by their str
+        assert back.weyl[0].dtype == object
+        assert back.weyl[0][0, 0] == F.coerce(-1)
+    R = constant_green(CyclicGroup(2, 1), F)
+    for obj in (R, free_module(R, 1)):
+        doc = print_document(obj)
+        assert print_document(parse_document(doc)) == doc
 
 
 _BASES = {"Z": ZZ, "F2": gf_make(2, 1), "F5": gf_make(5, 1), "GF4": gf_make(2, 2)}
