@@ -37,8 +37,8 @@ class UsageError(ValueError):
 
 
 def build_example(name: str, p: int = 2, n: int = 1, degree: int | None = None):
-    """Construct one of the named example functors: UsageError when p, n or
-    degree fit no group or field it is built on, ValueError on an unknown name."""
+    """Construct one of the named example functors: UsageError on an unknown
+    name, or when p, n or degree fit no group or field it is built on."""
     m = re.fullmatch(r"constant-F(\d+)", name)
     if m and name != "constant-Fp":
         name, p = "constant-Fp", int(m.group(1))
@@ -59,7 +59,7 @@ def build_example(name: str, p: int = 2, n: int = 1, degree: int | None = None):
             return fixed_point_green(G, gf_make(p, k))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    raise ValueError(f"unknown example {name!r}; choose from "
+    raise UsageError(f"unknown example {name!r}; choose from "
                      + ", ".join(EXAMPLE_NAMES))
 
 

@@ -171,7 +171,7 @@ def _read_block(cur: _Cursor, head: str | None, rows: int, cols: int, base):
                 res = vals[k - 1::k]
                 for j in range(k - 2, -1, -1):
                     res = [r * p + c for r, c in zip(res, vals[j::k])]
-                vals = [base.residue_element(r) for r in res]
+                vals = res
             return la.from_ints(vals, rows, cols, base)
     cur.pos = at                        # the pass failed: word the first bad row
     for _ in range(rows):

@@ -211,10 +211,7 @@ def geometric_fixed_points(X):
     For a Green functor the transferred span is an ideal at each level, so the
     level rings descend to the quotient; torsion quotients over Z are refused.
     """
-    if isinstance(X, GreenFunctor):
-        return _gfp_green(X)
-    N, _, _ = _gfp_mackey(X)
-    return N
+    return _gfp_green(X) if isinstance(X, GreenFunctor) else _gfp_mackey(X)
 
 
 def _gfp_mackey(M: MackeyFunctor):
@@ -243,18 +240,17 @@ def _gfp_mackey(M: MackeyFunctor):
     quots = [reduced_quotient(base, M.levels[s].gens,
                               la.hstack([spans[s], M.levels[s].relations]))
              for s in range(1, n + 1)]
-    N = pushed(tau_geq_1(M), quots, name=f"phi({M.name})" if M.name else "")
-    return N, [q[1] for q in quots], [q[2] for q in quots]
+    return pushed(tau_geq_1(M), quots, name=f"phi({M.name})" if M.name else "")
 
 
 def _gfp_green(R: GreenFunctor) -> GreenFunctor:
-    N, projs, lifts = _gfp_mackey(R.underlying)
+    N = _gfp_mackey(R.underlying)
     rings = []
     for s in range(1, R.n + 1):
         if not N.levels[s - 1].is_free:
             raise NotImplementedError(
                 "geometric fixed points of this ring have torsion coefficients")
-        rings.append(quotient_ring(R.ring(s), projs[s - 1], lifts[s - 1], R.base))
+        rings.append(quotient_ring(R.ring(s), N.projections[s - 1], N.lifts[s - 1], R.base))
     return GreenFunctor(N, rings, name=f"phi({R.name})" if R.name else "")
 
 

@@ -20,7 +20,7 @@ from .gsets import CyclicGroup
 from .linalg import ZZ
 from .mackey import (MackeyFunctor, MackeyMorphism, burnside_mackey,
                      check_axioms, constant_mackey, direct_sum, fixed_point_mackey,
-                     hom_basis, maps_from_images, weyl_orbit)
+                     hom_basis, maps_from_images, pushed, restricted, spanned, weyl_orbit)
 from .modules import FPModule, reduced_quotient
 from .report import CheckReport
 from .rings import BasedRing, based_ring_check, ring_is_field
@@ -403,26 +403,10 @@ def green_module_from_invariant_span(M: GreenModule, spans):
     base = M.base
     if base is ZZ:
         raise ValueError("invariant spans are only supported over a field")
-    n = M.n
-    incl = [la.column_space_basis(spans[s], base) for s in range(n + 1)]
-
-    def inside(s, cols, what):
-        if cols.shape[1] == 0:
-            return la.zeros(incl[s].shape[1], 0, base)
-        x = la.solve(incl[s], cols, base)
-        if x is None:
-            raise ValueError(f"span not closed under {what} at level {s}")
-        return x
-
-    und = M.underlying
-    levels = [FPModule(base, B.shape[1]) for B in incl]
-    res = [inside(s, la.mmul(und.res[s], incl[s + 1], base), "res") for s in range(n)]
-    tr = [inside(s + 1, la.mmul(und.tr[s], incl[s], base), "tr") for s in range(n)]
-    weyl = [inside(s, la.mmul(und.weyl[s], incl[s], base), "weyl") for s in range(n + 1)]
-    action = [[inside(s, la.mmul(M.action[s][u], incl[s], base), "the ring action")
-               for u in range(M.ring.ring(s).rank)] for s in range(n + 1)]
-    sub_und = MackeyFunctor(und.group, base, levels, res, tr, weyl,
-                            name=(M.name + " sub") if M.name else "submodule")
+    incl = [la.column_space_basis(spans[s], base) for s in range(M.n + 1)]
+    sub_und = spanned(M.underlying, incl, (M.name + " sub") if M.name else "submodule")
+    action = [[restricted(A, incl[s], incl[s], base, f"the ring action at level {s}")
+               for A in M.action[s]] for s in range(M.n + 1)]
     sub = GreenModule(M.ring, sub_und, action, name=sub_und.name)
     return sub, GreenModuleMorphism(sub, M, incl)
 
@@ -688,8 +672,10 @@ def _block_presentation(M: MackeyFunctor, N: MackeyFunctor, extra, name: str) ->
     with |M_t|.|N_t| rows) on block t of every level s >= t, relative-Weyl
     coinvariance on each lower block and the identifications
     tr(m) (x) y = tr(m (x) res y), m (x) tr(y) = tr(res m (x) y) between
-    adjacent blocks.  The result carries, per level, the projection from
-    and the lift to the block coordinates.
+    adjacent blocks.  The block functor (res, tr and the block-diagonal
+    weyl on the block coordinates) goes through the level quotients by
+    `pushed`, which keeps, per level, the projection from and the lift to
+    the block coordinates as .projections and .lifts.
     """
     base, p, n = M.base, M.p, M.n
     gM = [lev.gens for lev in M.levels]
@@ -698,7 +684,7 @@ def _block_presentation(M: MackeyFunctor, N: MackeyFunctor, extra, name: str) ->
     D = [la.kron(M.weyl[t], N.weyl[t], base) for t in range(n + 1)]
     offs = [sum(g[:t]) for t in range(n + 2)]
 
-    levels, projs, lifts = [], [], []
+    quots = []
     for s in range(n + 1):
         total = offs[s + 1]
         rels = [la.zeros(total, 0, base)]
@@ -716,10 +702,7 @@ def _block_presentation(M: MackeyFunctor, N: MackeyFunctor, extra, name: str) ->
             b2 = la.kron(M.res[t - 1], la.eye(gN[t - 1], base), base)
             rels.append(la.sub(_place_rows(total, offs[t], a2, base),
                                _place_rows(total, offs[t - 1], b2, base), base))
-        Q, proj, lift = reduced_quotient(base, total, la.hstack(rels))
-        levels.append(Q)
-        projs.append(proj)
-        lifts.append(lift)
+        quots.append(reduced_quotient(base, total, la.hstack(rels)))
 
     res, tr = [], []
     for s in range(n):
@@ -729,17 +712,13 @@ def _block_presentation(M: MackeyFunctor, N: MackeyFunctor, extra, name: str) ->
             raw[offs[t]:offs[t] + g[t], offs[t]:offs[t] + g[t]] = sm
         top = la.kron(M.res[s], N.res[s], base)
         raw[offs[s]:offs[s] + g[s], offs[s + 1]:offs[s + 1] + g[s + 1]] = top
-        res.append(la.mmul_chain(projs[s], raw, lifts[s + 1], base=base))
+        res.append(raw)
         # tr includes blocks 0..s of level s as the lower blocks of level s + 1
-        rawt = la.vstack([la.eye(offs[s + 1], base), la.zeros(g[s + 1], offs[s + 1], base)])
-        tr.append(la.mmul_chain(projs[s + 1], rawt, lifts[s], base=base))
-    weyl = [la.mmul_chain(projs[s], la.block_diag(D[:s + 1]), lifts[s], base=base)
-            for s in range(n + 1)]
-
-    out = MackeyFunctor(M.group, base, levels, res, tr, weyl, name=name)
-    out.projections = projs
-    out.lifts = lifts
-    return out
+        tr.append(la.vstack([la.eye(offs[s + 1], base), la.zeros(g[s + 1], offs[s + 1], base)]))
+    weyl = [la.block_diag(D[:s + 1]) for s in range(n + 1)]
+    blocks = MackeyFunctor(M.group, base, [FPModule(base, offs[s + 1]) for s in range(n + 1)],
+                           res, tr, weyl)
+    return pushed(blocks, quots, name)
 
 
 def box_product_general(M: MackeyFunctor, N: MackeyFunctor) -> MackeyFunctor:
@@ -792,8 +771,7 @@ def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
                                  for t in range(s + 1)])
             action[s].append(la.mmul_chain(B.projections[s], raw, B.lifts[s], base=base))
     out = GreenModule(L, B, action, name=B.name)
-    out.projections = B.projections
-    out.lifts = B.lifts
+    out.projections, out.lifts = B.projections, B.lifts
     return out
 
 

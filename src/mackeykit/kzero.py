@@ -240,8 +240,7 @@ def freeness_decompose(k: GreenFunctor, F: GreenModule, idem, seed=None) -> Free
         if not la.mat_eq(sq, c):
             raise ValueError(f"endomorphism is not idempotent at level {s}")
 
-    spans = [la.column_space_basis(c, base) for c in comps]
-    P, incl = green_module_from_invariant_span(F, spans)
+    P, incl = green_module_from_invariant_span(F, comps)
     return decompose_module(k, P, seed=seed, inclusion=incl)
 
 

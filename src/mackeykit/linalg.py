@@ -103,13 +103,14 @@ def eye(n, base=ZZ):
 
 def from_ints(values, rows, cols, base=ZZ):
     """The rows x cols matrix with the row-major entries `values`, a list of
-    Python ints or elements of base, in the form of base.  Over F_p the ints
-    are taken as residues in [0, p) without a check, as the kernels take
-    int64 entries; over other fields they are read as elements of the prime
-    field."""
+    Python ints, in the form of base, each converted once and without a
+    check: over Z the ints are the entries, over a finite field the residue
+    encodings of its elements (see FFElement.__int__; over F_p the residues
+    in [0, p)), as the kernels take int64 entries."""
     if _int64_prime(base):
         return np.array(values, dtype=np.int64).reshape(rows, cols)
-    return coerce(np.array(values, dtype=object).reshape(rows, cols), base)
+    entries = list(map(base.residue_element, values)) if getattr(base, "k", 0) else values
+    return np.array(entries, dtype=object).reshape(rows, cols)
 
 
 def mat_eq(A, B) -> bool:

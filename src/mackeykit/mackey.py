@@ -181,7 +181,9 @@ def fixed_point_mackey(group, field, rho, name: str = "") -> MackeyFunctor:
 
     rho is the matrix of a generator; level s is ker(rho^(p^(n-s)) - id),
     restriction is inclusion of fixed subspaces, transfer the relative
-    trace, Weyl action the residual action of rho.
+    trace, Weyl action the residual action of rho: the functor on the whole
+    space with res = I, tr_s = the relative trace and weyl = rho at every
+    level, restricted to the fixed subspaces by `spanned`.
     """
     p, n = group.p, group.n
     d = rho.shape[0]
@@ -191,27 +193,12 @@ def fixed_point_mackey(group, field, rho, name: str = "") -> MackeyFunctor:
     if not la.mat_eq(la.mpow(rho, p ** n, field), idm):
         raise ValueError("generator order must divide p^n")
 
-    bases = []
-    for s in range(n + 1):
-        pw = la.mpow(rho, p ** (n - s), field)
-        bases.append(la.nullspace(la.sub(pw, idm, field), field))
-    levels = [FPModule(field, B.shape[1]) for B in bases]
-
-    res, tr, weyl = [], [], []
-    for s in range(n):
-        r = la.solve(bases[s], bases[s + 1], field)
-        assert r is not None
-        res.append(r)
-        trace = la.power_sum(la.mpow(rho, p ** (n - s - 1), field), p, field)
-        t = la.solve(bases[s + 1], la.mmul(trace, bases[s], field), field)
-        assert t is not None, "relative trace left the fixed subspace"
-        tr.append(t)
-    for s in range(n + 1):
-        w = la.solve(bases[s], la.mmul(rho, bases[s], field), field)
-        assert w is not None
-        weyl.append(w)
-    M = MackeyFunctor(group, field, levels, res, tr, weyl,
-                      name=name or "fixed-point functor")
+    bases = [la.nullspace(la.sub(la.mpow(rho, p ** (n - s), field), idm, field), field)
+             for s in range(n + 1)]
+    traces = [la.power_sum(la.mpow(rho, p ** (n - s - 1), field), p, field) for s in range(n)]
+    whole = MackeyFunctor(group, field, [FPModule(field, d)] * (n + 1), [idm] * n, traces,
+                          [rho] * (n + 1))
+    M = spanned(whole, bases, name or "fixed-point functor")
     M.fixed_bases = bases
     return M
 
@@ -341,13 +328,45 @@ class MackeyMorphism:
 
 def pushed(M, quots, name=""):
     """The functor on the levels Q_s of the (Q_s, proj_s, lift_s) in quots,
-    with M's maps conjugated by proj_s . - . lift_t."""
+    with M's maps conjugated by proj_s . - . lift_t: the one constructor of
+    quotient functors.  The result keeps the proj_s and lift_s as
+    .projections and .lifts."""
     base, n = M.base, M.n
-    projs, lifts = [q[1] for q in quots], [q[2] for q in quots]
+    levels, projs, lifts = (list(x) for x in zip(*quots))
     res = [la.mmul_chain(projs[s], M.res[s], lifts[s + 1], base=base) for s in range(n)]
     tr = [la.mmul_chain(projs[s + 1], M.tr[s], lifts[s], base=base) for s in range(n)]
     weyl = [la.mmul_chain(projs[s], M.weyl[s], lifts[s], base=base) for s in range(n + 1)]
-    return MackeyFunctor(M.group, base, [q[0] for q in quots], res, tr, weyl, name=name)
+    out = MackeyFunctor(M.group, base, levels, res, tr, weyl, name=name)
+    out.projections, out.lifts = projs, lifts
+    return out
+
+
+def restricted(A, src, dst, base, what):
+    """X with dst X = A src: the map A from the span of src's columns to the
+    span of dst's, which has full column rank.  Raises ValueError("span not
+    closed under <what>") when A src leaves the span of dst."""
+    if src.shape[1] == 0:
+        return la.zeros(dst.shape[1], 0, base)
+    X = la.solve(dst, la.mmul(A, src, base), base)
+    if X is None:
+        raise ValueError(f"span not closed under {what}")
+    return X
+
+
+def spanned(F, bases, name):
+    """The subfunctor of F (its relations ignored) with level s spanned by
+    the columns of bases[s], each of full column rank: the one constructor
+    of subfunctors.  Raises ValueError, naming the map and the level, when
+    res, tr or weyl leaves the spans."""
+    base, n = F.base, F.n
+    res = [restricted(F.res[s], bases[s + 1], bases[s], base, f"res at level {s}")
+           for s in range(n)]
+    tr = [restricted(F.tr[s], bases[s], bases[s + 1], base, f"tr at level {s + 1}")
+          for s in range(n)]
+    weyl = [restricted(F.weyl[s], bases[s], bases[s], base, f"weyl at level {s}")
+            for s in range(n + 1)]
+    levels = [FPModule(base, B.shape[1]) for B in bases]
+    return MackeyFunctor(F.group, base, levels, res, tr, weyl, name=name)
 
 
 def _free_presentation(M):
@@ -361,8 +380,8 @@ def _free_presentation(M):
         return M, None, None
     if not all(lv.is_free for lv in M.levels):
         raise NotImplementedError("hom computations over Z require levelwise-free functors")
-    quots = [reduced_quotient(M.base, lv.gens, lv.relations) for lv in M.levels]
-    return pushed(M, quots, M.name), [q[1] for q in quots], [q[2] for q in quots]
+    F = pushed(M, [reduced_quotient(M.base, lv.gens, lv.relations) for lv in M.levels], M.name)
+    return F, F.projections, F.lifts
 
 
 def _conj(left, A, right, s, base):
@@ -520,24 +539,6 @@ def direct_sum(Ms) -> MackeyFunctor:
                          name=" + ".join(M.name for M in Ms if M.name))
 
 
-def _induced_map(A, src_basis, dst_basis, base):
-    """Matrix of A between chosen bases of source/target subspaces."""
-    img = la.mmul(A, src_basis, base)
-    sol = la.solve(dst_basis, img, base)
-    assert sol is not None, "map does not preserve the subspace"
-    return sol
-
-
-def _spanned(F, bases, name):
-    """The subfunctor of F (no relations) with level s spanned by bases[s]."""
-    base, n = F.base, F.n
-    res = [_induced_map(F.res[s], bases[s + 1], bases[s], base) for s in range(n)]
-    tr = [_induced_map(F.tr[s], bases[s], bases[s + 1], base) for s in range(n)]
-    weyl = [_induced_map(F.weyl[s], bases[s], bases[s], base) for s in range(n + 1)]
-    levels = [FPModule(base, B.shape[1]) for B in bases]
-    return MackeyFunctor(F.group, base, levels, res, tr, weyl, name=name)
-
-
 def kernel(f: MackeyMorphism):
     """(K, incl) with K_s = ker f_s.  Levels must be free (always true over a field)."""
     M, N = f.source, f.target
@@ -546,9 +547,8 @@ def kernel(f: MackeyMorphism):
     n_proj = _free_presentation(N)[1]
     bases = [la.nullspace(_conj(n_proj, A, m_lift, s, base), base)
              for s, A in enumerate(f.components)]
-    K = _spanned(F, bases, f"ker({M.name or '?'} -> {N.name or '?'})")
-    incl = MackeyMorphism(K, M, [_conj(m_lift, B, None, s, base) for s, B in enumerate(bases)])
-    return K, incl
+    K = spanned(F, bases, f"ker({M.name or '?'} -> {N.name or '?'})")
+    return K, MackeyMorphism(K, M, [_conj(m_lift, B, None, s, base) for s, B in enumerate(bases)])
 
 
 def image(f: MackeyMorphism):
@@ -557,9 +557,8 @@ def image(f: MackeyMorphism):
     F, n_proj, n_lift = _free_presentation(N)
     bases = [la.column_space_basis(_conj(n_proj, A, None, s, base), base)
              for s, A in enumerate(f.components)]
-    I = _spanned(F, bases, "image")
-    incl = MackeyMorphism(I, N, [_conj(n_lift, B, None, s, base) for s, B in enumerate(bases)])
-    return I, incl
+    I = spanned(F, bases, "image")
+    return I, MackeyMorphism(I, N, [_conj(n_lift, B, None, s, base) for s, B in enumerate(bases)])
 
 
 def cokernel(f: MackeyMorphism):
@@ -568,7 +567,7 @@ def cokernel(f: MackeyMorphism):
     quots = [reduced_quotient(N.base, lv.gens, la.hstack([A, lv.relations]))
              for A, lv in zip(f.components, N.levels)]
     C = pushed(N, quots, "cokernel")
-    return C, MackeyMorphism(N, C, [q[1] for q in quots])
+    return C, MackeyMorphism(N, C, C.projections)
 
 
 # --- isomorphism testing --------------------------------------------------------

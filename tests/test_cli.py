@@ -47,8 +47,9 @@ def test_example_output_is_deterministic(capsys):
 
 
 def test_example_rejects_unknown_name(capsys):
-    rc, out, _ = run(capsys, "example", "nonesuch")
-    assert rc == 1 and out.startswith("fail:")
+    rc, out, err = run(capsys, "example", "nonesuch")
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error: unknown example 'nonesuch'; choose from burnside")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -130,7 +130,7 @@ def test_invariant_span_rejects_open_span():
     F = gf_make(2, 1)
     # the prime subfield of the bottom level is not closed under the F_4-action
     spans = [la.mat([[1], [0]], base=F), la.mat([[1]], base=F)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^span not closed under the ring action at level 0$"):
         green_module_from_invariant_span(M, spans)
 
 

@@ -276,3 +276,29 @@ def test_mat_eq_matches_elementwise_equality(A, B):
                           np.zeros((4, 4), dtype=np.int64)[::2, 1:]])
 def test_is_zero_mat_matches_elementwise_equality(A):
     assert la.is_zero_mat(A) is bool(np.equal(A, 0).all())
+
+
+# --- from_ints ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 3), (4611686018427388039, 1)])
+def test_from_ints_converts_each_residue_once(p, k, monkeypatch):
+    F = gf_make(p, k)
+    residues = [0, 1, F.q - 1, 2, F.q - 2, 1]
+    want = la.mat([[F.residue_element(r) for r in residues[:3]],
+                   [F.residue_element(r) for r in residues[3:]]], base=F)
+    calls = []
+    residue_element = F.residue_element
+    monkeypatch.setattr(F, "residue_element", lambda r: calls.append(r) or residue_element(r))
+    monkeypatch.setattr(F, "coerce", lambda v: pytest.fail("entry converted twice"))
+    A = la.from_ints(residues, 2, 3, F)
+    assert calls == residues
+    assert A.dtype == object and la.mat_eq(A, want)
+
+
+def test_from_ints_keeps_the_ints_over_z_and_residues_over_small_primes():
+    big = 2 ** 70
+    A = la.from_ints([1, -big, 0, 3], 2, 2)
+    assert A.dtype == object and A.tolist() == [[1, -big], [0, 3]]
+    B = la.from_ints([4, 0, 1, 2], 2, 2, gf_make(5, 1))
+    assert B.dtype == np.int64 and B.tolist() == [[4, 0], [1, 2]]
