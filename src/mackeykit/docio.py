@@ -276,7 +276,8 @@ def _parse_mackey_body(cur: _Cursor, group: CyclicGroup, base, prefix: str = "")
     weyl = [_read_block(cur, f"{prefix}weyl {s}",
                         levels[s].gens, levels[s].gens, base)
             for s in range(n + 1)]
-    return MackeyFunctor(group, base, levels, res, tr, weyl, name=name)
+    # every block is read in its base's form, range-checked, at its shape
+    return MackeyFunctor.at_rest(group, base, levels, res, tr, weyl, name=name)
 
 
 # -- green functor rings -----------------------------------------------------
@@ -386,10 +387,11 @@ def parse_document(text: str):
         und = _parse_mackey_body(cur, group, base)
         action = []
         for s in range(n + 1):
-            g = und.levels[s].gens
-            action.append([_read_block(cur, f"action {s} {u}", g, g, base)
-                           for u in range(ring.ring(s).rank)])
-        obj = GreenModule(ring, und, action, name=und.name)
+            g, r = und.levels[s].gens, ring.ring(s).rank
+            blocks = [_read_block(cur, f"action {s} {u}", g, g, base) for u in range(r)]
+            stack = la.vstack(blocks) if blocks else la.zeros(0, g, base)
+            action.append(stack.reshape(r, g, g))
+        obj = GreenModule.at_rest(ring, und, action, name=und.name)
 
     if cur.peek() is not None:
         raise ParseError(f"unexpected trailing content {cur.peek()!r}", cur.lineno)

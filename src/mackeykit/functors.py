@@ -154,7 +154,7 @@ def _build_free_module(R: GreenFunctor, i: int) -> GreenModule:
             twists.append(la.mmul(winv, twists[-1], base))
         rank = R.ring(s).rank
         mults = ru.left_mult_matrices(la.hstack(twists))
-        action.append([la.block_diag([mults[j * rank + e] for j in range(c)])
+        action.append([la.block_diag([mults[j * rank + e] for j in range(c)], base)
                        for e in range(rank)])
 
     F = GreenModule(R, und, action, name=f"F{i}({R.name})" if R.name else f"F{i}")

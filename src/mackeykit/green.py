@@ -104,6 +104,11 @@ def _failing(level, lhs, rhs, count):
             if not level.maps_equal(lhs[:, u * w:(u + 1) * w], rhs[:, u * w:(u + 1) * w])]
 
 
+def _stack(mats, g, base):
+    """The (len(mats), g, g) stack of the g x g matrices mats, in the form of base."""
+    return np.stack(mats) if mats else la.zeros(0, g * g, base).reshape(0, g, g)
+
+
 def _hcat(S):
     """The (c, g, h) stack S as one g x (c * h) matrix, block u = S[u]."""
     c, g, h = S.shape
@@ -234,10 +239,25 @@ class GreenModule:
             g = underlying.levels[s].gens
             if len(mats) != ring.ring(s).rank or any(A.shape != (g, g) for A in mats):
                 raise ValueError(f"action rank or shape at level {s}")
+        self._fill(ring, underlying,
+                   [la.coerce(np.array(mats).reshape(len(mats), lev.gens, lev.gens),
+                              underlying.base) for mats, lev in zip(action, underlying.levels)],
+                   name)
+
+    @classmethod
+    def at_rest(cls, ring, underlying, action, name: str = ""):
+        """The module with action[s] the (rank, g, g) stack of level s,
+        already of the right shapes and in the base's form, as the library's
+        own constructions build it: no checks, no conversion.  Callers with
+        any other action use the constructor."""
+        M = cls.__new__(cls)
+        M._fill(ring, underlying, list(action), name)
+        return M
+
+    def _fill(self, ring, underlying, action, name):
         self.ring = ring
         self.underlying = underlying
-        self.action = [la.coerce(np.array(mats).reshape(len(mats), lev.gens, lev.gens),
-                                 underlying.base) for mats, lev in zip(action, underlying.levels)]
+        self.action = action
         self.name = name
         # the levels of the free summands F_i of a module built as a sum of
         # them by free_module and direct_sum_green_modules, in order; else None
@@ -340,10 +360,15 @@ def direct_sum_green_modules(mods) -> GreenModule:
     und = direct_sum([m.underlying for m in mods])
     action = []
     for s in range(R.n + 1):
-        action.append([la.block_diag([m.action[s][u] for m in mods])
-                       for u in range(R.ring(s).rank)])
+        r, g, at = R.ring(s).rank, und.levels[s].gens, 0
+        A = la.zeros(r * g, g, R.base).reshape(r, g, g)
+        for m in mods:
+            d = m.underlying.levels[s].gens
+            A[:, at:at + d, at:at + d] = m.action[s]
+            at += d
+        action.append(A)
     name = " + ".join(m.name for m in mods if m.name)
-    out = GreenModule(R, und, action, name=name)
+    out = GreenModule.at_rest(R, und, action, name=name)
     if all(m.free_levels is not None for m in mods):
         out.free_levels = sum((m.free_levels for m in mods), ())
     return out
@@ -405,10 +430,10 @@ def green_module_from_invariant_span(M: GreenModule, spans):
         raise ValueError("invariant spans are only supported over a field")
     incl = [la.column_space_basis(spans[s], base) for s in range(M.n + 1)]
     sub_und = spanned(M.underlying, incl, (M.name + " sub") if M.name else "submodule")
-    action = [[restricted(A, incl[s], incl[s], base, f"the ring action at level {s}")
-               for A in M.action[s]] for s in range(M.n + 1)]
-    sub = GreenModule(M.ring, sub_und, action, name=sub_und.name)
-    return sub, GreenModuleMorphism(sub, M, incl)
+    action = [_stack([restricted(A, incl[s], incl[s], base, f"the ring action at level {s}")
+                      for A in M.action[s]], incl[s].shape[1], base) for s in range(M.n + 1)]
+    sub = GreenModule.at_rest(M.ring, sub_und, action, name=sub_und.name)
+    return sub, GreenModuleMorphism(sub, M, MackeyMorphism.at_rest(sub_und, M.underlying, incl))
 
 
 # --- constructors ---------------------------------------------------------------
@@ -715,9 +740,10 @@ def _block_presentation(M: MackeyFunctor, N: MackeyFunctor, extra, name: str) ->
         res.append(raw)
         # tr includes blocks 0..s of level s as the lower blocks of level s + 1
         tr.append(la.vstack([la.eye(offs[s + 1], base), la.zeros(g[s + 1], offs[s + 1], base)]))
-    weyl = [la.block_diag(D[:s + 1]) for s in range(n + 1)]
-    blocks = MackeyFunctor(M.group, base, [FPModule(base, offs[s + 1]) for s in range(n + 1)],
-                           res, tr, weyl)
+    weyl = [la.block_diag(D[:s + 1], base) for s in range(n + 1)]
+    blocks = MackeyFunctor.at_rest(M.group, base,
+                                   [FPModule(base, offs[s + 1]) for s in range(n + 1)],
+                                   res, tr, weyl)
     return pushed(blocks, quots, name)
 
 
@@ -765,12 +791,13 @@ def base_change_cp(f: GreenMorphism, M: GreenModule) -> GreenModule:
         down = [la.mmul_chain(*Lund.res[t:s], la.eye(L.ring(s).rank, base), base=base)
                 for t in range(s + 1)]                     # res_{s->t}
         lmuls = [L.ring(t).left_mult_matrices(down[t]) for t in range(s + 1)]
-        action.append([])
+        mats = []
         for c in range(L.ring(s).rank):
             raw = la.block_diag([la.kron(la.eye(und.levels[t].gens, base), lmuls[t][c], base)
-                                 for t in range(s + 1)])
-            action[s].append(la.mmul_chain(B.projections[s], raw, B.lifts[s], base=base))
-    out = GreenModule(L, B, action, name=B.name)
+                                 for t in range(s + 1)], base)
+            mats.append(la.mmul_chain(B.projections[s], raw, B.lifts[s], base=base))
+        action.append(_stack(mats, B.levels[s].gens, base))
+    out = GreenModule.at_rest(L, B, action, name=B.name)
     out.projections, out.lifts = B.projections, B.lifts
     return out
 
@@ -789,10 +816,11 @@ def base_change_map_cp(f: GreenMorphism, g: GreenModuleMorphism,
     comps = []
     for s in range(L.n + 1):
         raw = la.block_diag([la.kron(g.components[t], la.eye(L.ring(t).rank, base), base)
-                             for t in range(s + 1)])
+                             for t in range(s + 1)], base)
         comps.append(la.mmul_chain(target_changed.projections[s], raw,
                                    source_changed.lifts[s], base=base))
-    return GreenModuleMorphism(source_changed, target_changed, comps)
+    return GreenModuleMorphism(source_changed, target_changed, MackeyMorphism.at_rest(
+        source_changed.underlying, target_changed.underlying, comps))
 
 
 def map_from_generator(P: GreenModule, i: int, x):

@@ -298,7 +298,8 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
                              "the module may not be free")
 
     model = direct_sum_green_modules([free_module(k, i) for i in summands])
-    witness = GreenModuleMorphism(model, P, stacked)
+    witness = GreenModuleMorphism(model, P, MackeyMorphism.at_rest(model.underlying,
+                                                                   P.underlying, stacked))
     rep = witness.check()
     if rep.ok and not witness.is_level_iso():
         rep.add("iso", "levels", "constructed map is not a levelwise isomorphism")
@@ -327,17 +328,21 @@ def random_green_automorphism(M: GreenModule, seed=None):
         for d in dims:
             comps.append(flat[at:at + d * d].reshape(d, d))
             at += d * d
-        g = GreenModuleMorphism(M, M, comps)
+        g = GreenModuleMorphism(M, M, MackeyMorphism.at_rest(M.underlying, M.underlying, comps))
         if g.is_level_iso():
             return g
     raise ValueError("no automorphism found; the endomorphism ring may be too thin")
 
 
 def invert_module_iso(g: GreenModuleMorphism) -> GreenModuleMorphism:
-    """Inverse of a levelwise isomorphism over a field."""
+    """Inverse of a levelwise isomorphism over a field; ValueError when a
+    component is singular."""
     base = g.source.ring.base
     comps = [la.inv_field(c, base) for c in g.components]
-    return GreenModuleMorphism(g.target, g.source, comps)
+    if any(c is None for c in comps):
+        raise ValueError("the map is not a levelwise isomorphism")
+    return GreenModuleMorphism(g.target, g.source, MackeyMorphism.at_rest(
+        g.target.underlying, g.source.underlying, comps))
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,23 @@ class MackeyFunctor:
         for s in range(n):
             _check_shape(res[s], (g[s], g[s + 1]), f"res_{s}")
             _check_shape(tr[s], (g[s + 1], g[s]), f"tr_{s}")
+        self._fill(group, base, levels, [la.coerce(A, base) for A in res],
+                   [la.coerce(A, base) for A in tr], [la.coerce(A, base) for A in weyl], name)
+
+    @classmethod
+    def at_rest(cls, group, base, levels, res, tr, weyl, name=""):
+        """The functor on maps already of the right shapes and in the base's
+        form, as the library's own constructions build them: no checks, no
+        conversion.  Callers with any other maps use the constructor."""
+        M = cls.__new__(cls)
+        M._fill(group, base, levels, list(res), list(tr), list(weyl), name)
+        return M
+
+    def _fill(self, group, base, levels, res, tr, weyl, name):
         self.group = group
         self.base = base
         self.levels = list(levels)
-        self.res = [la.coerce(A, base) for A in res]
-        self.tr = [la.coerce(A, base) for A in tr]
-        self.weyl = [la.coerce(A, base) for A in weyl]
+        self.res, self.tr, self.weyl = res, tr, weyl
         self.name = name
         # r when this is Ind_e^G base^r as induce_mackey builds it: free over
         # the Burnside functor on r level-0 generators (see hom_basis)
@@ -293,7 +304,7 @@ class MackeyMorphism:
         return MackeyMorphism(other.source, self.target, comps)
 
     @classmethod
-    def _at_rest(cls, source, target, components):
+    def at_rest(cls, source, target, components):
         """The morphism on components already of the right shapes and in the
         base's form, as hom_basis builds them: no checks, no conversion."""
         f = cls.__new__(cls)
@@ -336,7 +347,7 @@ def pushed(M, quots, name=""):
     res = [la.mmul_chain(projs[s], M.res[s], lifts[s + 1], base=base) for s in range(n)]
     tr = [la.mmul_chain(projs[s + 1], M.tr[s], lifts[s], base=base) for s in range(n)]
     weyl = [la.mmul_chain(projs[s], M.weyl[s], lifts[s], base=base) for s in range(n + 1)]
-    out = MackeyFunctor(M.group, base, levels, res, tr, weyl, name=name)
+    out = MackeyFunctor.at_rest(M.group, base, levels, res, tr, weyl, name=name)
     out.projections, out.lifts = projs, lifts
     return out
 
@@ -366,7 +377,7 @@ def spanned(F, bases, name):
     weyl = [restricted(F.weyl[s], bases[s], bases[s], base, f"weyl at level {s}")
             for s in range(n + 1)]
     levels = [FPModule(base, B.shape[1]) for B in bases]
-    return MackeyFunctor(F.group, base, levels, res, tr, weyl, name=name)
+    return MackeyFunctor.at_rest(F.group, base, levels, res, tr, weyl, name=name)
 
 
 def _free_presentation(M):
@@ -426,7 +437,7 @@ def maps_from_images(M: MackeyFunctor, N: MackeyFunctor, generators):
                 stack[at:at + g, :, cols] = C.reshape(r, C.shape[1] // g, g).transpose(2, 0, 1)
             at += g
         comps.append(stack)
-    return [MackeyMorphism._at_rest(M, N, [c[t] for c in comps]) for t in range(h)]
+    return [MackeyMorphism.at_rest(M, N, [c[t] for c in comps]) for t in range(h)]
 
 
 def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
@@ -518,7 +529,7 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         vecs = ker[offsets[s]:offsets[s + 1]].T.reshape(ker.shape[1], k[s], r[s])
         comps = np.ascontiguousarray(vecs.transpose(0, 2, 1))
         out.append([_conj(n_lift, f, m_proj, s, base) for f in comps])
-    return [MackeyMorphism._at_rest(M0, N0, fs) for fs in zip(*out)]
+    return [MackeyMorphism.at_rest(M0, N0, fs) for fs in zip(*out)]
 
 
 # --- constructions on functors --------------------------------------------------
@@ -532,11 +543,11 @@ def direct_sum(Ms) -> MackeyFunctor:
     g, base = Ms[0].group, Ms[0].base
     n = g.n
     levels = [direct_sum_modules([M.levels[s] for M in Ms]) for s in range(n + 1)]
-    res = [la.block_diag([M.res[s] for M in Ms]) for s in range(n)]
-    tr = [la.block_diag([M.tr[s] for M in Ms]) for s in range(n)]
-    weyl = [la.block_diag([M.weyl[s] for M in Ms]) for s in range(n + 1)]
-    return MackeyFunctor(g, base, levels, res, tr, weyl,
-                         name=" + ".join(M.name for M in Ms if M.name))
+    res = [la.block_diag([M.res[s] for M in Ms], base) for s in range(n)]
+    tr = [la.block_diag([M.tr[s] for M in Ms], base) for s in range(n)]
+    weyl = [la.block_diag([M.weyl[s] for M in Ms], base) for s in range(n + 1)]
+    return MackeyFunctor.at_rest(g, base, levels, res, tr, weyl,
+                                 name=" + ".join(M.name for M in Ms if M.name))
 
 
 def kernel(f: MackeyMorphism):
@@ -616,17 +627,16 @@ _COEFF_BOUND = 5
 _MODULUS_CAP = 200_000
 
 
-def _combine(homs, coeffs, base):
-    n1 = len(homs[0].components)
+def _combine(homs, coeffs):
+    """The integer combination of the Z homs with the int coefficients."""
     comps = []
-    for s in range(n1):
-        r, k = homs[0].components[s].shape
-        F = la.zeros(r, k, base)
+    for s, f in enumerate(homs[0].components):
+        F = la.zeros(*f.shape)
         for h, c in zip(homs, coeffs):
             if c:
-                F = la.add_scaled(F, h.components[s], c, base)
+                F = la.add_scaled(F, h.components[s], c, ZZ)
         comps.append(F)
-    return MackeyMorphism(homs[0].source, homs[0].target, comps)
+    return MackeyMorphism.at_rest(homs[0].source, homs[0].target, comps)
 
 
 class _LevelStack:
@@ -639,7 +649,7 @@ class _LevelStack:
     every candidate goes through one batched determinant."""
 
     def __init__(self, homs, field):
-        self.field = field
+        self.homs, self.field = homs, field
         dims = [f.shape[0] for f in homs[0].components]
         self.rows = la.coerce(np.stack([np.concatenate([f.reshape(-1) for f in g.components])
                                         for g in homs]), field)
@@ -653,32 +663,46 @@ class _LevelStack:
             at += r * r
         self.pad = la.mat([[0, 1]], base=field)
 
-    def levels(self, coeffs):
-        """(C * levels, n, n): the padded level matrices of the coefficient
-        rows, candidate-major."""
-        prod = la.mmul(la.coerce(coeffs, self.field), self.rows, self.field)
+    def products(self, coeffs):
+        """(C, total): row c holds the flattened components of the
+        combination with coefficient row c, both in F's form."""
+        return la.mmul(coeffs, self.rows, self.field)
+
+    def levels(self, prod):
+        """(C * levels, n, n): the padded level matrices of the rows of
+        `products`, candidate-major."""
         ext = np.concatenate([prod, np.repeat(self.pad, len(prod), axis=0)], axis=1)
         n = self.gather.shape[1]
         return ext[:, self.gather].reshape(-1, n, n)
 
+    def morphism(self, row):
+        """The map whose flattened components are the row of `products`;
+        over the homs' own field, the combination itself."""
+        comps, at = [], 0
+        for f in self.homs[0].components:
+            comps.append(row[at:at + f.size].reshape(f.shape).copy())
+            at += f.size
+        return MackeyMorphism.at_rest(self.homs[0].source, self.homs[0].target, comps)
+
 
 def _unit_dets(stack, coeffs, p):
-    """(C, levels) mask: the level determinant is +-1 mod p."""
-    return la.unit_det_mask(stack.levels(coeffs), p).reshape(len(coeffs), -1)
+    """(C, levels) mask: the level determinant is +-1 mod p, for the
+    coefficient rows given as residues mod p."""
+    return la.unit_det_mask(stack.levels(stack.products(coeffs)), p).reshape(len(coeffs), -1)
 
 
-def _first_iso(homs, candidates, passing, coeff, phase, stats):
+def _first_iso(candidates, passing, phase, stats):
     """The first candidate of the iterable that is a levelwise isomorphism,
-    or None.  passing(rows) is the filter of a batch (`batches`), a
-    necessary condition; each row that passes is combined (coeff maps its
-    entries to scalars) and confirmed by is_level_iso, in order.  Counts the
-    candidates up to the answer, and those that passed the filter, into stats."""
-    base = homs[0].source.base
+    or None.  passing(rows) takes a batch (`batches`) as an array of
+    coefficient rows and returns the mask of a necessary condition and a
+    function giving the map of row i; each row that passes is confirmed by
+    is_level_iso, in order.  Counts the candidates up to the answer, and
+    those that passed the filter, into stats."""
     tried = passed = 0
     for batch in batches(candidates):
-        ok = passing(np.array(batch))
+        ok, make = passing(np.array(batch))
         for i in np.flatnonzero(ok):
-            f = _combine(homs, [coeff(c) for c in batch[i]], base)
+            f = make(i)
             if f.is_level_iso():
                 stats["candidates"][phase] = tried + int(i) + 1
                 stats["passed_filter"][phase] = passed + int(ok[:i + 1].sum())
@@ -709,11 +733,12 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
     Candidates are tested in `batches` of 1, 2, 4, ... up to 1024: one
     stacked product gives a batch's level matrices and one batched
     elimination their determinants (`la.full_rank_mask`,
-    `la.unit_det_mask`).  Over a field a nonzero determinant decides; over
-    Z a determinant that is not +-1 mod _FILTER_PRIME rules a candidate
-    out.  The candidates that pass are confirmed with the exact
-    `is_level_iso` in order, so the first witness is the one a
-    one-at-a-time search finds.
+    `la.unit_det_mask`).  Over a field a nonzero determinant decides, and
+    a candidate's map is its row of the stacked product; over Z a
+    determinant that is not +-1 mod _FILTER_PRIME rules a candidate out,
+    and the map of one that passes is the exact integer combination.  The
+    candidates that pass are confirmed with the exact `is_level_iso` in
+    order, so the first witness is the one a one-at-a-time search finds.
 
     The result's stats: "hom_rank", "phase" (the phase that answered:
     "ranks", "hom", "box", "random" or "modulus"; None when inconclusive),
@@ -750,14 +775,14 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
         stack = _LevelStack(homs, base)
 
         def invertible(rows):       # rows hold indices into base.elements()
-            levels = stack.levels(la.field_elements(base, rows))
-            return la.full_rank_mask(levels, base).reshape(len(rows), -1).all(axis=1)
+            prod = stack.products(la.field_elements(base, rows))
+            ok = la.full_rank_mask(stack.levels(prod), base).reshape(len(rows), -1).all(axis=1)
+            return ok, lambda i: stack.morphism(prod[i])
 
         # exhaustive only for small hom spaces; beyond that the full
         # enumeration would be astronomically large over bigger fields
         if h <= 6 and q ** h <= _EXHAUSTIVE_CAP:
-            f = _first_iso(homs, itertools.product(range(q), repeat=h), invertible,
-                           base.element, "box", stats)
+            f = _first_iso(itertools.product(range(q), repeat=h), invertible, "box", stats)
             if f is not None:
                 return answer("box", "isomorphic", witness=f, detail="exhaustive search")
             return answer("box", "not_isomorphic",
@@ -767,7 +792,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
         stats["seed"] = resolve_seed(seed)
         rng = random.Random(stats["seed"])
         draws = ([rng.randrange(q) for _ in range(h)] for _ in range(_RANDOM_TRIES))
-        f = _first_iso(homs, draws, invertible, base.element, "random", stats)
+        f = _first_iso(draws, invertible, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random search")
         return answer(None, "inconclusive", detail=f"no witness in {_RANDOM_TRIES} samples")
@@ -778,7 +803,8 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
     stack = _LevelStack(homs, filt)
 
     def unimodular_mod_p(rows):
-        return _unit_dets(stack, rows, _FILTER_PRIME).all(axis=1)
+        ok = _unit_dets(stack, la.coerce(rows, filt), _FILTER_PRIME).all(axis=1)
+        return ok, lambda i: _combine(homs, rows[i].tolist())
 
     # integer case: bounded search for a unimodular witness
     B = _COEFF_BOUND
@@ -786,7 +812,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
         B -= 1
     if B >= 1:
         box = (c for c in itertools.product(range(-B, B + 1), repeat=h) if any(c))
-        f = _first_iso(homs, box, unimodular_mod_p, int, "box", stats)
+        f = _first_iso(box, unimodular_mod_p, "box", stats)
         if f is not None:
             return answer("box", "isomorphic", witness=f,
                           detail=f"lattice search, coefficients within {B}")
@@ -802,7 +828,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
                 coeffs = [rng.randint(-width, width) for _ in range(h)]
                 if any(coeffs):
                     yield coeffs
-        f = _first_iso(homs, draws(), unimodular_mod_p, int, "random", stats)
+        f = _first_iso(draws(), unimodular_mod_p, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random lattice search")
 

@@ -19,14 +19,15 @@ class FPModule:
     def __init__(self, base, gens: int, relations=None):
         self.base = base
         self.gens = int(gens)
-        if relations is None:
+        if relations is not None:
+            if base is not ZZ and relations.shape[1]:
+                raise ValueError("field modules carry no relations")
+            if relations.shape[0] != self.gens:
+                raise ValueError(f"{relations.shape[0]} relation rows for {self.gens} generators")
+        if relations is None or not relations.shape[1]:
             self.relations = la.zeros(self.gens, 0, base)
-            return
-        if base is not ZZ and relations.shape[1]:
-            raise ValueError("field modules carry no relations")
-        if relations.shape[0] != self.gens:
-            raise ValueError(f"{relations.shape[0]} relation rows for {self.gens} generators")
-        self.relations = la.coerce(relations, base)
+        else:
+            self.relations = la.coerce(relations, base)
 
     # -- structure ---------------------------------------------------------
 
@@ -90,24 +91,25 @@ def reduced_quotient(base, gens: int, rel_cols):
     proj @ lift = identity on Q's generators, and proj kills the span.
     Over Z, generators with invariant factor 1 are eliminated; surviving
     torsion stays in Q.relations.
+
+    Over a field one elimination gives both.  Let R be the reduced echelon
+    form of [rel_cols | I], c = rel_cols.shape[1].  Its pivots are a basis
+    of the span (the r pivots left of c), then the standard vectors that
+    complete it, chosen greedily; lift is those standard vectors, and with
+    C = [span columns | lift], proj = C^-1[r:] is R[r:, c:].  For [rel_cols | I]
+    has full row rank, so R = E [rel_cols | I] with E = R[:, c:] invertible.
+    Rows r: of R have their pivots at or past c, so they are zero on the
+    first c columns: R[r:, c:] rel_cols = 0, which kills the span.  On
+    the pivot columns of the lift they read as the identity (R is reduced),
+    so R[r:, c:] C = [0 | I], the defining rows of C^-1[r:].
     """
     if base is not ZZ:
-        # field case: complement of the column space.  The pivots of
-        # [rel_cols | I] are a basis of the span, then the standard vectors
-        # that complete it, chosen greedily.
         c = rel_cols.shape[1]
         ident = la.eye(gens, base)
-        _, pivots = la.rref(la.hstack([rel_cols, ident]), base)
-        span = [j for j in pivots if j < c]
-        r = len(span)
-        if r == 0:
-            return FPModule(base, gens), ident, ident.copy()
-        C = la.hstack([rel_cols[:, span], ident[:, [j - c for j in pivots[r:]]]])
-        Cinv = la.inv_field(C, base)
-        proj = Cinv[r:, :].copy()
-        lift = C[:, r:].copy()
-        Q = FPModule(base, gens - r)
-        return Q, proj, lift
+        R, pivots = la.rref(la.hstack([rel_cols, ident]), base)
+        r = sum(1 for j in pivots if j < c)
+        lift = ident[:, [j - c for j in pivots[r:]]]
+        return FPModule(base, gens - r), R[r:, c:].copy(), lift
 
     s = la.smith_normal_form(rel_cols)
     diag = s.diagonal
@@ -176,4 +178,4 @@ def direct_sum_modules(mods: list[FPModule]) -> FPModule:
     if any(m.base != base for m in mods):
         raise ValueError("summands over different bases")
     return FPModule(base, sum(m.gens for m in mods),
-                    la.block_diag([m.relations for m in mods]))
+                    la.block_diag([m.relations for m in mods], base))

@@ -235,6 +235,45 @@ def test_solve_inconsistent_field():
     assert la.solve(A, B, F) is None
 
 
+# --- shape errors that survive python -O -----------------------------------------
+# Each input below passed silently through numpy (a broadcast, a truncation,
+# or a power or inverse of a non-square matrix) where an assert stood before.
+
+SHAPE_BASES = pytest.mark.parametrize("base", [la.ZZ, gf_make(3, 1), gf_make(2, 2)],
+                                      ids=["Z", "F3", "F4"])
+
+
+@SHAPE_BASES
+def test_sub_rejects_a_broadcast(base):
+    with pytest.raises(ValueError, match="entrywise"):
+        la.sub(la.eye(2, base), la.zeros(1, 2, base), base)
+
+
+@SHAPE_BASES
+def test_add_scaled_rejects_a_broadcast(base):
+    with pytest.raises(ValueError, match="entrywise"):
+        la.add_scaled(la.zeros(2, 2, base), la.zeros(2, 1, base), 1, base)
+
+
+@SHAPE_BASES
+@pytest.mark.parametrize("k", [0, 1])
+def test_mpow_rejects_a_non_square_matrix(base, k):
+    with pytest.raises(ValueError, match="power"):
+        la.mpow(la.zeros(2, 3, base), k, base)
+
+
+@pytest.mark.parametrize("field", [gf_make(3, 1), gf_make(2, 2)], ids=["F3", "F4"])
+def test_inv_field_rejects_a_non_square_matrix(field):
+    with pytest.raises(ValueError, match="inverse"):
+        la.inv_field(la.eye(3, field)[:2], field)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_bareiss_det_rejects_a_non_square_matrix(shape):
+    with pytest.raises(ValueError, match="determinant"):
+        la.bareiss_det(la.mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]])[:shape[0], :shape[1]])
+
+
 # --- equality and zero tests -------------------------------------------------
 
 def _equality_cases():
