@@ -123,8 +123,9 @@ def kernels(base) -> Kernels:
 
 
 def _rest(A, base, record):
-    """A in the form of base, unchecked: an int64 array over F_p is taken as
-    residues, and only other dtypes are converted."""
+    """A in the form of base, for the kernels' own use: over F_p an int64
+    array is taken as residues and over Z an object array as ints, both
+    unchecked; anything else is converted."""
     p = record.p
     if p:
         return to_residues(A, p)
