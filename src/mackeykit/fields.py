@@ -65,9 +65,11 @@ def poly_mul(a, b, p):
 
 
 def poly_divmod(a, b, p):
+    """(quotient, remainder) of a by b over F_p; ZeroDivisionError if b = 0."""
     a = _trim(a)
     b = _trim(b)
-    assert b, "division by zero polynomial"
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
     inv_lead = pow(b[-1], p - 2, p)
     q = [0] * max(0, len(a) - len(b) + 1)
     r = list(a)
@@ -137,15 +139,14 @@ def irreducible_witness(modulus, p):
     d = _poly_gcd(m, dm, p)
     if len(d) > 1:
         return _proper_factor(m, d, p)
-    # column i of Q - I: x^(ip) mod m, minus x^i
+    # row i of (Q - I)^T, as residues mod p: x^(ip) mod m, minus x^i
     xp = _poly_pow_mod([0, 1], p, m, p)
-    Q, col = la.zeros(k, k), [1]
+    Qt, col = [], [1]
     for i in range(k):
-        Q[:len(col), i] = col
-        Q[i, i] -= 1
+        Qt += [(c - (j == i)) % p for j, c in enumerate(col + [0] * (k - len(col)))]
         col = poly_mod(poly_mul(col, xp, p), m, p)
     F = gf_make(p, 1)
-    ker = la.nullspace(la.coerce(Q, F), F)
+    ker = la.nullspace(la.from_ints(Qt, k, k, F).T, F)
     if ker.shape[1] == 1:
         return None
     v = next([int(x) for x in u] for u in ker.T if any(u[1:]))
@@ -529,7 +530,8 @@ def gf_make(p: int, k: int, modulus=None) -> GaloisField:
 
 
 def galois_trace(a: FFElement, subdegree: int = 1) -> FFElement:
-    """Trace of a from GF(p^k) to the subfield GF(p^subdegree); subdegree must divide k."""
+    """Trace of a from GF(p^k) to the subfield GF(p^subdegree); subdegree must divide k.
+    The sum of an orbit of Frobenius^subdegree is fixed by it, so lies in the subfield."""
     f = a.field
     if f.k % subdegree != 0:
         raise ValueError(f"subdegree {subdegree} does not divide {f.k}")
@@ -538,6 +540,4 @@ def galois_trace(a: FFElement, subdegree: int = 1) -> FFElement:
     for _ in range(f.k // subdegree):
         out = out + x
         x = f.frobenius(x, subdegree)
-    # the result is fixed by Frobenius^subdegree, i.e. lies in the subfield
-    assert f.frobenius(out, subdegree) == out
     return out

@@ -79,8 +79,8 @@ class GreenFunctor:
     def is_meadow(self) -> bool:
         """Whether every level ring is a field: the paper's Green meadow, the
         setting of `kzero`'s free-module classes.  False over Z; over a finite
-        field each level ring is tested with `ring_is_field`, which raises
-        ValueError past its size limit."""
+        field each level ring goes through the Frobenius test of
+        `ring_is_field`, at any size."""
         if self.base is ZZ:
             return False
         return all(ring_is_field(r) for r in self.level_rings)
@@ -460,7 +460,8 @@ def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> Gree
     """Galois fixed points of a finite field, written over its prime field.
 
     C_{p^n} acts through frobenius^frob_power; level s is the subfield
-    fixed by the corresponding subgroup, with its own multiplication.
+    fixed by the corresponding subgroup, with its own multiplication (a
+    subfield is closed under products, so they solve over its basis).
     """
     base = gf_make(field.p, 1)
     j = frob_power % field.k if field.k > 1 else 0
@@ -481,7 +482,6 @@ def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> Gree
         # columns u * d + v: the products elems[u] * elems[v]; the last: the unit
         cols = [(x * y).coeffs for x in elems for y in elems] + [field.one.coeffs]
         coords = la.solve(B, la.mat(list(zip(*cols)), base=base), base)
-        assert coords is not None  # subfields are multiplicatively closed
         mult, unit = coords[:, :d * d].T.copy(), coords[:, d * d:]
         labels = [field.format_elem(e) for e in elems]
         rings.append(BasedRing(base, d, mult, unit, labels))
@@ -547,20 +547,26 @@ class TwistedGroupRing:
                          commutative=R.commutative and (trivial or m == 1))
 
     def theta_power_order(self) -> int:
-        """Smallest c >= 1 with theta^c = id (divides the group order)."""
-        base = self.coefficient.base
-        idm = la.eye(self.coefficient.rank, base)
-        acc = self.theta
-        c = 1
-        while not la.mat_eq(acc, idm):
-            acc = la.mmul(self.theta, acc, base)
-            c += 1
-            assert c <= self.order
-        return c
+        """Smallest c >= 1 with theta^c = id (see `map_order`)."""
+        return map_order(self.theta, self.order, self.coefficient.base)
 
     def __repr__(self):
         return (f"TwistedGroupRing(rank {self.coefficient.rank} coefficients, "
                 f"order {self.order})")
+
+
+def map_order(A, bound: int, base) -> int:
+    """Smallest c >= 1 with A^c = id, for a map of a group action of order
+    `bound`, by repeated products.  Raises ValueError when A^c != id for
+    every c <= bound."""
+    idm = la.eye(A.shape[0], base)
+    acc, c = A, 1
+    while not la.mat_eq(acc, idm):
+        if c == bound:
+            raise ValueError(f"map has order beyond the group: A^c != id for c <= {bound}")
+        acc = la.mmul(acc, A, base)
+        c += 1
+    return c
 
 
 def twisted_group_ring(R: BasedRing, order: int, theta) -> TwistedGroupRing:
@@ -617,6 +623,9 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     The algebra acts on its coefficient field by x -> b.theta^a(x); that
     action is an isomorphism onto the endomorphisms over the fixed
     subfield, and pulling back the usual matrix units gives the witness.
+    By Artin's theorem an automorphism of order m fixes a subfield of
+    index m; a theta that does not (a TwistedGroupRing built directly
+    from a non-automorphism) raises ValueError.
     """
     L, m, base = T.coefficient, T.order, T.coefficient.base
     if base is ZZ:
@@ -626,11 +635,11 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     if T.theta_power_order() != m:
         raise ValueError("twisting is not faithful; no full matrix-algebra witness")
     k = L.rank
-    assert k % m == 0
-    d = k // m
     idm = la.eye(k, base)
     fixed = la.nullspace(la.sub(T.theta, idm, base), base)
-    assert fixed.shape[1] == d
+    d = fixed.shape[1]
+    if d * m != k:
+        raise ValueError(f"theta is not a field automorphism: fixed dimension {d}, not {k} / {m}")
     # greedy basis of L over the fixed subfield
     V, S = [], la.zeros(k, 0, base)
     for v in [L.unit] + [L.basis_vector(i) for i in range(k)]:

@@ -17,7 +17,7 @@ from . import linalg as la
 from .functors import E1Page, e1_page, free_module
 from .green import (GreenFunctor, GreenModule, GreenModuleMorphism,
                     direct_sum_green_modules, green_module_from_invariant_span,
-                    green_module_hom_basis, map_from_generator)
+                    green_module_hom_basis, map_from_generator, map_order)
 from .gsets import CyclicGroup, burnside_quotient, burnside_ring
 from .linalg import ZZ
 from .mackey import MackeyFunctor, MackeyMorphism, resolve_seed
@@ -37,16 +37,7 @@ def meadow_stabilizer(k: GreenFunctor) -> int:
     passes p^n.
     """
     p, n = k.p, k.n
-    base = k.base
-    W = k.underlying.weyl[0]
-    I = la.eye(W.shape[0], base)
-    cur = W
-    order = 1
-    while not la.mat_eq(cur, I):
-        cur = la.mmul(cur, W, base)
-        order += 1
-        if order > p ** n:
-            raise ValueError("bottom Weyl map has order beyond the group")
+    order = map_order(k.underlying.weyl[0], p ** n, k.base)
     r = n
     while order > 1:
         order //= p

@@ -25,7 +25,6 @@ from . import linalg as la
 from .fields import gf_make
 from .linalg import ZZ
 from .modules import FPModule, direct_sum_modules, reduced_quotient
-from .rings import batches
 from .report import CheckReport
 
 
@@ -689,6 +688,15 @@ def _unit_dets(stack, coeffs, p):
     """(C, levels) mask: the level determinant is +-1 mod p, for the
     coefficient rows given as residues mod p."""
     return la.unit_det_mask(stack.levels(stack.products(coeffs)), p).reshape(len(coeffs), -1)
+
+
+def batches(candidates):
+    """Lists of the candidates in order, 1, 2, 4, ... up to 1024 at a time,
+    each one stack for `la.full_rank_mask` or `la.unit_det_mask`."""
+    tried = 0
+    while batch := list(itertools.islice(candidates, min(1024, tried + 1))):
+        yield batch
+        tried += len(batch)
 
 
 def _first_iso(candidates, passing, phase, stats):

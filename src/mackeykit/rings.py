@@ -10,7 +10,6 @@ fit the same container.  Quotient presentations render as polynomial strings
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .linalg import ZZ
 from .report import CheckReport
 
 _STACK_ENTRIES = 1 << 20    # entries of one stacked operand; larger stacks go in blocks
-_FIELD_TEST_LIMIT = 4096    # most elements ring_is_field will enumerate
 
 
 class BasedRing:
@@ -86,17 +84,15 @@ class BasedRing:
         return flat.reshape(c, r, r).transpose(0, 2, 1)
 
     def power(self, v, e: int):
-        out = self.unit.copy()
-        for _ in range(e):
-            out = self.products(out, v)
+        """v^e by square-and-multiply from v: at most 2 * floor(log2 e) products."""
+        if e == 0:
+            return self.unit.copy()
+        out = v
+        for bit in bin(e)[3:]:
+            out = self.products(out, out)
+            if bit == "1":
+                out = self.products(out, v)
         return out
-
-    def elements(self):
-        """All coefficient columns (field base only; exponential in rank)."""
-        if self.base is ZZ:
-            raise ValueError("elements are enumerable only over a finite base field")
-        for idx in itertools.product(range(self.base.q), repeat=self.rank):
-            yield la.field_elements(self.base, [idx]).T
 
     def basis_vector(self, i: int):
         v = la.zeros(self.rank, 1, self.base)
@@ -145,33 +141,26 @@ def based_ring_check(R: BasedRing) -> CheckReport:
 
 
 def ring_is_field(R: BasedRing) -> bool:
-    """Exhaustive invertibility test over a finite base field: the left
-    multiplications of the nonzero elements go through `la.full_rank_mask` in
-    `batches`, so a zero divisor ends the test in its batch.  Raises
-    ValueError on a ring of more than _FIELD_TEST_LIMIT elements."""
+    """Whether R, a ring over a finite base field F_q, is a field, decided
+    from its Frobenius (Berlekamp's fixed-space argument) in time
+    polynomial in the rank, with no limit on the number of elements.
+
+    For a commutative F_q-algebra A of rank r >= 1 the map F: x -> x^q is
+    F_q-linear.  A nonzero nilpotent x has x^(q^e) = 0 for some e, so F is
+    injective exactly when A is reduced, that is a product of finite
+    fields F_(q^d_1) x ... x F_(q^d_c).  F then fixes exactly F_q in each
+    factor, so its fixed space has dimension c, and A is a field exactly
+    when rank F = r and rank (F - I) = r - 1.  Column i of F is e_i^q, by
+    square-and-multiply (`power`).  False at rank 0 and for a
+    non-commutative table; raises ValueError over Z."""
     if R.base is ZZ:
         raise ValueError("field test only over finite base fields")
-    if R.rank == 0:
+    if R.rank == 0 or not R.commutative:
         return False
-    if R.base.q ** R.rank > _FIELD_TEST_LIMIT:
-        raise ValueError("ring too large for the exhaustive field test")
-    if not R.commutative:
-        return False
-    nonzero = itertools.islice(itertools.product(range(R.base.q), repeat=R.rank), 1, None)
-    for batch in batches(nonzero):
-        X = la.field_elements(R.base, batch).T
-        if not la.full_rank_mask(R.left_mult_matrices(X), R.base).all():
-            return False
-    return True
-
-
-def batches(candidates):
-    """Lists of the candidates in order, 1, 2, 4, ... up to 1024 at a time,
-    each one stack for `la.full_rank_mask` or `la.unit_det_mask`."""
-    tried = 0
-    while batch := list(itertools.islice(candidates, min(1024, tried + 1))):
-        yield batch
-        tried += len(batch)
+    r, base = R.rank, R.base
+    F = la.hstack([R.power(R.basis_vector(i), base.q) for i in range(r)])
+    return (la.rank(F, base) == r
+            and la.rank(la.sub(F, la.eye(r, base), base), base) == r - 1)
 
 
 def quotient_ring(R: BasedRing, proj, lift, base, labels=None) -> BasedRing:

@@ -205,6 +205,16 @@ def test_e1_faithful_fixed_points_collapse(capsys):
     assert "splitting: single-term; G0 total: 1 (certified)" in out
 
 
+def test_e1_certifies_gf_3_9_fixed_points(capsys):
+    # the bottom level ring is GF(3^9), rank 9 over F_3
+    rc, out, _ = run(capsys, "e1", "fp-galois", "--p", "3", "--n", "2")
+    assert rc == 0
+    assert out == ("rings: Mat9(F3); zero-transfer: no; G0 ranks 1\n"
+                   "splitting: single-term; G0 total: 1 (certified)\n"
+                   "note: transfers are surjective: every higher column collapses "
+                   "to zero and only t=0 survives\n")
+
+
 def test_e1_honest_about_unknown_splitting(capsys):
     rc, out, _ = run(capsys, "e1", "constant-Z", "--p", "5", "--n", "1")
     assert rc == 0 and "splitting: unknown" in out

@@ -7,6 +7,7 @@ from mackeykit.fields import (
     galois_trace,
     irreducible_witness,
     is_prime,
+    poly_divmod,
     poly_mod,
     poly_mul,
 )
@@ -242,7 +243,6 @@ def test_irreducible_witness_matches_sympy(p):
 
     from sympy import Poly, symbols
 
-    from mackeykit.fields import poly_divmod
     x = symbols("x")
     rng = random.Random(p)
     irreducible = 0
@@ -261,3 +261,9 @@ def test_irreducible_witness_matches_sympy(p):
             assert not poly_divmod(m, list(w), p)[1]
         irreducible += expect
     assert 10 < irreducible < 140
+
+
+@pytest.mark.parametrize("b", [[], [0], [0, 0]])
+def test_division_by_the_zero_polynomial_raises(b):
+    with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+        poly_divmod([1, 1], b, 2)

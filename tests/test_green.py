@@ -16,7 +16,7 @@ from mackeykit.green import (GreenFunctor, GreenModule, GreenModuleMorphism,
                              green_module_from_invariant_span, green_module_hom_basis,
                              level_twisted_ring, module_from_green,
                              morita_matrix_units, tensor_modules,
-                             twisted_group_ring)
+                             TwistedGroupRing, twisted_group_ring)
 from mackeykit.modules import FPModule
 from mackeykit.rings import based_ring_check, ring_is_field
 
@@ -179,6 +179,32 @@ def test_twisted_ring_not_faithful():
     T = level_twisted_ring(fixed_point_green(CyclicGroup(2, 2), gf_make(2, 2)), 0)
     with pytest.raises(ValueError):
         morita_matrix_units(T)
+
+
+def test_theta_order_past_the_group_raises():
+    # Frobenius of GF(8) has order 3; a TwistedGroupRing built directly may
+    # claim a group of order 2
+    L = fixed_point_green(CyclicGroup(3, 1), gf_make(2, 3))
+    T = TwistedGroupRing(L.ring(0), 2, L.underlying.weyl[0])
+    with pytest.raises(ValueError, match="order beyond the group"):
+        T.theta_power_order()
+
+
+def test_morita_rejects_a_theta_that_is_not_a_field_automorphism():
+    # an involution of GF(8) over F_2 that fixes a plane: no automorphism of
+    # order 2 exists, since 2 does not divide 3
+    L = fixed_point_green(CyclicGroup(3, 1), gf_make(2, 3)).ring(0)
+    assert ring_is_field(L) and L.rank == 3
+    swap = la.mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]], base=L.base)
+    with pytest.raises(ValueError, match="not a field automorphism"):
+        morita_matrix_units(TwistedGroupRing(L, 2, swap))
+
+
+def test_galois_fixed_points_of_gf_3_9_form_a_meadow():
+    # 3^9 elements at the bottom level: past any listing of the ring
+    G = fixed_point_green(CyclicGroup(3, 2), gf_make(3, 9))
+    assert [r.rank for r in G.level_rings] == [9, 3, 1]
+    assert G.is_meadow()
 
 
 def test_twisted_ring_validates_theta():
@@ -436,7 +462,6 @@ def test_preconditions_raise_value_error():
         ("order must divide", lambda: fixed_point_mackey(
             G, gf_make(3, 1), four_cycle)),
         ("finite base field", lambda: ring_is_field(A)),
-        ("finite base field", lambda: list(A.elements())),
         ("over Z", lambda: render_presentation(F2)),
         ("over Z", lambda: burnside_quotient(F2, [])),
         ("over a field", lambda: green_module_from_invariant_span(BM, [la.eye(2), la.eye(2)])),

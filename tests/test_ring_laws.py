@@ -13,6 +13,7 @@ The property tests are derandomized.
 import collections
 import functools
 import itertools
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import mackeykit.linalg as la
 from mackeykit import cli
 from mackeykit.docio import parse_document, print_document
-from mackeykit.fields import gf_make
+from mackeykit.fields import gf_make, poly_mul
 from mackeykit.functors import free_module
 from mackeykit.green import (GreenFunctor, GreenModule, GreenModuleMorphism, GreenMorphism,
                              burnside_green, char_example_green, check_green,
@@ -367,6 +368,31 @@ def poly_ring(base, r, c):
     return BasedRing(base, r, la.mat(rows, base=base), unit)
 
 
+def monic_quotient(base, f):
+    """base[x] / (f) on 1, x, ..., x^(d-1), for the monic f of degree d given
+    by its coefficient indices into the base's elements, lowest first."""
+    d = len(f) - 1
+    low = [base.element(c) for c in f[:d]]
+    pows = [[base.one if i == k else base.zero for i in range(d)] for k in range(d)]
+    for _ in range(d - 1):                       # x^k mod f for k < 2d - 1
+        shifted = [base.zero] + pows[-1][:-1]
+        pows.append([a - pows[-1][-1] * c for a, c in zip(shifted, low)])
+    unit = la.zeros(d, 1, base)
+    unit[0, 0] = base.one
+    return BasedRing(base, d, la.mat([pows[i + j] for i in range(d) for j in range(d)],
+                                     base=base), unit)
+
+
+def product_ring(A, B):
+    """A x B on the basis of A followed by that of B."""
+    a, b = A.rank, B.rank
+    n, base = a + b, A.base
+    mult = la.zeros(n * n, n, base).reshape(n, n, n)
+    mult[:a, :a, :a] = A.mult.reshape(a, a, a)
+    mult[a:, a:, a:] = B.mult.reshape(b, b, b)
+    return BasedRing(base, n, mult.reshape(n * n, n), la.vstack([A.unit, B.unit]))
+
+
 def upper_triangular(base):
     """2 x 2 upper triangular matrices on e11, e12, e22: not commutative."""
     rows = [[0] * 3 for _ in range(9)]
@@ -521,15 +547,49 @@ def test_ring_is_field_as_before(name):
     assert any(got) and not all(got)
 
 
-@pytest.mark.parametrize("name", ["F2", "GF4"])
-def test_elements_enumerate_the_base_field_coordinates(name):
-    base = BASES[name]
-    R = poly_ring(base, 2, 1)
-    got = list(R.elements())
-    want = [la.mat([[a], [b]], base=base) for a, b in itertools.product(base.elements(), repeat=2)]
-    assert len(got) == base.q ** 2
-    for g, w in zip(got, want):
-        same_table(g, w)
+FIELD_TEST_BASES = {2: F2, 3: gf_make(3, 1), 4: GF4, 5: F5}
+
+
+@st.composite
+def monic_polys(draw, q, most):
+    """Coefficient indices of a monic polynomial over F_q of degree 1..most."""
+    d = draw(st.integers(1, most))
+    return draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)) + [1]
+
+
+@st.composite
+def quotient_rings(draw):
+    """F_q[x]/(f), or a product of two such rings, with at most 4096 elements."""
+    q = draw(st.sampled_from(sorted(FIELD_TEST_BASES)))
+    top = next(d for d in range(13, 0, -1) if q ** d <= 4096)
+    f = draw(monic_polys(q, top))
+    base = FIELD_TEST_BASES[q]
+    if len(f) - 1 == top or not draw(st.booleans()):
+        return monic_quotient(base, f)
+    g = draw(monic_polys(q, top - (len(f) - 1)))
+    return product_ring(monic_quotient(base, f), monic_quotient(base, g))
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=2), derandomize=True, database=None)
+@given(R=quotient_rings())
+def test_frobenius_field_test_agrees_with_the_listing(R):
+    # the listing of up to 4096 elements dominates the deadline; the
+    # Frobenius test takes about a millisecond
+    assert ring_is_field(R) == ref_ring_is_field(R)
+
+
+def test_fields_and_non_fields_past_the_old_listing_cap():
+    F3 = FIELD_TEST_BASES[3]
+    levels = fixed_point_green(CyclicGroup(3, 2), gf_make(3, 9)).level_rings
+    assert [R.rank for R in levels] == [9, 3, 1]
+    assert all(ring_is_field(R) for R in levels)
+    # F_3[x]/(x^9): x is nilpotent, so the Frobenius is not injective
+    assert not ring_is_field(poly_ring(F3, 9, 0))
+    # F_2[x]/(f g) = F_64 x F_128 is reduced, but fixes F_2 x F_2
+    f, g = [1, 1, 0, 0, 0, 0, 1], [1, 1, 0, 0, 0, 0, 0, 1]   # x^6 + x + 1, x^7 + x + 1
+    for h in (f, g):
+        assert ring_is_field(monic_quotient(F2, h))
+    assert not ring_is_field(monic_quotient(F2, poly_mul(f, g, 2)))
 
 
 @pytest.mark.parametrize("name", list(BASES))
