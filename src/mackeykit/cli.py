@@ -26,7 +26,7 @@ from .green import (GreenFunctor, GreenModule, burnside_green, box_product_gener
 from .gsets import CyclicGroup
 from .kzero import decompose_module, g0_splitting, k0_free_fixed_point
 from .linalg import ZZ
-from .mackey import check_axioms, is_isomorphic, twisted_burnside_c5
+from .mackey import check_axioms, is_isomorphic, resolve_seed, twisted_burnside_c5
 
 EXAMPLE_NAMES = ("burnside", "constant-Z", "constant-Fp", "fp-galois",
                  "twisted-burnside-c5", "char-example")
@@ -74,6 +74,14 @@ def _load_input(arg: str, args) -> object:
         return docio.load_document(arg)
     except OSError as exc:
         raise ParseError(f"cannot read {arg}: {exc.strerror or exc}") from None
+
+
+def _seed(args) -> int:
+    """--seed, else $MACKEYKIT_SEED (UsageError unless an integer), else 0."""
+    try:
+        return resolve_seed(args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -142,12 +150,13 @@ def cmd_k0free(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    seed = _seed(args)
     obj = _load_input(args.input, args)
     if not isinstance(obj, GreenModule):
         print("fail: decompose needs a module document")
         return 1
     try:
-        wit = decompose_module(obj.ring, obj, seed=args.seed)
+        wit = decompose_module(obj.ring, obj, seed=seed)
     except ValueError as exc:
         print(f"fail: {exc}")
         return 1
@@ -166,7 +175,9 @@ def cmd_phi(args) -> int:
     if isinstance(obj, GreenModule):
         print("fail: phi takes a mackey or green document")
         return 1
-    if isinstance(obj, GreenFunctor) and args.stages is not None:
+    if args.stages is not None:
+        if not isinstance(obj, GreenFunctor):
+            raise UsageError("--stages needs a green document")
         try:
             ph = phi_ring(obj, args.stages)
         except ValueError as exc:
@@ -229,6 +240,7 @@ def cmd_box(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    seed = _seed(args)
     left = _load_input(args.left, args)
     right = _load_input(args.right, args)
     pair = []
@@ -237,7 +249,7 @@ def cmd_iso(args) -> int:
             print("fail: iso compares mackey or green documents")
             return 1
         pair.append(obj.underlying if isinstance(obj, GreenFunctor) else obj)
-    res = is_isomorphic(pair[0], pair[1], seed=args.seed)
+    res = is_isomorphic(pair[0], pair[1], seed=seed)
     if res.verdict == "isomorphic":
         print("isomorphic")
         if args.witness and res.witness is not None:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg as la
 from .functors import E1Page, e1_page, free_module
 from .green import (GreenFunctor, GreenModule, GreenModuleMorphism,
@@ -20,7 +18,7 @@ from .green import (GreenFunctor, GreenModule, GreenModuleMorphism,
                     green_module_hom_basis, map_from_generator, map_order)
 from .gsets import CyclicGroup, burnside_quotient, burnside_ring
 from .linalg import ZZ
-from .mackey import MackeyFunctor, MackeyMorphism, resolve_seed
+from .mackey import LevelStack, MackeyFunctor, MackeyMorphism, resolve_seed
 from .modules import FPModule
 from .report import CheckReport
 
@@ -239,10 +237,12 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
                      inclusion=None) -> FreenessWitness:
     """Write P as a verified direct sum of free modules over the meadow k.
 
-    The multiplicities come from the dimension matrix; generators for each
-    summand are sampled (seeded, at most _SUMMAND_ATTEMPTS each) until the
-    assembled map is levelwise injective, then the square map is checked as
-    a module isomorphism.
+    The multiplicities come from the dimension matrix.  A summand F_i takes
+    the first generator (the standard columns of P(i), then seeded draws,
+    at most _SUMMAND_ATTEMPTS) that keeps the assembled map levelwise
+    injective; each is a coefficient row against the Yoneda maps F_i -> P,
+    built once per level.  The square map is then checked as a module
+    isomorphism.
     """
     base = k.base
     if base is ZZ:
@@ -261,30 +261,29 @@ def decompose_module(k: GreenFunctor, P: GreenModule, seed=None,
         return FreenessWitness(canon, P, inclusion, zero, wit, wit.check())
 
     rng = random.Random(resolve_seed(seed))
-    n = k.n
+    stacks = {}
     stacked = [la.zeros(d, 0, base) for d in P.level_dims()]
     for i in summands:
         gdim = P.underlying.levels[i].gens
-        found = False
+        if i not in stacks:
+            # the Yoneda maps F_i -> P: column w * gdim + a of a level
+            # belongs to the map sending the generator to e_a
+            yoneda = map_from_generator(P, i, la.eye(gdim, base))
+            stacks[i] = LevelStack(free_module(k, i).underlying, P.underlying,
+                                   [Y.reshape(len(Y), -1, gdim).transpose(2, 0, 1)
+                                    for Y in yoneda], base)
         for trial in range(_SUMMAND_ATTEMPTS):
-            x = la.zeros(gdim, 1, base)
-            if trial < gdim:
-                x[trial, 0] = base.one
+            if trial < gdim:        # the standard column e_trial: its own row
+                row = stacks[i].rows[trial]
             else:
-                for a in range(gdim):
-                    x[a, 0] = base.element(rng.randrange(base.q))
-            block = map_from_generator(P, i, x)
-            good = True
-            for s in range(n + 1):
-                cand = la.hstack([stacked[s], block[s]])
-                if la.rank(cand, base) != cand.shape[1]:
-                    good = False
-                    break
-            if good:
-                stacked = [la.hstack([stacked[s], block[s]]) for s in range(n + 1)]
-                found = True
+                x = la.field_elements(base, [[rng.randrange(base.q) for _ in range(gdim)]])
+                row = stacks[i].products(x)[0]
+            block = stacks[i].components(row)
+            cand = [la.hstack([S, B]) for S, B in zip(stacked, block)]
+            if all(la.rank(C, base) == C.shape[1] for C in cand):
+                stacked = cand
                 break
-        if not found:
+        else:
             raise ValueError(f"could not place a free summand at level {i}; "
                              "the module may not be free")
 
@@ -305,21 +304,12 @@ def random_green_automorphism(M: GreenModule, seed=None):
     if base is ZZ:
         raise ValueError("random automorphisms need field coefficients")
     basis = green_module_hom_basis(M, M)
-    dims = M.level_dims()
-    # row i holds the flattened components of basis[i], so one product with
-    # a coefficient row gives every level of the combination
-    stack = la.zeros(len(basis), sum(d * d for d in dims), base)
-    for i, h in enumerate(basis):
-        stack[i] = np.concatenate([c.reshape(-1) for c in h.components])
+    stack = LevelStack(M.underlying, M.underlying,
+                       [[h.components[s] for h in basis] for s in range(M.n + 1)], base)
     rng = random.Random(resolve_seed(seed))
     for _ in range(_AUTOMORPHISM_ATTEMPTS):
         coeffs = la.field_elements(base, [[rng.randrange(base.q) for _ in basis]])
-        flat = la.mmul(coeffs, stack, base)[0]
-        comps, at = [], 0
-        for d in dims:
-            comps.append(flat[at:at + d * d].reshape(d, d))
-            at += d * d
-        g = GreenModuleMorphism(M, M, MackeyMorphism.at_rest(M.underlying, M.underlying, comps))
+        g = GreenModuleMorphism(M, M, stack.morphism(stack.products(coeffs)[0]))
         if g.is_level_iso():
             return g
     raise ValueError("no automorphism found; the endomorphism ring may be too thin")

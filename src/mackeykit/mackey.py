@@ -17,6 +17,7 @@ target's relations.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 
 import numpy as np
@@ -626,68 +627,87 @@ _COEFF_BOUND = 5
 _MODULUS_CAP = 200_000
 
 
-def _combine(homs, coeffs):
-    """The integer combination of the Z homs with the int coefficients."""
-    comps = []
-    for s, f in enumerate(homs[0].components):
-        F = la.zeros(*f.shape)
-        for h, c in zip(homs, coeffs):
-            if c:
-                F = la.add_scaled(F, h.components[s], c, ZZ)
-        comps.append(F)
-    return MackeyMorphism.at_rest(homs[0].source, homs[0].target, comps)
+class LevelStack:
+    """Maps M -> N as coefficient rows over one base: the one way the seeded
+    searches (`is_isomorphic`, `kzero.random_green_automorphism` and
+    `kzero.decompose_module`) build a candidate map.
 
+    levels[s] holds the level-s components of the h maps (a list of
+    matrices or an (h, r, c) array); row i of `rows` is map i flattened, so
+    a (C, h) coefficient matrix times it (`products`) gives C combinations
+    at once, exactly over Z.  The filters of `is_isomorphic` pad each level
+    to the largest level rank with an identity block, which keeps its
+    determinant, so all levels of all candidates share one batched
+    elimination; the padding gather is built on its first use."""
 
-class _LevelStack:
-    """The hom basis stacked for batched candidates over one field F.
-
-    Row i of `rows` holds the flattened components of homs[i] over F, so a
-    (C, h) coefficient matrix times it gives the level matrices of C
-    candidates.  `levels` pads each level matrix to the largest level rank
-    with an identity block, which keeps its determinant, so every level of
-    every candidate goes through one batched determinant."""
-
-    def __init__(self, homs, field):
-        self.homs, self.field = homs, field
-        dims = [f.shape[0] for f in homs[0].components]
-        self.rows = la.coerce(np.stack([np.concatenate([f.reshape(-1) for f in g.components])
-                                        for g in homs]), field)
-        n, total = max(dims), self.rows.shape[1]
-        # gather[s, i, j]: the column of [product | 0 | 1] with entry (i, j) of level s
-        self.gather = np.full((len(dims), n, n), total, dtype=np.int64)
-        at = 0
-        for s, r in enumerate(dims):
-            self.gather[s, :r, :r] = np.arange(at, at + r * r).reshape(r, r)
-            self.gather[s, range(r, n), range(r, n)] = total + 1
-            at += r * r
-        self.pad = la.mat([[0, 1]], base=field)
+    def __init__(self, source, target, levels, base):
+        self.source, self.target, self.base = source, target, base
+        self.shapes = [(t.gens, s.gens) for s, t in zip(source.levels, target.levels)]
+        h = len(levels[0])
+        self.rows = np.concatenate([np.asarray(L).reshape(h, r * c)
+                                    for L, (r, c) in zip(levels, self.shapes)], axis=1)
+        self.gather = None
+        self.residues = {}          # prime -> the Z rows mod that prime
 
     def products(self, coeffs):
         """(C, total): row c holds the flattened components of the
-        combination with coefficient row c, both in F's form."""
-        return la.mmul(coeffs, self.rows, self.field)
+        combination with coefficient row c, both in the base's form."""
+        return la.mmul(coeffs, self.rows, self.base)
 
-    def levels(self, prod):
-        """(C * levels, n, n): the padded level matrices of the rows of
-        `products`, candidate-major."""
-        ext = np.concatenate([prod, np.repeat(self.pad, len(prod), axis=0)], axis=1)
-        n = self.gather.shape[1]
-        return ext[:, self.gather].reshape(-1, n, n)
+    def components(self, row):
+        """The level matrices whose flattened entries are the row, as views
+        of it."""
+        comps, at = [], 0
+        for r, c in self.shapes:
+            comps.append(row[at:at + r * c].reshape(r, c))
+            at += r * c
+        return comps
 
     def morphism(self, row):
-        """The map whose flattened components are the row of `products`;
-        over the homs' own field, the combination itself."""
-        comps, at = [], 0
-        for f in self.homs[0].components:
-            comps.append(row[at:at + f.size].reshape(f.shape).copy())
-            at += f.size
-        return MackeyMorphism.at_rest(self.homs[0].source, self.homs[0].target, comps)
+        """The map M -> N whose flattened components are the row."""
+        return MackeyMorphism.at_rest(self.source, self.target, self.components(row))
 
+    def levels(self, prod, field):
+        """(C * levels, n, n): the padded level matrices of the rows of a
+        product over field, candidate-major."""
+        if self.gather is None:
+            dims = [r for r, _ in self.shapes]
+            n, total = max(dims), self.rows.shape[1]
+            # gather[s, i, j]: the column of [product | 0 | 1] with entry (i, j) of level s
+            self.gather = np.full((len(dims), n, n), total, dtype=np.int64)
+            at = 0
+            for s, r in enumerate(dims):
+                self.gather[s, :r, :r] = np.arange(at, at + r * r).reshape(r, r)
+                self.gather[s, range(r, n), range(r, n)] = total + 1
+                at += r * r
+        pad = np.repeat(la.mat([[0, 1]], base=field), len(prod), axis=0)
+        n = self.gather.shape[1]
+        return np.concatenate([prod, pad], axis=1)[:, self.gather].reshape(-1, n, n)
 
-def _unit_dets(stack, coeffs, p):
-    """(C, levels) mask: the level determinant is +-1 mod p, for the
-    coefficient rows given as residues mod p."""
-    return la.unit_det_mask(stack.levels(stack.products(coeffs)), p).reshape(len(coeffs), -1)
+    def invertible(self, rows):
+        """Over a field, for `_first_iso`: the mask of the coefficient rows
+        (indices into the field's elements) whose combination is invertible
+        at every level, and the map of row i."""
+        prod = self.products(la.field_elements(self.base, rows))
+        ok = la.full_rank_mask(self.levels(prod, self.base), self.base)
+        # a witness copies its row, so that it keeps no view of the batch
+        return ok.reshape(len(rows), -1).all(axis=1), lambda i: self.morphism(prod[i].copy())
+
+    def unit_dets(self, coeffs, p):
+        """Over Z: the (C, levels) mask of the level determinants that are
+        +-1 mod the prime p, for the integer coefficient rows."""
+        field = gf_make(p, 1)
+        if p not in self.residues:
+            self.residues[p] = la.to_residues(self.rows, p)
+        prod = la.mmul(la.coerce(coeffs, field), self.residues[p], field)
+        return la.unit_det_mask(self.levels(prod, field), p).reshape(len(coeffs), -1)
+
+    def unimodular(self, rows):
+        """Over Z, for `_first_iso`: the mask of the integer coefficient rows
+        whose combination has every level determinant +-1 mod
+        _FILTER_PRIME, and the map of row i, the exact combination."""
+        ok = self.unit_dets(rows, _FILTER_PRIME).all(axis=1)
+        return ok, lambda i: self.morphism(self.products(rows[i:i + 1].astype(object))[0])
 
 
 def batches(candidates):
@@ -738,15 +758,15 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
     field, and of `randint(-w, w)` over Z (w = 1 for the first half of the
     tries, then _COEFF_BOUND; the zero vector is skipped).
 
-    Candidates are tested in `batches` of 1, 2, 4, ... up to 1024: one
-    stacked product gives a batch's level matrices and one batched
-    elimination their determinants (`la.full_rank_mask`,
-    `la.unit_det_mask`).  Over a field a nonzero determinant decides, and
-    a candidate's map is its row of the stacked product; over Z a
-    determinant that is not +-1 mod _FILTER_PRIME rules a candidate out,
-    and the map of one that passes is the exact integer combination.  The
-    candidates that pass are confirmed with the exact `is_level_iso` in
-    order, so the first witness is the one a one-at-a-time search finds.
+    Candidates are tested in `batches` of 1, 2, 4, ... up to 1024, each one
+    product against the `LevelStack` of the hom basis and one batched
+    elimination of its level determinants (`LevelStack.invertible`,
+    `LevelStack.unimodular`).  Over a field a nonzero determinant decides;
+    over Z a determinant that is not +-1 mod _FILTER_PRIME rules a
+    candidate out.  A candidate's map is its row of the product, over Z of
+    the exact one.  The candidates that pass are confirmed with the exact
+    `is_level_iso` in order, so the first witness is the one a
+    one-at-a-time search finds.
 
     The result's stats: "hom_rank", "phase" (the phase that answered:
     "ranks", "hom", "box", "random" or "modulus"; None when inconclusive),
@@ -778,19 +798,13 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
         stats["phase"] = phase
         return IsoResult(*args, **kw, stats=stats)
 
+    stack = LevelStack(M, N, [[f.components[s] for f in homs] for s in range(M.n + 1)], base)
     if base is not ZZ:
         q = base.p ** base.k
-        stack = _LevelStack(homs, base)
-
-        def invertible(rows):       # rows hold indices into base.elements()
-            prod = stack.products(la.field_elements(base, rows))
-            ok = la.full_rank_mask(stack.levels(prod), base).reshape(len(rows), -1).all(axis=1)
-            return ok, lambda i: stack.morphism(prod[i])
-
         # exhaustive only for small hom spaces; beyond that the full
         # enumeration would be astronomically large over bigger fields
         if h <= 6 and q ** h <= _EXHAUSTIVE_CAP:
-            f = _first_iso(itertools.product(range(q), repeat=h), invertible, "box", stats)
+            f = _first_iso(itertools.product(range(q), repeat=h), stack.invertible, "box", stats)
             if f is not None:
                 return answer("box", "isomorphic", witness=f, detail="exhaustive search")
             return answer("box", "not_isomorphic",
@@ -800,27 +814,20 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
         stats["seed"] = resolve_seed(seed)
         rng = random.Random(stats["seed"])
         draws = ([rng.randrange(q) for _ in range(h)] for _ in range(_RANDOM_TRIES))
-        f = _first_iso(draws, invertible, "random", stats)
+        f = _first_iso(draws, stack.invertible, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random search")
         return answer(None, "inconclusive", detail=f"no witness in {_RANDOM_TRIES} samples")
 
     if any(lv.relations.shape[1] for lv in M.levels + N.levels):
         raise NotImplementedError("level-iso test needs free levels over Z")
-    filt = gf_make(_FILTER_PRIME, 1)
-    stack = _LevelStack(homs, filt)
-
-    def unimodular_mod_p(rows):
-        ok = _unit_dets(stack, la.coerce(rows, filt), _FILTER_PRIME).all(axis=1)
-        return ok, lambda i: _combine(homs, rows[i].tolist())
-
     # integer case: bounded search for a unimodular witness
     B = _COEFF_BOUND
     while B >= 1 and (2 * B + 1) ** h > _EXHAUSTIVE_CAP:
         B -= 1
     if B >= 1:
         box = (c for c in itertools.product(range(-B, B + 1), repeat=h) if any(c))
-        f = _first_iso(box, unimodular_mod_p, "box", stats)
+        f = _first_iso(box, stack.unimodular, "box", stats)
         if f is not None:
             return answer("box", "isomorphic", witness=f,
                           detail=f"lattice search, coefficients within {B}")
@@ -836,7 +843,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
                 coeffs = [rng.randint(-width, width) for _ in range(h)]
                 if any(coeffs):
                     yield coeffs
-        f = _first_iso(draws(), unimodular_mod_p, "random", stats)
+        f = _first_iso(draws(), stack.unimodular, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random lattice search")
 
@@ -846,20 +853,17 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
         if m ** h > _MODULUS_CAP:
             break
         stats["moduli"].append(m)
-        stack = _LevelStack(homs, gf_make(m, 1))
         level_ok = np.zeros(M.n + 1, dtype=bool)  # did any hom have det = +-1 mod m at level s
-        found_admissible = False
         for batch in batches(itertools.product(range(m), repeat=h)):
-            good = _unit_dets(stack, np.array(batch), m)
+            good = stack.unit_dets(np.array(batch), m)
             admissible = np.flatnonzero(good.all(axis=1))
             if admissible.size:
                 stats["candidates"]["modulus"] += int(admissible[0]) + 1
                 stats["passed_filter"]["modulus"] += 1
-                found_admissible = True
                 break
             stats["candidates"]["modulus"] += len(batch)
             level_ok |= good.any(axis=0)
-        if not found_admissible:
+        else:
             blocking = np.flatnonzero(~level_ok).tolist()
             return answer("modulus", "not_isomorphic",
                           certificate={"modulus": m, "hom_rank": h,
@@ -872,8 +876,12 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
 
 
 def resolve_seed(seed):
-    """The seed of a seeded search: seed itself, else $MACKEYKIT_SEED, else 0."""
+    """The seed of a seeded search: seed itself, else $MACKEYKIT_SEED, else 0.
+    Raises ValueError, naming the variable, when it is not an integer."""
     if seed is not None:
         return int(seed)
-    import os
-    return int(os.environ.get("MACKEYKIT_SEED", "0"))
+    value = os.environ.get("MACKEYKIT_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"$MACKEYKIT_SEED is {value!r}, not an integer") from None

@@ -168,6 +168,17 @@ def test_phi_stage_out_of_range_is_a_usage_error(capsys, stages):
     assert f"stage {stages} is outside 0..1" in err
 
 
+def test_phi_stages_on_a_mackey_document_is_a_usage_error(capsys, tmp_path):
+    # a Mackey document has no Phi-ring; --stages was ignored and exit 0
+    _, text, _ = run(capsys, "example", "twisted-burnside-c5")
+    path = tmp_path / "At.doc"
+    path.write_text(text)
+    assert isinstance(parse_document(text), MackeyFunctor)
+    rc, out, err = run(capsys, "phi", str(path), "--stages", "1")
+    assert rc == 2 and out == ""
+    assert "--stages needs a green document" in err
+
+
 def test_phi_refuses_torsion_green(capsys):
     rc, out, _ = run(capsys, "phi", "constant-Z", "--p", "2", "--n", "1")
     assert rc == 1 and "torsion" in out
@@ -275,6 +286,46 @@ def test_seed_env_variable_is_honoured(capsys, tmp_path, monkeypatch):
     _, a, _ = run(capsys, "decompose", str(path))
     _, b, _ = run(capsys, "decompose", str(path), "--seed", "23")
     assert a == b
+
+
+def _seed_argvs(capsys, tmp_path):
+    """decompose on an F_0 document, and iso on two copies of constant F_2
+    over C4, whose exhaustive search reads no seed."""
+    from mackeykit.fields import gf_make
+    from mackeykit.functors import free_module
+    from mackeykit.green import constant_green
+    from mackeykit.gsets import CyclicGroup
+    F0 = tmp_path / "F0.doc"
+    F0.write_text(print_document(free_module(constant_green(CyclicGroup(2, 1), gf_make(2, 1)), 0)))
+    _, text, _ = run(capsys, "example", "constant-F2", "--p", "2", "--n", "2")
+    a, b = tmp_path / "a.doc", tmp_path / "b.doc"
+    a.write_text(text)
+    b.write_text(text)
+    return {"decompose": ["decompose", str(F0)], "iso": ["iso", str(a), str(b)]}
+
+
+@pytest.mark.parametrize("command", ["decompose", "iso"])
+def test_a_seed_variable_that_is_not_an_integer_is_a_usage_error(capsys, tmp_path,
+                                                                  monkeypatch, command):
+    argv = _seed_argvs(capsys, tmp_path)[command]
+    monkeypatch.setenv("MACKEYKIT_SEED", "abc")
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "usage error: $MACKEYKIT_SEED is 'abc', not an integer" in err
+    # an explicit --seed does not read the variable
+    rc, out, _ = run(capsys, *argv, "--seed", "3")
+    assert rc == 0 and out.splitlines()[-1] in ("isomorphic", "witness: verified module "
+                                                "isomorphism from the free model")
+
+
+def test_resolve_seed_names_a_seed_variable_that_is_not_an_integer(monkeypatch):
+    from mackeykit.mackey import resolve_seed
+    monkeypatch.setenv("MACKEYKIT_SEED", "1.5")
+    with pytest.raises(ValueError, match=r"\$MACKEYKIT_SEED is '1.5', not an integer"):
+        resolve_seed(None)
+    assert resolve_seed(4) == 4
+    monkeypatch.setenv("MACKEYKIT_SEED", " 12 ")
+    assert resolve_seed(None) == 12
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
