@@ -56,6 +56,9 @@ def build_example(name: str, p: int = 2, n: int = 1, degree: int | None = None):
             return constant_green(G, gf_make(p, 1), name=f"constant F{p}")
         if name == "fp-galois":
             k = degree if degree is not None else p ** n
+            if k > 0 and p ** n % k:
+                # before gf_make, which may search for a default modulus
+                raise ValueError(f"degree {k} does not divide {p}^{n}")
             return fixed_point_green(G, gf_make(p, k))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -155,11 +158,7 @@ def cmd_decompose(args) -> int:
     if not isinstance(obj, GreenModule):
         print("fail: decompose needs a module document")
         return 1
-    try:
-        wit = decompose_module(obj.ring, obj, seed=seed)
-    except ValueError as exc:
-        print(f"fail: {exc}")
-        return 1
+    wit = decompose_module(obj.ring, obj, seed=seed)
     print(f"canonical form: {wit.classification.describe()}")
     if wit.ok:
         print("witness: verified module isomorphism from the free model")
@@ -197,12 +196,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    obj = _load_input(args.input, args)
-    try:
-        res = tau_geq_1(obj)
-    except ValueError as exc:
-        print(f"fail: {exc}")
-        return 1
+    res = tau_geq_1(_load_input(args.input, args))
     _write_output(docio.print_document(res), args.output)
     return 0
 

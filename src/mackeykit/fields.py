@@ -10,6 +10,7 @@ tables and sums in a Zech-logarithm table; larger ones multiply polynomials.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -117,6 +118,18 @@ def _proper_factor(m, f, p):
     return tuple(f)
 
 
+def _frobenius_columns(m, p):
+    """The k coefficient lists of x^(ip) mod m, i = 0..k-1, each of length
+    k: the columns of the matrix of v -> v^p on F_p[x]/(m)."""
+    k = len(m) - 1
+    xp = _poly_pow_mod([0, 1], p, m, p)
+    cols, col = [], [1]
+    for _ in range(k):
+        cols.append(col + [0] * (k - len(col)))
+        col = poly_mod(poly_mul(col, xp, p), m, p)
+    return cols
+
+
 def irreducible_witness(modulus, p):
     """None if the monic modulus is irreducible over F_p, else a proper monic factor.
 
@@ -140,11 +153,8 @@ def irreducible_witness(modulus, p):
     if len(d) > 1:
         return _proper_factor(m, d, p)
     # row i of (Q - I)^T, as residues mod p: x^(ip) mod m, minus x^i
-    xp = _poly_pow_mod([0, 1], p, m, p)
-    Qt, col = [], [1]
-    for i in range(k):
-        Qt += [(c - (j == i)) % p for j, c in enumerate(col + [0] * (k - len(col)))]
-        col = poly_mod(poly_mul(col, xp, p), m, p)
+    Qt = [(c - (j == i)) % p for i, col in enumerate(_frobenius_columns(m, p))
+          for j, c in enumerate(col)]
     F = gf_make(p, 1)
     ker = la.nullspace(la.from_ints(Qt, k, k, F).T, F)
     if ker.shape[1] == 1:
@@ -164,7 +174,7 @@ def irreducible_witness(modulus, p):
 
 
 # Conway-style default moduli for small p^k with k > 1; every prime field
-# takes x (see `_default_modulus`).
+# takes x, and every other GF(p^k) a searched modulus (see `_default_modulus`).
 DEFAULT_MODULI = {
     (2, 2): (1, 1, 1),
     (2, 3): (1, 1, 0, 1),
@@ -181,9 +191,20 @@ DEFAULT_MODULI = {
 }
 
 
+@functools.cache
 def _default_modulus(p: int, k: int):
-    """x for a prime field, else the DEFAULT_MODULI entry or None."""
-    return (0, 1) if k == 1 else DEFAULT_MODULI.get((p, k))
+    """x for a prime field, else the DEFAULT_MODULI entry, else the first
+    monic irreducible x^k + c_(k-1) x^(k-1) + ... + c_0 in the order of
+    sum_j c_j p^j, as `irreducible_witness` decides, searched once per
+    (p, k); None when no field GF(p^k) exists."""
+    if k == 1:
+        return (0, 1)
+    if (p, k) in DEFAULT_MODULI or k < 1 or not is_prime(p):
+        return DEFAULT_MODULI.get((p, k))
+    for i in itertools.count():
+        c = [i // p ** j % p for j in range(k)] + [1]
+        if irreducible_witness(c, p) is None:
+            return tuple(c)
 
 
 class FFElement:
@@ -288,8 +309,6 @@ class GaloisField:
             raise ValueError("k must be >= 1")
         if modulus is None:
             modulus = _default_modulus(p, k)
-            if modulus is None:
-                raise ValueError(f"no default modulus for GF({p}^{k}); pass one explicitly")
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
@@ -463,24 +482,15 @@ class GaloisField:
         return out
 
     def frobenius_matrix(self, times: int = 1):
-        """Matrix of x -> x^(p^times) on the power basis, entries in F_p (ints)."""
+        """Matrix of x -> x^(p^times) on the power basis, over F_p in the
+        at-rest form of gf_make(p, 1)."""
+        from . import linalg as la
+        F = gf_make(self.p, 1)
         if self._frob_mat is None:
-            cols = []
-            for i in range(self.k):
-                img = self.frobenius(self.elem(tuple(1 if j == i else 0 for j in range(self.k))))
-                cols.append(img.coeffs)
-            M = np.empty((self.k, self.k), dtype=object)
-            for j, col in enumerate(cols):
-                for i in range(self.k):
-                    M[i, j] = col[i]
-            self._frob_mat = M
-        from .linalg import eye, mmul
-        out = eye(self.k)
-        for _ in range(times % self.k if self.k > 1 else 0):
-            out = mmul(self._frob_mat, out)
-        if out.size:
-            out = out % self.p
-        return out
+            cols = _frobenius_columns(list(self.modulus), self.p)
+            self._frob_mat = la.from_ints([c for row in zip(*cols) for c in row],
+                                          self.k, self.k, F)
+        return la.mpow(self._frob_mat, times % self.k, F)
 
     def elements(self):
         for coeffs in itertools.product(range(self.p), repeat=self.k):

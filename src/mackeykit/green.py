@@ -456,22 +456,19 @@ def constant_green(group, base, name: str = "") -> GreenFunctor:
     return GreenFunctor(und, rings, name=name or und.name)
 
 
-def fixed_point_green(group, field, frob_power: int = 1, name: str = "") -> GreenFunctor:
+def fixed_point_green(group, field, name: str = "") -> GreenFunctor:
     """Galois fixed points of a finite field, written over its prime field.
 
-    C_{p^n} acts through frobenius^frob_power; level s is the subfield
-    fixed by the corresponding subgroup, with its own multiplication (a
-    subfield is closed under products, so they solve over its basis).
+    C_{p^n} acts through the Frobenius, which has order k on GF(p^k), so k
+    must divide p^n; level s is the subfield fixed by the corresponding
+    subgroup, with its own multiplication (a subfield is closed under
+    products, so they solve over its basis).
     """
     base = gf_make(field.p, 1)
-    j = frob_power % field.k if field.k > 1 else 0
-    order = field.k // math.gcd(j, field.k) if j else 1
-    o = order
-    while o > 1 and o % group.p == 0:
-        o //= group.p
-    if o != 1 or order > group.p ** group.n:
-        raise ValueError("frobenius power must generate a subquotient of the acting group")
-    rho = la.coerce(field.frobenius_matrix(j), base)
+    if (group.p ** group.n) % field.k:
+        raise ValueError(f"frobenius powers of {field!r} form a group of order {field.k}, "
+                         f"not a subquotient of C{group.p ** group.n}")
+    rho = field.frobenius_matrix()
     M = fixed_point_mackey(group, base, rho,
                            name=name or f"fixed points of GF({field.p}^{field.k})")
     k = field.k

@@ -48,18 +48,19 @@ where the crossover was measured.  Within that bound `rank` runs forward
 elimination alone on the list rows (`_rank_rows`): no back substitution,
 and each pivot row leaves the system.
 
-`det_mod_p` is the batched kernel: the determinants mod p of a (C, n, n)
-stack of int64 residue matrices, by one fraction-free elimination over the
-whole stack.  Over Z it serves as a filter, never as the answer: a matrix
-whose determinant is not +-1 mod a prime is not unimodular, and one that
-passes is confirmed with the exact `bareiss_det`.  `unit_det_mask` is that
-filter, the same elimination with no inverse.  `full_rank_mask` decides
-invertibility of a stack over any finite field in two regimes: a residue
-stack with C * n at most `_MASK_ROWS_MAX` = 32 goes matrix by matrix
-through `_rank_rows`, which stops at the first column without a pivot;
-larger stacks take the batched elimination, on residues or, for GF(p^k),
-k > 1, and primes past the int64 bound, on field elements in the field's
-own arithmetic.  The constant records where that crossover was measured.
+`unit_det_mask` and `full_rank_mask` are the batched kernels: each takes a
+(C, n, n) stack and decides every matrix by one fraction-free elimination
+over the whole stack, and small residue stacks matrix by matrix through
+`_det_rows`, which stops at the first column without a pivot.
+`unit_det_mask` keeps the int64 residue matrices whose determinant is +-1
+mod p (list rows up to C * n = `_UNIT_ROWS_MAX` = 8).  Over Z that serves
+as a filter, never as the answer: a matrix whose determinant is not +-1
+mod a prime is not unimodular, and one that passes is confirmed with the
+exact `bareiss_det`.  `full_rank_mask` decides invertibility over any
+finite field (list rows up to C * n = `_MASK_ROWS_MAX` = 32); GF(p^k),
+k > 1, and primes past the int64 bound are eliminated on field elements
+in the field's own arithmetic.  The constants record where the crossovers
+were measured.
 """
 
 from __future__ import annotations
@@ -488,19 +489,15 @@ def _rref_rows(M, p):
     return np.array(rows, dtype=np.int64).reshape(m, n), pivots
 
 
-def _rank_rows(rows, p, stop=False):
+def _rank_rows(rows, p):
     """The rank mod p of the matrix with the lists of Python ints `rows`, by
     forward elimination alone: each step takes the first row with a nonzero
     leading entry as the pivot, drops it, and clears that entry from the
-    other rows, which keep only their columns right of it.  With stop, it
-    returns at the first column with no pivot, as soon as a square matrix
-    is known to be singular."""
+    other rows, which keep only their columns right of it."""
     r = 0
     while rows and rows[0]:
         i = next((i for i, row in enumerate(rows) if row[0]), None)
         if i is None:
-            if stop:
-                break
             rows = [row[1:] for row in rows]
             continue
         top = rows.pop(i)
@@ -509,6 +506,23 @@ def _rank_rows(rows, p, stop=False):
                 if (f := row[0] * inv % p) else row[1:] for row in rows]
         r += 1
     return r
+
+
+def _det_rows(rows, p):
+    """The determinant mod p of the square matrix with the lists of Python
+    ints `rows`, by `_rank_rows`' elimination; 0 at the first column with no
+    pivot, as soon as the matrix is known to be singular."""
+    det = 1
+    while rows:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return 0
+        top = rows.pop(i)
+        det = det * top[0] * (-1) ** i % p      # i row swaps bring the pivot up
+        inv, tail = pow(top[0], p - 2, p), top[1:]
+        rows = [[(x - f * y) % p for x, y in zip(row[1:], tail)]
+                if (f := row[0] * inv % p) else row[1:] for row in rows]
+    return det
 
 
 def _rref_array(M, p):
@@ -746,26 +760,27 @@ def smith_normal_form(A) -> SmithForm:
     return SmithForm(U, D, V, Ui)
 
 
-def det_mod_p(A, p):
-    """Determinants mod p of a stack of square matrices: A is a (C, n, n)
-    int64 residue array, the result an int64 array of C residues.  Needs
-    (p - 1)^2 < 2^63.
-
-    Batched Gaussian elimination: one pass per pivot column over the whole
-    stack, not one per matrix.  It is fraction-free: the rows below a pivot
-    d are scaled by d before the pivot row is subtracted, which multiplies
-    the determinant by d^(rows below); the product of those factors is
-    divided out at the end with one inverse per matrix.
-    """
-    num, den = _eliminate(A, p)
-    inv = np.array([pow(int(d), p - 2, p) for d in den], dtype=np.int64)
-    return num * inv % p
+# Residue stacks (C, n, n) with C * n at most these go matrix by matrix
+# through `_det_rows`, about C n^2 entry steps (fewer when a singular matrix
+# stops early); larger ones take the batched elimination, about n numpy
+# steps whatever C is.  On the per-level stacks of field-decide's iso jobs,
+# mostly singular, 32 was fastest (seeds 11-13, 2 vCPUs: 43-54 ms against
+# 61-82 at 16 and 42-78 at 64) and keeps random F_2, F_3 and F_5 stacks
+# within 1.3x of the batched elimination.  The Z candidates of doc-cli's
+# iso jobs, mostly nonsingular mod the filter prime, cross over near 8.
+_MASK_ROWS_MAX = 32
+_UNIT_ROWS_MAX = 8
 
 
 def unit_det_mask(A, p):
-    """Boolean mask of the matrices of a (C, n, n) residue stack whose
-    determinant is +-1 mod p: `det_mod_p`'s elimination, compared without
-    the inverse (num = +-den).  A singular matrix has num = 0 and is out."""
+    """Boolean mask of the matrices of a (C, n, n) int64 residue stack whose
+    determinant is +-1 mod p, for (p - 1)^2 < 2^63; a 0 x 0 matrix has
+    determinant 1.  With C * n at most `_UNIT_ROWS_MAX` each determinant
+    comes from `_det_rows`; otherwise one batched elimination (`_eliminate`)
+    gives det = num / den, so the test needs no inverse: num = +-den, and a
+    singular matrix has num = 0."""
+    if A.shape[0] * A.shape[1] <= _UNIT_ROWS_MAX:
+        return np.array([_det_rows(M, p) in (1, p - 1) for M in A.tolist()], dtype=bool)
     num, den = _eliminate(A, p)
     return (num != 0) & ((num == den) | (num == (p - den) % p))
 
@@ -775,7 +790,9 @@ def _eliminate(A, p):
     A: num is the signed product of the pivots, den the product of the row
     scalings.  A singular matrix has num = 0.  With p, A holds int64
     residues and every step is reduced mod p; with p None, A holds field
-    elements and the steps are the field's own arithmetic."""
+    elements and the steps are the field's own arithmetic.  Fraction-free:
+    one pass per pivot column over the whole stack scales the rows below a
+    pivot d by d before the pivot row is subtracted."""
     A = np.array(A, dtype=np.int64 if p else object)
     C, n = A.shape[0], A.shape[1]
 
@@ -805,37 +822,24 @@ def _eliminate(A, p):
     return num, den
 
 
-# Residue stacks (C, n, n) with C * n at most this are decided matrix by
-# matrix on Python-int rows (`_full_rank_rows`), larger ones by the batched
-# elimination.  The list rows cost about C n^2 entry steps, less when a
-# singular matrix stops early; the batched elimination about n numpy steps
-# whatever C is.  On uniform random stacks over F_2, F_3 and F_5 the two
-# meet at C * n of 24 to 36 (n = 2 to 8).  On the level stacks of a
-# field-decide pass, mostly singular candidates, the list rows were 4x
-# faster up to C * n = 32 and 1.4x faster at 33 to 64; 32 keeps random
-# stacks within 1.3x of the batched elimination.
-_MASK_ROWS_MAX = 32
-
-
 def full_rank_mask(A, field):
     """Boolean mask of the invertible matrices in a (C, n, n) stack over a
     finite field.  Plain ints in A are read as field elements.
 
     Two regimes, as in `_rref_mod_p`.  A residue stack of C matrices n x n
     with C * n at most `_MASK_ROWS_MAX` is decided matrix by matrix on lists
-    of Python ints, a rank-only elimination that stops at the first column
-    with no pivot; there the numpy calls of a batched pivot step would cost
-    more than the arithmetic.  Larger stacks, and stacks over GF(p^k),
-    k > 1, or a prime past the int64 bound, take `det_mod_p`'s batched
-    elimination, on residues or on field elements in the field's own
-    arithmetic."""
+    of Python ints (`_det_rows`, which stops at the first column with no
+    pivot); there the numpy calls of a batched pivot step would cost more
+    than the arithmetic.  Larger stacks, and stacks over GF(p^k),
+    k > 1, or a prime past the int64 bound, take the batched elimination
+    of `unit_det_mask`, on residues or on field elements in the field's own
+    arithmetic, and keep the matrices with a nonzero determinant."""
     p = kernels(field).p
     if not p:
         return _eliminate(coerce(A, field), None)[0] != 0
     A = to_residues(A, p)
     if A.shape[0] * A.shape[1] <= _MASK_ROWS_MAX:
-        n = A.shape[1]
-        return np.array([_rank_rows(M, p, stop=True) == n for M in A.tolist()], dtype=bool)
+        return np.array([_det_rows(M, p) != 0 for M in A.tolist()], dtype=bool)
     return _eliminate(A, p)[0] != 0
 
 

@@ -635,10 +635,9 @@ class LevelStack:
     levels[s] holds the level-s components of the h maps (a list of
     matrices or an (h, r, c) array); row i of `rows` is map i flattened, so
     a (C, h) coefficient matrix times it (`products`) gives C combinations
-    at once, exactly over Z.  The filters of `is_isomorphic` pad each level
-    to the largest level rank with an identity block, which keeps its
-    determinant, so all levels of all candidates share one batched
-    elimination; the padding gather is built on its first use."""
+    at once, exactly over Z.  The filters of `is_isomorphic` take a mask of
+    each level's own (C, r, r) slice of a product (`level_masks`), one
+    batched elimination per level."""
 
     def __init__(self, source, target, levels, base):
         self.source, self.target, self.base = source, target, base
@@ -646,7 +645,6 @@ class LevelStack:
         h = len(levels[0])
         self.rows = np.concatenate([np.asarray(L).reshape(h, r * c)
                                     for L, (r, c) in zip(levels, self.shapes)], axis=1)
-        self.gather = None
         self.residues = {}          # prime -> the Z rows mod that prime
 
     def products(self, coeffs):
@@ -667,31 +665,24 @@ class LevelStack:
         """The map M -> N whose flattened components are the row."""
         return MackeyMorphism.at_rest(self.source, self.target, self.components(row))
 
-    def levels(self, prod, field):
-        """(C * levels, n, n): the padded level matrices of the rows of a
-        product over field, candidate-major."""
-        if self.gather is None:
-            dims = [r for r, _ in self.shapes]
-            n, total = max(dims), self.rows.shape[1]
-            # gather[s, i, j]: the column of [product | 0 | 1] with entry (i, j) of level s
-            self.gather = np.full((len(dims), n, n), total, dtype=np.int64)
-            at = 0
-            for s, r in enumerate(dims):
-                self.gather[s, :r, :r] = np.arange(at, at + r * r).reshape(r, r)
-                self.gather[s, range(r, n), range(r, n)] = total + 1
-                at += r * r
-        pad = np.repeat(la.mat([[0, 1]], base=field), len(prod), axis=0)
-        n = self.gather.shape[1]
-        return np.concatenate([prod, pad], axis=1)[:, self.gather].reshape(-1, n, n)
+    def level_masks(self, prod, mask, *args):
+        """(C, levels): column s is mask(stack, *args) of the (C, r, r)
+        stack of the level-s components of the rows of a product."""
+        out, at = [], 0
+        for r, c in self.shapes:
+            # len(prod), not -1: a level of rank 0 is a (C, 0, 0) stack
+            out.append(mask(prod[:, at:at + r * c].reshape(len(prod), r, c), *args))
+            at += r * c
+        return np.stack(out, axis=1)
 
     def invertible(self, rows):
         """Over a field, for `_first_iso`: the mask of the coefficient rows
         (indices into the field's elements) whose combination is invertible
         at every level, and the map of row i."""
         prod = self.products(la.field_elements(self.base, rows))
-        ok = la.full_rank_mask(self.levels(prod, self.base), self.base)
+        ok = self.level_masks(prod, la.full_rank_mask, self.base).all(axis=1)
         # a witness copies its row, so that it keeps no view of the batch
-        return ok.reshape(len(rows), -1).all(axis=1), lambda i: self.morphism(prod[i].copy())
+        return ok, lambda i: self.morphism(prod[i].copy())
 
     def unit_dets(self, coeffs, p):
         """Over Z: the (C, levels) mask of the level determinants that are
@@ -700,7 +691,7 @@ class LevelStack:
         if p not in self.residues:
             self.residues[p] = la.to_residues(self.rows, p)
         prod = la.mmul(la.coerce(coeffs, field), self.residues[p], field)
-        return la.unit_det_mask(self.levels(prod, field), p).reshape(len(coeffs), -1)
+        return self.level_masks(prod, la.unit_det_mask, p)
 
     def unimodular(self, rows):
         """Over Z, for `_first_iso`: the mask of the integer coefficient rows
@@ -712,7 +703,7 @@ class LevelStack:
 
 def batches(candidates):
     """Lists of the candidates in order, 1, 2, 4, ... up to 1024 at a time,
-    each one stack for `la.full_rank_mask` or `la.unit_det_mask`."""
+    each one stack per level for `la.full_rank_mask` or `la.unit_det_mask`."""
     tried = 0
     while batch := list(itertools.islice(candidates, min(1024, tried + 1))):
         yield batch
@@ -722,10 +713,11 @@ def batches(candidates):
 def _first_iso(candidates, passing, phase, stats):
     """The first candidate of the iterable that is a levelwise isomorphism,
     or None.  passing(rows) takes a batch (`batches`) as an array of
-    coefficient rows and returns the mask of a necessary condition and a
-    function giving the map of row i; each row that passes is confirmed by
-    is_level_iso, in order.  Counts the candidates up to the answer, and
-    those that passed the filter, into stats."""
+    coefficient rows and returns the mask of a necessary condition met at
+    every level (`LevelStack.level_masks`) and a function giving the map of
+    row i; each row that passes is confirmed by is_level_iso, in order.
+    Counts the candidates up to the answer, and those that passed the
+    filter, into stats."""
     tried = passed = 0
     for batch in batches(candidates):
         ok, make = passing(np.array(batch))
@@ -760,13 +752,13 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
 
     Candidates are tested in `batches` of 1, 2, 4, ... up to 1024, each one
     product against the `LevelStack` of the hom basis and one batched
-    elimination of its level determinants (`LevelStack.invertible`,
-    `LevelStack.unimodular`).  Over a field a nonzero determinant decides;
-    over Z a determinant that is not +-1 mod _FILTER_PRIME rules a
-    candidate out.  A candidate's map is its row of the product, over Z of
-    the exact one.  The candidates that pass are confirmed with the exact
-    `is_level_iso` in order, so the first witness is the one a
-    one-at-a-time search finds.
+    elimination per level of the candidates' level matrices
+    (`LevelStack.invertible`, `LevelStack.unimodular`).  Over a field a
+    nonzero determinant decides; over Z a determinant that is not +-1 mod
+    _FILTER_PRIME rules a candidate out.  A candidate's map is its row of
+    the product, over Z of the exact one.  The candidates that pass are
+    confirmed with the exact `is_level_iso` in order, so the first witness
+    is the one a one-at-a-time search finds.
 
     The result's stats: "hom_rank", "phase" (the phase that answered:
     "ranks", "hom", "box", "random" or "modulus"; None when inconclusive),

@@ -41,8 +41,9 @@ def _gate(num: int, budget: float, fn) -> None:
     assert dt <= budget, f"criterion {num} took {dt:.2f}s (budget {budget:g}s)"
 
 
-# degrees p^n with an irreducible modulus on file; (3, 27) has none, so the
-# galois fixed-point meadow is skipped at p = 3, n = 3
+# degrees p^n with a modulus in DEFAULT_MODULI; (3, 27) is not there (its
+# default is searched), and the galois fixed-point meadow is skipped at
+# p = 3, n = 3
 _GALOIS_DEGREES = {2: (2, 4, 8), 3: (3, 9), 5: (5,)}
 
 

@@ -197,7 +197,28 @@ def test_tau_drops_a_stage(capsys, tmp_path):
 
 def test_tau_refuses_height_zero(capsys):
     rc, out, _ = run(capsys, "tau", "burnside", "--p", "2", "--n", "0")
-    assert rc == 1 and out.startswith("fail:")
+    assert rc == 1 and out == "fail: nothing below the bottom level\n"
+
+
+def test_decompose_failure_is_main_s_fail_line(capsys, tmp_path):
+    # F_1 + T over F_2/C2 has the level ranks of F_0 but is not free:
+    # decompose_module's ValueError reaches main, which prints it and exits 1
+    from mackeykit.fields import gf_make
+    from mackeykit.functors import free_module
+    from mackeykit.green import GreenModule, constant_green, direct_sum_green_modules
+    from mackeykit.gsets import CyclicGroup
+    from mackeykit.modules import FPModule
+    import mackeykit.linalg as la
+    R = constant_green(CyclicGroup(2, 1), gf_make(2, 1))
+    F = R.base
+    und = MackeyFunctor(R.group, F, [FPModule(F, 1), FPModule(F, 0)], [la.zeros(1, 0, F)],
+                        [la.zeros(0, 1, F)], [la.eye(1, F), la.eye(0, F)])
+    T = GreenModule(R, und, [[la.eye(1, F)], [la.eye(0, F)]])
+    path = tmp_path / "notfree.doc"
+    path.write_text(print_document(direct_sum_green_modules([free_module(R, 1), T])))
+    rc, out, _ = run(capsys, "decompose", str(path), "--seed", "4")
+    assert rc == 1 and out == ("fail: could not place a free summand at level 0; "
+                               "the module may not be free\n")
 
 
 def test_e1_pinned_line_for_constant_f2(capsys):
@@ -224,6 +245,27 @@ def test_e1_certifies_gf_3_9_fixed_points(capsys):
                    "splitting: single-term; G0 total: 1 (certified)\n"
                    "note: transfers are surjective: every higher column collapses "
                    "to zero and only t=0 survives\n")
+
+
+@pytest.mark.parametrize("p,n,ring", [(2, 4, "Mat16(F2)"), (7, 1, "Mat7(F7)"),
+                                      (3, 3, "Mat27(F3)"), (5, 2, "Mat25(F5)")])
+def test_e1_certifies_fixed_points_past_the_modulus_table(capsys, p, n, ring):
+    # GF(2^16), GF(7^7), GF(3^27) and GF(5^25) take a searched default modulus
+    rc, out, err = run(capsys, "e1", "fp-galois", "--p", str(p), "--n", str(n))
+    assert rc == 0 and err.startswith("elapsed:")
+    assert out == (f"rings: {ring}; zero-transfer: no; G0 ranks 1\n"
+                   "splitting: single-term; G0 total: 1 (certified)\n"
+                   "note: transfers are surjective: every higher column collapses "
+                   "to zero and only t=0 survives\n")
+
+
+def test_a_degree_that_does_not_divide_the_group_order_builds_no_field(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "gf_make", lambda *a: built.append(a))
+    rc, out, err = run(capsys, "example", "fp-galois", "--p", "2", "--n", "1",
+                       "--degree", "1000")
+    assert rc == 2 and out == "" and built == []
+    assert "usage error: degree 1000 does not divide 2^1" in err
 
 
 def test_e1_honest_about_unknown_splitting(capsys):

@@ -313,7 +313,7 @@ def test_green_document_with_a_torsion_level_exits_2(tmp_path, capsys):
 
 
 def test_explicit_modulus_without_default_round_trips():
-    # GF(2^7) has no default modulus; x^7 + x + 1 is irreducible
+    # GF(2^7) is not in DEFAULT_MODULI; x^7 + x + 1 is irreducible
     F = gf_make(2, 7, [1, 1, 0, 0, 0, 0, 0, 1])
     M = free_module(constant_green(CyclicGroup(2, 1), F), 0)
     text = print_document(M)

@@ -42,8 +42,68 @@ def test_default_and_explicit_moduli_intern_one_field():
     # every prime field has a default modulus, x
     for p in (67, 101, 65537):
         assert gf_make(p, 1).modulus == (0, 1)
-    with pytest.raises(ValueError, match="no default modulus"):
-        gf_make(11, 2)
+    # past DEFAULT_MODULI the default is searched: x^2 + 1 over F_11
+    assert gf_make(11, 2) is gf_make(11, 2, (1, 0, 1))
+
+
+def test_default_moduli_table_is_unchanged():
+    # every document printed over these fields carries its modulus
+    assert DEFAULT_MODULI == {
+        (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+        (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 1, 1, 0, 1),
+        (2, 8): (1, 1, 1, 0, 0, 0, 0, 1, 1), (3, 2): (2, 2, 1), (3, 3): (1, 2, 0, 1),
+        (3, 9): (1, 0, 0, 0, 2, 0, 0, 0, 0, 1), (5, 2): (2, 4, 1),
+        (5, 5): (1, 4, 0, 0, 0, 1), (7, 2): (3, 6, 1)}
+    for (p, k), mod in DEFAULT_MODULI.items():
+        assert gf_make(p, k).modulus == mod
+
+
+def _monic(i, p, k):
+    """x^k + c_(k-1) x^(k-1) + ... + c_0 with sum_j c_j p^j = i."""
+    return [i // p ** j % p for j in range(k)] + [1]
+
+
+def _has_factor(m, p):
+    """Brute force: whether a monic polynomial of degree 1..k/2 divides m."""
+    k = len(m) - 1
+    return any(not poly_divmod(m, _monic(i, p, d), p)[1]
+               for d in range(1, k // 2 + 1) for i in range(p ** d))
+
+
+SEARCHED = [(2, 7), (2, 9), (2, 10), (2, 16), (3, 4), (3, 5), (3, 27), (5, 3), (5, 25),
+            (7, 3), (7, 7), (11, 2), (13, 3)]
+
+
+@pytest.mark.parametrize("p,k", SEARCHED)
+def test_searched_default_modulus_is_the_first_irreducible(p, k):
+    import sympy
+    mod = gf_make(p, k).modulus
+    assert (p, k) not in DEFAULT_MODULI and len(mod) == k + 1 and mod[-1] == 1
+    x = sympy.symbols("x")
+    assert sympy.Poly(list(reversed(mod)), x, modulus=p).is_irreducible
+    index = sum(c * p ** j for j, c in enumerate(mod[:-1]))
+    assert list(mod) == _monic(index, p, k)
+    if p ** (k // 2) <= 2000:
+        # every monic polynomial before it in the order has a factor
+        assert _has_factor(list(mod), p) is False
+        assert all(_has_factor(_monic(i, p, k), p) for i in range(index))
+    else:
+        assert all(irreducible_witness(_monic(i, p, k), p) for i in range(index))
+
+
+def test_the_default_modulus_search_runs_once_per_field(monkeypatch):
+    import mackeykit.fields as fields
+    fields._default_modulus.cache_clear()
+    calls = []
+    real = fields.irreducible_witness
+    monkeypatch.setattr(fields, "irreducible_witness", lambda m, p: calls.append(p) or real(m, p))
+    first = fields._default_modulus(13, 3)
+    searched = len(calls)
+    assert searched >= 1
+    for _ in range(3):
+        assert fields._default_modulus(13, 3) == first and gf_make(13, 3).modulus == first
+    assert len(calls) <= searched + 1      # at most gf_make's own irreducibility test
+    assert fields._default_modulus(4, 2) is None and fields._default_modulus(2, 0) is None
 
 
 def test_reducible_modulus_rejected():

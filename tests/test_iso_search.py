@@ -1,7 +1,7 @@
 """The batched isomorphism search against the one-candidate-at-a-time loop.
 
-`la.det_mod_p` is compared with the exact integer determinant (Bareiss and
-the rational oracle) reduced mod p.  `is_isomorphic` is compared with
+`la.unit_det_mask` is compared with the exact integer determinant (Bareiss
+and the rational oracle) reduced mod p.  `is_isomorphic` is compared with
 `reference_is_isomorphic` below: the search as it was before candidates
 were batched, one `_combine` and one `is_level_iso` per coefficient vector,
 in the same order.  Verdict, witness, certificate, detail and the search
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import mackeykit.linalg as la
 import mackeykit.mackey as mackey
 from mackeykit.fields import gf_make
-from mackeykit.functors import free_module
+from mackeykit.functors import brutal_truncation, free_module
 from mackeykit.green import box_product_general, burnside_green, constant_green
 from mackeykit.green import direct_sum_green_modules
 from mackeykit.gsets import CyclicGroup
@@ -57,42 +57,13 @@ def exact_dets(A, p):
 
 @SETTINGS
 @given(residue_stack())
-def test_det_mod_p_matches_exact_determinants(case):
-    p, A = case
-    d = la.det_mod_p(A, p)
-    assert d.dtype == np.int64 and d.shape == (len(A),)
-    want = exact_dets(A, p)
-    assert d.tolist() == want
-    assert want == [int(rational_det(a)) % p for a in A]
-
-
-@pytest.mark.parametrize("p", KERNEL_PRIMES)
-def test_det_mod_p_edge_shapes_and_row_swaps(p):
-    assert la.det_mod_p(np.zeros((3, 0, 0), dtype=np.int64), p).tolist() == [1, 1, 1]
-    assert la.det_mod_p(np.array([[[0]], [[1]], [[p - 1]]]), p).tolist() == [0, 1, p - 1]
-    two = np.array([[[0, 1], [1, 0]]])                          # one swap: det -1
-    assert la.det_mod_p(two, p).tolist() == [(p - 1) % p]
-    three = np.array([[[0, 0, 1], [0, 1, 0], [1, 0, 0]],         # one swap: det -1
-                      [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])        # two swaps: det +1
-    assert la.det_mod_p(three, p).tolist() == exact_dets(three, p) == [(p - 1) % p, 1]
-    singular = np.array([[[1, 2, 3], [2, 4, 6], [0, 1, 1]],    # rows 0 and 1 dependent
-                         [[0, 0, 0], [1, 2, 3], [4, 5, 6]],    # zero row
-                         [[0, 1, 2], [0, 3, 4], [0, 5, 6]]],   # zero pivot column
-                        dtype=np.int64) % p
-    assert la.det_mod_p(singular, p).tolist() == [0, 0, 0]
-    # a larger batch agrees with the exact values
-    rng = np.random.default_rng(p % 1000)
-    big = rng.integers(0, min(p, 4), size=(100, 4, 4)).astype(np.int64)
-    assert la.det_mod_p(big, p).tolist() == exact_dets(big, p)
-
-
-@SETTINGS
-@given(residue_stack())
 def test_unit_det_mask_matches_exact_determinants(case):
     p, A = case
     mask = la.unit_det_mask(A, p)
     assert mask.dtype == bool and mask.shape == (len(A),)
-    assert mask.tolist() == [d in (1, p - 1) for d in exact_dets(A, p)]
+    want = exact_dets(A, p)
+    assert want == [int(rational_det(a)) % p for a in A]
+    assert mask.tolist() == [d in (1 % p, p - 1) for d in want]
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -105,6 +76,45 @@ def test_unit_det_mask_edge_cases(p):
     assert la.unit_det_mask(singular, p).tolist() == [False, False, False]
     swaps = np.array([[[0, 1], [1, 0]], [[0, 2], [1, 0]]]) % p    # det -1 and -2
     assert la.unit_det_mask(swaps, p).tolist() == [True, p == 3]
+    three = np.array([[[0, 0, 1], [0, 1, 0], [1, 0, 0]],         # one swap: det -1
+                      [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])        # two swaps: det +1
+    assert exact_dets(three, p) == [(p - 1) % p, 1]
+    assert la.unit_det_mask(three, p).tolist() == [True, True]
+    # the same swaps with a pivot 2 or 3 on the way: det -2 and +3
+    scaled = three * np.array([[[1], [2], [1]], [[3], [1], [1]]]) % p
+    assert exact_dets(scaled, p) == [-2 % p, 3 % p]
+    assert la.unit_det_mask(scaled, p).tolist() == [p == 3, p == 2]
+    singular3 = np.array([[[1, 2, 3], [2, 4, 6], [0, 1, 1]],    # rows 0 and 1 dependent
+                          [[0, 0, 0], [1, 2, 3], [4, 5, 6]],    # zero row
+                          [[0, 1, 2], [0, 3, 4], [0, 5, 6]]],   # zero pivot column
+                         dtype=np.int64) % p
+    assert la.unit_det_mask(singular3, p).tolist() == [False] * 3
+    # a larger batch agrees with the exact values
+    rng = np.random.default_rng(p % 1000)
+    big = rng.integers(0, min(p, 4), size=(100, 4, 4)).astype(np.int64)
+    assert la.unit_det_mask(big, p).tolist() == [d in (1 % p, p - 1)
+                                                  for d in exact_dets(big, p)]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_unit_det_mask_on_both_sides_of_its_crossover(p, n, monkeypatch):
+    # up to C * n = _UNIT_ROWS_MAX the determinants come from the list rows
+    rng = np.random.default_rng(p % 1000 + n)
+    regimes, det_rows, eliminate = [], la._det_rows, la._eliminate
+    monkeypatch.setattr(la, "_det_rows", lambda *a: regimes.append("rows") or det_rows(*a))
+    monkeypatch.setattr(la, "_eliminate", lambda *a: regimes.append("batched") or eliminate(*a))
+    small = max(la._UNIT_ROWS_MAX // max(n, 1), 1)
+    for C in (1, small, small + 1, 64):
+        # permutation matrices (det +-1) with some entries scaled or zeroed
+        A = np.zeros((C, n, n), dtype=np.int64)
+        for M in A:
+            M[np.arange(n), rng.permutation(n)] = rng.choice([0, 1, 1, 2, p - 1], size=n) % p
+        regimes.clear()
+        mask = la.unit_det_mask(A, p)
+        rows = C * n <= la._UNIT_ROWS_MAX
+        assert set(regimes) == {"rows" if rows else "batched"}
+        assert mask.tolist() == [d in (1 % p, p - 1) for d in exact_dets(A, p)]
 
 
 # GF(3^9) is past TABLE_LIMIT and 4294967311 past the int64 bound: both are
@@ -319,6 +329,14 @@ CASES = {
                    _swapped_constant(CyclicGroup(2, 1), gf_make(2, 1))),
     "GF4-constant-rank2": (constant_mackey(CyclicGroup(2, 1), gf_make(2, 2), 2),) * 2,
     "GF4-module": (_field_module(2, 1, (0, 1), k=2),) * 2,
+    # a zero bottom level: each candidate's level-0 matrix is 0 x 0
+    "trunc-burnside-C4": (brutal_truncation(burnside_mackey(CyclicGroup(2, 2))),) * 2,
+    "trunc-A-vs-At": (brutal_truncation(A5), brutal_truncation(At)),
+    "trunc-F2-constant-rank2": (brutal_truncation(constant_mackey(CyclicGroup(2, 2),
+                                                                  gf_make(2, 1), 2)),) * 2,
+    "trunc-F2-not-iso": (brutal_truncation(constant_mackey(CyclicGroup(2, 2), gf_make(2, 1))),
+                         brutal_truncation(_swapped_constant(CyclicGroup(2, 2), gf_make(2, 1)))),
+    "trunc-GF4-module": (brutal_truncation(_field_module(2, 1, (0, 1), k=2)),) * 2,
 }
 
 
@@ -330,7 +348,7 @@ def test_batched_search_equals_one_at_a_time(name):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 @pytest.mark.parametrize("name", ["F3-module", "F5-constant-rank2", "GF4-constant-rank2",
-                                  "F2-not-iso"])
+                                  "F2-not-iso", "trunc-GF4-module"])
 def test_random_field_search_equals_one_at_a_time(name, seed):
     M, N = CASES[name]
     r = assert_same_result(M, N, seed=seed, exhaustive_cap=1, random_tries=200)
@@ -339,7 +357,7 @@ def test_random_field_search_equals_one_at_a_time(name, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 @pytest.mark.parametrize("name", ["burnside-C4", "burnside-C9", "A-vs-At", "A-vs-AtAt",
-                                  "constant-Z-rank2"])
+                                  "constant-Z-rank2", "trunc-A-vs-At"])
 def test_random_lattice_search_equals_one_at_a_time(name, seed):
     # a box cap this small leaves no box, so the random lattice phase runs,
     # and for A vs At the certificate phase after it
@@ -374,19 +392,22 @@ def test_free_burnside_module_over_c9_finds_the_same_witness():
 
 @pytest.mark.parametrize("field", [gf_make(2, 3), gf_make(3, 2)])
 def test_extension_fields_search_in_doubling_batches(field, monkeypatch):
-    # full_rank_mask eliminates a whole batch of level matrices of GF(p^k)
-    # elements at once, so batches double as over F_p, and rank runs only
-    # in the witness's is_level_iso, once per level
+    # full_rank_mask eliminates one level of a whole batch of GF(p^k)
+    # candidates at once, one call per level per batch, so batches double
+    # as over F_p, and rank runs only in the witness's is_level_iso, once
+    # per level
     M = constant_mackey(CyclicGroup(2, 2), field, 2)
     want = reference_is_isomorphic(M, M)
     rank, ranked = la.rank, []
     mask, stacks = la.full_rank_mask, []
     monkeypatch.setattr(la, "rank", lambda A, f: ranked.append(A.shape) or rank(A, f))
-    monkeypatch.setattr(la, "full_rank_mask", lambda A, f: stacks.append(len(A)) or mask(A, f))
+    monkeypatch.setattr(la, "full_rank_mask", lambda A, f: stacks.append(A.shape) or mask(A, f))
     got = is_isomorphic(M, M)
     monkeypatch.undo()
-    sizes = [c // (M.n + 1) for c in stacks]
+    levels = M.n + 1
+    sizes = [C for C, _, _ in stacks[::levels]]
     assert sizes == [2 ** i for i in range(len(sizes))]
+    assert stacks == [(C, 2, 2) for C in sizes for _ in range(levels)]
     witness = got.stats["candidates"]["box"]
     assert sum(sizes[:-1]) < witness <= sum(sizes) and witness > 16
     assert len(ranked) == M.n + 1

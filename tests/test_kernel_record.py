@@ -192,8 +192,8 @@ def test_full_rank_mask_matches_rank_on_both_sides_of_the_crossover(field, n, mo
     limit = la._MASK_ROWS_MAX
     small = max(limit // max(n, 1), 1)
     sizes = [1, small] + ([small + 1] if n else [])
-    regimes, rank_rows, eliminate = [], la._rank_rows, la._eliminate
-    monkeypatch.setattr(la, "_rank_rows", lambda *a, **k: regimes.append("rows") or rank_rows(*a, **k))
+    regimes, det_rows, eliminate = [], la._det_rows, la._eliminate
+    monkeypatch.setattr(la, "_det_rows", lambda *a: regimes.append("rows") or det_rows(*a))
     monkeypatch.setattr(la, "_eliminate", lambda *a: regimes.append("batched") or eliminate(*a))
     for count in sizes:
         for singular in (False, True):

@@ -6,9 +6,13 @@ against the loops they replaced.
 `is_isomorphic` summed hom by hom, the automorphism search with its own
 stack and reshape loop, and the decomposition that calls
 `map_from_generator` once per trial and fills each draw entry by entry.
-Witnesses must be equal entry for entry, dtype included.
+Witnesses must be equal entry for entry, dtype included.  The per-level
+masks of the stack are compared with each candidate's level ranks, its
+exact level determinants mod p and `is_level_iso`, on levels of unequal
+rank and of rank 0.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -17,7 +21,7 @@ import pytest
 import mackeykit.kzero as kzero
 import mackeykit.linalg as la
 from mackeykit.fields import gf_make
-from mackeykit.functors import free_module
+from mackeykit.functors import brutal_truncation, free_module
 from mackeykit.green import (GreenModule, GreenModuleMorphism, burnside_green, box_product_general,
                              constant_green, direct_sum_green_modules, fixed_point_green,
                              green_module_from_invariant_span, green_module_hom_basis,
@@ -65,6 +69,7 @@ Z_CASES = {
     "A-vs-At": (A5, At),
     "A-vs-AtAt": (A5, box_product_general(At, At)),
     "free-burnside-C9": (free_module(burnside_green(CyclicGroup(3, 2)), 1).underlying,) * 2,
+    "trunc-burnside-C4": (brutal_truncation(burnside_mackey(CyclicGroup(2, 2))),) * 2,
 }
 
 
@@ -84,7 +89,8 @@ def test_z_witness_is_the_row_of_the_exact_product(name, seed):
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 65521])
-@pytest.mark.parametrize("name", ["burnside-C9", "A-vs-At", "free-burnside-C9"])
+@pytest.mark.parametrize("name", ["burnside-C9", "A-vs-At", "free-burnside-C9",
+                                  "trunc-burnside-C4"])
 def test_unit_dets_are_the_exact_determinants_mod_p(name, m):
     M, N = Z_CASES[name]
     homs, stack = _z_stack(M, N)
@@ -94,6 +100,64 @@ def test_unit_dets_are_the_exact_determinants_mod_p(name, m):
     want = [[la.bareiss_det(F) % m in (1 % m, (m - 1) % m)
              for F in reference_combine(homs, row).components] for row in rows]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", ["burnside-C4", "trunc-burnside-C4"])
+def test_unimodular_mask_keeps_every_level_iso(name):
+    # levels of unequal rank, and in the truncation a level of rank 0: the
+    # filter is one unit_det_mask call per level, and a candidate it drops
+    # is never a levelwise isomorphism.  The rows are the box candidates
+    # of is_isomorphic up to past its witness.
+    M, N = Z_CASES[name]
+    homs, stack = _z_stack(M, N)
+    box = (c for c in itertools.product(range(-5, 6), repeat=len(homs)) if any(c))
+    rows = np.array(list(itertools.islice(box, 1700)))
+    ok, make = stack.unimodular(rows)
+    assert ok.shape == (len(rows),)
+    isos = [make(i).is_level_iso() for i in range(len(rows))]
+    assert any(isos) and all(ok[isos])
+
+
+# --- the per-level field masks -------------------------------------------------------
+
+
+def _truncated(ring, levels):
+    R = RINGS[ring]()
+    return brutal_truncation(direct_sum_green_modules([free_module(R, i) for i in levels])
+                             .underlying)
+
+
+FIELD_STACKS = {
+    "F2/C4": lambda: _truncated("F2/C4", (1, 2)),
+    "F2/C4-unequal": lambda: _module("F2/C4", (0, 2))[1].underlying,
+    "GF4/C2": lambda: _truncated("GF4/C2", (0, 1)),
+    "GF4/C4": lambda: _truncated("GF4/C4", (2, 1)),
+}
+
+
+@pytest.mark.parametrize("C", [1, 5, 40])
+@pytest.mark.parametrize("name", list(FIELD_STACKS))
+def test_level_masks_are_the_per_candidate_level_ranks(name, C):
+    M = FIELD_STACKS[name]()
+    base = M.base
+    homs = hom_basis(M, M)
+    stack = LevelStack(M, M, [[f.components[s] for f in homs] for s in range(M.n + 1)], base)
+    rng = random.Random(C)
+    rows = np.array([[rng.randrange(base.q) for _ in homs] for _ in range(C - 1)]
+                    + [[0] * len(homs)])
+    prod = stack.products(la.field_elements(base, rows))
+    masks = stack.level_masks(prod, la.full_rank_mask, base)
+    assert masks.dtype == bool and masks.shape == (C, M.n + 1)
+    ok, make = stack.invertible(rows)
+    for i in range(C):
+        comps = stack.components(prod[i])
+        assert masks[i].tolist() == [la.rank(F, base) == len(F) for F in comps]
+        assert ok[i] == make(i).is_level_iso() == masks[i].all()
+    dims = M.level_dims()
+    assert len(set(dims)) > 1
+    # a 0 x 0 level is invertible; the zero map fails at every other level
+    assert masks[:, [d == 0 for d in dims]].all()
+    assert not masks[-1, [d > 0 for d in dims]].any()
 
 
 # --- the random automorphism -------------------------------------------------------
@@ -125,6 +189,8 @@ def reference_random_green_automorphism(M, seed=None):
 RINGS = {
     "F2/C2": lambda: constant_green(CyclicGroup(2, 1), gf_make(2, 1)),
     "F3/C9": lambda: constant_green(CyclicGroup(3, 2), gf_make(3, 1)),
+    "F2/C4": lambda: constant_green(CyclicGroup(2, 2), gf_make(2, 1)),
+    "GF4/C4": lambda: constant_green(CyclicGroup(2, 2), gf_make(2, 2)),
     "GF4/C2": lambda: constant_green(CyclicGroup(2, 1), gf_make(2, 2)),
     "FP(F4)/C2": lambda: fixed_point_green(CyclicGroup(2, 1), gf_make(2, 2)),
 }
