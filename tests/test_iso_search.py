@@ -1,10 +1,10 @@
 """The batched isomorphism search against the one-candidate-at-a-time loop.
 
-`la.unit_det_mask` is compared with the exact integer determinant (Bareiss
-and the rational oracle) reduced mod p.  `is_isomorphic` is compared with
-`reference_is_isomorphic` below: the search as it was before candidates
-were batched, one `_combine` and one `is_level_iso` per coefficient vector,
-in the same order.  Verdict, witness, certificate, detail and the search
+`la.unit_det_mask` and `la.full_rank_mask` over F_p are compared with the
+exact integer determinant (Bareiss and the rational oracle) reduced mod p.
+`is_isomorphic` is compared with `reference_is_isomorphic` below: the search
+as it was before candidates were batched, one `_combine` and one
+`is_level_iso` per coefficient vector, in the same order.  Verdict, witness, certificate, detail and the search
 statistics must all be equal.  The property tests are derandomized.
 """
 
@@ -55,15 +55,56 @@ def exact_dets(A, p):
     return [la.bareiss_det(a.astype(object)) % p for a in A]
 
 
+def det_masks(A, p):
+    """The two decisions taken from a determinant mod p: a unit (the Z
+    filter and the mod-m certificate) and nonzero (invertible over F_p)."""
+    return la.unit_det_mask(A, p).tolist(), la.full_rank_mask(A, gf_make(p, 1)).tolist()
+
+
+def masks_of(dets, p):
+    return [d in (1 % p, p - 1) for d in dets], [d != 0 for d in dets]
+
+
+@SETTINGS
+@given(residue_stack())
+def test_det_mod_p_matches_exact_determinants(case):
+    p, A = case
+    want = exact_dets(A, p)
+    assert want == [int(rational_det(a)) % p for a in A]
+    assert det_masks(A, p) == masks_of(want, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_det_mod_p_edge_shapes_and_row_swaps(p):
+    assert det_masks(np.zeros((3, 0, 0), dtype=np.int64), p) == ([True] * 3, [True] * 3)
+    assert det_masks(np.array([[[0]], [[1]], [[p - 1]]]), p) == ([False, True, True],
+                                                                [False, True, True])
+    three = np.array([[[0, 0, 1], [0, 1, 0], [1, 0, 0]],         # one swap: det -1
+                      [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])        # two swaps: det +1
+    assert exact_dets(three, p) == [(p - 1) % p, 1]
+    assert det_masks(three, p) == ([True, True], [True, True])
+    # the same swaps with a pivot 2 or 3 on the way: det -2 and +3
+    scaled = three * np.array([[[1], [2], [1]], [[3], [1], [1]]]) % p
+    assert exact_dets(scaled, p) == [-2 % p, 3 % p]
+    assert det_masks(scaled, p) == ([p == 3, p == 2], [p != 2, p != 3])
+    singular = np.array([[[1, 2, 3], [2, 4, 6], [0, 1, 1]],    # rows 0 and 1 dependent
+                         [[0, 0, 0], [1, 2, 3], [4, 5, 6]],    # zero row
+                         [[0, 1, 2], [0, 3, 4], [0, 5, 6]]],   # zero pivot column
+                        dtype=np.int64) % p
+    assert det_masks(singular, p) == ([False] * 3, [False] * 3)
+    # a larger batch agrees with the exact values
+    rng = np.random.default_rng(p % 1000)
+    big = rng.integers(0, min(p, 4), size=(100, 4, 4)).astype(np.int64)
+    assert det_masks(big, p) == masks_of(exact_dets(big, p), p)
+
+
 @SETTINGS
 @given(residue_stack())
 def test_unit_det_mask_matches_exact_determinants(case):
     p, A = case
     mask = la.unit_det_mask(A, p)
     assert mask.dtype == bool and mask.shape == (len(A),)
-    want = exact_dets(A, p)
-    assert want == [int(rational_det(a)) % p for a in A]
-    assert mask.tolist() == [d in (1 % p, p - 1) for d in want]
+    assert mask.tolist() == [d in (1 % p, p - 1) for d in exact_dets(A, p)]
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -76,24 +117,6 @@ def test_unit_det_mask_edge_cases(p):
     assert la.unit_det_mask(singular, p).tolist() == [False, False, False]
     swaps = np.array([[[0, 1], [1, 0]], [[0, 2], [1, 0]]]) % p    # det -1 and -2
     assert la.unit_det_mask(swaps, p).tolist() == [True, p == 3]
-    three = np.array([[[0, 0, 1], [0, 1, 0], [1, 0, 0]],         # one swap: det -1
-                      [[0, 1, 0], [0, 0, 1], [1, 0, 0]]])        # two swaps: det +1
-    assert exact_dets(three, p) == [(p - 1) % p, 1]
-    assert la.unit_det_mask(three, p).tolist() == [True, True]
-    # the same swaps with a pivot 2 or 3 on the way: det -2 and +3
-    scaled = three * np.array([[[1], [2], [1]], [[3], [1], [1]]]) % p
-    assert exact_dets(scaled, p) == [-2 % p, 3 % p]
-    assert la.unit_det_mask(scaled, p).tolist() == [p == 3, p == 2]
-    singular3 = np.array([[[1, 2, 3], [2, 4, 6], [0, 1, 1]],    # rows 0 and 1 dependent
-                          [[0, 0, 0], [1, 2, 3], [4, 5, 6]],    # zero row
-                          [[0, 1, 2], [0, 3, 4], [0, 5, 6]]],   # zero pivot column
-                         dtype=np.int64) % p
-    assert la.unit_det_mask(singular3, p).tolist() == [False] * 3
-    # a larger batch agrees with the exact values
-    rng = np.random.default_rng(p % 1000)
-    big = rng.integers(0, min(p, 4), size=(100, 4, 4)).astype(np.int64)
-    assert la.unit_det_mask(big, p).tolist() == [d in (1 % p, p - 1)
-                                                  for d in exact_dets(big, p)]
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
