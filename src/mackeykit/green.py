@@ -50,9 +50,11 @@ class GreenFunctor:
         self.underlying = underlying
         self.level_rings = list(level_rings)
         self.name = name or underlying.name
-        # the free modules on one generator, by level: functors.free_module
-        # builds each once and keeps it here
+        # the free modules on one generator, by level, and their dimension
+        # matrix: functors.free_module and kzero.dim_matrix build each once
+        # and keep it here
         self.free_modules = {}
+        self.dim_matrix = None
 
     @property
     def group(self):

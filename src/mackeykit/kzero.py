@@ -9,7 +9,7 @@ of the constant functor by induced modules.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg as la
 from .functors import E1Page, e1_page, free_module
@@ -56,6 +56,7 @@ class DimMatrix:
     dims: tuple
     alpha: object
     gamma: object
+    solutions: dict = field(default_factory=dict, repr=False, compare=False)
 
     def gamma_determinant(self) -> int:
         """det(gamma), exact.  It is nonzero: the level dimensions of the
@@ -67,31 +68,25 @@ class DimMatrix:
         """Multiplicities {i: m_i} over the canonical generators, or None.
 
         Canonical generators are F_0..F_{r-1} and F_n; every other free
-        module is a sum of copies of F_n.
+        module is a sum of copies of F_n.  Each tuple of level dimensions is
+        solved once and kept in `solutions`.
         """
-        cols = list(range(self.r)) + [self.n]
-        A = la.zeros(self.n + 1, len(cols))
-        for s in range(self.n + 1):
-            for c, i in enumerate(cols):
-                A[s, c] = self.alpha[s, i]
-        b = la.zeros(self.n + 1, 1)
-        for s in range(self.n + 1):
-            b[s, 0] = level_dims[s]
-        x = la.solve_int(A, b)
-        if x is None:
-            return None
-        out = {}
-        for c, i in enumerate(cols):
-            m = int(x[c, 0])
-            if m < 0:
-                return None
-            if m:
-                out[i] = m
-        return out
+        level_dims = tuple(level_dims)
+        if level_dims not in self.solutions:
+            cols = list(range(self.r)) + [self.n]
+            x = la.solve_int(self.alpha[:, cols], la.mat([[d] for d in level_dims]))
+            m = None if x is None else [int(v) for v in x[:, 0]]
+            self.solutions[level_dims] = (None if m is None or min(m) < 0
+                                          else {i: c for i, c in zip(cols, m) if c})
+        out = self.solutions[level_dims]
+        return None if out is None else dict(out)
 
 
 def dim_matrix(k: GreenFunctor) -> DimMatrix:
-    """Dimension matrix of the free modules over a meadow."""
+    """Dimension matrix of the free modules over a meadow, built once and
+    kept in k.dim_matrix; callers must not change it."""
+    if k.dim_matrix is not None:
+        return k.dim_matrix
     p, n = k.p, k.n
     d = k.level_dims()
     r = meadow_stabilizer(k)
@@ -103,7 +98,8 @@ def dim_matrix(k: GreenFunctor) -> DimMatrix:
     for s in range(r + 1):
         for i in range(r + 1):
             gamma[s, i] = p ** (r - max(s, i))
-    return DimMatrix(p, n, r, tuple(d), alpha, gamma)
+    k.dim_matrix = DimMatrix(p, n, r, tuple(d), alpha, gamma)
+    return k.dim_matrix
 
 
 def k0_free_fixed_point(p: int, n: int, r: int):

@@ -618,9 +618,9 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 _FILTER_PRIME = 65521
 
 # The most candidates an exhaustive search enumerates (q^h over a field,
-# (2B + 1)^h over Z) and the draws of a random search.  Over Z: the
-# coefficient bound of the lattice search, and the largest m^h of a mod-m
-# certificate search (h the hom rank).
+# coefficient rows over Z) and the draws of a random search over a field.
+# Over Z: the coefficient bound of the lattice search, and the largest m^h
+# of a mod-m certificate search (h the hom rank).
 _EXHAUSTIVE_CAP = 200_000
 _RANDOM_TRIES = 10_000
 _COEFF_BOUND = 5
@@ -710,6 +710,23 @@ def batches(candidates):
         tried += len(batch)
 
 
+def support_rows(h, bound):
+    """The nonzero integer rows of length h with entries in [-bound, bound]
+    whose first nonzero entry is positive, one of each pair c, -c: by support
+    size, then height (the largest |c_i|), then support positions and values
+    in lexicographic order."""
+    for size in range(1, h + 1):
+        for height in range(1, bound + 1):
+            values = [v for v in range(-height, height + 1) if v]
+            for support in itertools.combinations(range(h), size):
+                for vals in itertools.product(range(1, height + 1), *[values] * (size - 1)):
+                    if height in map(abs, vals):
+                        row = [0] * h
+                        for i, v in zip(support, vals):
+                            row[i] = v
+                        yield row
+
+
 def _first_iso(candidates, passing, phase, stats):
     """The first candidate of the iterable that is a levelwise isomorphism,
     or None.  passing(rows) takes a batch (`batches`) as an array of
@@ -739,16 +756,16 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
 
     Field coefficients: exhaustive search over the hom space when it has at
     most _EXHAUSTIVE_CAP elements, else _RANDOM_TRIES seeded random draws
-    (inconclusive on failure).  Integer coefficients (levelwise free):
-    bounded lattice search for a unimodular witness (coefficients within
-    _COEFF_BOUND), then a mod-m certificate ruling every hom out (m^h <=
-    _MODULUS_CAP).
-
-    The random draws come from the standard library's `random.Random(seed)`,
-    the generator of every seeded search in mackeykit: each candidate is h
-    draws of `randrange(q)` (indices into the field's elements) over a
-    field, and of `randint(-w, w)` over Z (w = 1 for the first half of the
-    tries, then _COEFF_BOUND; the zero vector is skipped).
+    (inconclusive on failure), each h draws of `randrange(q)` (indices into
+    the field's elements) from the standard library's `random.Random(seed)`,
+    the generator of every seeded search in mackeykit.  Integer coefficients
+    (levelwise free): a lattice search for a unimodular witness over the
+    first _EXHAUSTIVE_CAP coefficient rows of `support_rows` (coefficients
+    within _COEFF_BOUND, fewest nonzero first, then smallest), then a mod-m
+    certificate ruling every hom out (m^h <= _MODULUS_CAP).  f and -f are
+    isomorphisms together, so the lattice search takes only the rows whose
+    first nonzero coefficient is positive.  It draws nothing: the seed is
+    not read over Z.
 
     Candidates are tested in `batches` of 1, 2, 4, ... up to 1024, each one
     product against the `LevelStack` of the hom basis and one batched
@@ -761,10 +778,10 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
     is the one a one-at-a-time search finds.
 
     The result's stats: "hom_rank", "phase" (the phase that answered:
-    "ranks", "hom", "box", "random" or "modulus"; None when inconclusive),
-    "candidates" and "passed_filter" (per phase, counted up to the
-    answer), "moduli" (tried for a certificate) and "seed" (of the random
-    phase, None when it did not run).
+    "ranks", "hom", "box", "random" (over a field only) or "modulus"; None
+    when inconclusive), "candidates" and "passed_filter" (per phase, counted
+    up to the answer), "moduli" (tried for a certificate) and "seed" (of the
+    random field phase, None when it did not run, and always None over Z).
     """
     _check_same_base(M, N)
     base = M.base
@@ -813,31 +830,12 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
 
     if any(lv.relations.shape[1] for lv in M.levels + N.levels):
         raise NotImplementedError("level-iso test needs free levels over Z")
-    # integer case: bounded search for a unimodular witness
-    B = _COEFF_BOUND
-    while B >= 1 and (2 * B + 1) ** h > _EXHAUSTIVE_CAP:
-        B -= 1
-    if B >= 1:
-        box = (c for c in itertools.product(range(-B, B + 1), repeat=h) if any(c))
-        f = _first_iso(box, stack.unimodular, "box", stats)
-        if f is not None:
-            return answer("box", "isomorphic", witness=f,
-                          detail=f"lattice search, coefficients within {B}")
-    if B < _COEFF_BOUND:
-        # the box was too large to enumerate; sample it instead, trying
-        # sparse small-coefficient points first
-        stats["seed"] = resolve_seed(seed)
-        rng = random.Random(stats["seed"])
-
-        def draws():
-            for t in range(_RANDOM_TRIES):
-                width = 1 if t < _RANDOM_TRIES // 2 else _COEFF_BOUND
-                coeffs = [rng.randint(-width, width) for _ in range(h)]
-                if any(coeffs):
-                    yield coeffs
-        f = _first_iso(draws(), stack.unimodular, "random", stats)
-        if f is not None:
-            return answer("random", "isomorphic", witness=f, detail="random lattice search")
+    # integer case: the rows of the coefficient box by support, f and -f once
+    rows = itertools.islice(support_rows(h, _COEFF_BOUND), _EXHAUSTIVE_CAP)
+    f = _first_iso(rows, stack.unimodular, "box", stats)
+    if f is not None:
+        return answer("box", "isomorphic", witness=f,
+                      detail=f"lattice search, coefficients within {_COEFF_BOUND}")
 
     # certificate: some prime modulus where no hom is levelwise invertible
     stats["candidates"]["modulus"] = stats["passed_filter"]["modulus"] = 0

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import mackeykit.linalg as la
 import mackeykit.mackey as mackey
 from mackeykit.fields import gf_make
-from mackeykit.functors import brutal_truncation, free_module
+from mackeykit.functors import brutal_truncation, free_module, induce_mackey
 from mackeykit.green import box_product_general, burnside_green, constant_green
 from mackeykit.green import direct_sum_green_modules
 from mackeykit.gsets import CyclicGroup
@@ -188,7 +188,9 @@ def _unimodular_mod(f, m):
 
 def reference_is_isomorphic(M, N, seed=None, exhaustive_cap=200_000, random_tries=10_000,
                             coeff_bound=5, modulus_cap=200_000):
-    """is_isomorphic one candidate at a time, with the same statistics."""
+    """is_isomorphic one candidate at a time, with the same statistics.  Over
+    Z the candidates are the rows of `mackey.support_rows`, whose order
+    `test_support_rows_list_the_box_up_to_sign` checks."""
     base = M.base
     stats = {"hom_rank": None, "phase": "ranks", "candidates": {}, "passed_filter": {},
              "moduli": [], "seed": None}
@@ -242,28 +244,11 @@ def reference_is_isomorphic(M, N, seed=None, exhaustive_cap=200_000, random_trie
     def unimodular(f):
         return _unimodular_mod(f, _FILTER_PRIME)
 
-    B = coeff_bound
-    while B >= 1 and (2 * B + 1) ** h > exhaustive_cap:
-        B -= 1
-    if B >= 1:
-        box = (c for c in itertools.product(range(-B, B + 1), repeat=h) if any(c))
-        f = search("box", box, unimodular)
-        if f is not None:
-            return Ref("isomorphic", witness=f,
-                       detail=f"lattice search, coefficients within {B}", stats=stats)
-    if B < coeff_bound:
-        stats["seed"] = resolve_seed(seed)
-        rng = random.Random(stats["seed"])
-
-        def draws():
-            for t in range(random_tries):
-                width = 1 if t < random_tries // 2 else coeff_bound
-                coeffs = [rng.randint(-width, width) for _ in range(h)]
-                if any(coeffs):
-                    yield coeffs
-        f = search("random", draws(), unimodular)
-        if f is not None:
-            return Ref("isomorphic", witness=f, detail="random lattice search", stats=stats)
+    rows = itertools.islice(mackey.support_rows(h, coeff_bound), exhaustive_cap)
+    f = search("box", rows, unimodular)
+    if f is not None:
+        return Ref("isomorphic", witness=f,
+                   detail=f"lattice search, coefficients within {coeff_bound}", stats=stats)
 
     stats["candidates"]["modulus"] = stats["passed_filter"]["modulus"] = 0
     for m in _SMALL_PRIMES:
@@ -382,35 +367,70 @@ def test_random_field_search_equals_one_at_a_time(name, seed):
 @pytest.mark.parametrize("name", ["burnside-C4", "burnside-C9", "A-vs-At", "A-vs-AtAt",
                                   "constant-Z-rank2", "trunc-A-vs-At"])
 def test_random_lattice_search_equals_one_at_a_time(name, seed):
-    # a box cap this small leaves no box, so the random lattice phase runs,
-    # and for A vs At the certificate phase after it
+    # there is no random lattice phase: a cap of 2 rows cuts the Z lattice
+    # search short, the certificate phase follows, and no seed is read
     M, N = CASES[name]
-    r = assert_same_result(M, N, seed=seed, exhaustive_cap=2, random_tries=300)
-    assert r.stats["seed"] == seed and "box" not in r.stats["candidates"]
+    r = assert_same_result(M, N, seed=seed, exhaustive_cap=2)
+    assert r.stats["seed"] is None and "random" not in r.stats["candidates"]
+    assert r.stats["candidates"]["box"] <= 2
 
 
 def test_stats_record_the_answering_phase():
+    # the box [-5, 5]^2 holds 120 nonzero rows, 60 up to sign
     r = is_isomorphic(A5, At)
     assert r.stats["phase"] == "modulus" and r.stats["moduli"] == [2, 3, 5]
-    assert r.stats["hom_rank"] == 2 and r.stats["candidates"]["box"] == 120
+    assert r.stats["hom_rank"] == 2 and r.stats["candidates"]["box"] == 60
     assert r.stats["seed"] is None
     assert is_isomorphic(*CASES["burnside-vs-constant"]).stats["phase"] == "ranks"
 
 
 def test_free_burnside_module_over_c9_finds_the_same_witness():
-    # F_1 over C9, level ranks (3, 6, 2), against itself: the witness is
-    # candidate 42,016 of the coefficient box (counting from 0), so the box
-    # phase enumerates 42,017 candidates, as the one-at-a-time loop did
+    # F_1 over C9, level ranks (3, 6, 2), against itself: the witness is the
+    # sixth row of the support order, the sixth hom basis element alone, as
+    # the one-at-a-time loop finds it
     F1 = free_module(burnside_green(CyclicGroup(3, 2)), 1).underlying
-    r = is_isomorphic(F1, F1)
-    assert r.verdict == "isomorphic" and r.detail == "lattice search, coefficients within 3"
+    r = assert_same_result(F1, F1)
+    assert r.verdict == "isomorphic" and r.detail == "lattice search, coefficients within 5"
     assert r.stats["phase"] == "box" and r.stats["hom_rank"] == 6
-    assert r.stats["candidates"] == {"box": 42_017}
+    assert r.stats["candidates"] == {"box": 6}
     assert r.stats["passed_filter"] == {"box": 1}
-    cycle = [[0, -1, 0], [0, 0, -1], [-1, 0, 0]]
-    six = [[-int(j == (i + 2) % 6) for j in range(6)] for i in range(6)]
-    assert [f.tolist() for f in r.witness.components] == [cycle, six, [[-1, 0], [0, -1]]]
+    cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    six = [[int(j == (i + 4) % 6) for j in range(6)] for i in range(6)]
+    assert [f.tolist() for f in r.witness.components] == [cycle, six, [[1, 0], [0, 1]]]
     assert r.witness.check().ok and r.witness.is_level_iso()
+
+
+def test_burnside_unit_law_over_c16_is_definitive():
+    # A (x) Ind_e^{C16} Z = Ind_e^{C16} Z: hom rank 16, and the first hom
+    # basis element is an isomorphism
+    M = induce_mackey(constant_mackey(CyclicGroup(2, 0), ZZ), 4)
+    AM = box_product_general(burnside_mackey(CyclicGroup(2, 4)), M)
+    r = assert_same_result(M, AM, seed=1)
+    assert r.verdict == "isomorphic" and r.stats["phase"] == "box"
+    assert r.stats["hom_rank"] == 16 and r.stats["candidates"] == {"box": 1}
+    assert r.stats["seed"] is None
+    assert r.witness.check().ok and r.witness.is_level_iso()
+
+
+def support_key(row):
+    support = tuple(i for i, c in enumerate(row) if c)
+    return (len(support), max(map(abs, row)), support, tuple(row[i] for i in support))
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(0, 3))
+def test_support_rows_list_the_box_up_to_sign(h, B):
+    rows = [tuple(r) for r in mackey.support_rows(h, B)]
+    assert len(rows) == ((2 * B + 1) ** h - 1) // 2
+    assert all(next(c for c in r if c) > 0 for r in rows)
+    # each nonzero vector of the box appears exactly once up to sign
+    signed = rows + [tuple(-c for c in r) for r in rows]
+    box = [c for c in itertools.product(range(-B, B + 1), repeat=h) if any(c)]
+    assert sorted(signed) == sorted(box)
+    keys = [support_key(r) for r in rows]
+    assert all(a[:2] <= b[:2] for a, b in zip(keys, keys[1:]))
+    # within a support size and height: positions, then values
+    assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("field", [gf_make(2, 3), gf_make(3, 2)])

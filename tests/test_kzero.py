@@ -86,6 +86,22 @@ def test_dim_solver_rejects_impossible_dims():
     assert dm.solve((0, 5)) is None
 
 
+def test_two_decompositions_over_one_ring_build_the_dim_matrix_once(monkeypatch):
+    from mackeykit import kzero
+    R = constant_green(CyclicGroup(5, 2), gf_make(5, 1))
+    P = free_module(R, 1)
+    built, solved = [], []
+    stabilizer, solve_int = kzero.meadow_stabilizer, la.solve_int
+    monkeypatch.setattr(kzero, "meadow_stabilizer", lambda k: built.append(k) or stabilizer(k))
+    monkeypatch.setattr(la, "solve_int", lambda A, B: solved.append(A.shape) or solve_int(A, B))
+    first = kzero.decompose_module(R, P)
+    second = kzero.decompose_module(R, P)
+    assert built == [R] and solved == [(3, 3)]
+    assert R.dim_matrix is dim_matrix(R)
+    assert first.classification.mults == second.classification.mults == {1: 1}
+    assert first.ok and second.ok
+
+
 # --- the class ring ------------------------------------------------------------
 
 def test_class_ring_with_one_collapsed_level():
