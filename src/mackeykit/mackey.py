@@ -618,7 +618,7 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 _FILTER_PRIME = 65521
 
 # The most candidates an exhaustive search enumerates (q^h over a field,
-# coefficient rows over Z) and the draws of a random search over a field.
+# coefficient vectors over Z) and the draws of a random search over a field.
 # Over Z: the coefficient bound of the lattice search, and the largest m^h
 # of a mod-m certificate search (h the hom rank).
 _EXHAUSTIVE_CAP = 200_000
@@ -712,19 +712,19 @@ def batches(candidates):
 
 def support_rows(h, bound):
     """The nonzero integer rows of length h with entries in [-bound, bound]
-    whose first nonzero entry is positive, one of each pair c, -c: by support
-    size, then height (the largest |c_i|), then support positions and values
-    in lexicographic order."""
-    for size in range(1, h + 1):
-        for height in range(1, bound + 1):
-            values = [v for v in range(-height, height + 1) if v]
+    whose first nonzero entry is positive, one of each pair c, -c, as int64
+    arrays: by height (the largest |c_i|), then support size, then support
+    positions and values in lexicographic order."""
+    for height in range(1, bound + 1):
+        values = [v for v in range(-height, height + 1) if v]
+        for size in range(1, h + 1):
+            vals = np.array([v for v in itertools.product(range(1, height + 1),
+                                                          *[values] * (size - 1))
+                             if height in map(abs, v)], dtype=np.int64)
             for support in itertools.combinations(range(h), size):
-                for vals in itertools.product(range(1, height + 1), *[values] * (size - 1)):
-                    if height in map(abs, vals):
-                        row = [0] * h
-                        for i, v in zip(support, vals):
-                            row[i] = v
-                        yield row
+                block = np.zeros((len(vals), h), dtype=np.int64)
+                block[:, support] = vals
+                yield from block
 
 
 def _first_iso(candidates, passing, phase, stats):
@@ -760,12 +760,13 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
     the field's elements) from the standard library's `random.Random(seed)`,
     the generator of every seeded search in mackeykit.  Integer coefficients
     (levelwise free): a lattice search for a unimodular witness over the
-    first _EXHAUSTIVE_CAP coefficient rows of `support_rows` (coefficients
-    within _COEFF_BOUND, fewest nonzero first, then smallest), then a mod-m
-    certificate ruling every hom out (m^h <= _MODULUS_CAP).  f and -f are
-    isomorphisms together, so the lattice search takes only the rows whose
-    first nonzero coefficient is positive.  It draws nothing: the seed is
-    not read over Z.
+    first _EXHAUSTIVE_CAP // 2 rows of `support_rows` (coefficients within
+    _COEFF_BOUND), then a mod-m certificate ruling every hom out (m^h <=
+    _MODULUS_CAP).  f and -f are isomorphisms together, so those rows, the
+    ones whose first nonzero coefficient is positive, stand for
+    _EXHAUSTIVE_CAP vectors: the largest box [-B, B]^h that fits, or at
+    h > 11 the +-1 rows of fewest nonzero coefficients.  It draws nothing:
+    the seed is not read over Z.
 
     Candidates are tested in `batches` of 1, 2, 4, ... up to 1024, each one
     product against the `LevelStack` of the hom basis and one batched
@@ -830,8 +831,8 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
 
     if any(lv.relations.shape[1] for lv in M.levels + N.levels):
         raise NotImplementedError("level-iso test needs free levels over Z")
-    # integer case: the rows of the coefficient box by support, f and -f once
-    rows = itertools.islice(support_rows(h, _COEFF_BOUND), _EXHAUSTIVE_CAP)
+    # integer case: the coefficient rows by height, f and -f once
+    rows = itertools.islice(support_rows(h, _COEFF_BOUND), _EXHAUSTIVE_CAP // 2)
     f = _first_iso(rows, stack.unimodular, "box", stats)
     if f is not None:
         return answer("box", "isomorphic", witness=f,

@@ -189,8 +189,9 @@ def _unimodular_mod(f, m):
 def reference_is_isomorphic(M, N, seed=None, exhaustive_cap=200_000, random_tries=10_000,
                             coeff_bound=5, modulus_cap=200_000):
     """is_isomorphic one candidate at a time, with the same statistics.  Over
-    Z the candidates are the rows of `mackey.support_rows`, whose order
-    `test_support_rows_list_the_box_up_to_sign` checks."""
+    Z the candidates are the first exhaustive_cap // 2 rows of
+    `mackey.support_rows`, whose order `test_support_rows_list_the_box_up_to_sign`
+    checks."""
     base = M.base
     stats = {"hom_rank": None, "phase": "ranks", "candidates": {}, "passed_filter": {},
              "moduli": [], "seed": None}
@@ -244,8 +245,8 @@ def reference_is_isomorphic(M, N, seed=None, exhaustive_cap=200_000, random_trie
     def unimodular(f):
         return _unimodular_mod(f, _FILTER_PRIME)
 
-    rows = itertools.islice(mackey.support_rows(h, coeff_bound), exhaustive_cap)
-    f = search("box", rows, unimodular)
+    rows = itertools.islice(mackey.support_rows(h, coeff_bound), exhaustive_cap // 2)
+    f = search("box", (r.tolist() for r in rows), unimodular)
     if f is not None:
         return Ref("isomorphic", witness=f,
                    detail=f"lattice search, coefficients within {coeff_bound}", stats=stats)
@@ -363,16 +364,17 @@ def test_random_field_search_equals_one_at_a_time(name, seed):
     assert r.stats["seed"] == seed
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("rows", [0, 1, 7, 123])
 @pytest.mark.parametrize("name", ["burnside-C4", "burnside-C9", "A-vs-At", "A-vs-AtAt",
                                   "constant-Z-rank2", "trunc-A-vs-At"])
-def test_random_lattice_search_equals_one_at_a_time(name, seed):
-    # there is no random lattice phase: a cap of 2 rows cuts the Z lattice
-    # search short, the certificate phase follows, and no seed is read
+def test_random_lattice_search_equals_one_at_a_time(name, rows):
+    # Z has no random phase (the test keeps the name, and the ids, of the
+    # one it replaced): the lattice search cut at 0, 1, 7 or 123 rows, then
+    # the certificate phase, equals the one-at-a-time loop, and reads no seed
     M, N = CASES[name]
-    r = assert_same_result(M, N, seed=seed, exhaustive_cap=2)
+    r = assert_same_result(M, N, seed=1, exhaustive_cap=2 * rows)
     assert r.stats["seed"] is None and "random" not in r.stats["candidates"]
-    assert r.stats["candidates"]["box"] <= 2
+    assert r.stats["candidates"]["box"] <= rows
 
 
 def test_stats_record_the_answering_phase():
@@ -386,7 +388,7 @@ def test_stats_record_the_answering_phase():
 
 def test_free_burnside_module_over_c9_finds_the_same_witness():
     # F_1 over C9, level ranks (3, 6, 2), against itself: the witness is the
-    # sixth row of the support order, the sixth hom basis element alone, as
+    # sixth row of the height order, the sixth hom basis element alone, as
     # the one-at-a-time loop finds it
     F1 = free_module(burnside_green(CyclicGroup(3, 2)), 1).underlying
     r = assert_same_result(F1, F1)
@@ -414,13 +416,13 @@ def test_burnside_unit_law_over_c16_is_definitive():
 
 def support_key(row):
     support = tuple(i for i, c in enumerate(row) if c)
-    return (len(support), max(map(abs, row)), support, tuple(row[i] for i in support))
+    return (max(map(abs, row)), len(support), support, tuple(row[i] for i in support))
 
 
 @SETTINGS
 @given(st.integers(0, 4), st.integers(0, 3))
 def test_support_rows_list_the_box_up_to_sign(h, B):
-    rows = [tuple(r) for r in mackey.support_rows(h, B)]
+    rows = [tuple(r.tolist()) for r in mackey.support_rows(h, B)]
     assert len(rows) == ((2 * B + 1) ** h - 1) // 2
     assert all(next(c for c in r if c) > 0 for r in rows)
     # each nonzero vector of the box appears exactly once up to sign
@@ -429,8 +431,32 @@ def test_support_rows_list_the_box_up_to_sign(h, B):
     assert sorted(signed) == sorted(box)
     keys = [support_key(r) for r in rows]
     assert all(a[:2] <= b[:2] for a, b in zip(keys, keys[1:]))
-    # within a support size and height: positions, then values
+    # within a height and support size: positions, then values
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("h", range(1, 12))
+def test_support_rows_cover_the_largest_box_that_fits_the_cap(h):
+    # the rows tried over Z hold, up to sign, the largest box [-B, B]^h of
+    # at most _EXHAUSTIVE_CAP points (B <= 5), at every h where B >= 1:
+    # every +-1 row up to h = 11, and every row within 3 at h = 6
+    cap = mackey._EXHAUSTIVE_CAP
+    B = max(b for b in range(1, 6) if (2 * b + 1) ** h <= cap)
+    box = ((2 * B + 1) ** h - 1) // 2
+    assert box <= cap // 2
+    rows = np.array(list(itertools.islice(mackey.support_rows(h, 5), box)))
+    assert np.abs(rows).max() == B and len(np.unique(rows, axis=0)) == box
+
+
+def test_induced_free_rank_four_over_c2_is_isomorphic_to_itself():
+    # Ind_e^{C2} Z^4: hom rank 32, one coefficient block per generator, so
+    # every isomorphism has at least 4 nonzero coefficients; the first is a
+    # +-1 row of support 4, after the 20,864 rows of support 1 to 3
+    M = induce_mackey(constant_mackey(CyclicGroup(2, 0), ZZ, 4), 1)
+    r = is_isomorphic(M, M)
+    assert r.verdict == "isomorphic" and r.stats["phase"] == "box"
+    assert r.stats["hom_rank"] == 32 and r.stats["candidates"] == {"box": 43_841}
+    assert r.witness.check().ok and r.witness.is_level_iso()
 
 
 @pytest.mark.parametrize("field", [gf_make(2, 3), gf_make(3, 2)])
