@@ -186,12 +186,7 @@ def cmd_phi(args) -> int:
             ("Z" if ph.ring.base is ZZ else f"F{ph.ring.base.q}")
         print(f"phi^{args.stages} ring: rank {rank} over {base}; {ph.description}")
         return 0
-    try:
-        res = geometric_fixed_points(obj)
-    except NotImplementedError as exc:
-        print(f"fail: {exc}")
-        return 1
-    _write_output(docio.print_document(res), args.output)
+    _write_output(docio.print_document(geometric_fixed_points(obj)), args.output)
     return 0
 
 
@@ -362,7 +357,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, NotImplementedError) as exc:
         print(f"fail: {exc}")
         return 1
     finally:

@@ -32,15 +32,14 @@ def meadow_stabilizer(k: GreenFunctor) -> int:
 
     The bottom Weyl map of a meadow has p-power order p^(n-r); from level r on
     the level fields stop shrinking.  Raises ValueError when that order
-    passes p^n.
+    passes p^n or is not a power of p.
     """
     p, n = k.p, k.n
     order = map_order(k.underlying.weyl[0], p ** n, k.base)
-    r = n
-    while order > 1:
-        order //= p
-        r -= 1
-    return r
+    for r in range(n, -1, -1):
+        if order == p ** (n - r):
+            return r
+    raise ValueError(f"the bottom Weyl map has order {order}, not a power of {p}")
 
 
 @dataclass

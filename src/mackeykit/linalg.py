@@ -256,9 +256,12 @@ def mmul_chain(*mats, base=ZZ):
 def mpow(A, k, base=ZZ):
     """A^k by square-and-multiply from A: at most 2 * floor(log2 k)
     products, none by the identity.  A^0 is the identity, and A^1 a copy of
-    A in the form of base.  Raises ValueError on a matrix that is not square."""
+    A in the form of base.  Raises ValueError on a matrix that is not square
+    or on k < 0."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"power of a {A.shape} matrix")
+    if k < 0:
+        raise ValueError(f"matrix power {k} is negative")
     if k == 0:
         return eye(A.shape[0], base)
     A = _rest(A, base, kernels(base))
@@ -286,9 +289,11 @@ def kron(A, B, base=ZZ):
 
 def power_sum(W, count, base=ZZ):
     """I + W + W^2 + ... + W^(count - 1), for count >= 1: count - 2
-    products, starting from I + W."""
+    products, starting from I + W.  Raises ValueError on count < 1."""
+    if count < 1:
+        raise ValueError(f"power sum of {count} terms")
     total = eye(W.shape[0], base)
-    if count <= 1:
+    if count == 1:
         return total
     W = _rest(W, base, kernels(base))
     total = add_scaled(total, W, 1, base)

@@ -184,6 +184,31 @@ def test_phi_refuses_torsion_green(capsys):
     assert rc == 1 and "torsion" in out
 
 
+def _torsion_document(tmp_path):
+    """A valid Z document over C2 whose top level is Z/2 (relation 2)."""
+    import mackeykit.linalg as la
+    from mackeykit.gsets import CyclicGroup
+    from mackeykit.modules import FPModule
+    Z = la.ZZ
+    M = MackeyFunctor(CyclicGroup(2, 1), Z, [FPModule(Z, 1), FPModule(Z, 1, la.mat([[2]]))],
+                      [la.mat([[0]])], [la.mat([[1]])], [la.mat([[-1]]), la.mat([[1]])],
+                      name="torsion")
+    path = tmp_path / "torsion.doc"
+    path.write_text(print_document(M))
+    return path
+
+
+def test_iso_on_a_torsion_level_is_a_fail_line(capsys, tmp_path):
+    # hom_basis over Z needs free levels; its NotImplementedError reaches
+    # main, which prints it as a fail line and exits 1
+    path = _torsion_document(tmp_path)
+    rc, out, _ = run(capsys, "check", str(path))
+    assert rc == 0 and out == f"{path}: ok\n"
+    rc, out, _ = run(capsys, "iso", str(path), str(path))
+    assert rc == 1 and out == ("fail: hom computations over Z require "
+                               "levelwise-free functors\n")
+
+
 def test_tau_drops_a_stage(capsys, tmp_path):
     _, text, _ = run(capsys, "example", "fp-galois", "--p", "2", "--n", "2")
     path = tmp_path / "r.doc"

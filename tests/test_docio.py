@@ -21,6 +21,7 @@ from mackeykit.linalg import ZZ
 from mackeykit.mackey import (MackeyFunctor, burnside_mackey, check_axioms,
                               constant_mackey, twisted_burnside_c5)
 from mackeykit.modules import FPModule
+from mackeykit.rings import BasedRing
 
 
 def _same_mackey(A, B, names=True):
@@ -506,30 +507,61 @@ def test_printing_reproduces_a_parsed_block_byte_for_byte(p, k, modulus, rows):
 _BASES = {"Z": ZZ, "F2": gf_make(2, 1), "F5": gf_make(5, 1), "GF4": gf_make(2, 2)}
 
 
+_NAMES = st.text("ab ", max_size=6).map(str.strip)
+
+
+def _block(draw, base, r, c, entries=None):
+    """An r x c matrix over base, its entries drawn (over Z past int64)."""
+    if entries is None:
+        entries = (st.integers(-(2 ** 70), 2 ** 70) if base is ZZ
+                   else st.integers(0, base.q - 1).map(base.element))
+    return la.mat(draw(st.lists(st.lists(entries, min_size=c, max_size=c),
+                                min_size=r, max_size=r)), c, base)
+
+
 @st.composite
-def _small_functor(draw):
-    base = _BASES[draw(st.sampled_from(sorted(_BASES)))]
-    group = CyclicGroup(draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)))
-    if base is ZZ:
-        entry = st.integers(-(2 ** 70), 2 ** 70)
-    else:
-        entry = st.integers(0, base.q - 1).map(base.element)
-
-    def block(r, c, entries=entry):
-        return la.mat(draw(st.lists(st.lists(entries, min_size=c, max_size=c),
-                                    min_size=r, max_size=r)), c, base)
-
+def _small_functor(draw, base=None, group=None, free=False):
+    """A Mackey functor with random maps, its axioms unchecked; free keeps
+    Z levels without relations."""
+    if base is None:
+        base = _BASES[draw(st.sampled_from(sorted(_BASES)))]
+    if group is None:
+        group = CyclicGroup(draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)))
     gens = [draw(st.integers(0, 3)) for _ in range(group.n + 1)]
     levels = []
     for g in gens:
-        relc = draw(st.integers(0, 2)) if base is ZZ else 0
-        rel = block(g, relc, st.integers(-9, 9)) if relc else None
+        relc = draw(st.integers(0, 2)) if base is ZZ and not free else 0
+        rel = _block(draw, base, g, relc, st.integers(-9, 9)) if relc else None
         levels.append(FPModule(base, g, rel))
-    res = [block(gens[s], gens[s + 1]) for s in range(group.n)]
-    tr = [block(gens[s + 1], gens[s]) for s in range(group.n)]
-    weyl = [block(g, g) for g in gens]
-    name = draw(st.text("ab ", max_size=6).map(str.strip))
-    return MackeyFunctor(group, base, levels, res, tr, weyl, name=name)
+    res = [_block(draw, base, gens[s], gens[s + 1]) for s in range(group.n)]
+    tr = [_block(draw, base, gens[s + 1], gens[s]) for s in range(group.n)]
+    weyl = [_block(draw, base, g, g) for g in gens]
+    return MackeyFunctor(group, base, levels, res, tr, weyl, name=draw(_NAMES))
+
+
+@st.composite
+def _small_green(draw):
+    """A Green functor on a free random functor: each level ring a random
+    table of the level's rank, its laws unchecked."""
+    und = draw(_small_functor(free=True))
+    rings = []
+    for g in und.level_dims():
+        labels = draw(st.none() | st.just([f"e{i}" for i in range(g)]))
+        rings.append(BasedRing(und.base, g, _block(draw, und.base, g * g, g),
+                               _block(draw, und.base, g, 1), labels=labels,
+                               commutative=draw(st.booleans())))
+    return GreenFunctor(und, rings, name=und.name)
+
+
+@st.composite
+def _small_module(draw):
+    """A module over a random Green functor: a random functor on the same
+    group and base, and a random matrix per level ring basis element."""
+    R = draw(_small_green())
+    und = draw(_small_functor(R.base, R.group))
+    action = [[_block(draw, R.base, g, g) for _ in range(R.ring(s).rank)]
+              for s, g in enumerate(und.level_dims())]
+    return GreenModule(R, und, action, name=draw(_NAMES))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -537,6 +569,24 @@ def _small_functor(draw):
 def test_printing_a_parsed_document_gives_the_same_text(M):
     text = print_document(M)
     assert print_document(parse_document(text)) == text
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_small_green())
+def test_a_green_document_round_trips(R):
+    text = print_document(R)
+    back = parse_document(text)
+    assert type(back) is GreenFunctor and print_document(back) == text
+    _same_green(R, back)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_small_module())
+def test_a_module_document_round_trips(M):
+    text = print_document(M)
+    back = parse_document(text)
+    assert type(back) is GreenModule and print_document(back) == text
+    _same_module(M, back)
 
 
 # -- counts larger than the document ------------------------------------------

@@ -222,25 +222,26 @@ def reference_is_isomorphic(M, N, seed=None, exhaustive_cap=200_000, random_trie
         return None
 
     if base is not ZZ:
-        q = base.p ** base.k
+        q = base.q
         elems = list(base.elements())
         level_iso = MackeyMorphism.is_level_iso
-        if h <= 6 and q ** h <= exhaustive_cap:
-            f = search("box", itertools.product(elems, repeat=h), level_iso)
-            stats["phase"] = "box"
-            if f is not None:
-                return Ref("isomorphic", witness=f, detail="exhaustive search", stats=stats)
-            return Ref("not_isomorphic", certificate={"reason": "no iso in the full hom space",
-                                                      "hom_dim": h},
-                       detail="exhausted the hom space", stats=stats)
         stats["seed"] = resolve_seed(seed)
         rng = random.Random(stats["seed"])
-        draws = ([elems[rng.randrange(q)] for _ in range(h)] for _ in range(random_tries))
+        tries = min(random_tries, q ** h)
+        draws = ([elems[rng.randrange(q)] for _ in range(h)] for _ in range(tries))
         f = search("random", draws, level_iso)
         if f is not None:
             return Ref("isomorphic", witness=f, detail="random search", stats=stats)
-        stats["phase"] = None
-        return Ref("inconclusive", detail=f"no witness in {random_tries} samples", stats=stats)
+        if q ** h > exhaustive_cap:
+            stats["phase"] = None
+            return Ref("inconclusive", detail=f"no witness in {tries} samples", stats=stats)
+        f = search("box", itertools.product(elems, repeat=h), level_iso)
+        stats["phase"] = "box"
+        if f is not None:
+            return Ref("isomorphic", witness=f, detail="exhaustive search", stats=stats)
+        return Ref("not_isomorphic", certificate={"reason": "no iso in the full hom space",
+                                                  "hom_dim": h},
+                   detail="exhausted the hom space", stats=stats)
 
     def unimodular(f):
         return _unimodular_mod(f, _FILTER_PRIME)
@@ -459,29 +460,58 @@ def test_induced_free_rank_four_over_c2_is_isomorphic_to_itself():
     assert r.witness.check().ok and r.witness.is_level_iso()
 
 
+def _doubling(n):
+    """The batch sizes of a phase of n candidates: 1, 2, 4, ... up to 1024."""
+    sizes, tried = [], 0
+    while tried < n:
+        sizes.append(min(1024, tried + 1, n - tried))
+        tried += sizes[-1]
+    return sizes
+
+
+def _constant_against_swapped(G, field, copies):
+    """C^copies and C^(copies - 1) + D over the field, D the constant functor
+    with res and tr exchanged (a Mackey functor when p = char field)."""
+    return (constant_mackey(G, field, copies),
+            mackey.direct_sum([constant_mackey(G, field, copies - 1),
+                               _swapped_constant(G, field)]))
+
+
 @pytest.mark.parametrize("field", [gf_make(2, 3), gf_make(3, 2)])
 def test_extension_fields_search_in_doubling_batches(field, monkeypatch):
     # full_rank_mask eliminates one level of a whole batch of GF(p^k)
-    # candidates at once, one call per level per batch, so batches double
-    # as over F_p, and rank runs only in the witness's is_level_iso, once
-    # per level
-    M = constant_mackey(CyclicGroup(2, 2), field, 2)
-    want = reference_is_isomorphic(M, M)
+    # candidates at once, one call per level per batch, so the batches of
+    # each phase double as over F_p, and rank runs only in a witness's
+    # is_level_iso, once per level
+    M, N = _constant_against_swapped(CyclicGroup(field.p, 1), field, 2)
     rank, ranked = la.rank, []
     mask, stacks = la.full_rank_mask, []
     monkeypatch.setattr(la, "rank", lambda A, f: ranked.append(A.shape) or rank(A, f))
     monkeypatch.setattr(la, "full_rank_mask", lambda A, f: stacks.append(A.shape) or mask(A, f))
-    got = is_isomorphic(M, M)
+    got, searched = is_isomorphic(M, N), list(stacks)
+    assert ranked == []
+    assert is_isomorphic(M, M).verdict == "isomorphic" and len(ranked) == M.n + 1
     monkeypatch.undo()
-    levels = M.n + 1
-    sizes = [C for C, _, _ in stacks[::levels]]
-    assert sizes == [2 ** i for i in range(len(sizes))]
-    assert stacks == [(C, 2, 2) for C in sizes for _ in range(levels)]
-    witness = got.stats["candidates"]["box"]
-    assert sum(sizes[:-1]) < witness <= sum(sizes) and witness > 16
-    assert len(ranked) == M.n + 1
-    assert_same_result(M, M)
-    assert got.stats == want.stats and got.detail == want.detail
+    space = field.q ** 4
+    assert got.verdict == "not_isomorphic" and got.stats["hom_rank"] == 4
+    assert got.stats["candidates"] == {"random": space, "box": space}
+    sizes = _doubling(space) * 2
+    assert searched == [(C, 2, 2) for C in sizes for _ in range(M.n + 1)]
+    assert_same_result(M, N)
+
+
+@pytest.mark.parametrize("copies", [3, 4])
+def test_field_pairs_past_hom_rank_six_are_certified(copies):
+    # over F_2/C2, C^3 against C^2 + D and C^4 against C^3 + D: the random
+    # draws find no witness, and the whole hom space, 2^9 and 2^16 maps,
+    # certifies that none exists
+    M, N = _constant_against_swapped(CyclicGroup(2, 1), gf_make(2, 1), copies)
+    h = copies ** 2
+    r = assert_same_result(M, N, seed=0) if copies == 3 else is_isomorphic(M, N, seed=0)
+    assert r.verdict == "not_isomorphic" and r.stats["phase"] == "box"
+    assert r.certificate == {"reason": "no iso in the full hom space", "hom_dim": h}
+    assert r.stats["candidates"] == {"random": min(2 ** h, 10_000), "box": 2 ** h}
+    assert r.stats["passed_filter"] == {"random": 0, "box": 0} and r.stats["seed"] == 0
 
 
 def test_z_levels_with_relations_are_refused():

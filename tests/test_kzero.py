@@ -37,6 +37,15 @@ def test_meadow_stabilizer_rejects_a_weyl_order_beyond_the_group():
         meadow_stabilizer(GreenFunctor(bad, k.level_rings))
 
 
+def test_meadow_stabilizer_rejects_a_weyl_order_that_is_not_a_power_of_p():
+    k = fixed_point_green(CyclicGroup(2, 2), gf_make(2, 4))
+    und = k.underlying
+    W = la.mat([[0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]], base=k.base)
+    bad = MackeyFunctor(und.group, k.base, und.levels, und.res, und.tr, [W] + und.weyl[1:])
+    with pytest.raises(ValueError, match="order 3, not a power of 2"):
+        meadow_stabilizer(GreenFunctor(bad, k.level_rings))
+
+
 def test_dim_matrix_shapes_and_determinant():
     R = fixed_point_green(CyclicGroup(2, 2), gf_make(2, 2))
     dm = dim_matrix(R)

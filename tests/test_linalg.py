@@ -262,6 +262,21 @@ def test_mpow_rejects_a_non_square_matrix(base, k):
         la.mpow(la.zeros(2, 3, base), k, base)
 
 
+@SHAPE_BASES
+def test_mpow_rejects_a_negative_power(base):
+    A = la.mat([[1, 1], [0, 1]], base=base)
+    with pytest.raises(ValueError, match="power -1 is negative"):
+        la.mpow(A, -1, base)
+
+
+@SHAPE_BASES
+@pytest.mark.parametrize("count", [0, -1])
+def test_power_sum_rejects_an_empty_sum(base, count):
+    with pytest.raises(ValueError, match=f"power sum of {count} terms"):
+        la.power_sum(la.eye(2, base), count, base)
+    assert la.mat_eq(la.power_sum(la.eye(2, base), 1, base), la.eye(2, base))
+
+
 @pytest.mark.parametrize("field", [gf_make(3, 1), gf_make(2, 2)], ids=["F3", "F4"])
 def test_inv_field_rejects_a_non_square_matrix(field):
     with pytest.raises(ValueError, match="inverse"):
