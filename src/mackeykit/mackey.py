@@ -754,21 +754,19 @@ def _first_iso(candidates, passing, phase, stats):
 def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
     """Decide whether M and N are isomorphic Mackey functors.
 
-    Field coefficients: min(_RANDOM_TRIES, q^h) seeded random draws for a
-    witness, each h draws of `randrange(q)` (indices into the field's
-    elements) from the standard library's `random.Random(seed)`, the
-    generator of every seeded search in mackeykit; then, when the hom space
-    has at most _EXHAUSTIVE_CAP elements, all of it in order, which gives a
-    witness or certifies that none exists (inconclusive past the cap).
-
-    Integer coefficients (levelwise free): a lattice search for a unimodular
-    witness over the first _EXHAUSTIVE_CAP // 2 rows of `support_rows`
-    (coefficients within _COEFF_BOUND), then a mod-m certificate ruling
-    every hom out (m^h <= _MODULUS_CAP).  f and -f are isomorphisms
-    together, so those rows, the ones whose first nonzero coefficient is
-    positive, stand for _EXHAUSTIVE_CAP vectors: the largest box [-B, B]^h
-    that fits, or at h > 11 the +-1 rows of fewest nonzero coefficients.
-    It draws nothing: the seed is not read over Z.
+    Field coefficients: exhaustive search over the hom space when it has at
+    most _EXHAUSTIVE_CAP elements, else _RANDOM_TRIES seeded random draws
+    (inconclusive on failure), each h draws of `randrange(q)` (indices into
+    the field's elements) from the standard library's `random.Random(seed)`,
+    the generator of every seeded search in mackeykit.  Integer coefficients
+    (levelwise free): a lattice search for a unimodular witness over the
+    first _EXHAUSTIVE_CAP // 2 rows of `support_rows` (coefficients within
+    _COEFF_BOUND), then a mod-m certificate ruling every hom out (m^h <=
+    _MODULUS_CAP).  f and -f are isomorphisms together, so those rows, the
+    ones whose first nonzero coefficient is positive, stand for
+    _EXHAUSTIVE_CAP vectors: the largest box [-B, B]^h that fits, or at
+    h > 11 the +-1 rows of fewest nonzero coefficients.  It draws nothing:
+    the seed is not read over Z.
 
     Candidates are tested in `batches` of 1, 2, 4, ... up to 1024, each one
     product against the `LevelStack` of the hom basis and one batched
@@ -784,8 +782,7 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
     "ranks", "hom", "box", "random" (over a field only) or "modulus"; None
     when inconclusive), "candidates" and "passed_filter" (per phase, counted
     up to the answer), "moduli" (tried for a certificate) and "seed" (of the
-    random field phase, which every field search of nonzero hom rank runs;
-    None otherwise, and always None over Z).
+    random field phase, None when it did not run, and always None over Z).
     """
     _check_same_base(M, N)
     base = M.base
@@ -813,22 +810,22 @@ def is_isomorphic(M: MackeyFunctor, N: MackeyFunctor, seed=None) -> IsoResult:
 
     stack = LevelStack(M, N, [[f.components[s] for f in homs] for s in range(M.n + 1)], base)
     if base is not ZZ:
+        q = base.q
+        if q ** h <= _EXHAUSTIVE_CAP:
+            f = _first_iso(itertools.product(range(q), repeat=h), stack.invertible, "box", stats)
+            if f is not None:
+                return answer("box", "isomorphic", witness=f, detail="exhaustive search")
+            return answer("box", "not_isomorphic",
+                          certificate={"reason": "no iso in the full hom space",
+                                       "hom_dim": h},
+                          detail="exhausted the hom space")
         stats["seed"] = resolve_seed(seed)
         rng = random.Random(stats["seed"])
-        space = base.q ** h
-        tries = min(_RANDOM_TRIES, space)
-        draws = ([rng.randrange(base.q) for _ in range(h)] for _ in range(tries))
+        draws = ([rng.randrange(q) for _ in range(h)] for _ in range(_RANDOM_TRIES))
         f = _first_iso(draws, stack.invertible, "random", stats)
         if f is not None:
             return answer("random", "isomorphic", witness=f, detail="random search")
-        if space > _EXHAUSTIVE_CAP:
-            return answer(None, "inconclusive", detail=f"no witness in {tries} samples")
-        f = _first_iso(itertools.product(range(base.q), repeat=h), stack.invertible, "box", stats)
-        if f is not None:
-            return answer("box", "isomorphic", witness=f, detail="exhaustive search")
-        return answer("box", "not_isomorphic",
-                      certificate={"reason": "no iso in the full hom space", "hom_dim": h},
-                      detail="exhausted the hom space")
+        return answer(None, "inconclusive", detail=f"no witness in {_RANDOM_TRIES} samples")
 
     if any(lv.relations.shape[1] for lv in M.levels + N.levels):
         raise NotImplementedError("level-iso test needs free levels over Z")

@@ -225,23 +225,22 @@ def reference_is_isomorphic(M, N, seed=None, exhaustive_cap=200_000, random_trie
         q = base.q
         elems = list(base.elements())
         level_iso = MackeyMorphism.is_level_iso
+        if q ** h <= exhaustive_cap:
+            f = search("box", itertools.product(elems, repeat=h), level_iso)
+            stats["phase"] = "box"
+            if f is not None:
+                return Ref("isomorphic", witness=f, detail="exhaustive search", stats=stats)
+            return Ref("not_isomorphic", certificate={"reason": "no iso in the full hom space",
+                                                      "hom_dim": h},
+                       detail="exhausted the hom space", stats=stats)
         stats["seed"] = resolve_seed(seed)
         rng = random.Random(stats["seed"])
-        tries = min(random_tries, q ** h)
-        draws = ([elems[rng.randrange(q)] for _ in range(h)] for _ in range(tries))
+        draws = ([elems[rng.randrange(q)] for _ in range(h)] for _ in range(random_tries))
         f = search("random", draws, level_iso)
         if f is not None:
             return Ref("isomorphic", witness=f, detail="random search", stats=stats)
-        if q ** h > exhaustive_cap:
-            stats["phase"] = None
-            return Ref("inconclusive", detail=f"no witness in {tries} samples", stats=stats)
-        f = search("box", itertools.product(elems, repeat=h), level_iso)
-        stats["phase"] = "box"
-        if f is not None:
-            return Ref("isomorphic", witness=f, detail="exhaustive search", stats=stats)
-        return Ref("not_isomorphic", certificate={"reason": "no iso in the full hom space",
-                                                  "hom_dim": h},
-                   detail="exhausted the hom space", stats=stats)
+        stats["phase"] = None
+        return Ref("inconclusive", detail=f"no witness in {random_tries} samples", stats=stats)
 
     def unimodular(f):
         return _unimodular_mod(f, _FILTER_PRIME)
@@ -460,13 +459,29 @@ def test_induced_free_rank_four_over_c2_is_isomorphic_to_itself():
     assert r.witness.check().ok and r.witness.is_level_iso()
 
 
-def _doubling(n):
-    """The batch sizes of a phase of n candidates: 1, 2, 4, ... up to 1024."""
-    sizes, tried = [], 0
-    while tried < n:
-        sizes.append(min(1024, tried + 1, n - tried))
-        tried += sizes[-1]
-    return sizes
+@pytest.mark.parametrize("field", [gf_make(2, 3), gf_make(3, 2)])
+def test_extension_fields_search_in_doubling_batches(field, monkeypatch):
+    # full_rank_mask eliminates one level of a whole batch of GF(p^k)
+    # candidates at once, one call per level per batch, so batches double
+    # as over F_p, and rank runs only in the witness's is_level_iso, once
+    # per level
+    M = constant_mackey(CyclicGroup(2, 2), field, 2)
+    want = reference_is_isomorphic(M, M)
+    rank, ranked = la.rank, []
+    mask, stacks = la.full_rank_mask, []
+    monkeypatch.setattr(la, "rank", lambda A, f: ranked.append(A.shape) or rank(A, f))
+    monkeypatch.setattr(la, "full_rank_mask", lambda A, f: stacks.append(A.shape) or mask(A, f))
+    got = is_isomorphic(M, M)
+    monkeypatch.undo()
+    levels = M.n + 1
+    sizes = [C for C, _, _ in stacks[::levels]]
+    assert sizes == [2 ** i for i in range(len(sizes))]
+    assert stacks == [(C, 2, 2) for C in sizes for _ in range(levels)]
+    witness = got.stats["candidates"]["box"]
+    assert sum(sizes[:-1]) < witness <= sum(sizes) and witness > 16
+    assert len(ranked) == M.n + 1
+    assert_same_result(M, M)
+    assert got.stats == want.stats and got.detail == want.detail
 
 
 def _constant_against_swapped(G, field, copies):
@@ -477,41 +492,27 @@ def _constant_against_swapped(G, field, copies):
                                _swapped_constant(G, field)]))
 
 
-@pytest.mark.parametrize("field", [gf_make(2, 3), gf_make(3, 2)])
-def test_extension_fields_search_in_doubling_batches(field, monkeypatch):
-    # full_rank_mask eliminates one level of a whole batch of GF(p^k)
-    # candidates at once, one call per level per batch, so the batches of
-    # each phase double as over F_p, and rank runs only in a witness's
-    # is_level_iso, once per level
-    M, N = _constant_against_swapped(CyclicGroup(field.p, 1), field, 2)
-    rank, ranked = la.rank, []
-    mask, stacks = la.full_rank_mask, []
-    monkeypatch.setattr(la, "rank", lambda A, f: ranked.append(A.shape) or rank(A, f))
-    monkeypatch.setattr(la, "full_rank_mask", lambda A, f: stacks.append(A.shape) or mask(A, f))
-    got, searched = is_isomorphic(M, N), list(stacks)
-    assert ranked == []
-    assert is_isomorphic(M, M).verdict == "isomorphic" and len(ranked) == M.n + 1
-    monkeypatch.undo()
-    space = field.q ** 4
-    assert got.verdict == "not_isomorphic" and got.stats["hom_rank"] == 4
-    assert got.stats["candidates"] == {"random": space, "box": space}
-    sizes = _doubling(space) * 2
-    assert searched == [(C, 2, 2) for C in sizes for _ in range(M.n + 1)]
-    assert_same_result(M, N)
-
-
 @pytest.mark.parametrize("copies", [3, 4])
 def test_field_pairs_past_hom_rank_six_are_certified(copies):
-    # over F_2/C2, C^3 against C^2 + D and C^4 against C^3 + D: the random
-    # draws find no witness, and the whole hom space, 2^9 and 2^16 maps,
-    # certifies that none exists
+    # over F_2/C2, C^3 against C^2 + D and C^4 against C^3 + D: the whole
+    # hom space, 2^9 and 2^16 maps, certifies that no isomorphism exists
     M, N = _constant_against_swapped(CyclicGroup(2, 1), gf_make(2, 1), copies)
     h = copies ** 2
     r = assert_same_result(M, N, seed=0) if copies == 3 else is_isomorphic(M, N, seed=0)
     assert r.verdict == "not_isomorphic" and r.stats["phase"] == "box"
     assert r.certificate == {"reason": "no iso in the full hom space", "hom_dim": h}
-    assert r.stats["candidates"] == {"random": min(2 ** h, 10_000), "box": 2 ** h}
-    assert r.stats["passed_filter"] == {"random": 0, "box": 0} and r.stats["seed"] == 0
+    assert r.stats["candidates"] == {"box": 2 ** h} and r.stats["passed_filter"] == {"box": 0}
+    assert r.stats["seed"] is None
+
+
+def test_field_pairs_past_hom_rank_six_find_the_box_witness():
+    # C^3 against itself over F_2/C2, hom rank 9: the box holds all 2^9 maps,
+    # so its first witness answers and no seed is read
+    M = constant_mackey(CyclicGroup(2, 1), gf_make(2, 1), 3)
+    r = assert_same_result(M, M, seed=0)
+    assert r.verdict == "isomorphic" and r.stats["hom_rank"] == 9
+    assert r.stats["phase"] == "box" and r.stats["seed"] is None
+    assert set(r.stats["candidates"]) == {"box"}
 
 
 def test_z_levels_with_relations_are_refused():
