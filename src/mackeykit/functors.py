@@ -141,19 +141,12 @@ def _build_free_module(R: GreenFunctor, i: int) -> GreenModule:
     for s in range(n + 1):
         u = min(i, s)
         ru = R.ring(u)
-        d = ru.rank
         c = p ** (n - max(i, s))
-        resc = la.eye(R.ring(s).rank, base)
-        for t in range(s - 1, u - 1, -1):
-            resc = la.mmul(M.res[t], resc, base)
-        order = p ** (n - u)
-        winv = la.mpow(M.weyl[u], order - 1, base=base)
-        # copy j of element e: left multiplication by winv^j res(e), twists column j * rank + e
-        twists = [resc]
-        for _ in range(c - 1):
-            twists.append(la.mmul(winv, twists[-1], base))
         rank = R.ring(s).rank
-        mults = ru.left_mult_matrices(la.hstack(twists))
+        resc = la.mmul_chain(*M.res[u:s], la.eye(rank, base), base=base)
+        winv = la.mpow(M.weyl[u], p ** (n - u) - 1, base=base)
+        # copy j of element e: left multiplication by winv^j res(e), twists column j * rank + e
+        mults = ru.left_mult_matrices(la.orbit(winv, resc, c, base))
         action.append([la.block_diag([mults[j * rank + e] for j in range(c)], base)
                        for e in range(rank)])
 

@@ -20,7 +20,7 @@ from .gsets import CyclicGroup
 from .linalg import ZZ
 from .mackey import (MackeyFunctor, MackeyMorphism, burnside_mackey,
                      check_axioms, constant_mackey, direct_sum, fixed_point_mackey,
-                     hom_basis, maps_from_images, pushed, restricted, spanned, weyl_orbit)
+                     hom_basis, maps_from_images, pushed, restricted, spanned)
 from .modules import FPModule, reduced_quotient
 from .report import CheckReport
 from .rings import BasedRing, based_ring_check, ring_is_field
@@ -36,7 +36,20 @@ def tensor_modules(A: FPModule, B: FPModule) -> FPModule:
     return FPModule(base, A.gens * B.gens, rel)
 
 
-class GreenFunctor:
+class _OnUnderlying:
+    """What a Green functor and a Green module read off their underlying
+    Mackey functor."""
+
+    group = property(lambda self: self.underlying.group)
+    base = property(lambda self: self.underlying.base)
+    n = property(lambda self: self.underlying.n)
+    p = property(lambda self: self.underlying.p)
+
+    def level_dims(self) -> tuple:
+        return self.underlying.level_dims()
+
+
+class GreenFunctor(_OnUnderlying):
     """A Mackey functor together with a based ring on each level."""
 
     def __init__(self, underlying: MackeyFunctor, level_rings, name: str = ""):
@@ -56,27 +69,8 @@ class GreenFunctor:
         self.free_modules = {}
         self.dim_matrix = None
 
-    @property
-    def group(self):
-        return self.underlying.group
-
-    @property
-    def base(self):
-        return self.underlying.base
-
-    @property
-    def n(self) -> int:
-        return self.underlying.n
-
-    @property
-    def p(self) -> int:
-        return self.underlying.p
-
     def ring(self, s: int) -> BasedRing:
         return self.level_rings[s]
-
-    def level_dims(self) -> tuple:
-        return self.underlying.level_dims()
 
     def is_meadow(self) -> bool:
         """Whether every level ring is a field: the paper's Green meadow, the
@@ -223,7 +217,7 @@ class GreenMorphism:
 # --- modules over a green functor ---------------------------------------------
 
 
-class GreenModule:
+class GreenModule(_OnUnderlying):
     """A Mackey functor with an action of a green functor R.
 
     action[s] is a (rank, g, g) array, the stack of the matrices by which
@@ -265,31 +259,12 @@ class GreenModule:
         # them by free_module and direct_sum_green_modules, in order; else None
         self.free_levels = None
 
-    @property
-    def group(self):
-        return self.underlying.group
-
-    @property
-    def base(self):
-        return self.underlying.base
-
-    @property
-    def n(self) -> int:
-        return self.underlying.n
-
-    @property
-    def p(self) -> int:
-        return self.underlying.p
-
     def action_matrices(self, s: int, X):
         """(c, g, g) stack of the matrices on level s of the ring elements
         whose coefficient columns are the c columns of X: one product."""
         S = self.action[s]
         r, g = S.shape[0], S.shape[1]
         return la.mmul(X.T, S.reshape(r, g * g), self.base).reshape(X.shape[1], g, g)
-
-    def level_dims(self) -> tuple:
-        return self.underlying.level_dims()
 
     def describe(self) -> str:
         label = self.name or "green module"
@@ -526,12 +501,10 @@ class TwistedGroupRing:
         e_i theta^a(e_j)."""
         R, m = self.coefficient, self.order
         base, r = R.base, R.rank
-        th_pows = [la.eye(r, base)]
-        for _ in range(m - 1):
-            th_pows.append(la.mmul(self.theta, th_pows[-1], base))
+        idm = la.eye(r, base)
         rank = r * m
         # [i, a, j]: the coefficients of e_i theta^a(e_j)
-        prods = R.products(th_pows[0], la.hstack(th_pows)).T.reshape(r, m, r, r)
+        prods = R.products(idm, la.orbit(self.theta, idm, m, base)).T.reshape(r, m, r, r)
         mult = la.zeros(rank * rank, rank, base).reshape(m, r, m, r, rank)
         for a in range(m):
             for b in range(m):
@@ -541,7 +514,7 @@ class TwistedGroupRing:
         unit[:r, :] = R.unit
         labels = [R.labels[i] if a == 0 else f"{R.labels[i]}.w{a}"
                   for a in range(m) for i in range(r)]
-        trivial = la.mat_eq(self.theta, th_pows[0])
+        trivial = la.mat_eq(self.theta, idm)
         return BasedRing(base, rank, mult.reshape(rank * rank, rank), unit, labels,
                          commutative=R.commutative and (trivial or m == 1))
 
@@ -652,11 +625,8 @@ def morita_matrix_units(T: TwistedGroupRing) -> MoritaWitness:
     if len(V) < m:
         raise ValueError("could not complete a basis over the fixed subfield")
     B, Binv = S, la.inv_field(S, base)
-    th_pows = [idm]
-    for _ in range(m - 1):
-        th_pows.append(la.mmul(T.theta, th_pows[-1], base))
     # column a * k + i: the map x -> e_i theta^a(x), flattened row by row of its transpose
-    phi = L.products(idm, la.hstack(th_pows)).T.reshape(k, m, k * k).transpose(2, 1, 0)
+    phi = L.products(idm, la.orbit(T.theta, idm, m, base)).T.reshape(k, m, k * k).transpose(2, 1, 0)
     phi = phi.reshape(k * k, m * k)
     rep = CheckReport("matrix units")
     idd = la.eye(d, base)
@@ -854,7 +824,7 @@ def map_from_generator(P: GreenModule, i: int, x):
         seeds = la.mmul(A.reshape(rank * g, g), down, base)        # every A_u down at once
         seeds = seeds.reshape(rank, g, k).transpose(1, 0, 2).reshape(g, rank * k)
         seeds = la.mmul_chain(*und.tr[t:s][::-1], seeds, base=base)  # tr up to level s
-        comps.append(weyl_orbit(und, s, seeds, R.p ** (n - max(i, s))))
+        comps.append(la.orbit(und.weyl[s], seeds, R.p ** (n - max(i, s)), base))
     return comps
 
 

@@ -19,7 +19,7 @@ from .green import (GreenFunctor, GreenModule, GreenModuleMorphism,
 from .gsets import CyclicGroup, burnside_quotient, burnside_ring
 from .linalg import ZZ
 from .mackey import LevelStack, MackeyFunctor, MackeyMorphism, resolve_seed
-from .modules import FPModule
+from .modules import FPModule, submodule
 from .report import CheckReport
 
 
@@ -405,29 +405,16 @@ class ResolutionReport:
         return self.maps_ok and all(self.exact) and self.alternating_rank_zero
 
 
-def _kernel_lattice(comp, target: FPModule):
-    """Columns spanning {x : comp @ x lies in the relation lattice of target}."""
-    rel = target.relations
-    if rel.shape[1] == 0:
-        return la.nullspace_int(comp)
-    big = la.hstack([comp, rel])
-    ns = la.nullspace_int(big)
-    return la.column_lattice_basis(ns[: comp.shape[1], :])
-
-
-def _image_lattice(comp, target: FPModule):
-    return la.column_lattice_basis(la.hstack([comp, target.relations]))
-
-
 def _exact_at(f: MackeyMorphism, g: MackeyMorphism) -> bool:
-    """Levelwise image(f) = kernel(g) inside the middle functor."""
+    """Levelwise image(f) = kernel(g) inside the middle functor.  The
+    kernel of g_s is spanned by the relations of the submodule g_s spans,
+    which are exactly the x with g_s x in the relations of its target."""
     mid = f.target
     for s in range(mid.n + 1):
-        im = _image_lattice(f.components[s], mid.levels[s])
-        ker = la.column_lattice_basis(
-            la.hstack([_kernel_lattice(g.components[s], g.target.levels[s]),
-                       mid.levels[s].relations]))
-        if not la.lattice_equal(im, ker):
+        rel = mid.levels[s].relations
+        im = la.column_lattice_basis(la.hstack([f.components[s], rel]))
+        ker = submodule(g.target.levels[s], g.components[s])[0].relations
+        if not la.lattice_equal(im, la.column_lattice_basis(la.hstack([ker, rel]))):
             return False
     return True
 

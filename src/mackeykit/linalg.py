@@ -21,8 +21,9 @@ The constructors `zeros`, `eye`, `mat` and `scalar_mul` take the base (Z by
 default) and build that form directly, and every kernel takes its base and
 returns that form, so F_p matrices stay int64 residues from call to call
 and no FFElement arithmetic runs in a kernel.  `field_elements` gives the
-elements at given indices into a field's `elements()` in that form, and
-`power_sum` is the sum I + W + ... + W^(k-1) of the double coset formula.
+elements at given indices into a field's `elements()` in that form,
+`power_sum` is the sum I + W + ... + W^(k-1) of the double coset formula,
+and `orbit` the ladder [X | W X | ... | W^(k-1) X] of a free orbit.
 
 The operand contract: a kernel over F_p takes an int64 operand as residues
 in [0, p) without looking, and converts an operand of any other dtype once
@@ -302,6 +303,16 @@ def power_sum(W, count, base=ZZ):
         acc = mmul(acc, W, base)
         total = add_scaled(total, acc, 1, base)
     return total
+
+
+def orbit(W, X, count, base=ZZ):
+    """[X | W X | ... | W^(count - 1) X] for X in the form of base, by
+    count - 1 products: the images of the copies of an orbit generator,
+    copy j being W^j of copy 0."""
+    out = [X]
+    for _ in range(count - 1):
+        out.append(mmul(W, out[-1], base))
+    return hstack(out)
 
 
 def scalar_mul(c, A, base=ZZ):

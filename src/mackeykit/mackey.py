@@ -404,16 +404,6 @@ def _conj(left, A, right, s, base):
     return A
 
 
-def weyl_orbit(M: MackeyFunctor, s: int, X, copies: int):
-    """[X | W X | ... | W^(copies-1) X] at level s of M, W its Weyl map: the
-    images of the copies of a free generator's summand, copy j being W^j of
-    copy 0."""
-    out = [X]
-    for _ in range(copies - 1):
-        out.append(la.mmul(M.weyl[s], out[-1], M.base))
-    return la.hstack(out)
-
-
 def maps_from_images(M: MackeyFunctor, N: MackeyFunctor, generators):
     """The Yoneda basis of Hom(M, N) for M free on the given generators.
 
@@ -475,7 +465,7 @@ def hom_basis(M: MackeyFunctor, N: MackeyFunctor, level_intertwiners=None):
         up = [la.eye(g0, base)]
         for s in range(n):
             up.append(la.mmul(N.tr[s], up[-1], base))
-        images = [_conj(n_lift, weyl_orbit(N, s, up[s], M.p ** (n - s)), None, s, base)
+        images = [_conj(n_lift, la.orbit(N.weyl[s], up[s], M.p ** (n - s), base), None, s, base)
                   for s in range(n + 1)]
         return maps_from_images(M0, N0, [(g0, [(slice(a, None, r0), C) for C in images])
                                          for a in range(r0)])

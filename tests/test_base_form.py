@@ -85,6 +85,25 @@ def test_power_sum_matches_a_naive_sum(base, form):
         assert la.mat_eq(got, naive)
 
 
+@pytest.mark.parametrize("base,form", BASES[:3], ids=[repr(b) for b, _ in BASES[:3]])
+def test_orbit_matches_the_loop_it_replaced(base, form):
+    """[X | W X | ... | W^(count-1) X] for count 1, 2 and a prime power
+    (the order of a Weyl map of a cyclic p-group), X not square."""
+    W = la.mat([[0, 1, 0], [0, 0, 1], [1, 1, 0]], base=base)
+    X = la.mat([[1, 0], [2, 1], [0, 3]], base=base)
+    p = 2 if base is ZZ else base.p
+    for count in (1, 2, p ** (3 if base is ZZ else base.k)):
+        loop = [X]
+        for _ in range(count - 1):
+            loop.append(la.mmul(W, loop[-1], base))
+        got = la.orbit(W, X, count, base)
+        assert_form(got, base, form)
+        assert got.shape == (3, 2 * count)
+        assert la.mat_eq(got, la.hstack(loop))
+        for j in range(count):
+            assert la.mat_eq(got[:, 2 * j:2 * j + 2], la.mmul(la.mpow(W, j, base), X, base))
+
+
 def test_field_elements_by_index_follow_the_listing():
     for F in (gf_make(2, 3), gf_make(3, 2), gf_make(5, 1)):
         assert [F.element(i) for i in range(F.q)] == list(F.elements())

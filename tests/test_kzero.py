@@ -1,5 +1,6 @@
 import pytest
 
+from mackeykit import kzero
 from mackeykit import linalg as la
 from mackeykit.fields import gf_make
 from mackeykit.functors import free_module
@@ -310,6 +311,24 @@ def test_constant_resolution_is_exact(p):
     assert all(r.exact)
     assert r.alternating_rank_zero
     assert r.ok and r.report.ok
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_exact_at_is_false_where_homology_survives(monkeypatch, p):
+    """The check's three internal spots are exact; beta followed by beta is
+    not (the image of W - 1 is not its kernel on Ind Z), nor is alpha
+    followed by gamma (gamma alpha is p on the bottom level)."""
+    exact_at, pairs = kzero._exact_at, []
+
+    def spy(f, g):
+        pairs.append((f, g))
+        return exact_at(f, g)
+    monkeypatch.setattr(kzero, "_exact_at", spy)
+    assert constant_Z_resolution_check(p).ok
+    assert len(pairs) == 3 and all(exact_at(f, g) for f, g in pairs)
+    (alpha, beta), (_, gamma) = pairs[0], pairs[1]
+    assert not exact_at(beta, beta)
+    assert not exact_at(alpha, gamma)
 
 
 def test_resolution_report_carries_prime():
